@@ -1,15 +1,16 @@
 // Defense cost comparison (§5.2.1, §8, [47], [49]): simulated cycles per
 // RX map/IO/unmap cycle under deferred, strict, and the bounce-buffer
-// backend, across packet sizes. The paper's motivation for deferred mode —
+// defence, across packet sizes. The paper's motivation for deferred mode —
 // and the bounce-buffer counterargument that copying a packet costs less
-// than a 2000-cycle invalidation — both fall out of the model.
+// than a 2000-cycle invalidation — both fall out of the model. The bounce
+// rows run the device untrusted under the trust policy, so DmaApi diverts
+// every transfer through its dma::BouncePool pages.
 
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "core/machine.h"
-#include "dma/bounce.h"
 
 using namespace spv;
 
@@ -17,24 +18,24 @@ namespace {
 
 constexpr DeviceId kDev{3};
 
-core::MachineConfig MakeConfig(iommu::InvalidationMode mode) {
+core::MachineConfig MakeConfig(iommu::InvalidationMode mode, bool bounce_backend) {
   core::MachineConfig config;
   config.seed = 8;
   config.phys_pages = 8192;
   config.iommu.mode = mode;
+  config.policy.enabled = bounce_backend;
+  config.policy.bounce_pages = 16;
   return config;
 }
 
 void RxCycle(benchmark::State& state, iommu::InvalidationMode mode, bool bounce_backend) {
   const uint64_t pkt = static_cast<uint64_t>(state.range(0));
-  core::Machine machine{MakeConfig(mode)};
+  core::Machine machine{MakeConfig(mode, bounce_backend)};
   machine.iommu().AttachDevice(kDev);
-  dma::BounceDma bounce{machine.iommu(), machine.layout(), machine.pm(),
-                        machine.page_alloc(), machine.clock()};
   if (bounce_backend) {
-    (void)bounce.AttachDevice(kDev, 16);
+    (void)machine.policy()->RegisterDevice(kDev, policy::DeviceIdentity{"rx-nic", "nic"});
   }
-  dma::DmaApi& dma = bounce_backend ? static_cast<dma::DmaApi&>(bounce) : machine.dma();
+  dma::DmaApi& dma = machine.dma();
   Kva buf = *machine.slab().Kmalloc(pkt, "rx_buf");
   std::vector<uint8_t> packet(pkt, 0xab);
 

@@ -2,10 +2,9 @@
 //
 // One binary runs every cell of {workload} x {strict,deferred} x {1,2,4 CPUs}
 // x {fast path on,off} and emits BENCH_map_unmap.json. "Fast path off" means
-// FastPathConfig with rcache, hash index and walk cache all disabled — the
-// pre-rebuild behaviour (linear free-range scan, std::map mapping tracker,
-// full radix walks) — so the speedup column is apples-to-apples within one
-// build.
+// FastPathConfig with the rcache and walk cache disabled — the pre-rebuild
+// IOMMU behaviour (linear free-range scan, full radix walks) — so the speedup
+// column is apples-to-apples within one build.
 //
 // Workloads:
 //   steady_single  map+unmap one page, tiny live set. The rcache steady
@@ -97,7 +96,6 @@ core::Machine MakeMachine(const CaseConfig& config) {
   mc.iommu.fast_path.num_cpus = config.cpus;
   if (!config.fast) {
     mc.iommu.fast_path.rcache_enabled = false;
-    mc.iommu.fast_path.hash_index_enabled = false;
     mc.iommu.fast_path.walk_cache_enabled = false;
   }
   mc.policy.enabled = config.policy_trusted;

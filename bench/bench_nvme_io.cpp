@@ -102,7 +102,6 @@ CaseResult RunCase(const CaseConfig& config) {
   }
   if (!config.fast) {
     mc.iommu.fast_path.rcache_enabled = false;
-    mc.iommu.fast_path.hash_index_enabled = false;
     mc.iommu.fast_path.walk_cache_enabled = false;
   }
   core::Machine machine{mc};

@@ -1,5 +1,6 @@
 #include "dkasan/dkasan.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace spv::dkasan {
@@ -28,6 +29,50 @@ std::string Report::ToLine(int index) const {
     out << "  (" << ReportKindName(kind) << ")";
   }
   return out.str();
+}
+
+DKasan::~DKasan() {
+  for (telemetry::Hub* hub : joined_) {
+    hub->RemoveSink(this);
+  }
+}
+
+void DKasan::Attach(const void* origin, telemetry::Hub& hub) {
+  if (std::find(origins_.begin(), origins_.end(), origin) == origins_.end()) {
+    origins_.push_back(origin);
+  }
+  if (std::find(joined_.begin(), joined_.end(), &hub) == joined_.end()) {
+    joined_.push_back(&hub);
+    hub.AddSink(this);
+  }
+}
+
+void DKasan::OnEvent(const telemetry::Event& event) {
+  if (std::find(origins_.begin(), origins_.end(), event.origin) == origins_.end()) {
+    return;
+  }
+  switch (event.kind) {
+    case telemetry::EventKind::kSlabAlloc:
+    case telemetry::EventKind::kFragAlloc:
+      OnAlloc(Kva{event.addr}, event.len, event.site);
+      break;
+    case telemetry::EventKind::kSlabFree:
+    case telemetry::EventKind::kFragFree:
+      OnFree(Kva{event.addr});
+      break;
+    case telemetry::EventKind::kDmaMap:
+      OnMap(Kva{event.addr}, event.len, static_cast<iommu::AccessRights>(event.aux),
+            event.site);
+      break;
+    case telemetry::EventKind::kDmaUnmap:
+      OnUnmap(Kva{event.addr}, event.len);
+      break;
+    case telemetry::EventKind::kCpuAccess:
+      OnCpuAccess(Kva{event.addr}, event.len, event.flag);
+      break;
+    default:
+      break;
+  }
 }
 
 DKasan::PageShadow* DKasan::ShadowFor(Kva kva) {
@@ -86,15 +131,12 @@ void DKasan::OnAlloc(Kva kva, uint64_t size, std::string_view site) {
   }
 }
 
-void DKasan::OnFree(Kva kva, uint64_t size) {
-  (void)size;
+void DKasan::OnFree(Kva kva) {
   live_objects_.erase(kva.value);
 }
 
-void DKasan::OnMap(DeviceId device, Kva kva, uint64_t len, Iova iova,
-                   iommu::AccessRights rights, std::string_view site) {
-  (void)device;
-  (void)iova;
+void DKasan::OnMap(Kva kva, uint64_t len, iommu::AccessRights rights,
+                   std::string_view site) {
   const uint64_t first = kva.PageBase().value;
   const uint64_t last = (kva.value + len - 1) & ~kPageMask;
   for (uint64_t page = first; page <= last; page += kPageSize) {
@@ -146,8 +188,7 @@ void DKasan::OnMap(DeviceId device, Kva kva, uint64_t len, Iova iova,
   }
 }
 
-void DKasan::OnUnmap(DeviceId device, Kva kva, uint64_t len) {
-  (void)device;
+void DKasan::OnUnmap(Kva kva, uint64_t len) {
   const uint64_t first = kva.PageBase().value;
   const uint64_t last = (kva.value + len - 1) & ~kPageMask;
   for (uint64_t page = first; page <= last; page += kPageSize) {

@@ -2,9 +2,11 @@
 //
 // KASAN extended to track DMA-map operations alongside allocations. Shadow
 // state records, per physical page, whether it is currently DMA-mapped (and
-// with what access), and per byte-range, which allocation owns it. Observers
-// on the slab allocators and the DMA API feed the events; CPU accesses come
-// from the KernelMemory instrumentation hook. Four report classes:
+// with what access), and per byte-range, which allocation owns it. D-KASAN is
+// a plain telemetry::EventSink: the slab allocators and the DMA API publish
+// alloc/free and map/unmap events on their Hub, and CPU accesses arrive as
+// kCpuAccess events from the KernelMemory instrumentation. Four report
+// classes:
 //
 //   1. alloc-after-map : an object is allocated from a page that is already
 //                        DMA-mapped (random exposure, type (d));
@@ -20,17 +22,17 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "base/types.h"
 #include "dma/dma_api.h"
-#include "dma/observer.h"
 #include "iommu/access_rights.h"
 #include "mem/kernel_layout.h"
-#include "slab/observer.h"
 #include "slab/page_frag.h"
 #include "slab/slab_allocator.h"
+#include "telemetry/telemetry.h"
 
 namespace spv::dkasan {
 
@@ -57,31 +59,28 @@ struct Report {
   std::string ToLine(int index) const;
 };
 
-class DKasan : public slab::SlabObserver, public dma::DmaObserver {
+class DKasan : public telemetry::EventSink {
  public:
   explicit DKasan(const mem::KernelLayout& layout) : layout_(layout) {}
+  // Leaves every Hub it joined, so sources may outlive the sanitizer (the
+  // Hubs themselves must, as for every sink).
+  ~DKasan() override;
+
+  DKasan(const DKasan&) = delete;
+  DKasan& operator=(const DKasan&) = delete;
 
   // Publishes every report as a kDkasanReport event (critical severity) on
   // top of the local report list. Pass nullptr to detach.
   void set_telemetry(telemetry::Hub* hub) { hub_ = hub; }
 
-  // Attach to the event sources. (Call once each; detach by destroying the
-  // sources first or removing observers.)
-  void Attach(slab::SlabAllocator& slab) { slab.AddObserver(this); }
-  void Attach(slab::PageFragPool& pool) { pool.AddObserver(this); }
-  void Attach(dma::DmaApi& dma) { dma.AddObserver(this); }
+  // Accepts the events `source` publishes, joining its Hub on first use.
+  // Events from sources never attached are ignored even on a shared Hub, so
+  // a page_frag pool attached late contributes only from then on.
+  void Attach(slab::SlabAllocator& slab) { Attach(&slab, slab.telemetry()); }
+  void Attach(slab::PageFragPool& pool) { Attach(&pool, pool.telemetry()); }
+  void Attach(dma::DmaApi& dma) { Attach(&dma, dma.telemetry()); }
 
-  // ---- slab::SlabObserver -----------------------------------------------------
-
-  void OnAlloc(Kva kva, uint64_t size, std::string_view site) override;
-  void OnFree(Kva kva, uint64_t size) override;
-
-  // ---- dma::DmaObserver --------------------------------------------------------
-
-  void OnMap(DeviceId device, Kva kva, uint64_t len, Iova iova, iommu::AccessRights rights,
-             std::string_view site) override;
-  void OnUnmap(DeviceId device, Kva kva, uint64_t len) override;
-  void OnCpuAccess(Kva kva, uint64_t len, bool is_write) override;
+  void OnEvent(const telemetry::Event& event) override;
 
   // ---- Results ------------------------------------------------------------------
 
@@ -109,10 +108,20 @@ class DKasan : public slab::SlabObserver, public dma::DmaObserver {
     std::string site;
   };
 
+  void Attach(const void* origin, telemetry::Hub& hub);
+
+  void OnAlloc(Kva kva, uint64_t size, std::string_view site);
+  void OnFree(Kva kva);
+  void OnMap(Kva kva, uint64_t len, iommu::AccessRights rights, std::string_view site);
+  void OnUnmap(Kva kva, uint64_t len);
+  void OnCpuAccess(Kva kva, uint64_t len, bool is_write);
+
   void AddReport(Report report);
   PageShadow* ShadowFor(Kva kva);
 
   const mem::KernelLayout& layout_;
+  std::vector<const void*> origins_;     // attached sources (Event::origin)
+  std::vector<telemetry::Hub*> joined_;  // hubs this sink was added to
   std::unordered_map<uint64_t, PageShadow> shadow_;       // pfn -> state
   std::map<uint64_t, LiveObject> live_objects_;           // kva -> object
   std::vector<Report> reports_;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "base/align.h"
-#include "dma/bounce.h"  // kCopyCyclesPerCacheLine
 
 namespace spv::dma {
 

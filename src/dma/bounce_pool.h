@@ -1,11 +1,10 @@
-// Policy-routed bounce-buffer pool (Markuze et al. [47], wired into the
-// trust policy of spv::policy).
+// Policy-routed bounce-buffer pool: the paper's §8 bounce-buffer defence
+// (Markuze et al. [47]), wired into the trust policy of spv::policy.
 //
-// BounceDma (dma/bounce.h) models the paper's §8 backend as a *wholesale*
-// replacement for the DMA API. This pool is the composable form: DmaApi
-// consults a DmaRouter per map and diverts only the flagged devices'
+// DmaApi consults a DmaRouter per map and diverts only the flagged devices'
 // transfers through dedicated pages, so trusted devices keep the zero-copy
-// fast path while untrusted ones are structurally confined:
+// fast path while untrusted ones are structurally confined. A machine whose
+// devices all register untrusted is the paper's wholesale bounce backend.
 //
 //   * sub-page co-location (paper types (a)/(d)) is eliminated — the device
 //     only ever sees dedicated whole pages scrubbed before each I/O, and
@@ -38,6 +37,11 @@
 #include "mem/phys_memory.h"
 
 namespace spv::dma {
+
+// Simulated copy cost per 64-byte cache line moved through the pool (§8
+// discussion: copying is cheap relative to a 2000-cycle IOTLB invalidation
+// for packet-sized buffers).
+inline constexpr uint64_t kCopyCyclesPerCacheLine = 2;
 
 // Per-map routing decision, answered by the trust policy (spv::policy
 // implements this). Lives in the dma layer so DmaApi never links against

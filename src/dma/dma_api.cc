@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <tuple>
 
 #include "dma/bounce_pool.h"
 #include "forensics/flight_recorder.h"
@@ -45,36 +46,7 @@ std::string_view ServiceModeName(ServiceMode mode) {
 }
 
 DmaApi::DmaApi(iommu::Iommu& iommu, const mem::KernelLayout& layout, telemetry::Hub* hub)
-    : iommu_(iommu),
-      layout_(layout),
-      use_hash_index_(iommu.fast_path().hash_index_enabled),
-      hub_(hub) {}
-
-void DmaApi::TrackMapping(const IovaKey& key, const DmaMapping& mapping) {
-  std::lock_guard<MaybeMutex> guard(mu_);
-  if (use_hash_index_) {
-    index_.InsertOrAssign(key.device, key.iova_page, mapping);
-  } else {
-    by_iova_[key] = mapping;
-  }
-}
-
-const DmaMapping* DmaApi::LookupMapping(const IovaKey& key) const {
-  if (use_hash_index_) {
-    return index_.Find(key.device, key.iova_page);
-  }
-  auto it = by_iova_.find(key);
-  return it == by_iova_.end() ? nullptr : &it->second;
-}
-
-void DmaApi::ForgetMapping(const IovaKey& key) {
-  std::lock_guard<MaybeMutex> guard(mu_);
-  if (use_hash_index_) {
-    index_.Erase(key.device, key.iova_page);
-  } else {
-    by_iova_.erase(key);
-  }
-}
+    : iommu_(iommu), layout_(layout), hub_(hub) {}
 
 telemetry::Hub& DmaApi::telemetry() {
   if (hub_ == nullptr) {
@@ -118,7 +90,10 @@ Result<Iova> DmaApi::MapSingle(DeviceId device, Kva kva, uint64_t len, DmaDirect
   }
   const Iova iova = *base + kva.page_offset();
   DmaMapping mapping{device, iova, kva, len, dir, std::string(site)};
-  TrackMapping(IovaKey{device.value, base->value >> kPageShift}, mapping);
+  {
+    std::lock_guard<MaybeMutex> guard(mu_);
+    index_.InsertOrAssign(device.value, base->value >> kPageShift, mapping);
+  }
   if (recorder_ != nullptr) {
     recorder_->RecordMap(device, iova, kva, len, static_cast<uint8_t>(dir),
                          /*bounced=*/false, site);
@@ -167,11 +142,11 @@ Status DmaApi::UnmapSingle(DeviceId device, Iova iova, uint64_t len, DmaDirectio
     }
     return status;
   }
-  const IovaKey key{device.value, iova.PageBase().value >> kPageShift};
+  const uint64_t iova_page = iova.value >> kPageShift;
   DmaMapping mapping;
   {
     std::lock_guard<MaybeMutex> guard(mu_);
-    const DmaMapping* found = LookupMapping(key);
+    const DmaMapping* found = index_.Find(device.value, iova_page);
     if (found == nullptr) {
       return FailedPrecondition("dma_unmap_single of unmapped IOVA");
     }
@@ -183,7 +158,10 @@ Status DmaApi::UnmapSingle(DeviceId device, Iova iova, uint64_t len, DmaDirectio
   // Unmap in the IOMMU first: if that fails the tracker must still know the
   // mapping, or the IOVA range and its PTEs leak with no record of them.
   SPV_RETURN_IF_ERROR(iommu_.UnmapRange(device, iova.PageBase(), mapping.pages()));
-  ForgetMapping(key);
+  {
+    std::lock_guard<MaybeMutex> guard(mu_);
+    index_.Erase(device.value, iova_page);
+  }
   if (recorder_ != nullptr) {
     recorder_->RecordUnmap(device, iova, len, static_cast<uint8_t>(dir),
                            /*bounced=*/false);
@@ -205,7 +183,10 @@ Result<uint64_t> DmaApi::RevokeDeviceMappings(DeviceId device, std::string_view 
   for (DmaMapping mapping : victims) {
     mapping.site = std::string(site);
     SPV_RETURN_IF_ERROR(iommu_.UnmapRange(device, mapping.iova.PageBase(), mapping.pages()));
-    ForgetMapping(IovaKey{device.value, mapping.iova.PageBase().value >> kPageShift});
+    {
+      std::lock_guard<MaybeMutex> guard(mu_);
+      index_.Erase(device.value, mapping.iova.value >> kPageShift);
+    }
     if (recorder_ != nullptr) {
       recorder_->RecordUnmap(device, mapping.iova, mapping.len,
                              static_cast<uint8_t>(mapping.dir), /*bounced=*/false);
@@ -304,49 +285,30 @@ Status DmaApi::UnmapSg(DeviceId device, std::span<const Iova> iovas,
 }
 
 std::vector<DmaMapping> DmaApi::MappingsForPfn(Pfn pfn) const {
-  std::lock_guard<MaybeMutex> guard(mu_);
   std::vector<DmaMapping> out;
-  const auto collect = [&](const DmaMapping& mapping) {
+  ForEachMapping([&](const DmaMapping& mapping) {
     auto phys = layout_.DirectMapKvaToPhys(mapping.kva);
     if (!phys.ok()) {
       return;
     }
     const uint64_t first = phys->pfn().value;
-    const uint64_t last = first + mapping.pages() - 1;
-    if (pfn.value >= first && pfn.value <= last) {
+    if (pfn.value >= first && pfn.value < first + mapping.pages()) {
       out.push_back(mapping);
     }
-  };
-  if (use_hash_index_) {
-    index_.ForEach(collect);
-    // The flat table iterates in probe order; sort to match the std::map
-    // path so consumers see a deterministic result either way.
-    std::sort(out.begin(), out.end(), [](const DmaMapping& a, const DmaMapping& b) {
-      return std::tie(a.device.value, a.iova.value) < std::tie(b.device.value, b.iova.value);
-    });
-  } else {
-    for (const auto& [key, mapping] : by_iova_) {
-      collect(mapping);
-    }
-  }
+  });
   return out;
 }
 
 void DmaApi::ForEachMapping(const std::function<void(const DmaMapping&)>& fn) const {
   std::lock_guard<MaybeMutex> guard(mu_);
-  if (use_hash_index_) {
-    // The flat table iterates in probe order; sort for a deterministic visit.
-    std::vector<DmaMapping> all;
-    index_.ForEach([&](const DmaMapping& mapping) { all.push_back(mapping); });
-    std::sort(all.begin(), all.end(), [](const DmaMapping& a, const DmaMapping& b) {
-      return std::tie(a.device.value, a.iova.value) < std::tie(b.device.value, b.iova.value);
-    });
-    for (const DmaMapping& mapping : all) {
-      fn(mapping);
-    }
-    return;
-  }
-  for (const auto& [key, mapping] : by_iova_) {
+  // The flat table iterates in probe order; sort for a deterministic visit.
+  std::vector<DmaMapping> all;
+  all.reserve(index_.size());
+  index_.ForEach([&](const DmaMapping& mapping) { all.push_back(mapping); });
+  std::sort(all.begin(), all.end(), [](const DmaMapping& a, const DmaMapping& b) {
+    return std::tie(a.device.value, a.iova.value) < std::tie(b.device.value, b.iova.value);
+  });
+  for (const DmaMapping& mapping : all) {
     fn(mapping);
   }
 }
@@ -354,8 +316,7 @@ void DmaApi::ForEachMapping(const std::function<void(const DmaMapping&)>& fn) co
 std::optional<DmaMapping> DmaApi::FindMapping(DeviceId device, Iova iova) const {
   {
     std::lock_guard<MaybeMutex> guard(mu_);
-    const DmaMapping* found =
-        LookupMapping(IovaKey{device.value, iova.PageBase().value >> kPageShift});
+    const DmaMapping* found = index_.Find(device.value, iova.value >> kPageShift);
     if (found != nullptr) {
       return *found;
     }
@@ -366,22 +327,6 @@ std::optional<DmaMapping> DmaApi::FindMapping(DeviceId device, Iova iova) const 
     return bounce_pool_->Lookup(device, iova);
   }
   return std::nullopt;
-}
-
-void DmaApi::AddObserver(DmaObserver* observer) {
-  observer_sinks_.push_back(std::make_unique<DmaObserverSink>(this, observer));
-  telemetry().AddSink(observer_sinks_.back().get());
-}
-
-void DmaApi::RemoveObserver(DmaObserver* observer) {
-  for (auto it = observer_sinks_.begin(); it != observer_sinks_.end();) {
-    if ((*it)->observer() == observer) {
-      telemetry().RemoveSink(it->get());
-      it = observer_sinks_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 void DmaApi::NotifyCpuAccess(Kva kva, uint64_t len, bool is_write) {

@@ -23,20 +23,17 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "base/maybe_mutex.h"
 #include "base/status.h"
 #include "base/types.h"
 #include "dma/mapping_index.h"
-#include "dma/observer.h"
 #include "iommu/iommu.h"
 #include "mem/kernel_layout.h"
 #include "telemetry/telemetry.h"
@@ -92,24 +89,24 @@ struct SgEntry {
 
 class DmaApi {
  public:
-  // When `hub` is null the DmaApi lazily owns a private (disabled) Hub so
-  // observer dispatch always flows through one bus; core::Machine passes its
-  // machine-wide Hub here instead.
+  // When `hub` is null the DmaApi lazily owns a private (disabled) Hub, so
+  // sinks such as D-KASAN always have one bus to join; core::Machine passes
+  // its machine-wide Hub here instead.
   DmaApi(iommu::Iommu& iommu, const mem::KernelLayout& layout,
          telemetry::Hub* hub = nullptr);
-  virtual ~DmaApi() = default;
 
   DmaApi(const DmaApi&) = delete;
   DmaApi& operator=(const DmaApi&) = delete;
 
   // dma_map_single: maps [kva, kva+len) for `device`; returns the IOVA
-  // corresponding to `kva` (same sub-page offset). Virtual so alternative
-  // backends (bounce buffers, §8 [47]) can replace the zero-copy path.
-  virtual Result<Iova> MapSingle(DeviceId device, Kva kva, uint64_t len, DmaDirection dir,
-                                 std::string_view site = "dma_map_single");
+  // corresponding to `kva` (same sub-page offset). Devices the trust policy
+  // flags for bouncing (§8 [47]) are diverted through the BouncePool instead
+  // (see set_policy).
+  Result<Iova> MapSingle(DeviceId device, Kva kva, uint64_t len, DmaDirection dir,
+                         std::string_view site = "dma_map_single");
 
   // dma_unmap_single: releases the mapping created for this IOVA.
-  virtual Status UnmapSingle(DeviceId device, Iova iova, uint64_t len, DmaDirection dir);
+  Status UnmapSingle(DeviceId device, Iova iova, uint64_t len, DmaDirection dir);
 
   // Persistent-mapping variant for ring/slot buffers that live across many
   // I/Os (SQ/CQ rings, RX slots). For trusted devices this is MapSingle with
@@ -153,17 +150,17 @@ class DmaApi {
   // Live mappings (by any device) that cover physical page `pfn`.
   std::vector<DmaMapping> MappingsForPfn(Pfn pfn) const;
   std::optional<DmaMapping> FindMapping(DeviceId device, Iova iova) const;
-  // Visits every live mapping in ascending (device, iova) order regardless of
-  // which tracker store is active. For audits (Machine::CheckInvariants).
+  // Visits every live mapping in ascending (device, iova) order. For audits
+  // (Machine::CheckInvariants).
   void ForEachMapping(const std::function<void(const DmaMapping&)>& fn) const;
   uint64_t live_mappings() const {
     std::lock_guard<MaybeMutex> guard(mu_);
-    return use_hash_index_ ? index_.size() : by_iova_.size();
+    return index_.size();
   }
 
   // Engages the tracker lock for ExecMode::kThreads (one-way, pre-
   // concurrency). Only the mapping tracker needs it — the IOMMU beneath has
-  // its own engaged locks, and observer sinks dispatch on the Hub drainer.
+  // its own engaged locks, and event sinks dispatch on the Hub drainer.
   void EngageLock() { mu_.Engage(); }
 
   // The CPU the simulated kernel runs map/unmap calls on; forwarded to the
@@ -183,15 +180,11 @@ class DmaApi {
   }
   BouncePool* bounce_pool() { return bounce_pool_; }
 
-  // Observers are bridged onto the telemetry bus (one DmaObserverSink each);
-  // the interface is unchanged for callers.
-  void AddObserver(DmaObserver* observer);
-  void RemoveObserver(DmaObserver* observer);
-
   // Fired by KernelMemory on every CPU access (KASAN-instrumentation model).
   void NotifyCpuAccess(Kva kva, uint64_t len, bool is_write);
 
-  // The bus every dma event is published to.
+  // The bus every dma event is published to (kDmaMap / kDmaUnmap / kDmaSync /
+  // kCpuAccess, with `origin` = this DmaApi).
   telemetry::Hub& telemetry();
 
   // Optional causal span tracer (map/unmap lifecycle spans): nullptr
@@ -208,38 +201,20 @@ class DmaApi {
   iommu::Iommu& iommu() { return iommu_; }
 
  private:
-  struct IovaKey {
-    uint32_t device;
-    uint64_t iova_page;
-    bool operator<(const IovaKey& other) const {
-      return std::tie(device, iova_page) < std::tie(other.device, other.iova_page);
-    }
-  };
-
   void Notify(const DmaMapping& mapping, bool map);
-
-  // The mapping tracker behind MapSingle/UnmapSingle/FindMapping. Which
-  // store is live is fixed at construction from the IOMMU's FastPathConfig;
-  // both have identical observable semantics.
-  void TrackMapping(const IovaKey& key, const DmaMapping& mapping);
-  const DmaMapping* LookupMapping(const IovaKey& key) const;
-  void ForgetMapping(const IovaKey& key);
 
   iommu::Iommu& iommu_;
   const mem::KernelLayout& layout_;
-  bool use_hash_index_;
-  // Guards the mapping tracker (index_ / by_iova_) when engaged; map/unmap
-  // hold it only around tracker ops, never across IOMMU calls.
+  // Guards the mapping tracker when engaged; map/unmap hold it only around
+  // tracker ops, never across IOMMU calls.
   mutable MaybeMutex mu_;
-  MappingIndex<DmaMapping> index_;          // fast path: open-addressed, O(1)
-  std::map<IovaKey, DmaMapping> by_iova_;   // slow path (hash_index_enabled=false)
+  MappingIndex<DmaMapping> index_;  // the tracker: (device, IOVA page) -> mapping
   telemetry::Hub* hub_;
   std::unique_ptr<telemetry::Hub> owned_hub_;  // fallback when none injected
   trace::Tracer* tracer_ = nullptr;
   forensics::FlightRecorder* recorder_ = nullptr;
   DmaRouter* router_ = nullptr;       // trust policy's per-map verdict
   BouncePool* bounce_pool_ = nullptr; // where untrusted transfers divert
-  std::vector<std::unique_ptr<DmaObserverSink>> observer_sinks_;
 };
 
 }  // namespace spv::dma

@@ -2,9 +2,9 @@
 //
 // All simulated-kernel code (network stack, drivers, workloads) reads and
 // writes simulated physical memory through this wrapper, addressed by KVA.
-// Every access fires the DmaApi observer hook — the analogue of KASAN's
-// compile-time instrumentation — which is how D-KASAN sees CPU accesses to
-// DMA-mapped pages (access-after-map, §4.2).
+// Every access publishes a kCpuAccess event through DmaApi::NotifyCpuAccess —
+// the analogue of KASAN's compile-time instrumentation — which is how D-KASAN
+// sees CPU accesses to DMA-mapped pages (access-after-map, §4.2).
 
 #ifndef SPV_DMA_KERNEL_MEMORY_H_
 #define SPV_DMA_KERNEL_MEMORY_H_

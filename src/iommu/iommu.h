@@ -90,7 +90,7 @@ class Iommu {
     size_t iotlb_capacity = 256;
     size_t flush_queue_capacity = 256;
     uint64_t flush_interval_cycles = SimClock::MsToCycles(10);
-    // Map/unmap fast-path data structures (rcache, hash index, walk cache).
+    // Map/unmap fast-path knobs (IOVA rcache, walk cache).
     FastPathConfig fast_path = {};
   };
 

@@ -291,8 +291,6 @@ std::string PolicyEngine::PostureJson(const std::string& indent) const {
   const iommu::FastPathConfig& fp = iommu_.fast_path();
   out += i1 + std::string("\"iova_rcache\": ") + (fp.rcache_enabled ? "true" : "false") +
          ",\n";
-  out += i1 + std::string("\"mapping_hash_index\": ") +
-         (fp.hash_index_enabled ? "true" : "false") + ",\n";
   out += i1 + std::string("\"policy_enabled\": ") + (config_.enabled ? "true" : "false") +
          ",\n";
   out += i1 + "\"default_trust\": \"" + std::string(TrustStateName(config_.default_trust)) +

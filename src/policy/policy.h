@@ -15,8 +15,8 @@
 //   kProbation  — direct mappings return, but the driver runs with
 //                 tightened service limits (ring occupancy, poll budget)
 //                 from a quirks table keyed on device identity.
-//   kTrusted    — full service: PR-2 fast path (rcache + hash index), no
-//                 bounce, driver defaults restored.
+//   kTrusted    — full service: the IOVA rcache fast path, no bounce,
+//                 driver defaults restored.
 //
 // Demotions are driven by the same signals the recovery subsystem consumes —
 // quarantines, health breaches, detector findings (D-KASAN, SPADE), stale-

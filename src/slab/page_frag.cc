@@ -28,22 +28,6 @@ telemetry::Hub& PageFragPool::telemetry() {
   return *hub_;
 }
 
-void PageFragPool::AddObserver(SlabObserver* observer) {
-  observer_sinks_.push_back(std::make_unique<SlabObserverSink>(this, observer));
-  telemetry().AddSink(observer_sinks_.back().get());
-}
-
-void PageFragPool::RemoveObserver(SlabObserver* observer) {
-  for (auto it = observer_sinks_.begin(); it != observer_sinks_.end();) {
-    if ((*it)->observer() == observer) {
-      telemetry().RemoveSink(it->get());
-      it = observer_sinks_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 Result<PageFragPool::Region*> PageFragPool::RefillRegion(uint64_t bytes) {
   const uint64_t region_bytes = AlignUp(bytes, kPageSize);
   const unsigned order = Log2Ceil(region_bytes >> kPageShift);

@@ -24,7 +24,6 @@
 #include "mem/kernel_layout.h"
 #include "mem/page_allocator.h"
 #include "mem/page_db.h"
-#include "slab/observer.h"
 #include "telemetry/telemetry.h"
 
 namespace spv::fault {
@@ -72,11 +71,8 @@ class PageFragPool {
   uint64_t regions_allocated() const { return regions_allocated_; }
   uint64_t live_frags() const { return frags_.size(); }
 
-  // Observers are bridged onto the telemetry bus (origin = this pool).
-  void AddObserver(SlabObserver* observer);
-  void RemoveObserver(SlabObserver* observer);
-
-  // The bus every frag event is published to.
+  // The bus every frag event is published to (kFragAlloc / kFragFree,
+  // `origin` = this pool).
   telemetry::Hub& telemetry();
 
   // Optional fault hook (kPageFragAlloc): nullptr detaches.
@@ -113,7 +109,6 @@ class PageFragPool {
   std::unordered_map<uint64_t, Frag> frags_;            // frag kva -> record
   telemetry::Hub* hub_;
   std::unique_ptr<telemetry::Hub> owned_hub_;  // fallback when none injected
-  std::vector<std::unique_ptr<SlabObserverSink>> observer_sinks_;
   uint64_t regions_allocated_ = 0;
   fault::FaultEngine* fault_ = nullptr;
 };

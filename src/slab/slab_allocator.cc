@@ -267,22 +267,6 @@ telemetry::Hub& SlabAllocator::telemetry() {
   return *hub_;
 }
 
-void SlabAllocator::AddObserver(SlabObserver* observer) {
-  observer_sinks_.push_back(std::make_unique<SlabObserverSink>(this, observer));
-  telemetry().AddSink(observer_sinks_.back().get());
-}
-
-void SlabAllocator::RemoveObserver(SlabObserver* observer) {
-  for (auto it = observer_sinks_.begin(); it != observer_sinks_.end();) {
-    if ((*it)->observer() == observer) {
-      telemetry().RemoveSink(it->get());
-      it = observer_sinks_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 void SlabAllocator::Notify(bool alloc, Kva kva, uint64_t size, std::string_view site) {
   telemetry::Hub& hub = telemetry();
   if (!hub.active()) {

@@ -30,7 +30,6 @@
 #include "mem/page_allocator.h"
 #include "mem/page_db.h"
 #include "mem/phys_memory.h"
-#include "slab/observer.h"
 #include "telemetry/telemetry.h"
 
 namespace spv::fault {
@@ -52,8 +51,9 @@ struct ObjectInfo {
 
 class SlabAllocator {
  public:
-  // When `hub` is null a private (disabled) Hub is lazily owned so observer
-  // dispatch always rides one bus; core::Machine injects its shared Hub.
+  // When `hub` is null a private (disabled) Hub is lazily owned, so sinks
+  // such as D-KASAN always have one bus to join; core::Machine injects its
+  // shared Hub.
   SlabAllocator(mem::PhysicalMemory& pm, mem::PageDb& page_db, mem::PageAllocator& page_alloc,
                 const mem::KernelLayout& layout, telemetry::Hub* hub = nullptr);
 
@@ -75,12 +75,9 @@ class SlabAllocator {
   // a DMA mapping actually exposes.
   std::vector<ObjectInfo> ObjectsOnPage(Pfn pfn) const;
 
-  // Observers are bridged onto the telemetry bus (one SlabObserverSink each);
-  // the interface is unchanged for callers.
-  void AddObserver(SlabObserver* observer);
-  void RemoveObserver(SlabObserver* observer);
-
-  // The bus every slab event is published to.
+  // The bus every slab event is published to: kSlabAlloc / kSlabFree with
+  // the object size and the allocating site, what KASAN's __kasan_kmalloc
+  // hooks see (`origin` = this allocator).
   telemetry::Hub& telemetry();
 
   // The size class an allocation of `size` lands in, or nullopt if large.
@@ -138,7 +135,6 @@ class SlabAllocator {
   std::unordered_map<uint64_t, LargeAlloc> large_;      // head pfn -> large alloc
   telemetry::Hub* hub_;
   std::unique_ptr<telemetry::Hub> owned_hub_;  // fallback when none injected
-  std::vector<std::unique_ptr<SlabObserverSink>> observer_sinks_;
   StatCounter live_objects_;
   fault::FaultEngine* fault_ = nullptr;
 };

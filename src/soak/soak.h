@@ -28,7 +28,7 @@ struct SoakConfig {
   uint64_t max_epochs = 200'000;  // hard stop against runaway configs
   bool recovery_enabled = true;
   bool deferred = true;     // IOMMU invalidation mode (false = strict)
-  bool fast_path = true;    // rcache + hash index + walk cache
+  bool fast_path = true;    // IOVA rcache + IOMMU walk cache
   bool faults = true;       // arm the fault-injection plan
   bool attacks = true;      // mix Poisoned TX / RingFlood phases in
   // Storage leg: an NvmeDriver over a MaliciousNvme controller, block

@@ -13,12 +13,12 @@
 //     wall-clock time) that benches consume instead of ad-hoc tallies, and
 //     that tools/trace_cli replays as a timeline.
 //
-// The Hub is also the fan-out path for functional observers: the classic
-// DmaObserver / SlabObserver interfaces are bridged onto EventSinks (see
-// dma/observer.h, slab/observer.h), so D-KASAN and telemetry ride the same
-// dispatch. Sinks always receive events; *recording* (ring + counters) is
-// gated by `enabled` so a disabled Hub with no sinks costs one branch per
-// emit site (components guard with `active()` before building an Event).
+// The Hub is also the one fan-out path for functional consumers: D-KASAN,
+// the recovery health scorer, the window tracker, the incident engine and the
+// trust policy are all plain EventSinks. Sinks always receive events;
+// *recording* (ring + counters) is gated by `enabled` so a disabled Hub with
+// no sinks costs one branch per emit site (components guard with `active()`
+// before building an Event).
 
 #ifndef SPV_TELEMETRY_TELEMETRY_H_
 #define SPV_TELEMETRY_TELEMETRY_H_
@@ -150,8 +150,8 @@ struct Event {
   // Causal span id (spv::trace). 0 = no enclosing span. Stamped by the Hub
   // from its current-span register when the emitter leaves it 0.
   uint64_t span = 0;
-  // The emitting component, for observer bridging (never exported). Lets one
-  // Hub serve several DmaApis / pools without cross-talk between bridges.
+  // The emitting component (never exported). Lets a sink on a shared Hub
+  // accept only the sources it attached to (D-KASAN's per-pool attachment).
   const void* origin = nullptr;
   std::string site;  // call site or free-form detail
 };

@@ -1,6 +1,7 @@
-// Tests for the defense implementations: the bounce-buffer DMA backend
-// (Markuze et al. [47]) and DAMN-style segregated network allocation [49],
-// including the §9 caveat that DAMN does not remove skb_shared_info.
+// Tests for the defense implementations: the bounce-buffer defence
+// (Markuze et al. [47]) as the trust policy routes it through dma::BouncePool,
+// and DAMN-style segregated network allocation [49], including the §9 caveat
+// that DAMN does not remove skb_shared_info.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +11,7 @@
 #include "attack/mini_cpu.h"
 #include "core/machine.h"
 #include "device/malicious_nic.h"
-#include "dma/bounce.h"
+#include "dma/bounce_pool.h"
 #include "slab/page_frag.h"
 
 namespace spv {
@@ -18,20 +19,22 @@ namespace {
 
 constexpr DeviceId kDev{5};
 
+// A driverless device registered untrusted with the trust policy: every
+// MapSingle/UnmapSingle for it goes through its dedicated bounce pages.
 class BounceFixture : public ::testing::Test {
  protected:
-  BounceFixture()
-      : machine_(MakeConfig()),
-        bounce_(machine_.iommu(), machine_.layout(), machine_.pm(), machine_.page_alloc(),
-                machine_.clock()) {
+  BounceFixture() : machine_(MakeConfig()) {
     machine_.iommu().AttachDevice(kDev);
-    EXPECT_TRUE(bounce_.AttachDevice(kDev, 8).ok());
+    EXPECT_TRUE(
+        machine_.policy()->RegisterDevice(kDev, policy::DeviceIdentity{"usb-nic", "nic"}).ok());
   }
 
   static core::MachineConfig MakeConfig() {
     core::MachineConfig config;
     config.seed = 5150;
     config.iommu.mode = iommu::InvalidationMode::kDeferred;  // worst case for zero-copy
+    config.policy.enabled = true;
+    config.policy.bounce_pages = 8;
     return config;
   }
 
@@ -40,67 +43,72 @@ class BounceFixture : public ::testing::Test {
     EXPECT_TRUE(invariants.ok()) << invariants.message();
   }
 
+  dma::DmaApi& dma() { return machine_.dma(); }
+
   core::Machine machine_;
-  dma::BounceDma bounce_;
 };
 
 TEST_F(BounceFixture, ToDeviceCopiesDataIn) {
   Kva buf = *machine_.slab().Kmalloc(512, "tx");
   ASSERT_TRUE(machine_.kmem().Fill(buf, 512, 0x5a).ok());
-  auto iova = bounce_.MapSingle(kDev, buf, 512, dma::DmaDirection::kToDevice);
+  auto iova = dma().MapSingle(kDev, buf, 512, dma::DmaDirection::kToDevice);
   ASSERT_TRUE(iova.ok());
   std::vector<uint8_t> read(512);
   ASSERT_TRUE(machine_.iommu().DeviceRead(kDev, *iova, std::span<uint8_t>(read)).ok());
   for (uint8_t b : read) {
     EXPECT_EQ(b, 0x5a);
   }
-  EXPECT_GE(bounce_.copies(), 1u);
+  EXPECT_GE(machine_.bounce_pool()->copies(), 1u);
+  ASSERT_TRUE(dma().UnmapSingle(kDev, *iova, 512, dma::DmaDirection::kToDevice).ok());
 }
 
 TEST_F(BounceFixture, FromDeviceCopiesBackOnUnmap) {
   Kva buf = *machine_.slab().Kmalloc(256, "rx");
-  auto iova = bounce_.MapSingle(kDev, buf, 256, dma::DmaDirection::kFromDevice);
+  auto iova = dma().MapSingle(kDev, buf, 256, dma::DmaDirection::kFromDevice);
   ASSERT_TRUE(iova.ok());
   std::vector<uint8_t> packet(256, 0x77);
   ASSERT_TRUE(machine_.iommu().DeviceWrite(kDev, *iova, packet).ok());
   // Not visible in the real buffer until ownership returns at unmap.
   EXPECT_EQ(*machine_.kmem().ReadU8(buf), 0x00);
-  ASSERT_TRUE(bounce_.UnmapSingle(kDev, *iova, 256, dma::DmaDirection::kFromDevice).ok());
+  ASSERT_TRUE(dma().UnmapSingle(kDev, *iova, 256, dma::DmaDirection::kFromDevice).ok());
   EXPECT_EQ(*machine_.kmem().ReadU8(buf), 0x77);
   EXPECT_EQ(*machine_.kmem().ReadU8(buf + 255), 0x77);
 }
 
 TEST_F(BounceFixture, SubPageVulnerabilityEliminated) {
   // A secret shares the page with the mapped buffer — through the bounce
-  // backend the device sees only the buffer bytes, never the neighbours.
+  // pool the device sees only the buffer bytes, never the neighbours.
   Kva buf = *machine_.slab().Kmalloc(512, "io");
   Kva secret = *machine_.slab().Kmalloc(512, "keys");
   ASSERT_EQ(buf.PageBase(), secret.PageBase());
   ASSERT_TRUE(machine_.kmem().WriteU64(secret, 0x5ec2e7).ok());
   ASSERT_TRUE(machine_.kmem().Fill(buf, 512, 0x11).ok());
 
-  auto iova = bounce_.MapSingle(kDev, buf, 512, dma::DmaDirection::kBidirectional);
+  auto iova = dma().MapSingle(kDev, buf, 512, dma::DmaDirection::kBidirectional);
   ASSERT_TRUE(iova.ok());
-  // Scan the whole device-visible page: buffer bytes + zeros, nothing else.
+  // Scan the whole device-visible page: buffer bytes (at the buffer's own
+  // sub-page offset) + zeros, nothing else.
   std::vector<uint8_t> page(kPageSize);
   ASSERT_TRUE(
       machine_.iommu().DeviceRead(kDev, iova->PageBase(), std::span<uint8_t>(page)).ok());
+  const uint64_t start = iova->page_offset();
   for (uint64_t off = 0; off < kPageSize; ++off) {
-    if (off < 512) {
+    if (off >= start && off < start + 512) {
       EXPECT_EQ(page[off], 0x11);
     } else {
       ASSERT_EQ(page[off], 0x00) << "leak at bounce page offset " << off;
     }
   }
+  ASSERT_TRUE(dma().UnmapSingle(kDev, *iova, 512, dma::DmaDirection::kBidirectional).ok());
 }
 
 TEST_F(BounceFixture, NoStaleWindowOnKernelData) {
   // After unmap the device can still write the (statically mapped) bounce
   // page — but the kernel buffer is untouched: containment, not revocation.
   Kva buf = *machine_.slab().Kmalloc(128, "io");
-  auto iova = bounce_.MapSingle(kDev, buf, 128, dma::DmaDirection::kFromDevice);
+  auto iova = dma().MapSingle(kDev, buf, 128, dma::DmaDirection::kFromDevice);
   ASSERT_TRUE(iova.ok());
-  ASSERT_TRUE(bounce_.UnmapSingle(kDev, *iova, 128, dma::DmaDirection::kFromDevice).ok());
+  ASSERT_TRUE(dma().UnmapSingle(kDev, *iova, 128, dma::DmaDirection::kFromDevice).ok());
   std::vector<uint8_t> garbage(64, 0xff);
   EXPECT_TRUE(machine_.iommu().DeviceWrite(kDev, *iova, garbage).ok());
   EXPECT_EQ(*machine_.kmem().ReadU8(buf), 0x00);  // kernel data unaffected
@@ -110,10 +118,9 @@ TEST_F(BounceFixture, NoInvalidationTrafficOnIoPath) {
   Kva buf = *machine_.slab().Kmalloc(256, "io");
   const uint64_t inval_before = machine_.iommu().stats().invalidation_cycles;
   for (int i = 0; i < 50; ++i) {
-    auto iova = bounce_.MapSingle(kDev, buf, 256, dma::DmaDirection::kBidirectional);
+    auto iova = dma().MapSingle(kDev, buf, 256, dma::DmaDirection::kBidirectional);
     ASSERT_TRUE(iova.ok());
-    ASSERT_TRUE(
-        bounce_.UnmapSingle(kDev, *iova, 256, dma::DmaDirection::kBidirectional).ok());
+    ASSERT_TRUE(dma().UnmapSingle(kDev, *iova, 256, dma::DmaDirection::kBidirectional).ok());
   }
   EXPECT_EQ(machine_.iommu().stats().invalidation_cycles, inval_before);
 }
@@ -122,15 +129,24 @@ TEST_F(BounceFixture, PoolExhaustionAndValidation) {
   Kva buf = *machine_.slab().Kmalloc(64, "io");
   std::vector<Iova> held;
   for (int i = 0; i < 8; ++i) {
-    auto iova = bounce_.MapSingle(kDev, buf, 64, dma::DmaDirection::kToDevice);
+    auto iova = dma().MapSingle(kDev, buf, 64, dma::DmaDirection::kToDevice);
     ASSERT_TRUE(iova.ok());
     held.push_back(*iova);
   }
-  EXPECT_EQ(bounce_.MapSingle(kDev, buf, 64, dma::DmaDirection::kToDevice).status().code(),
+  EXPECT_EQ(dma().MapSingle(kDev, buf, 64, dma::DmaDirection::kToDevice).status().code(),
             StatusCode::kResourceExhausted);
-  EXPECT_FALSE(bounce_.MapSingle(kDev, buf, 8192, dma::DmaDirection::kToDevice).ok());
-  EXPECT_FALSE(bounce_.UnmapSingle(kDev, held[0], 99, dma::DmaDirection::kToDevice).ok());
-  ASSERT_TRUE(bounce_.UnmapSingle(kDev, held[0], 64, dma::DmaDirection::kToDevice).ok());
+  // Never a fallback to a direct (unprotected) mapping.
+  EXPECT_EQ(dma().live_mappings(), 0u);
+  EXPECT_FALSE(dma().UnmapSingle(kDev, held[0], 99, dma::DmaDirection::kToDevice).ok());
+  for (Iova iova : held) {
+    ASSERT_TRUE(dma().UnmapSingle(kDev, iova, 64, dma::DmaDirection::kToDevice).ok());
+  }
+  // A buffer spanning more pages than the whole pool can never be bounced.
+  EXPECT_EQ(dma()
+                .MapSingle(kDev, buf, 9 * kPageSize, dma::DmaDirection::kToDevice)
+                .status()
+                .code(),
+            StatusCode::kResourceExhausted);
 }
 
 // ---- DAMN ------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-// Tests for D-KASAN: the four report classes (§4.2), event plumbing from the
-// allocators and DMA API, and the Figure-3 workload.
+// Tests for D-KASAN: the four report classes (§4.2), its telemetry-sink
+// plumbing (per-source attachment on a shared Hub, leaving the Hub on
+// destruction), and the Figure-3 workload.
 
 #include <gtest/gtest.h>
 
@@ -163,6 +164,61 @@ TEST_F(DkasanFixture, DedupSuppressesRepeats) {
     ASSERT_TRUE(b.ok());
   }
   EXPECT_EQ(dkasan_.count(ReportKind::kMultipleMap), 1u);
+}
+
+TEST_F(DkasanFixture, DestructionLeavesTheHub) {
+  const size_t sinks_before = machine_.telemetry().sink_count();
+  {
+    DKasan scoped{machine_.layout()};
+    scoped.Attach(machine_.slab());
+    scoped.Attach(machine_.dma());
+    scoped.Attach(machine_.frag_pool(CpuId{0}));
+    // Three sources on one Hub: the sanitizer joins it once.
+    EXPECT_EQ(machine_.telemetry().sink_count(), sinks_before + 1);
+  }
+  EXPECT_EQ(machine_.telemetry().sink_count(), sinks_before);
+
+  // The sources outlive the sanitizer; their events reach no dangling sink.
+  const DeviceId device = AttachDevice();
+  auto buf = machine_.slab().Kmalloc(512, "after_scope");
+  ASSERT_TRUE(buf.ok());
+  auto iova = machine_.dma().MapSingle(device, *buf, 512, dma::DmaDirection::kFromDevice,
+                                       "after_scope_map");
+  ASSERT_TRUE(iova.ok());
+  ASSERT_TRUE(
+      machine_.dma().UnmapSingle(device, *iova, 512, dma::DmaDirection::kFromDevice).ok());
+  ASSERT_TRUE(machine_.slab().Kfree(*buf).ok());
+}
+
+TEST_F(DkasanFixture, FragTrafficCountsOnlyOnceThePoolIsAttached) {
+  // The fixture attached slab and dma only. The frag pool publishes on the
+  // same Hub, but its events belong to a source D-KASAN never attached.
+  const DeviceId device = AttachDevice();
+  slab::PageFragPool& pool = machine_.frag_pool(CpuId{0});
+  auto mapped = pool.Alloc(512, 1, "rx_frag");
+  ASSERT_TRUE(mapped.ok());
+  auto iova = machine_.dma().MapSingle(device, *mapped, 512, dma::DmaDirection::kFromDevice,
+                                       "rx_map");
+  ASSERT_TRUE(iova.ok());
+  auto unseen = pool.Alloc(512, 1, "unattached_frag");
+  ASSERT_TRUE(unseen.ok());
+  ASSERT_EQ(unseen->PageBase(), mapped->PageBase());
+  EXPECT_EQ(dkasan_.count(ReportKind::kAllocAfterMap), 0u);
+
+  dkasan_.Attach(pool);
+  auto seen = pool.Alloc(512, 1, "attached_frag");
+  ASSERT_TRUE(seen.ok());
+  ASSERT_EQ(seen->PageBase(), mapped->PageBase());
+  auto reports = dkasan_.ReportsOfKind(ReportKind::kAllocAfterMap);
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].kva, *seen);
+  EXPECT_EQ(reports[0].site, "attached_frag");
+
+  ASSERT_TRUE(
+      machine_.dma().UnmapSingle(device, *iova, 512, dma::DmaDirection::kFromDevice).ok());
+  for (Kva frag : {*mapped, *unseen, *seen}) {
+    ASSERT_TRUE(pool.Free(frag).ok());
+  }
 }
 
 TEST(DkasanWorkloadTest, RouterWorkloadSurfacesForwardingExposures) {

@@ -1,5 +1,6 @@
 // Tests for the DMA API layer: Linux dma_map semantics, sub-page exposure,
-// mapping tracking, observers, and the KernelMemory CPU-access path.
+// mapping tracking, the events it publishes, and the KernelMemory CPU-access
+// path.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "iommu/iommu.h"
 #include "mem/kernel_layout.h"
 #include "mem/phys_memory.h"
+#include "telemetry/telemetry.h"
 
 namespace spv::dma {
 namespace {
@@ -163,7 +165,8 @@ TEST_F(DmaFixture, SgListMapsEachEntry) {
   EXPECT_EQ(dma_.live_mappings(), 0u);
 }
 
-class RecordingDmaObserver : public DmaObserver {
+// Decodes the dma events DmaApi publishes on its hub.
+class RecordingDmaSink : public telemetry::EventSink {
  public:
   struct MapEvent {
     Kva kva;
@@ -178,13 +181,21 @@ class RecordingDmaObserver : public DmaObserver {
     bool is_write;
   };
 
-  void OnMap(DeviceId, Kva kva, uint64_t len, Iova iova, iommu::AccessRights rights,
-             std::string_view site) override {
-    maps.push_back({kva, len, iova, rights, std::string(site)});
-  }
-  void OnUnmap(DeviceId, Kva kva, uint64_t len) override { unmaps.push_back({kva, len}); }
-  void OnCpuAccess(Kva kva, uint64_t len, bool is_write) override {
-    accesses.push_back({kva, len, is_write});
+  void OnEvent(const telemetry::Event& event) override {
+    switch (event.kind) {
+      case telemetry::EventKind::kDmaMap:
+        maps.push_back({Kva{event.addr}, event.len, Iova{event.addr2},
+                        static_cast<iommu::AccessRights>(event.aux), event.site});
+        break;
+      case telemetry::EventKind::kDmaUnmap:
+        unmaps.push_back({Kva{event.addr}, event.len});
+        break;
+      case telemetry::EventKind::kCpuAccess:
+        accesses.push_back({Kva{event.addr}, event.len, event.flag});
+        break;
+      default:
+        break;
+    }
   }
 
   std::vector<MapEvent> maps;
@@ -193,33 +204,34 @@ class RecordingDmaObserver : public DmaObserver {
 };
 
 TEST_F(DmaFixture, ObserverSeesMapUnmapWithSite) {
-  RecordingDmaObserver obs;
-  dma_.AddObserver(&obs);
+  RecordingDmaSink sink;
+  dma_.telemetry().AddSink(&sink);
   const Kva kva = KvaOf(Pfn{111}, 64);
   auto iova = dma_.MapSingle(kNic, kva, 128, DmaDirection::kFromDevice, "e1000_alloc_rx_buf");
   ASSERT_TRUE(iova.ok());
   ASSERT_TRUE(dma_.UnmapSingle(kNic, *iova, 128, DmaDirection::kFromDevice).ok());
-  dma_.RemoveObserver(&obs);
-  ASSERT_EQ(obs.maps.size(), 1u);
-  EXPECT_EQ(obs.maps[0].kva, kva);
-  EXPECT_EQ(obs.maps[0].rights, iommu::AccessRights::kWrite);
-  EXPECT_EQ(obs.maps[0].site, "e1000_alloc_rx_buf");
-  ASSERT_EQ(obs.unmaps.size(), 1u);
-  EXPECT_EQ(obs.unmaps[0].first, kva);
+  dma_.telemetry().RemoveSink(&sink);
+  ASSERT_EQ(sink.maps.size(), 1u);
+  EXPECT_EQ(sink.maps[0].kva, kva);
+  EXPECT_EQ(sink.maps[0].iova, *iova);
+  EXPECT_EQ(sink.maps[0].rights, iommu::AccessRights::kWrite);
+  EXPECT_EQ(sink.maps[0].site, "e1000_alloc_rx_buf");
+  ASSERT_EQ(sink.unmaps.size(), 1u);
+  EXPECT_EQ(sink.unmaps[0].first, kva);
 }
 
 TEST_F(DmaFixture, KernelMemoryFiresCpuAccessHook) {
-  RecordingDmaObserver obs;
-  dma_.AddObserver(&obs);
+  RecordingDmaSink sink;
+  dma_.telemetry().AddSink(&sink);
   const Kva kva = KvaOf(Pfn{112}, 8);
   ASSERT_TRUE(kmem_.WriteU64(kva, 42).ok());
   EXPECT_EQ(*kmem_.ReadU64(kva), 42u);
-  dma_.RemoveObserver(&obs);
-  ASSERT_EQ(obs.accesses.size(), 2u);
-  EXPECT_TRUE(obs.accesses[0].is_write);
-  EXPECT_FALSE(obs.accesses[1].is_write);
-  EXPECT_EQ(obs.accesses[0].kva, kva);
-  EXPECT_EQ(obs.accesses[0].len, 8u);
+  dma_.telemetry().RemoveSink(&sink);
+  ASSERT_EQ(sink.accesses.size(), 2u);
+  EXPECT_TRUE(sink.accesses[0].is_write);
+  EXPECT_FALSE(sink.accesses[1].is_write);
+  EXPECT_EQ(sink.accesses[0].kva, kva);
+  EXPECT_EQ(sink.accesses[0].len, 8u);
 }
 
 TEST_F(DmaFixture, KernelMemoryScalarAndBulkRoundTrip) {

@@ -1,7 +1,8 @@
-// Fast-path semantics: the rcache magazines, mapping hash index and walk
-// cache must be observationally equivalent to the slow path — in particular
-// they must preserve every property the paper's attacks depend on (distinct
-// IOVAs per map, parked IOVAs during the deferred window, stale IOTLB hits).
+// Fast-path semantics: the rcache magazines and walk cache must be
+// observationally equivalent to the slow path — in particular they must
+// preserve every property the paper's attacks depend on (distinct IOVAs per
+// map, parked IOVAs during the deferred window, stale IOTLB hits). DmaApi's
+// mapping tracker (MappingIndex) is checked against a reference std::map.
 
 #include <gtest/gtest.h>
 
@@ -28,7 +29,6 @@ using iommu::IovaAllocator;
 FastPathConfig AllOff() {
   FastPathConfig off;
   off.rcache_enabled = false;
-  off.hash_index_enabled = false;
   off.walk_cache_enabled = false;
   return off;
 }

@@ -283,7 +283,6 @@ TEST_P(FaultMatrixTest, SurvivesWithInvariantsIntact) {
   config.telemetry.enabled = true;
   config.iommu.mode = param.mode;
   config.iommu.fast_path.rcache_enabled = param.fast_path;
-  config.iommu.fast_path.hash_index_enabled = param.fast_path;
   config.iommu.fast_path.walk_cache_enabled = param.fast_path;
   config.fault_plan.EveryNth(param.site, 3);
   core::Machine machine{config};
@@ -420,7 +419,6 @@ TEST_P(NvmeFaultMatrixTest, SurvivesWithInvariantsIntact) {
   config.telemetry.enabled = true;
   config.iommu.mode = param.mode;
   config.iommu.fast_path.rcache_enabled = param.fast_path;
-  config.iommu.fast_path.hash_index_enabled = param.fast_path;
   config.iommu.fast_path.walk_cache_enabled = param.fast_path;
   core::Machine machine{config};
 

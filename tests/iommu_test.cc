@@ -499,12 +499,17 @@ TEST_P(StaleWindowTest, WindowMatchesMode) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ModesAndIntervals, StaleWindowTest,
-    ::testing::Values(WindowParam{InvalidationMode::kStrict, 10, false},
-                      WindowParam{InvalidationMode::kDeferred, 1, true},
-                      WindowParam{InvalidationMode::kDeferred, 10, true},
-                      WindowParam{InvalidationMode::kDeferred, 100, true}));
+// gtest names each case after the bytes of its WindowParam, padding included.
+// A constant-initialized array keeps the padding zero, so the names do not
+// depend on whatever the stack held during static initialization.
+constexpr WindowParam kWindowParams[] = {
+    {InvalidationMode::kStrict, 10, false},
+    {InvalidationMode::kDeferred, 1, true},
+    {InvalidationMode::kDeferred, 10, true},
+    {InvalidationMode::kDeferred, 100, true},
+};
+
+INSTANTIATE_TEST_SUITE_P(ModesAndIntervals, StaleWindowTest, ::testing::ValuesIn(kWindowParams));
 
 // ---- IOMMU domains: the §6 shared-page-table testbed ----------------------------
 

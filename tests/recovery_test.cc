@@ -39,7 +39,6 @@ core::MachineConfig SupervisedConfig(const SweepCase& c, uint64_t seed = 99) {
   config.seed = seed;
   config.iommu.mode = c.mode;
   config.iommu.fast_path.rcache_enabled = c.fast_path;
-  config.iommu.fast_path.hash_index_enabled = c.fast_path;
   config.iommu.fast_path.walk_cache_enabled = c.fast_path;
   config.telemetry.enabled = true;
   config.recovery.enabled = true;

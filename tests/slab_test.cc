@@ -15,6 +15,7 @@
 #include "mem/phys_memory.h"
 #include "slab/page_frag.h"
 #include "slab/slab_allocator.h"
+#include "telemetry/telemetry.h"
 
 namespace spv::slab {
 namespace {
@@ -184,34 +185,39 @@ TEST_F(SlabFixture, SlabPagesTaggedInPageDb) {
   EXPECT_EQ(kKmallocSizeClasses[meta.cache_id], 96u);
 }
 
-class RecordingObserver : public SlabObserver {
+// Decodes the alloc/free events SlabAllocator publishes on its hub.
+class RecordingSink : public telemetry::EventSink {
  public:
-  struct Event {
+  struct Record {
     bool alloc;
     Kva kva;
     uint64_t size;
     std::string site;
   };
-  void OnAlloc(Kva kva, uint64_t size, std::string_view site) override {
-    events.push_back({true, kva, size, std::string(site)});
+  void OnEvent(const telemetry::Event& event) override {
+    if (event.kind == telemetry::EventKind::kSlabAlloc ||
+        event.kind == telemetry::EventKind::kSlabFree) {
+      records.push_back({event.kind == telemetry::EventKind::kSlabAlloc, Kva{event.addr},
+                         event.len, event.site});
+    }
   }
-  void OnFree(Kva kva, uint64_t size) override { events.push_back({false, kva, size, ""}); }
-  std::vector<Event> events;
+  std::vector<Record> records;
 };
 
 TEST_F(SlabFixture, ObserverSeesAllocAndFree) {
-  RecordingObserver obs;
-  slab_.AddObserver(&obs);
+  RecordingSink sink;
+  slab_.telemetry().AddSink(&sink);
   auto a = slab_.Kmalloc(300, "__alloc_skb+0xe0/0x3f0");
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(slab_.Kfree(*a).ok());
-  slab_.RemoveObserver(&obs);
-  ASSERT_EQ(obs.events.size(), 2u);
-  EXPECT_TRUE(obs.events[0].alloc);
-  EXPECT_EQ(obs.events[0].kva, *a);
-  EXPECT_EQ(obs.events[0].size, 512u);  // size-class size
-  EXPECT_EQ(obs.events[0].site, "__alloc_skb+0xe0/0x3f0");
-  EXPECT_FALSE(obs.events[1].alloc);
+  slab_.telemetry().RemoveSink(&sink);
+  ASSERT_EQ(sink.records.size(), 2u);
+  EXPECT_TRUE(sink.records[0].alloc);
+  EXPECT_EQ(sink.records[0].kva, *a);
+  EXPECT_EQ(sink.records[0].size, 512u);  // size-class size
+  EXPECT_EQ(sink.records[0].site, "__alloc_skb+0xe0/0x3f0");
+  EXPECT_FALSE(sink.records[1].alloc);
+  EXPECT_EQ(sink.records[1].kva, *a);
 }
 
 // Parameterized churn across every size class: allocator invariants hold.

@@ -1,7 +1,7 @@
 // Tests for spv::telemetry: counter/histogram math, trace-ring wraparound and
 // drop accounting, severity filtering, sink dispatch semantics, exporter
-// escaping and determinism, observer-bridge origin filtering, and one
-// end-to-end attack run traced on the machine bus.
+// escaping and determinism, and one end-to-end attack run traced on the
+// machine bus.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "attack/mini_cpu.h"
 #include "core/machine.h"
 #include "device/malicious_nic.h"
-#include "slab/observer.h"
 #include "telemetry/telemetry.h"
 
 namespace spv::telemetry {
@@ -327,41 +326,6 @@ TEST(ExportTest, JsonExportIsDeterministicUnderFixedSeed) {
   EXPECT_NE(first.find("\"iommu.maps\""), std::string::npos);
   EXPECT_NE(first.find("\"dma.map_bytes\""), std::string::npos);
   EXPECT_NE(first.find("stale_iotlb_hit"), std::string::npos);
-}
-
-// ---- Observer bridge origin filtering -------------------------------------------
-
-struct AllocLog : slab::SlabObserver {
-  std::vector<std::string> allocs;
-  void OnAlloc(Kva, uint64_t, std::string_view site) override {
-    allocs.emplace_back(site);
-  }
-  void OnFree(Kva, uint64_t) override {}
-};
-
-TEST(ObserverBridgeTest, SlabObserverIgnoresFragTrafficOnSharedHub) {
-  core::MachineConfig config;
-  config.telemetry.enabled = true;
-  core::Machine machine{config};
-  AllocLog slab_log;
-  AllocLog frag_log;
-  machine.slab().AddObserver(&slab_log);
-  machine.frag_pool(CpuId{0}).AddObserver(&frag_log);
-
-  Kva kva = *machine.slab().Kmalloc(128, "from_slab");
-  Kva frag = *machine.frag_pool(CpuId{0}).Alloc(512, 1, "from_frag");
-
-  // Both allocators publish on the one machine Hub, but each bridge only
-  // decodes events from its own origin.
-  ASSERT_EQ(slab_log.allocs.size(), 1u);
-  EXPECT_EQ(slab_log.allocs[0], "from_slab");
-  ASSERT_EQ(frag_log.allocs.size(), 1u);
-  EXPECT_EQ(frag_log.allocs[0], "from_frag");
-
-  machine.slab().RemoveObserver(&slab_log);
-  (void)machine.slab().Kfree(kva);
-  (void)machine.frag_pool(CpuId{0}).Free(frag);
-  EXPECT_EQ(slab_log.allocs.size(), 1u);  // removed: no further deliveries
 }
 
 // ---- End-to-end: attack run on the machine bus ----------------------------------

@@ -16,30 +16,11 @@
 
 #include "spade/analyzer.h"
 #include "spade/corpus.h"
+#include "telemetry/telemetry.h"
 
 using namespace spv;
 
 namespace {
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
 
 void PrintJson(const std::vector<spade::SiteFinding>& findings) {
   std::printf("[\n");
@@ -51,8 +32,10 @@ void PrintJson(const std::vector<spade::SiteFinding>& findings) {
                 "\"spoofable_callbacks\": %u, \"shared_info_mapped\": %s, "
                 "\"type_c\": %s, \"private_data\": %s, \"stack_mapped\": %s, "
                 "\"unresolved\": %s, \"possible_false_positive\": %s}%s\n",
-                JsonEscape(f.file).c_str(), f.line, JsonEscape(f.function).c_str(),
-                JsonEscape(f.callee).c_str(), JsonEscape(f.exposed_struct).c_str(),
+                telemetry::JsonEscape(f.file).c_str(), f.line,
+                telemetry::JsonEscape(f.function).c_str(),
+                telemetry::JsonEscape(f.callee).c_str(),
+                telemetry::JsonEscape(f.exposed_struct).c_str(),
                 f.callbacks_exposed ? "true" : "false", f.direct_callbacks,
                 f.spoofable_callbacks, f.shared_info_mapped ? "true" : "false",
                 f.type_c ? "true" : "false", f.private_data ? "true" : "false",
