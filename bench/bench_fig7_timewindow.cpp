@@ -318,7 +318,8 @@ int main() {
   if (strict.p50 > 0) {
     std::printf("\ndeferred/strict p50 gap: %.0fx — the Fig-7 (ii) window measured from\n"
                 "the event stream: strict windows last only the synchronous invalidation\n"
-                "(~2000 cycles/page); deferred windows last until the next queue drain.\n",
+                "(~2000 cycles per unmapped range); deferred windows last until the next\n"
+                "queue drain.\n",
                 static_cast<double>(deferred.p50) / static_cast<double>(strict.p50));
   }
 

@@ -141,8 +141,7 @@ Status Iommu::FenceDevice(DeviceId device) {
   DrainDeviceInvalidations(device);
   iotlb_.InvalidateDevice(DeviceId{ref.domain->id});
   ref.domain->table.InvalidateWalkCache();
-  clock_.Advance(kIotlbInvalidationCycles);
-  stats_.invalidation_cycles += kIotlbInvalidationCycles;
+  ChargeInvalidation(/*stall=*/0, /*targeted=*/false);
   {
     std::lock_guard<MaybeSharedMutex> lock(state_mu_);
     fenced_.insert(device.value);
@@ -188,10 +187,8 @@ uint64_t Iommu::DrainDeviceInvalidations(DeviceId device) {
         // freeing first would let a recycled IOVA translate through the
         // still-warm stale entry (the exact window quarantine must close).
         for (uint64_t i = 0; i < pending.pages; ++i) {
-          iotlb_.InvalidatePage(DeviceId{state->id}, pending.base + (i << kPageShift));
-          clock_.Advance(kIotlbInvalidationCycles);
-          stats_.invalidation_cycles += kIotlbInvalidationCycles;
-          ++stats_.targeted_invalidations;
+          iotlb_.InvalidateRange(DeviceId{state->id}, pending.base + (i << kPageShift), 1);
+          ChargeInvalidation(/*stall=*/0, /*targeted=*/true);
         }
         (void)state->iova_alloc.Free(pending.base, pending.pages, pending.cpu);
       }
@@ -327,11 +324,21 @@ Status Iommu::UnmapRange(DeviceId device, Iova base, uint64_t pages) {
     stats_.unmaps += pages;  // nothing to revoke: the device never lost access
     return OkStatus();
   }
+  // All or nothing: a hole anywhere in the range re-maps the PTEs already
+  // cleared, so a failed unmap leaves no translation uninvalidated and no
+  // IOVA range half torn down. The scratch list is per thread so the success
+  // path allocates nothing once warm.
+  thread_local std::vector<PteEntry> cleared;
+  cleared.clear();
   for (uint64_t i = 0; i < pages; ++i) {
     Result<PteEntry> old = state->table.Unmap(base + (i << kPageShift));
     if (!old.ok()) {
+      for (uint64_t j = 0; j < cleared.size(); ++j) {
+        (void)state->table.Map(base + (j << kPageShift), cleared[j].pfn, cleared[j].rights);
+      }
       return old.status();
     }
+    cleared.push_back(*old);
   }
   stats_.unmaps += pages;
   if (hub_ != nullptr && hub_->enabled()) {
@@ -339,37 +346,23 @@ Status Iommu::UnmapRange(DeviceId device, Iova base, uint64_t pages) {
   }
 
   if (config_.mode == InvalidationMode::kStrict) {
-    // Synchronous per-page invalidation, then the IOVA is immediately
-    // reusable. This is the expensive-but-safe path.
-    for (uint64_t i = 0; i < pages; ++i) {
-      iotlb_.InvalidatePage(DeviceId{state->id}, base + (i << kPageShift));
-      uint64_t cycles = kIotlbInvalidationCycles;
-      if (fault_ != nullptr && fault_->armed() &&
-          fault_->ShouldInject(fault::FaultSite::kIotlbInvalidation)) {
-        // Invalidation stall: the wait-descriptor takes far longer than the
-        // nominal cost (a latency spike, not a failure).
-        cycles += fault_->magnitude(fault::FaultSite::kIotlbInvalidation,
-                                    10 * kIotlbInvalidationCycles);
-      }
-      clock_.Advance(cycles);
-      stats_.invalidation_cycles += cycles;
-      ++stats_.targeted_invalidations;
-      if (hub_ != nullptr && hub_->active()) {
-        telemetry::Event event;
-        event.kind = telemetry::EventKind::kIotlbInvalidate;
-        event.severity = telemetry::Severity::kTrace;
-        event.device = device.value;
-        event.addr2 = (base + (i << kPageShift)).value;
-        event.len = kPageSize;
-        event.aux = kIotlbInvalidationCycles;
-        event.origin = this;
-        event.site = "unmap_strict";
-        hub_->Publish(std::move(event));
-        if (hub_->enabled()) {
-          hub_->counter("iommu.targeted_invalidations").Add();
-          hub_->counter("iommu.invalidation_cycles").Add(kIotlbInvalidationCycles);
-        }
-      }
+    // One synchronous invalidation command for the whole range, then the
+    // IOVA is immediately reusable: Linux's strict unmap gathers the range
+    // (iommu_iotlb_gather) into one page-selective VT-d descriptor plus one
+    // invalidation-wait. This is the expensive-but-safe path.
+    iotlb_.InvalidateRange(DeviceId{state->id}, base, pages);
+    const uint64_t cycles = ChargeInvalidation(InvalidationStall(), /*targeted=*/true);
+    if (hub_ != nullptr && hub_->active()) {
+      telemetry::Event event;
+      event.kind = telemetry::EventKind::kIotlbInvalidate;
+      event.severity = telemetry::Severity::kTrace;
+      event.device = device.value;
+      event.addr2 = base.value;
+      event.len = pages << kPageShift;
+      event.aux = cycles;  // what the command cost, stall included
+      event.origin = this;
+      event.site = "unmap_strict";
+      hub_->Publish(std::move(event));
     }
     if (recorder_ != nullptr) {
       // Strict flush edge: the translation died with the unmap, so the
@@ -454,14 +447,7 @@ void Iommu::DrainShard(size_t shard_index, FlushReason reason) {
       domain->table.InvalidateWalkCache();
     }
   }
-  uint64_t flush_cycles = kIotlbInvalidationCycles;
-  if (fault_ != nullptr && fault_->armed() &&
-      fault_->ShouldInject(fault::FaultSite::kIotlbInvalidation)) {
-    flush_cycles += fault_->magnitude(fault::FaultSite::kIotlbInvalidation,
-                                      10 * kIotlbInvalidationCycles);
-  }
-  clock_.Advance(flush_cycles);
-  stats_.invalidation_cycles += flush_cycles;
+  ChargeInvalidation(InvalidationStall(), /*targeted=*/false);
   ++stats_.flushes;
   switch (reason) {
     case FlushReason::kManual:
@@ -487,7 +473,6 @@ void Iommu::DrainShard(size_t shard_index, FlushReason reason) {
       hub_->counter(std::string("iommu.flush_drain.") +
                     std::string(FlushReasonName(reason)))
           .Add();
-      hub_->counter("iommu.invalidation_cycles").Add(kIotlbInvalidationCycles);
       hub_->histogram("iommu.flush_batch").Record(amortized);
     }
   }
@@ -502,6 +487,32 @@ void Iommu::DrainShard(size_t shard_index, FlushReason reason) {
       (void)ref.domain->iova_alloc.Free(pending.base, pending.pages, pending.cpu);
     }
   }
+}
+
+uint64_t Iommu::InvalidationStall() {
+  if (fault_ == nullptr || !fault_->armed() ||
+      !fault_->ShouldInject(fault::FaultSite::kIotlbInvalidation)) {
+    return 0;
+  }
+  // The wait descriptor takes far longer than the nominal cost (a latency
+  // spike, not a failure).
+  return fault_->magnitude(fault::FaultSite::kIotlbInvalidation, 10 * kIotlbInvalidationCycles);
+}
+
+uint64_t Iommu::ChargeInvalidation(uint64_t stall, bool targeted) {
+  const uint64_t cycles = kIotlbInvalidationCycles + stall;
+  clock_.Advance(cycles);
+  stats_.invalidation_cycles += cycles;
+  if (targeted) {
+    ++stats_.targeted_invalidations;
+  }
+  if (hub_ != nullptr && hub_->enabled()) {
+    hub_->counter("iommu.invalidation_cycles").Add(cycles);
+    if (targeted) {
+      hub_->counter("iommu.targeted_invalidations").Add();
+    }
+  }
+  return cycles;
 }
 
 void Iommu::ProcessDeferredTimer() {

@@ -6,11 +6,12 @@
 //  1. Page granularity. A mapping covers a whole 4 KiB page, so mapping any
 //     buffer exposes every byte that shares its page (sub-page vulnerability,
 //     §3.2).
-//  2. IOTLB (in)coherence. In *strict* mode each unmap invalidates the IOTLB
-//     entry synchronously (≈2000 cycles, §5.2.1). In *deferred* mode — the
-//     Linux default — unmaps only clear the PTE and queue the invalidation;
-//     the queue is flushed when full or after a 10 ms deadline, leaving a
-//     window in which a device can keep using the stale translation (Fig 6).
+//  2. IOTLB (in)coherence. In *strict* mode each unmap invalidates its whole
+//     IOVA range synchronously with one ranged command (≈2000 cycles,
+//     §5.2.1). In *deferred* mode — the Linux default — unmaps only clear the
+//     PTE and queue the invalidation; the queue is flushed when full or after
+//     a 10 ms deadline, leaving a window in which a device can keep using the
+//     stale translation (Fig 6).
 
 #ifndef SPV_IOMMU_IOMMU_H_
 #define SPV_IOMMU_IOMMU_H_
@@ -100,7 +101,9 @@ class Iommu {
     StatCounter maps;
     StatCounter unmaps;
     StatCounter flushes;                  // global flushes (deferred mode)
-    StatCounter targeted_invalidations;   // per-page (strict mode)
+    // Targeted commands: one per strict unmap (whole range), one per page
+    // of a per-device queue drain.
+    StatCounter targeted_invalidations;
     StatCounter invalidation_cycles;      // total cycles spent invalidating
     StatCounter device_accesses;
     StatCounter stale_iotlb_accesses;     // accesses served with no live PTE
@@ -206,6 +209,8 @@ class Iommu {
   // Maps `pfns` into one contiguous IOVA range (scatter/gather support).
   Result<Iova> MapRange(DeviceId device, std::span<const Pfn> pfns, AccessRights rights);
 
+  // Unmaps are all or nothing: if any page of the range is not mapped, the
+  // call fails and no PTE changes.
   Status UnmapPage(DeviceId device, Iova iova);
   Status UnmapRange(DeviceId device, Iova base, uint64_t pages);
 
@@ -341,6 +346,15 @@ class Iommu {
   // walk-cache drop, then the parked IOVAs return to their unmapping CPUs'
   // magazines. The legacy FlushNow body, scoped to a shard.
   void DrainShard(size_t shard_index, FlushReason reason);
+
+  // The injected wait-descriptor stall of one invalidation command: 0 unless
+  // the kIotlbInvalidation fault site fires.
+  uint64_t InvalidationStall();
+  // Charges one invalidation command, kIotlbInvalidationCycles + `stall`:
+  // advances the clock and adds the same cycles to Stats and the hub, so the
+  // two always agree. A `targeted` command also counts in
+  // targeted_invalidations. Returns the cycles charged.
+  uint64_t ChargeInvalidation(uint64_t stall, bool targeted);
 
   Status Access(DeviceId device, Iova iova, AccessOp op, std::span<uint8_t> read_out,
                 std::span<const uint8_t> write_data);

@@ -60,13 +60,14 @@ void Iotlb::Insert(DeviceId device, Iova iova_page, PteEntry entry) {
   }
 }
 
-void Iotlb::InvalidatePage(DeviceId device, Iova iova_page) {
+void Iotlb::InvalidateRange(DeviceId device, Iova base, uint64_t pages) {
   std::lock_guard<MaybeMutex> guard(mu_);
-  const Key key{device.value, iova_page.PageBase().value};
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    lru_.erase(it->second.lru_it);
-    map_.erase(it);
+  for (uint64_t i = 0; i < pages; ++i) {
+    auto it = map_.find(Key{device.value, (base.PageBase() + (i << kPageShift)).value});
+    if (it != map_.end()) {
+      lru_.erase(it->second.lru_it);
+      map_.erase(it);
+    }
   }
   ++invalidations_;
   if (hub_ != nullptr && hub_->enabled()) {

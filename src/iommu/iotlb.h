@@ -40,8 +40,10 @@ class Iotlb {
   std::optional<PteEntry> Lookup(DeviceId device, Iova iova_page);
   void Insert(DeviceId device, Iova iova_page, PteEntry entry);
 
-  // Targeted invalidation (strict mode, one per unmap).
-  void InvalidatePage(DeviceId device, Iova iova_page);
+  // Targeted invalidation of `pages` pages from `base`: one page-selective
+  // command, counted once however many pages it covers (strict mode issues
+  // one per unmapped range; a single page is a range of one).
+  void InvalidateRange(DeviceId device, Iova base, uint64_t pages);
   // Device-scope invalidation.
   void InvalidateDevice(DeviceId device);
   // Global invalidation (deferred mode periodic flush).

@@ -46,8 +46,9 @@ void WindowTracker::OnEvent(const telemetry::Event& event) {
       if (event.site == "unmap_strict") {
         // The event is stamped *after* the synchronous stall; aux carries its
         // cost, so the window opens back at the start of the invalidation.
+        // One event covers the whole unmapped range (len bytes).
         pending_strict_.push_back(PendingStrictInvalidation{
-            event.device, PageBase(event.addr2),
+            event.device, PageBase(event.addr2), PagesFor(event.addr2, event.len),
             event.cycle > event.aux ? event.cycle - event.aux : 0});
       }
       return;
@@ -178,16 +179,18 @@ void WindowTracker::OnDmaUnmap(const telemetry::Event& event) {
     return;  // no translations, no stale windows
   }
 
-  // Strict mode announced itself: per-page kIotlbInvalidate events with site
-  // "unmap_strict" immediately precede this kDmaUnmap. The stale window then
+  // Strict mode announced itself: a ranged kIotlbInvalidate with site
+  // "unmap_strict" immediately precedes this kDmaUnmap. The stale window then
   // spans only the synchronous invalidation itself.
+  const uint64_t end = page + (pages << kPageShift);
   uint64_t first_invalidate_cycle = UINT64_MAX;
-  size_t covered = 0;
+  uint64_t covered = 0;
   for (const PendingStrictInvalidation& pending : pending_strict_) {
-    if (pending.device == event.device && pending.iova_page >= page &&
-        pending.iova_page < page + (pages << kPageShift)) {
+    const uint64_t lo = std::max(pending.iova_page, page);
+    const uint64_t hi = std::min(pending.iova_page + (pending.pages << kPageShift), end);
+    if (pending.device == event.device && lo < hi) {
       first_invalidate_cycle = std::min(first_invalidate_cycle, pending.cycle);
-      ++covered;
+      covered += (hi - lo) >> kPageShift;
     }
   }
   pending_strict_.clear();

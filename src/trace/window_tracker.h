@@ -7,11 +7,12 @@
 //
 //   * stale-IOTLB windows: a dma_unmap under deferred invalidation leaves
 //     the old translation cached until the next flush. Opens at kDmaUnmap
-//     (when no strict per-page invalidation preceded it), closes at
+//     (when no strict invalidation of its range preceded it), closes at
 //     kIommuFlush or at a D-KASAN detection. Under strict invalidation the
 //     window is the synchronous invalidation latency itself (~2000 cycles
-//     per page), recorded closed on the spot — the deferred-vs-strict gap
-//     in the resulting open-cycles histogram *is* Fig. 7.
+//     per unmap, whatever its page count), recorded closed on the spot —
+//     the deferred-vs-strict gap in the resulting open-cycles histogram
+//     *is* Fig. 7.
 //
 //   * sub-page windows: a writable map whose buffer does not fill its pages
 //     exposes the co-resident bytes (type-b/c/d co-residency). Opens at
@@ -26,8 +27,9 @@
 //
 // Mode inference is evidence-based: the tracker never asks the Iommu for its
 // config (that would invert the spv_trace <- spv_iommu layering). Strict
-// unmaps announce themselves through the per-page kIotlbInvalidate events
-// (site "unmap_strict") that immediately precede their kDmaUnmap.
+// unmaps announce themselves through the ranged kIotlbInvalidate event (site
+// "unmap_strict", len = the range's bytes) that immediately precedes their
+// kDmaUnmap.
 
 #ifndef SPV_TRACE_WINDOW_TRACKER_H_
 #define SPV_TRACE_WINDOW_TRACKER_H_
@@ -108,6 +110,7 @@ class WindowTracker : public telemetry::EventSink {
   struct PendingStrictInvalidation {
     uint32_t device = 0;
     uint64_t iova_page = 0;
+    uint64_t pages = 0;
     uint64_t cycle = 0;
   };
 

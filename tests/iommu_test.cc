@@ -9,12 +9,14 @@
 
 #include "base/clock.h"
 #include "base/rng.h"
+#include "fault/fault.h"
 #include "iommu/access_rights.h"
 #include "iommu/io_page_table.h"
 #include "iommu/iommu.h"
 #include "iommu/iotlb.h"
 #include "iommu/iova_allocator.h"
 #include "mem/phys_memory.h"
+#include "telemetry/telemetry.h"
 
 namespace spv::iommu {
 namespace {
@@ -120,8 +122,19 @@ TEST(IotlbTest, InsertLookupInvalidate) {
   auto hit = tlb.Lookup(kNic, Iova{0x1000});
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->pfn.value, 5u);
-  tlb.InvalidatePage(kNic, Iova{0x1000});
+  tlb.InvalidateRange(kNic, Iova{0x1000}, 1);
   EXPECT_FALSE(tlb.Lookup(kNic, Iova{0x1000}).has_value());
+
+  // A ranged invalidation is one command that drops exactly its pages.
+  for (uint64_t page = 1; page <= 4; ++page) {
+    tlb.Insert(kNic, Iova{page << kPageShift}, PteEntry{Pfn{page}, AccessRights::kWrite});
+  }
+  tlb.InvalidateRange(kNic, Iova{0x2000}, 2);
+  EXPECT_TRUE(tlb.Lookup(kNic, Iova{0x1000}).has_value());
+  EXPECT_FALSE(tlb.Lookup(kNic, Iova{0x2000}).has_value());
+  EXPECT_FALSE(tlb.Lookup(kNic, Iova{0x3000}).has_value());
+  EXPECT_TRUE(tlb.Lookup(kNic, Iova{0x4000}).has_value());
+  EXPECT_EQ(tlb.invalidations(), 2u);
 }
 
 TEST(IotlbTest, EntriesAreDeviceScoped) {
@@ -414,6 +427,102 @@ TEST_F(IommuTest, StrictCostsMoreInvalidationCyclesPerUnmap) {
             kOps * kIotlbInvalidationCycles);
   // Deferred amortizes: nothing flushed yet within the window.
   EXPECT_LT(deferred.stats().invalidation_cycles, strict.stats().invalidation_cycles / 10);
+
+  // A multi-page strict unmap is one ranged invalidation command, and it
+  // still revokes every page of the range.
+  const Pfn pfns[] = {Pfn{80}, Pfn{81}, Pfn{82}, Pfn{83}, Pfn{84}};
+  auto base = strict.MapRange(kNic, pfns, AccessRights::kRead);
+  ASSERT_TRUE(base.ok());
+  std::vector<uint8_t> buf(4);
+  for (uint64_t i = 0; i < std::size(pfns); ++i) {  // warm the IOTLB
+    ASSERT_TRUE(strict.DeviceRead(kNic, *base + (i << kPageShift), std::span<uint8_t>(buf)).ok());
+  }
+  const uint64_t cycles_before = strict.stats().invalidation_cycles;
+  const uint64_t targeted_before = strict.stats().targeted_invalidations;
+  ASSERT_TRUE(strict.UnmapRange(kNic, *base, std::size(pfns)).ok());
+  EXPECT_EQ(strict.stats().invalidation_cycles - cycles_before, kIotlbInvalidationCycles);
+  EXPECT_EQ(strict.stats().targeted_invalidations - targeted_before, 1u);
+  for (uint64_t i = 0; i < std::size(pfns); ++i) {
+    EXPECT_FALSE(strict.DeviceRead(kNic, *base + (i << kPageShift), std::span<uint8_t>(buf)).ok())
+        << "page " << i;
+  }
+  EXPECT_EQ(strict.stats().stale_iotlb_accesses, 0u);
+}
+
+TEST_F(IommuTest, FailedUnmapRangeChangesNothing) {
+  // The range runs one page past the mapping. The unmap must fail without
+  // touching the two mapped pages: no PTE cleared behind a warm IOTLB entry,
+  // no invalidation charged, and the mapping can still be unmapped whole.
+  for (const InvalidationMode mode : {InvalidationMode::kStrict, InvalidationMode::kDeferred}) {
+    SCOPED_TRACE(InvalidationModeName(mode));
+    Iommu& iommu = MakeIommu(mode);
+    const Pfn pfns[] = {Pfn{90}, Pfn{91}};
+    auto base = iommu.MapRange(kNic, pfns, AccessRights::kBidirectional);
+    ASSERT_TRUE(base.ok());
+    std::vector<uint8_t> buf(4);
+    for (uint64_t i = 0; i < 2; ++i) {  // warm the IOTLB
+      ASSERT_TRUE(iommu.DeviceRead(kNic, *base + (i << kPageShift), std::span<uint8_t>(buf)).ok());
+    }
+
+    EXPECT_EQ(iommu.UnmapRange(kNic, *base, 3).code(), StatusCode::kNotFound);
+    for (uint64_t i = 0; i < 2; ++i) {
+      const std::optional<PteEntry> pte = iommu.Peek(kNic, *base + (i << kPageShift));
+      ASSERT_TRUE(pte.has_value()) << "page " << i;
+      EXPECT_EQ(pte->pfn.value, pfns[i].value);
+      EXPECT_EQ(pte->rights, AccessRights::kBidirectional);
+      EXPECT_TRUE(iommu.DeviceRead(kNic, *base + (i << kPageShift), std::span<uint8_t>(buf)).ok());
+    }
+    EXPECT_EQ(iommu.stats().stale_iotlb_accesses, 0u);
+    EXPECT_EQ(iommu.stats().unmaps, 0u);
+    EXPECT_EQ(iommu.stats().invalidation_cycles, 0u);
+    EXPECT_EQ(iommu.pending_invalidation_count(), 0u);
+
+    ASSERT_TRUE(iommu.UnmapRange(kNic, *base, 2).ok());
+    iommu.FlushNow();  // deferred: the parked range comes home at the drain
+    EXPECT_TRUE(iommu.iova_allocator(kNic)->live_ranges().empty());
+    EXPECT_TRUE(iommu.AuditCrossCpu().ok());
+  }
+}
+
+TEST_F(IommuTest, HubInvalidationCountersMatchStats) {
+  // Every invalidation site charges the hub what it charges Stats: the
+  // stalled strict unmap, the stalled deferred drain, and the per-device
+  // drain plus domain invalidation of a fence.
+  constexpr uint64_t kStall = 5000;
+  telemetry::Hub::Config hub_config;
+  hub_config.enabled = true;
+  for (const InvalidationMode mode : {InvalidationMode::kStrict, InvalidationMode::kDeferred}) {
+    SCOPED_TRACE(InvalidationModeName(mode));
+    telemetry::Hub hub{hub_config};
+    fault::FaultEngine faults;
+    fault::FaultPlan plan;
+    plan.OneShot(fault::FaultSite::kIotlbInvalidation)
+        .Magnitude(fault::FaultSite::kIotlbInvalidation, kStall);
+    faults.Arm(plan, /*seed=*/1);
+    Iommu& iommu = MakeIommu(mode);
+    iommu.set_telemetry(&hub);
+    iommu.set_fault_engine(&faults);
+    auto expect_agreement = [&](const char* step) {
+      SCOPED_TRACE(step);
+      EXPECT_EQ(hub.counter_value("iommu.invalidation_cycles"),
+                iommu.stats().invalidation_cycles);
+      EXPECT_EQ(hub.counter_value("iommu.targeted_invalidations"),
+                iommu.stats().targeted_invalidations);
+    };
+
+    auto stalled = iommu.MapPage(kNic, Pfn{93}, AccessRights::kRead);
+    ASSERT_TRUE(stalled.ok());
+    ASSERT_TRUE(iommu.UnmapPage(kNic, *stalled).ok());
+    iommu.FlushNow();  // deferred: the one stalled command is this drain
+    EXPECT_EQ(iommu.stats().invalidation_cycles, kIotlbInvalidationCycles + kStall);
+    expect_agreement("stalled invalidation");
+
+    auto fenced = iommu.MapPage(kNic, Pfn{94}, AccessRights::kRead);
+    ASSERT_TRUE(fenced.ok());
+    ASSERT_TRUE(iommu.UnmapPage(kNic, *fenced).ok());
+    ASSERT_TRUE(iommu.FenceDevice(kNic).ok());
+    expect_agreement("fence");
+  }
 }
 
 TEST_F(IommuTest, DeferredIovaNotReusedBeforeFlush) {

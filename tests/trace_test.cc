@@ -446,20 +446,61 @@ TEST(WindowTest, StrictWindowSpansOnlyTheSynchronousInvalidation) {
   Kva buf = *machine.slab().Kmalloc(2048, "w_buf");
   OpenStaleWindow(machine, dev, buf);
 
+  // A buffer spanning four pages, each warmed in the IOTLB before the unmap.
+  auto pfn = machine.page_alloc().AllocPages(2, mem::PageOwner::kDriver);
+  ASSERT_TRUE(pfn.ok());
+  const Kva big = machine.layout().PhysToDirectMapKva(PhysAddr::FromPfn(*pfn));
+  constexpr uint64_t kBigLen = 3 * kPageSize + 512;
+  auto iova = machine.dma().MapSingle(dev, big, kBigLen, dma::DmaDirection::kFromDevice,
+                                      "window_map_big");
+  ASSERT_TRUE(iova.ok());
+  std::vector<uint8_t> touch(8);
+  for (uint64_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(machine.iommu().DeviceWrite(dev, *iova + (i << kPageShift), touch).ok());
+  }
+  ASSERT_TRUE(
+      machine.dma().UnmapSingle(dev, *iova, kBigLen, dma::DmaDirection::kFromDevice).ok());
+
   EXPECT_EQ(machine.windows()->open_stale_count(), 0u);
-  bool found = false;
+  std::vector<uint64_t> pages;
   for (const Window& window : machine.windows()->windows()) {
     if (window.kind != WindowKind::kStaleIotlb) {
       continue;
     }
-    found = true;
+    pages.push_back(window.pages);
     EXPECT_FALSE(window.open);
     EXPECT_EQ(window.close_reason, "strict");
-    // One page at kIotlbInvalidationCycles each (the clock advance is
-    // published in the invalidate event's aux and backdated here).
+    // One invalidation command at kIotlbInvalidationCycles per unmap,
+    // however many pages it covers (the clock advance is published in the
+    // invalidate event's aux and backdated here).
     EXPECT_EQ(window.duration(), 2000u);
   }
-  EXPECT_TRUE(found);
+  EXPECT_EQ(pages, (std::vector<uint64_t>{1, 4}));
+}
+
+TEST(WindowTest, StalledStrictWindowLastsThroughTheStall) {
+  // The translation stays live until the stalled invalidation completes, so
+  // the window spans the stall too.
+  constexpr uint64_t kStall = 5000;
+  core::MachineConfig config = WindowConfig(iommu::InvalidationMode::kStrict);
+  config.fault_plan.OneShot(fault::FaultSite::kIotlbInvalidation)
+      .Magnitude(fault::FaultSite::kIotlbInvalidation, kStall);
+  core::Machine machine{config};
+  const DeviceId dev{1};
+  machine.iommu().AttachDevice(dev);
+  Kva buf = *machine.slab().Kmalloc(2048, "w_buf");
+  OpenStaleWindow(machine, dev, buf);
+
+  EXPECT_EQ(machine.iommu().stats().invalidation_cycles, 2000u + kStall);
+  size_t stale = 0;
+  for (const Window& window : machine.windows()->windows()) {
+    if (window.kind == WindowKind::kStaleIotlb) {
+      ++stale;
+      EXPECT_EQ(window.close_reason, "strict");
+      EXPECT_EQ(window.duration(), 2000u + kStall);
+    }
+  }
+  EXPECT_EQ(stale, 1u);
 }
 
 TEST(WindowTest, SubPageWindowOpensOnWritableMapAndClosesOnUnmap) {

@@ -84,10 +84,13 @@ std::string DescribeEvent(const telemetry::Event& event) {
       out << (event.flag ? "write " : "read ") << event.len << " @ kva "
           << fmt_hex(event.addr);
       break;
-    case telemetry::EventKind::kIotlbInvalidate:
-      out << "dev " << event.device << "  iova " << fmt_hex(event.addr2) << "  ("
-          << event.aux << " cycles)";
+    case telemetry::EventKind::kIotlbInvalidate: {
+      // One ranged command: len spans every page it invalidated.
+      const uint64_t pages = (event.len + kPageSize - 1) >> kPageShift;
+      out << "dev " << event.device << "  iova " << fmt_hex(event.addr2) << "  " << pages
+          << (pages == 1 ? " page" : " pages") << "  (" << event.aux << " cycles)";
       break;
+    }
     case telemetry::EventKind::kIommuFlush:
       out << "retired " << event.aux << " queued unmaps";
       break;
