@@ -55,8 +55,10 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "base/json.h"
 #include "core/machine.h"
 #include "policy/policy.h"
 #include "telemetry/telemetry.h"
@@ -275,21 +277,18 @@ CaseResult RunCase(const CaseConfig& config) {
   return result;
 }
 
-std::string Json(const CaseResult& r) {
-  std::ostringstream out;
-  out << "    {\"workload\": \"" << r.config.workload << "\", \"mode\": \""
-      << iommu::InvalidationModeName(r.config.mode) << "\", \"cpus\": " << r.config.cpus
-      << ", \"fast_path\": " << (r.config.fast ? "true" : "false")
-      << ", \"ops\": " << r.config.ops << ", \"maps_per_sec\": " << r.maps_per_sec
-      << ", \"rcache_hit_rate\": " << r.rcache_hit_rate
-      << ", \"depot_refills\": " << r.depot_refills
-      << ", \"walk_cache_hits\": " << r.walk_cache_hits
-      << ", \"drain_capacity\": " << r.capacity_drains
-      << ", \"drain_deadline\": " << r.deadline_drains
-      << ", \"sim_cycles_per_op\": {\"p50\": " << r.op_cycles.p50
-      << ", \"p90\": " << r.op_cycles.p90 << ", \"p99\": " << r.op_cycles.p99
-      << ", \"mean\": " << r.op_cycles.mean << "}}";
-  return out.str();
+void AppendCaseJson(json::Writer& w, const CaseResult& r) {
+  w.BeginObject().Key("workload").String(r.config.workload);
+  w.Key("mode").String(iommu::InvalidationModeName(r.config.mode));
+  w.Key("cpus").Uint(r.config.cpus).Key("fast_path").Bool(r.config.fast);
+  w.Key("ops").Uint(r.config.ops).Key("maps_per_sec").Double(r.maps_per_sec);
+  w.Key("rcache_hit_rate").Double(r.rcache_hit_rate);
+  w.Key("depot_refills").Uint(r.depot_refills).Key("walk_cache_hits").Uint(r.walk_cache_hits);
+  w.Key("drain_capacity").Uint(r.capacity_drains);
+  w.Key("drain_deadline").Uint(r.deadline_drains);
+  w.Key("sim_cycles_per_op").BeginObject().Key("p50").Uint(r.op_cycles.p50);
+  w.Key("p90").Uint(r.op_cycles.p90).Key("p99").Uint(r.op_cycles.p99);
+  w.Key("mean").Double(r.op_cycles.mean).EndObject().EndObject();
 }
 
 // The forensics pure-observer probe: one steady_single-shaped run with the
@@ -382,7 +381,7 @@ int WriteChromeTrace(const std::string& path) {
     std::cerr << "cannot write " << path << "\n";
     return 1;
   }
-  out << machine.tracer()->ChromeTraceJson();
+  out << machine.tracer()->ChromeTraceJson() << "\n";
   std::cout << "wrote " << path << "\n";
   return 0;
 }
@@ -446,10 +445,9 @@ int main(int argc, char** argv) {
   }
 
   // Per-cell speedups: fast vs slow with everything else equal.
-  std::ostringstream speedups;
+  std::vector<std::pair<std::string, double>> speedups;
   double headline = 0;
   std::string headline_cell;
-  bool first = true;
   for (size_t i = 0; i + 1 < results.size(); i += 2) {
     const CaseResult& fast = results[i];
     const CaseResult& slow = results[i + 1];
@@ -459,9 +457,7 @@ int main(int argc, char** argv) {
     cell << fast.config.workload << "/"
          << iommu::InvalidationModeName(fast.config.mode) << "/cpus"
          << fast.config.cpus;
-    if (!first) speedups << ",\n";
-    first = false;
-    speedups << "    {\"cell\": \"" << cell.str() << "\", \"speedup\": " << speedup << "}";
+    speedups.emplace_back(cell.str(), speedup);
     if (speedup > headline) {
       headline = speedup;
       headline_cell = cell.str();
@@ -490,28 +486,33 @@ int main(int argc, char** argv) {
             << forensics.enabled_cycles.p99 << "), wall overhead "
             << forensics.wall_overhead_pct << "%\n";
 
-  std::ofstream out(out_path);
-  out << "{\n  \"benchmark\": \"map_unmap_fast_path\",\n"
-      << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-      << "  \"policy_trusted\": " << (policy_trusted ? "true" : "false") << ",\n"
-      << "  \"headline_speedup\": " << headline << ",\n"
-      << "  \"headline_cell\": \"" << headline_cell << "\",\n"
-      << "  \"steady_state_rcache_hit_rate\": " << steady_hit_rate << ",\n"
-      << "  \"steady_p99_sim_cycles\": " << steady_p99_cycles << ",\n"
-      << "  \"forensics_sim_cycle_drift\": " << forensics.sim_cycle_drift << ",\n"
-      << "  \"forensics\": {\"disabled_p99_sim_cycles\": "
-      << forensics.disabled_cycles.p99
-      << ", \"disabled_mean_sim_cycles\": " << forensics.disabled_cycles.mean
-      << ", \"enabled_p99_sim_cycles\": " << forensics.enabled_cycles.p99
-      << ", \"enabled_mean_sim_cycles\": " << forensics.enabled_cycles.mean
-      << ", \"enabled_wall_overhead_pct\": " << forensics.wall_overhead_pct
-      << "},\n"
-      << "  \"speedups\": [\n"
-      << speedups.str() << "\n  ],\n  \"cases\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    out << Json(results[i]) << (i + 1 < results.size() ? ",\n" : "\n");
+  json::Writer w;
+  w.BeginObject().Key("benchmark").String("map_unmap_fast_path").Key("quick").Bool(quick);
+  w.Key("policy_trusted").Bool(policy_trusted).Key("headline_speedup").Double(headline);
+  w.Key("headline_cell").String(headline_cell);
+  w.Key("steady_state_rcache_hit_rate").Double(steady_hit_rate);
+  w.Key("steady_p99_sim_cycles").Uint(steady_p99_cycles);
+  w.Key("forensics_sim_cycle_drift").Double(forensics.sim_cycle_drift);
+  w.Key("forensics").BeginObject();
+  w.Key("disabled_p99_sim_cycles").Uint(forensics.disabled_cycles.p99);
+  w.Key("disabled_mean_sim_cycles").Double(forensics.disabled_cycles.mean);
+  w.Key("enabled_p99_sim_cycles").Uint(forensics.enabled_cycles.p99);
+  w.Key("enabled_mean_sim_cycles").Double(forensics.enabled_cycles.mean);
+  w.Key("enabled_wall_overhead_pct").Double(forensics.wall_overhead_pct);
+  w.EndObject().Key("speedups").BeginArray();
+  for (const auto& [cell, speedup] : speedups) {
+    w.BeginObject().Key("cell").String(cell).Key("speedup").Double(speedup).EndObject();
   }
-  out << "  ]\n}\n";
+  w.EndArray().Key("cases").BeginArray();
+  for (const CaseResult& r : results) {
+    AppendCaseJson(w, r);
+  }
+  std::ofstream out(out_path);
+  if (!out) {
+    std::cerr << "cannot write " << out_path << "\n";
+    return 1;
+  }
+  out << w.EndArray().EndObject().Take() << "\n";
   std::cout << "headline speedup: " << headline << "x (" << headline_cell << ")\n"
             << "steady-state rcache hit rate: " << steady_hit_rate * 100 << "%\n"
             << "steady-state p99 sim cycles/op: " << steady_p99_cycles << "\n"

@@ -34,10 +34,10 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "base/json.h"
 #include "core/machine.h"
 #include "device/device_port.h"
 #include "net/layouts.h"
@@ -247,22 +247,20 @@ void Finish(CaseResult& result) {
   }
 }
 
-std::string Json(const CaseResult& r) {
-  std::ostringstream out;
-  out << "    {\"workload\": \"" << r.workload << "\", \"mode\": \"" << r.mode
-      << "\", \"cpus\": " << r.cpus << ", \"fast_path\": true, \"ops\": " << r.ops
-      << ", \"elapsed_sim_cycles\": " << r.elapsed_sim_cycles
-      << ", \"ops_per_mcycle\": " << r.ops_per_mcycle
-      << ", \"sim_cycles_per_op\": {\"mean\": " << r.cycles_per_op << "}";
+void AppendCaseJson(json::Writer& w, const CaseResult& r) {
+  w.BeginObject().Key("workload").String(r.workload).Key("mode").String(r.mode);
+  w.Key("cpus").Uint(r.cpus).Key("fast_path").Bool(true).Key("ops").Uint(r.ops);
+  w.Key("elapsed_sim_cycles").Uint(r.elapsed_sim_cycles);
+  w.Key("ops_per_mcycle").Double(r.ops_per_mcycle);
+  w.Key("sim_cycles_per_op").BeginObject().Key("mean").Double(r.cycles_per_op).EndObject();
   if (!r.queue_packets.empty()) {
-    out << ", \"queue_packets\": [";
-    for (size_t q = 0; q < r.queue_packets.size(); ++q) {
-      out << (q ? ", " : "") << r.queue_packets[q];
+    w.Key("queue_packets").BeginArray();
+    for (const uint64_t packets : r.queue_packets) {
+      w.Uint(packets);
     }
-    out << "]";
+    w.EndArray();
   }
-  out << "}";
-  return out.str();
+  w.EndObject();
 }
 
 // RSS balance across 8 queues over 4096 sequential-port flows: the smallest
@@ -328,25 +326,22 @@ int main(int argc, char** argv) {
             << echo_scaling << "x (efficiency " << churn_scaling / 8 << " / "
             << echo_scaling / 8 << "), rss min share " << rss_min_share << "\n";
 
-  std::ostringstream out;
-  out << "{\n  \"benchmark\": \"mq_throughput\",\n"
-      << "  \"churn_scaling_8cpu_threads\": " << churn_scaling << ",\n"
-      << "  \"rx_echo_scaling_8cpu_threads\": " << echo_scaling << ",\n"
-      << "  \"churn_scaling_efficiency_8cpu\": " << churn_scaling / 8 << ",\n"
-      << "  \"rx_echo_scaling_efficiency_8cpu\": " << echo_scaling / 8 << ",\n"
-      << "  \"rss_balance_min_share\": " << rss_min_share << ",\n"
-      << "  \"cases\": [\n";
-  for (size_t i = 0; i < cases.size(); ++i) {
-    out << Json(cases[i]) << (i + 1 < cases.size() ? ",\n" : "\n");
+  json::Writer w;
+  w.BeginObject().Key("benchmark").String("mq_throughput");
+  w.Key("churn_scaling_8cpu_threads").Double(churn_scaling);
+  w.Key("rx_echo_scaling_8cpu_threads").Double(echo_scaling);
+  w.Key("churn_scaling_efficiency_8cpu").Double(churn_scaling / 8);
+  w.Key("rx_echo_scaling_efficiency_8cpu").Double(echo_scaling / 8);
+  w.Key("rss_balance_min_share").Double(rss_min_share).Key("cases").BeginArray();
+  for (const CaseResult& r : cases) {
+    AppendCaseJson(w, r);
   }
-  out << "  ]\n}\n";
-
   std::ofstream file(out_path);
   if (!file) {
     std::cerr << "cannot write " << out_path << "\n";
     return 1;
   }
-  file << out.str();
+  file << w.EndArray().EndObject().Take() << "\n";
   std::cout << "wrote " << out_path << "\n";
   return 0;
 }

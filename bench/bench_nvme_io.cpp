@@ -31,10 +31,10 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "base/json.h"
 #include "core/machine.h"
 #include "device/device_port.h"
 #include "nvme/nvme_controller.h"
@@ -154,17 +154,15 @@ CaseResult RunCase(const CaseConfig& config) {
   return result;
 }
 
-std::string Json(const CaseResult& r) {
-  std::ostringstream out;
-  out << "    {\"workload\": \"" << r.config.Label() << "\", \"mode\": \""
-      << iommu::InvalidationModeName(r.config.mode) << "\", \"cpus\": " << r.config.cpus
-      << ", \"fast_path\": " << (r.config.fast ? "true" : "false")
-      << ", \"ops\": " << r.config.ops << ", \"ios_per_sec\": " << r.ios_per_sec
-      << ", \"prp_segments_built\": " << r.prp_segments_built
-      << ", \"sim_cycles_per_op\": {\"p50\": " << r.op_cycles.p50
-      << ", \"p90\": " << r.op_cycles.p90 << ", \"p99\": " << r.op_cycles.p99
-      << ", \"mean\": " << r.op_cycles.mean << "}}";
-  return out.str();
+void AppendCaseJson(json::Writer& w, const CaseResult& r) {
+  w.BeginObject().Key("workload").String(r.config.Label());
+  w.Key("mode").String(iommu::InvalidationModeName(r.config.mode));
+  w.Key("cpus").Uint(r.config.cpus).Key("fast_path").Bool(r.config.fast);
+  w.Key("ops").Uint(r.config.ops).Key("ios_per_sec").Double(r.ios_per_sec);
+  w.Key("prp_segments_built").Uint(r.prp_segments_built);
+  w.Key("sim_cycles_per_op").BeginObject().Key("p50").Uint(r.op_cycles.p50);
+  w.Key("p90").Uint(r.op_cycles.p90).Key("p99").Uint(r.op_cycles.p99);
+  w.Key("mean").Double(r.op_cycles.mean).EndObject().EndObject();
 }
 
 }  // namespace
@@ -247,19 +245,22 @@ int main(int argc, char** argv) {
   const double untrusted_sync_slowdown =
       direct_read_mean > 0 ? untrusted_read_mean / direct_read_mean : 0;
 
-  std::ofstream out(out_path);
-  out << "{\n  \"benchmark\": \"nvme_io\",\n"
-      << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-      << "  \"steady_p99_sim_cycles\": " << steady_p99_cycles << ",\n";
+  json::Writer w;
+  w.BeginObject().Key("benchmark").String("nvme_io").Key("quick").Bool(quick);
+  w.Key("steady_p99_sim_cycles").Uint(steady_p99_cycles);
   if (policy_untrusted) {
-    out << "  \"untrusted_sync_slowdown\": " << untrusted_sync_slowdown
-        << ",\n";
+    w.Key("untrusted_sync_slowdown").Double(untrusted_sync_slowdown);
   }
-  out << "  \"cases\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    out << Json(results[i]) << (i + 1 < results.size() ? ",\n" : "\n");
+  w.Key("cases").BeginArray();
+  for (const CaseResult& r : results) {
+    AppendCaseJson(w, r);
   }
-  out << "  ]\n}\n";
+  std::ofstream out(out_path);
+  if (!out) {
+    std::cerr << "cannot write " << out_path << "\n";
+    return 1;
+  }
+  out << w.EndArray().EndObject().Take() << "\n";
   std::cout << "steady-state p99 sim cycles/op: " << steady_p99_cycles << "\n";
   if (policy_untrusted) {
     std::cout << "untrusted sync slowdown (read_1blk mean ratio): "

@@ -247,7 +247,7 @@ void Generate(const fs::path& dir) {
 
 // Rows are read back from the telemetry export, not the Summary struct: the
 // analyzer publishes Table-2 counters onto the bus and this harness consumes
-// them the way any external tool consuming ExportJson/ExportCountersCsv would.
+// them the way any external tool consuming ExportJson would.
 void PrintRow(const telemetry::Hub& hub, const char* name, const std::string& counter,
               const char* paper) {
   const uint64_t calls = hub.counter_value("spade." + counter + ".calls");

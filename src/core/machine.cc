@@ -6,6 +6,8 @@
 #include <thread>
 #include <unordered_map>
 
+#include "base/json.h"
+
 namespace spv::core {
 
 namespace {
@@ -100,19 +102,19 @@ Machine::Machine(const MachineConfig& config)
     recovery::RecoveryManager* recovery = recovery_.get();
     incidents_->set_recovery_provider([recovery](uint32_t device) {
       const auto status = recovery->device_status(DeviceId{device});
-      return std::string("{\"state\":\"") +
-             std::string(recovery::DeviceStateName(status.state)) +
-             "\",\"reattach_attempts\":" + std::to_string(status.reattach_attempts) +
-             ",\"quarantines\":" + std::to_string(status.quarantines) + "}";
+      json::Writer w;
+      w.BeginObject().Key("state").String(recovery::DeviceStateName(status.state));
+      w.Key("reattach_attempts").Uint(status.reattach_attempts);
+      return w.Key("quarantines").Uint(status.quarantines).EndObject().Take();
     });
     if (policy_ != nullptr) {
       policy::PolicyEngine* policy = policy_.get();
       incidents_->set_trust_provider([policy](uint32_t device) {
         const auto status = policy->device_status(DeviceId{device});
-        return std::string("{\"trust\":\"") +
-               std::string(policy::TrustStateName(status.trust)) +
-               "\",\"demotions\":" + std::to_string(status.demotions) +
-               ",\"promotions\":" + std::to_string(status.promotions) + "}";
+        json::Writer w;
+        w.BeginObject().Key("trust").String(policy::TrustStateName(status.trust));
+        w.Key("demotions").Uint(status.demotions).Key("promotions").Uint(status.promotions);
+        return w.EndObject().Take();
       });
     }
   }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "base/json.h"
+
 namespace spv::forensics {
 
 namespace {
@@ -371,10 +373,9 @@ uint64_t FlightRecorder::ledger_dropped() const {
 
 std::string FlightRecorder::AccountingJson() const {
   SpinGuard guard(lanes_lock_);
-  std::string out = "{\"ring_capacity\":" + std::to_string(config_.ring_capacity) +
-                    ",\"ledger_capacity\":" + std::to_string(config_.ledger_capacity) +
-                    ",\"rings\":[";
-  bool first = true;
+  json::Writer w;
+  w.BeginObject().Key("ring_capacity").Uint(config_.ring_capacity);
+  w.Key("ledger_capacity").Uint(config_.ledger_capacity).Key("rings").BeginArray();
   // lanes_ is an ordered map, rings are CPU-ordered: deterministic output.
   for (const auto& [device, lane] : lanes_) {
     for (size_t cpu = 0; cpu < lane->rings.size(); ++cpu) {
@@ -383,32 +384,20 @@ std::string FlightRecorder::AccountingJson() const {
       if (ring.next_seq == 0) {
         continue;  // untouched rings stay out of the report
       }
-      if (!first) {
-        out += ",";
-      }
-      first = false;
-      out += "{\"device\":" + std::to_string(device) +
-             ",\"cpu\":" + std::to_string(cpu) +
-             ",\"recorded\":" + std::to_string(ring.next_seq) +
-             ",\"dropped\":" + std::to_string(ring.dropped_info + ring.dropped_critical) +
-             ",\"dropped_critical\":" + std::to_string(ring.dropped_critical) + "}";
+      w.BeginObject().Key("device").Uint(device).Key("cpu").Uint(cpu);
+      w.Key("recorded").Uint(ring.next_seq);
+      w.Key("dropped").Uint(ring.dropped_info + ring.dropped_critical);
+      w.Key("dropped_critical").Uint(ring.dropped_critical).EndObject();
     }
   }
-  out += "],\"ledgers\":[";
-  first = true;
+  w.EndArray().Key("ledgers").BeginArray();
   for (const auto& [device, lane] : lanes_) {
     SpinGuard ledger_guard(lane->ledger_lock);
-    if (!first) {
-      out += ",";
-    }
-    first = false;
-    out += "{\"device\":" + std::to_string(device) +
-           ",\"lives\":" + std::to_string(lane->next_generation - 1) +
-           ",\"retained\":" + std::to_string(lane->ledger.size()) +
-           ",\"dropped\":" + std::to_string(lane->ledger_dropped) + "}";
+    w.BeginObject().Key("device").Uint(device).Key("lives").Uint(lane->next_generation - 1);
+    w.Key("retained").Uint(lane->ledger.size()).Key("dropped").Uint(lane->ledger_dropped);
+    w.EndObject();
   }
-  out += "]}";
-  return out;
+  return w.EndArray().EndObject().Take();
 }
 
 }  // namespace spv::forensics

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "base/json.h"
+
 namespace spv::forensics {
 
 namespace {
@@ -48,36 +50,20 @@ bool LooksLikeMetaSegment(const MappingLife& life) {
          life.site.find("frag") != std::string::npos;
 }
 
-std::string NullIfEmpty(std::string json) {
-  return json.empty() ? std::string("null") : json;
+void AppendRecordJson(json::Writer& w, const FlightRecord& r) {
+  w.BeginObject().Key("cycle").Uint(r.cycle).Key("cpu").Uint(r.cpu);
+  w.Key("op").String(RecordOpName(r.op)).Key("iova").Uint(r.iova).Key("gpa").Uint(r.gpa);
+  w.Key("len").Uint(r.len).Key("dir").Uint(r.dir).Key("bounced").Bool(r.bounced);
+  w.Key("generation").Uint(r.generation).EndObject();
 }
 
-void AppendRecordJson(std::string& out, const FlightRecord& r) {
-  out += "{\"cycle\":" + std::to_string(r.cycle) +
-         ",\"cpu\":" + std::to_string(r.cpu) + ",\"op\":\"" +
-         std::string(RecordOpName(r.op)) +
-         "\",\"iova\":" + std::to_string(r.iova) +
-         ",\"gpa\":" + std::to_string(r.gpa) +
-         ",\"len\":" + std::to_string(r.len) +
-         ",\"dir\":" + std::to_string(r.dir) +
-         ",\"bounced\":" + (r.bounced ? "true" : "false") +
-         ",\"generation\":" + std::to_string(r.generation) + "}";
-}
-
-void AppendLifeJson(std::string& out, const MappingLife& life) {
-  out += "{\"generation\":" + std::to_string(life.generation) +
-         ",\"iova\":" + std::to_string(life.iova) +
-         ",\"kva\":" + std::to_string(life.kva) +
-         ",\"len\":" + std::to_string(life.len) +
-         ",\"dir\":" + std::to_string(life.dir) +
-         ",\"bounced\":" + (life.bounced ? "true" : "false") + ",\"site\":\"" +
-         telemetry::JsonEscape(life.site) +
-         "\",\"map_cycle\":" + std::to_string(life.map_cycle) +
-         ",\"unmap_cycle\":" + std::to_string(life.unmap_cycle) +
-         ",\"flush_cycle\":" + std::to_string(life.flush_cycle) +
-         ",\"accesses\":" + std::to_string(life.accesses) +
-         ",\"stale_hits\":" + std::to_string(life.stale_hits) +
-         ",\"faults\":" + std::to_string(life.faults) + "}";
+void AppendLifeJson(json::Writer& w, const MappingLife& life) {
+  w.BeginObject().Key("generation").Uint(life.generation).Key("iova").Uint(life.iova);
+  w.Key("kva").Uint(life.kva).Key("len").Uint(life.len).Key("dir").Uint(life.dir);
+  w.Key("bounced").Bool(life.bounced).Key("site").String(life.site);
+  w.Key("map_cycle").Uint(life.map_cycle).Key("unmap_cycle").Uint(life.unmap_cycle);
+  w.Key("flush_cycle").Uint(life.flush_cycle).Key("accesses").Uint(life.accesses);
+  w.Key("stale_hits").Uint(life.stale_hits).Key("faults").Uint(life.faults).EndObject();
 }
 
 }  // namespace
@@ -280,9 +266,8 @@ void IncidentEngine::Freeze(DeviceId device, std::string_view trigger,
       incident.timeline.empty() ? now : incident.timeline.front().cycle;
   incident.windows_json =
       tracker_ != nullptr ? WindowsJson(device.value, from, now) : "[]";
-  incident.trust_json = trust_ ? NullIfEmpty(trust_(device.value)) : "null";
-  incident.recovery_json =
-      recovery_ ? NullIfEmpty(recovery_(device.value)) : "null";
+  incident.trust_json = trust_ ? trust_(device.value) : "";
+  incident.recovery_json = recovery_ ? recovery_(device.value) : "";
 
   const uint64_t id = incident.id;
   const AttackClass inferred = incident.inferred;
@@ -317,30 +302,21 @@ void IncidentEngine::Freeze(DeviceId device, std::string_view trigger,
 
 std::string IncidentEngine::WindowsJson(uint32_t device, uint64_t from_cycle,
                                         uint64_t to_cycle) const {
-  std::string out = "[";
-  bool first = true;
+  json::Writer out;
+  out.BeginArray();
   for (const trace::Window& w : tracker_->windows()) {
     if (w.device != device || w.open_cycle > to_cycle ||
         (!w.open && w.close_cycle < from_cycle)) {
       continue;
     }
-    if (!first) {
-      out += ",";
-    }
-    first = false;
-    out += "{\"kind\":\"" + std::string(trace::WindowKindName(w.kind)) +
-           "\",\"iova_page\":" + std::to_string(w.iova_page) +
-           ",\"pages\":" + std::to_string(w.pages) +
-           ",\"exposed_bytes\":" + std::to_string(w.exposed_bytes) +
-           ",\"open_cycle\":" + std::to_string(w.open_cycle) +
-           ",\"close_cycle\":" + std::to_string(w.close_cycle) +
-           ",\"open\":" + (w.open ? "true" : "false") +
-           ",\"device_hits\":" + std::to_string(w.device_hits) +
-           ",\"detected\":" + (w.detected ? "true" : "false") +
-           ",\"close_reason\":\"" + telemetry::JsonEscape(w.close_reason) + "\"}";
+    out.BeginObject().Key("kind").String(trace::WindowKindName(w.kind));
+    out.Key("iova_page").Uint(w.iova_page).Key("pages").Uint(w.pages);
+    out.Key("exposed_bytes").Uint(w.exposed_bytes).Key("open_cycle").Uint(w.open_cycle);
+    out.Key("close_cycle").Uint(w.close_cycle).Key("open").Bool(w.open);
+    out.Key("device_hits").Uint(w.device_hits).Key("detected").Bool(w.detected);
+    out.Key("close_reason").String(w.close_reason).EndObject();
   }
-  out += "]";
-  return out;
+  return out.EndArray().Take();
 }
 
 size_t IncidentEngine::incident_count() const {
@@ -355,47 +331,33 @@ uint64_t IncidentEngine::suppressed() const {
 
 std::string IncidentEngine::ReportsJson() const {
   SpinGuard guard(lock_);
-  std::string out = "{\"count\":" + std::to_string(incidents_.size()) +
-                    ",\"suppressed\":" + std::to_string(suppressed_) +
-                    ",\"incidents\":[";
-  for (size_t i = 0; i < incidents_.size(); ++i) {
-    const Incident& incident = incidents_[i];
-    if (i != 0) {
-      out += ",";
-    }
-    out += "{\"id\":" + std::to_string(incident.id) +
-           ",\"cycle\":" + std::to_string(incident.cycle) +
-           ",\"device\":" + std::to_string(incident.device) + ",\"trigger\":\"" +
-           telemetry::JsonEscape(incident.trigger) + "\",\"reason\":\"" +
-           telemetry::JsonEscape(incident.reason) + "\",\"inferred_class\":\"" +
-           std::string(AttackClassName(incident.inferred)) + "\",\"implicated\":";
+  json::Writer w;
+  w.BeginObject().Key("count").Uint(incidents_.size()).Key("suppressed").Uint(suppressed_);
+  w.Key("incidents").BeginArray();
+  for (const Incident& incident : incidents_) {
+    w.BeginObject().Key("id").Uint(incident.id).Key("cycle").Uint(incident.cycle);
+    w.Key("device").Uint(incident.device).Key("trigger").String(incident.trigger);
+    w.Key("reason").String(incident.reason);
+    w.Key("inferred_class").String(AttackClassName(incident.inferred)).Key("implicated");
     if (incident.implicated < incident.ledger.size()) {
-      AppendLifeJson(out, incident.ledger[incident.implicated]);
+      AppendLifeJson(w, incident.ledger[incident.implicated]);
     } else {
-      out += "null";
+      w.Null();
     }
-    out += ",\"timeline\":[";
-    for (size_t r = 0; r < incident.timeline.size(); ++r) {
-      if (r != 0) {
-        out += ",";
-      }
-      AppendRecordJson(out, incident.timeline[r]);
+    w.Key("timeline").BeginArray();
+    for (const FlightRecord& record : incident.timeline) {
+      AppendRecordJson(w, record);
     }
-    out += "],\"ledger\":[";
-    for (size_t l = 0; l < incident.ledger.size(); ++l) {
-      if (l != 0) {
-        out += ",";
-      }
-      AppendLifeJson(out, incident.ledger[l]);
+    w.EndArray().Key("ledger").BeginArray();
+    for (const MappingLife& life : incident.ledger) {
+      AppendLifeJson(w, life);
     }
-    out += "],\"windows\":" + incident.windows_json +
-           ",\"trust\":" + incident.trust_json +
-           ",\"recovery\":" + incident.recovery_json + "}";
+    w.EndArray().Key("windows").Raw(incident.windows_json);
+    w.Key("trust").Raw(incident.trust_json).Key("recovery").Raw(incident.recovery_json);
+    w.EndObject();
   }
-  out += "],\"recorder\":";
-  out += recorder_ != nullptr ? recorder_->AccountingJson() : "null";
-  out += "}";
-  return out;
+  w.EndArray().Key("recorder").Raw(recorder_ != nullptr ? recorder_->AccountingJson() : "");
+  return w.EndObject().Take();
 }
 
 std::string IncidentEngine::SummaryJson() const {
@@ -406,28 +368,17 @@ std::string IncidentEngine::SummaryJson() const {
     ++by_trigger[incident.trigger];
     ++by_class[std::string(AttackClassName(incident.inferred))];
   }
-  std::string out = "{\"count\":" + std::to_string(incidents_.size()) +
-                    ",\"suppressed\":" + std::to_string(suppressed_) +
-                    ",\"by_trigger\":{";
-  bool first = true;
+  json::Writer w;
+  w.BeginObject().Key("count").Uint(incidents_.size()).Key("suppressed").Uint(suppressed_);
+  w.Key("by_trigger").BeginObject();
   for (const auto& [name, count] : by_trigger) {
-    if (!first) {
-      out += ",";
-    }
-    first = false;
-    out += "\"" + telemetry::JsonEscape(name) + "\":" + std::to_string(count);
+    w.Key(name).Uint(count);
   }
-  out += "},\"by_class\":{";
-  first = true;
+  w.EndObject().Key("by_class").BeginObject();
   for (const auto& [name, count] : by_class) {
-    if (!first) {
-      out += ",";
-    }
-    first = false;
-    out += "\"" + name + "\":" + std::to_string(count);
+    w.Key(name).Uint(count);
   }
-  out += "}}";
-  return out;
+  return w.EndObject().EndObject().Take();
 }
 
 }  // namespace spv::forensics

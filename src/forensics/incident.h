@@ -86,15 +86,16 @@ struct Incident {
   size_t implicated = SIZE_MAX;          // index into `ledger`
   std::vector<FlightRecord> timeline;    // last timeline_limit records
   std::vector<MappingLife> ledger;       // full ledger snapshot at freeze
+  // Frozen JSON values, embedded with json::Writer::Raw ("" reads as null).
   std::string windows_json;              // overlapping WindowTracker windows
-  std::string trust_json;                // "null" without a policy engine
-  std::string recovery_json;             // "null" without a recovery manager
+  std::string trust_json;                // "" without a policy engine
+  std::string recovery_json;             // "" without a recovery manager
 };
 
 class IncidentEngine : public telemetry::EventSink {
  public:
   // Returns a serialized JSON value describing the device's state in the
-  // providing subsystem, or "" / "null" when the device is unknown there.
+  // providing subsystem, or "" (reported as null) when it has none.
   using StateSnapshotFn = std::function<std::string(uint32_t device)>;
 
   // `recorder` may be null (reports then carry empty evidence); `clock` must

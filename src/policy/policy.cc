@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "base/json.h"
+
 namespace spv::policy {
 
 std::string_view TrustStateName(TrustState state) {
@@ -277,81 +279,51 @@ PolicyEngine::DeviceStatus PolicyEngine::device_status(DeviceId device) const {
   return out;
 }
 
-std::string PolicyEngine::PostureJson(const std::string& indent) const {
+std::string PolicyEngine::PostureJson() const {
   // HSI-style posture: one deterministic JSON object answering "how exposed
   // is this machine". Key order is fixed; devices_ is an ordered map.
-  std::string out;
-  const std::string i1 = indent + "  ";
-  const std::string i2 = indent + "    ";
-  const std::string i3 = indent + "      ";
-  out += indent + "{\n";
-  out += i1 + "\"invalidation\": \"" + iommu::InvalidationModeName(iommu_.mode()) + "\",\n";
-  out += i1 + std::string("\"strict_invalidation\": ") +
-         (iommu_.mode() == iommu::InvalidationMode::kStrict ? "true" : "false") + ",\n";
-  const iommu::FastPathConfig& fp = iommu_.fast_path();
-  out += i1 + std::string("\"iova_rcache\": ") + (fp.rcache_enabled ? "true" : "false") +
-         ",\n";
-  out += i1 + std::string("\"policy_enabled\": ") + (config_.enabled ? "true" : "false") +
-         ",\n";
-  out += i1 + "\"default_trust\": \"" + std::string(TrustStateName(config_.default_trust)) +
-         "\",\n";
-  out += i1 + std::string("\"recovery_supervision\": ") +
-         (recovery_ != nullptr && recovery_->enabled() ? "true" : "false") + ",\n";
-  out += i1 + "\"promotion_cooldown_cycles\": " +
-         std::to_string(config_.promotion_cooldown_cycles) + ",\n";
-  out += i1 + "\"total_demotions\": " + std::to_string(total_demotions_) + ",\n";
-  out += i1 + "\"total_promotions_blocked\": " + std::to_string(total_promotions_blocked_) +
-         ",\n";
-  out += i1 + "\"devices\": [";
-  bool first = true;
+  json::Writer w;
+  w.BeginObject().Key("invalidation").String(iommu::InvalidationModeName(iommu_.mode()));
+  w.Key("strict_invalidation").Bool(iommu_.mode() == iommu::InvalidationMode::kStrict);
+  w.Key("iova_rcache").Bool(iommu_.fast_path().rcache_enabled);
+  w.Key("policy_enabled").Bool(config_.enabled);
+  w.Key("default_trust").String(TrustStateName(config_.default_trust));
+  w.Key("recovery_supervision").Bool(recovery_ != nullptr && recovery_->enabled());
+  w.Key("promotion_cooldown_cycles").Uint(config_.promotion_cooldown_cycles);
+  w.Key("total_demotions").Uint(total_demotions_);
+  w.Key("total_promotions_blocked").Uint(total_promotions_blocked_);
+  w.Key("devices").BeginArray();
   for (const auto& [id, entry] : devices_) {
     const DeviceId device{id};
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += i2 + "{\n";
-    out += i3 + "\"id\": " + std::to_string(id) + ",\n";
-    out += i3 + "\"model\": \"" + telemetry::JsonEscape(entry.identity.model) + "\",\n";
-    out += i3 + "\"class\": \"" + telemetry::JsonEscape(entry.identity.device_class) +
-           "\",\n";
-    out += i3 + "\"trust\": \"" + std::string(TrustStateName(entry.trust)) + "\",\n";
-    out += i3 + std::string("\"fast_path\": ") +
-           (iommu_.device_fast_path(device) ? "true" : "false") + ",\n";
-    out += i3 + "\"bounce_pool_pages\": " + std::to_string(pool_.pool_pages(device)) +
-           ",\n";
-    out += i3 + "\"active_bounces\": " + std::to_string(pool_.active_bounces(device)) +
-           ",\n";
+    w.BeginObject().Key("id").Uint(id);
+    w.Key("model").String(entry.identity.model);
+    w.Key("class").String(entry.identity.device_class);
+    w.Key("trust").String(TrustStateName(entry.trust));
+    w.Key("fast_path").Bool(iommu_.device_fast_path(device));
+    w.Key("bounce_pool_pages").Uint(pool_.pool_pages(device));
+    w.Key("active_bounces").Uint(pool_.active_bounces(device));
     // Degraded-service stats: which protocol the device would run under
     // right now, and how much sync-ring traffic it has actually served.
-    out += i3 + "\"service_mode\": \"" +
-           std::string(dma::ServiceModeName(ServiceModeFor(device))) + "\",\n";
-    out += i3 + "\"persistent_bounces\": " +
-           std::to_string(pool_.persistent_bounces(device)) + ",\n";
-    out += i3 + "\"bounce_syncs_for_cpu\": " + std::to_string(pool_.syncs_for_cpu(device)) +
-           ",\n";
-    out += i3 + "\"bounce_syncs_for_device\": " +
-           std::to_string(pool_.syncs_for_device(device)) + ",\n";
-    out += i3 + "\"demotions\": " + std::to_string(entry.demotions) + ",\n";
-    out += i3 + "\"promotions\": " + std::to_string(entry.promotions) + ",\n";
-    out += i3 + "\"promotions_blocked\": " + std::to_string(entry.promotions_blocked) +
-           ",\n";
+    w.Key("service_mode").String(dma::ServiceModeName(ServiceModeFor(device)));
+    w.Key("persistent_bounces").Uint(pool_.persistent_bounces(device));
+    w.Key("bounce_syncs_for_cpu").Uint(pool_.syncs_for_cpu(device));
+    w.Key("bounce_syncs_for_device").Uint(pool_.syncs_for_device(device));
+    w.Key("demotions").Uint(entry.demotions);
+    w.Key("promotions").Uint(entry.promotions);
+    w.Key("promotions_blocked").Uint(entry.promotions_blocked);
     const uint64_t now = clock_.now();
-    out += i3 + "\"cooldown_remaining_cycles\": " +
-           std::to_string(entry.cooldown_until > now ? entry.cooldown_until - now : 0) +
-           ",\n";
+    w.Key("cooldown_remaining_cycles")
+        .Uint(entry.cooldown_until > now ? entry.cooldown_until - now : 0);
     if (recovery_ != nullptr) {
       const recovery::RecoveryManager::DeviceStatus rs = recovery_->device_status(device);
-      out += i3 + "\"recovery_state\": \"" +
-             std::string(recovery::DeviceStateName(rs.state)) + "\",\n";
-      out += i3 + "\"quarantines\": " + std::to_string(rs.quarantines) + "\n";
+      w.Key("recovery_state").String(recovery::DeviceStateName(rs.state));
+      w.Key("quarantines").Uint(rs.quarantines);
     } else {
-      out += i3 + "\"recovery_state\": \"unsupervised\",\n";
-      out += i3 + "\"quarantines\": 0\n";
+      w.Key("recovery_state").String("unsupervised").Key("quarantines").Uint(0);
     }
-    out += i2 + "}";
+    w.EndObject();
   }
-  out += first ? "]\n" : "\n" + i1 + "]\n";
-  out += indent + "}";
-  return out;
+  return w.EndArray().EndObject().Take();
 }
 
 }  // namespace spv::policy

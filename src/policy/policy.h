@@ -174,8 +174,8 @@ class PolicyEngine : public dma::DmaRouter {
   void set_recovery(const recovery::RecoveryManager* recovery) { recovery_ = recovery; }
 
   // HSI-style machine security posture (deterministic: same machine state ->
-  // byte-identical JSON). `indent` prefixes every line (for embedding).
-  std::string PostureJson(const std::string& indent = "") const;
+  // byte-identical JSON).
+  std::string PostureJson() const;
 
  private:
   struct Device {

@@ -12,6 +12,7 @@
 #include "attack/attacks.h"
 #include "attack/mini_cpu.h"
 #include "base/exec.h"
+#include "base/json.h"
 #include "base/rng.h"
 #include "base/status.h"
 #include "base/types.h"
@@ -60,48 +61,6 @@ constexpr uint32_t kHotplugHostileBase = 2000;
 constexpr uint64_t kSecretSentinel = 0x534f414b'5f534543ull;  // "SOAK_SEC"
 constexpr uint64_t kLegitMark = 0x424f554e'43453a31ull;       // "BOUNCE:1"
 constexpr uint64_t kEvilMark = 0xdead5722'17e0fULL;
-
-struct JsonWriter {
-  std::string out = "{";
-  bool first = true;
-
-  void Key(const char* key) {
-    if (!first) {
-      out += ",";
-    }
-    first = false;
-    out += "\"";
-    out += key;
-    out += "\":";
-  }
-  void Field(const char* key, uint64_t value) {
-    Key(key);
-    out += std::to_string(value);
-  }
-  void Field(const char* key, bool value) {
-    Key(key);
-    out += value ? "true" : "false";
-  }
-  void Field(const char* key, double value) {
-    Key(key);
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6f", value);
-    out += buf;
-  }
-  void Field(const char* key, const std::string& value) {
-    Key(key);
-    out += "\"" + telemetry::JsonEscape(value) + "\"";
-  }
-  // Nested object: `json` must already be a serialized JSON value.
-  void Raw(const char* key, const std::string& json) {
-    Key(key);
-    out += json;
-  }
-  std::string Finish() {
-    out += "}";
-    return out;
-  }
-};
 
 fault::FaultPlan MakeSoakFaultPlan() {
   // Low per-arm probabilities: the soak wants a steady drizzle of recoverable
@@ -1060,116 +1019,92 @@ SoakReport RunSoak(const SoakConfig& config) {
 }
 
 std::string SoakReport::ToJson() const {
-  JsonWriter w;
-  w.Field("ok", ok);
-  w.Field("failure", failure);
-  w.Field("seed", seed);
-  w.Field("epochs", epochs);
-  w.Field("sim_cycles", sim_cycles);
-  w.Field("echo_probes", echo_probes);
-  w.Field("echo_ok", echo_ok);
-  w.Field("availability", availability);
-  w.Field("degraded_probes", degraded_probes);
-  w.Field("degraded_ok", degraded_ok);
-  w.Field("availability_degraded", availability_degraded);
-  w.Field("churn_map_ops", churn_map_ops);
-  w.Field("churn_map_failures", churn_map_failures);
-  w.Field("abuse_ops", abuse_ops);
-  w.Field("attack_runs", attack_runs);
-  w.Field("attack_successes", attack_successes);
-  w.Field("faults_injected", faults_injected);
-  w.Field("quarantines", quarantines);
-  w.Field("reattach_attempts", reattach_attempts);
-  w.Field("permanent_detaches", permanent_detaches);
-  w.Field("fenced_accesses", fenced_accesses);
-  w.Field("shed_packets", shed_packets);
-  w.Field("invariant_checks", invariant_checks);
-  w.Field("quarantine_latency_p50", quarantine_latency_p50);
-  w.Field("quarantine_latency_p99", quarantine_latency_p99);
-  w.Field("downtime_p50", downtime_p50);
-  w.Field("downtime_p99", downtime_p99);
-  w.Field("leaked_mappings", leaked_mappings);
-  w.Field("leaked_iova_entries", leaked_iova_entries);
-  w.Field("cross_cpu_race_probes", cross_cpu_race_probes);
-  w.Field("cross_cpu_stale_hits", cross_cpu_stale_hits);
-  w.Field("cross_cpu_stale_blocked", cross_cpu_stale_blocked);
-  w.Field("cross_cpu_detected", cross_cpu_detected);
-  w.Field("sibling_quarantine_probes", sibling_quarantine_probes);
-  w.Field("sibling_completions_fenced", sibling_completions_fenced);
-  {
-    JsonWriter n;
-    n.Field("probes", nic.probes);
-    n.Field("ok", nic.ok);
-    n.Field("availability", nic.availability);
-    n.Field("quarantines", nic.quarantines);
-    n.Field("shed_packets", nic.shed_packets);
-    w.Raw("nic", n.Finish());
-  }
-  {
-    JsonWriter n;
-    n.Field("probes", nvme.probes);
-    n.Field("ok", nvme.ok);
-    n.Field("availability", nvme.availability);
-    n.Field("quarantines", nvme.quarantines);
-    n.Field("shed_ios", nvme.shed_ios);
-    n.Field("reads_completed", nvme.reads_completed);
-    n.Field("writes_completed", nvme.writes_completed);
-    n.Field("io_errors", nvme.io_errors);
-    n.Field("completion_errors", nvme.completion_errors);
-    n.Field("queue_resets", nvme.queue_resets);
-    n.Field("forged_completions", nvme.forged_completions);
-    n.Field("replays_landed", nvme.replays_landed);
-    n.Field("replays_blocked", nvme.replays_blocked);
-    n.Field("verify_mismatches", nvme.verify_mismatches);
-    w.Raw("nvme", n.Finish());
-  }
-  {
-    JsonWriter p;
-    p.Field("hotplug_attaches", policy.hotplug_attaches);
-    p.Field("hotplug_detaches", policy.hotplug_detaches);
-    p.Field("subpage_read_probes", policy.subpage_read_probes);
-    p.Field("subpage_write_probes", policy.subpage_write_probes);
-    p.Field("secret_leaks", policy.secret_leaks);
-    p.Field("neighbour_corruptions", policy.neighbour_corruptions);
-    p.Field("bounce_rx_ok", policy.bounce_rx_ok);
-    p.Field("bounce_maps", policy.bounce_maps);
-    p.Field("bounce_unmaps", policy.bounce_unmaps);
-    p.Field("demotions", policy.demotions);
-    p.Field("promotion_attempts", policy.promotion_attempts);
-    p.Field("promotions_blocked", policy.promotions_blocked);
-    p.Field("hostile_still_untrusted", policy.hostile_still_untrusted);
-    w.Raw("policy", p.Finish());
-  }
+  json::Writer w;
+  w.BeginObject().Key("ok").Bool(ok);
+  w.Key("failure").String(failure);
+  w.Key("seed").Uint(seed);
+  w.Key("epochs").Uint(epochs);
+  w.Key("sim_cycles").Uint(sim_cycles);
+  w.Key("echo_probes").Uint(echo_probes);
+  w.Key("echo_ok").Uint(echo_ok);
+  w.Key("availability").Double(availability);
+  w.Key("degraded_probes").Uint(degraded_probes);
+  w.Key("degraded_ok").Uint(degraded_ok);
+  w.Key("availability_degraded").Double(availability_degraded);
+  w.Key("churn_map_ops").Uint(churn_map_ops);
+  w.Key("churn_map_failures").Uint(churn_map_failures);
+  w.Key("abuse_ops").Uint(abuse_ops);
+  w.Key("attack_runs").Uint(attack_runs);
+  w.Key("attack_successes").Uint(attack_successes);
+  w.Key("faults_injected").Uint(faults_injected);
+  w.Key("quarantines").Uint(quarantines);
+  w.Key("reattach_attempts").Uint(reattach_attempts);
+  w.Key("permanent_detaches").Uint(permanent_detaches);
+  w.Key("fenced_accesses").Uint(fenced_accesses);
+  w.Key("shed_packets").Uint(shed_packets);
+  w.Key("invariant_checks").Uint(invariant_checks);
+  w.Key("quarantine_latency_p50").Uint(quarantine_latency_p50);
+  w.Key("quarantine_latency_p99").Uint(quarantine_latency_p99);
+  w.Key("downtime_p50").Uint(downtime_p50);
+  w.Key("downtime_p99").Uint(downtime_p99);
+  w.Key("leaked_mappings").Uint(leaked_mappings);
+  w.Key("leaked_iova_entries").Uint(leaked_iova_entries);
+  w.Key("cross_cpu_race_probes").Uint(cross_cpu_race_probes);
+  w.Key("cross_cpu_stale_hits").Uint(cross_cpu_stale_hits);
+  w.Key("cross_cpu_stale_blocked").Uint(cross_cpu_stale_blocked);
+  w.Key("cross_cpu_detected").Uint(cross_cpu_detected);
+  w.Key("sibling_quarantine_probes").Uint(sibling_quarantine_probes);
+  w.Key("sibling_completions_fenced").Uint(sibling_completions_fenced);
+  w.Key("nic").BeginObject();
+  w.Key("probes").Uint(nic.probes);
+  w.Key("ok").Uint(nic.ok);
+  w.Key("availability").Double(nic.availability);
+  w.Key("quarantines").Uint(nic.quarantines);
+  w.Key("shed_packets").Uint(nic.shed_packets);
+  w.EndObject().Key("nvme").BeginObject();
+  w.Key("probes").Uint(nvme.probes);
+  w.Key("ok").Uint(nvme.ok);
+  w.Key("availability").Double(nvme.availability);
+  w.Key("quarantines").Uint(nvme.quarantines);
+  w.Key("shed_ios").Uint(nvme.shed_ios);
+  w.Key("reads_completed").Uint(nvme.reads_completed);
+  w.Key("writes_completed").Uint(nvme.writes_completed);
+  w.Key("io_errors").Uint(nvme.io_errors);
+  w.Key("completion_errors").Uint(nvme.completion_errors);
+  w.Key("queue_resets").Uint(nvme.queue_resets);
+  w.Key("forged_completions").Uint(nvme.forged_completions);
+  w.Key("replays_landed").Uint(nvme.replays_landed);
+  w.Key("replays_blocked").Uint(nvme.replays_blocked);
+  w.Key("verify_mismatches").Uint(nvme.verify_mismatches);
+  w.EndObject().Key("policy").BeginObject();
+  w.Key("hotplug_attaches").Uint(policy.hotplug_attaches);
+  w.Key("hotplug_detaches").Uint(policy.hotplug_detaches);
+  w.Key("subpage_read_probes").Uint(policy.subpage_read_probes);
+  w.Key("subpage_write_probes").Uint(policy.subpage_write_probes);
+  w.Key("secret_leaks").Uint(policy.secret_leaks);
+  w.Key("neighbour_corruptions").Uint(policy.neighbour_corruptions);
+  w.Key("bounce_rx_ok").Uint(policy.bounce_rx_ok);
+  w.Key("bounce_maps").Uint(policy.bounce_maps);
+  w.Key("bounce_unmaps").Uint(policy.bounce_unmaps);
+  w.Key("demotions").Uint(policy.demotions);
+  w.Key("promotion_attempts").Uint(policy.promotion_attempts);
+  w.Key("promotions_blocked").Uint(policy.promotions_blocked);
+  w.Key("hostile_still_untrusted").Uint(policy.hostile_still_untrusted);
   // The engine's own HSI-style posture document, verbatim (null when the
   // policy leg is off).
-  w.Raw("posture", posture_json.empty() ? "null" : posture_json);
-  {
-    JsonWriter f;
-    f.Field("incidents_opened", incidents_opened);
-    f.Field("incidents_suppressed", incidents_suppressed);
-    f.Field("flight_records", flight_records);
-    f.Field("flight_dropped", flight_dropped);
-    f.Raw("summary",
-          incident_summary_json.empty() ? "null" : incident_summary_json);
-    w.Raw("forensics", f.Finish());
+  w.EndObject().Key("posture").Raw(posture_json).Key("forensics").BeginObject();
+  w.Key("incidents_opened").Uint(incidents_opened);
+  w.Key("incidents_suppressed").Uint(incidents_suppressed);
+  w.Key("flight_records").Uint(flight_records);
+  w.Key("flight_dropped").Uint(flight_dropped);
+  w.Key("summary").Raw(incident_summary_json);
+  w.EndObject().Key("cpus").BeginArray();
+  for (const CpuBreakdown& cpu : cpus) {
+    w.BeginObject().Key("cpu").Uint(cpu.cpu).Key("churn_ops").Uint(cpu.churn_ops);
+    w.Key("churn_failures").Uint(cpu.churn_failures).Key("rx_packets").Uint(cpu.rx_packets);
+    w.EndObject();
   }
-  {
-    std::string arr = "[";
-    for (size_t i = 0; i < cpus.size(); ++i) {
-      if (i != 0) {
-        arr += ",";
-      }
-      JsonWriter c;
-      c.Field("cpu", cpus[i].cpu);
-      c.Field("churn_ops", cpus[i].churn_ops);
-      c.Field("churn_failures", cpus[i].churn_failures);
-      c.Field("rx_packets", cpus[i].rx_packets);
-      arr += c.Finish();
-    }
-    arr += "]";
-    w.Raw("cpus", arr);
-  }
-  return w.Finish();
+  return w.EndArray().EndObject().Take();
 }
 
 }  // namespace spv::soak

@@ -238,7 +238,7 @@ struct SoakReport {
   // soak_cli --incident-out writes. Empty when the forensics leg is off.
   std::string incidents_json;
 
-  // Deterministic: fixed field order, integers and fixed-precision doubles.
+  // Deterministic: fixed field order, written by json::Writer.
   std::string ToJson() const;
 };
 

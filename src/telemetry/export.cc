@@ -1,13 +1,14 @@
 // Deterministic exporters for the telemetry Hub.
 //
 // Determinism contract: registry maps iterate in sorted name order, events in
-// seq order, every number is an integer (no locale / float formatting), and
+// seq order, every number is an integer, JSON goes through json::Writer, and
 // nothing derived from wall-clock time or pointers is emitted. Two identical
 // simulations therefore export byte-identical documents — the property the
 // bench harness and the regression tests rely on.
 
 #include <sstream>
 
+#include "base/json.h"
 #include "telemetry/telemetry.h"
 
 namespace spv::telemetry {
@@ -31,110 +32,57 @@ std::string CsvEscape(std::string_view field) {
   return out;
 }
 
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out.push_back(kHex[(c >> 4) & 0xf]);
-          out.push_back(kHex[c & 0xf]);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 namespace {
 
-void AppendEventJson(std::ostringstream& out, const Event& event) {
-  out << "{\"seq\":" << event.seq << ",\"cycle\":" << event.cycle << ",\"kind\":\""
-      << EventKindName(event.kind) << "\",\"severity\":\"" << SeverityName(event.severity)
-      << "\",\"device\":" << event.device << ",\"addr\":" << event.addr
-      << ",\"addr2\":" << event.addr2 << ",\"len\":" << event.len << ",\"aux\":" << event.aux
-      << ",\"flag\":" << (event.flag ? 1 : 0) << ",\"span\":" << event.span << ",\"site\":\""
-      << JsonEscape(event.site) << "\"}";
+void AppendEventJson(json::Writer& w, const Event& event) {
+  w.BeginObject().Key("seq").Uint(event.seq).Key("cycle").Uint(event.cycle);
+  w.Key("kind").String(EventKindName(event.kind));
+  w.Key("severity").String(SeverityName(event.severity));
+  w.Key("device").Uint(event.device).Key("addr").Uint(event.addr);
+  w.Key("addr2").Uint(event.addr2).Key("len").Uint(event.len).Key("aux").Uint(event.aux);
+  w.Key("flag").Uint(event.flag ? 1 : 0).Key("span").Uint(event.span);
+  w.Key("site").String(event.site).EndObject();
 }
 
 }  // namespace
 
 std::string Hub::ExportJson(size_t max_trace_events) const {
-  std::ostringstream out;
-  out << "{\n  \"counters\": {";
-  bool first = true;
+  json::Writer w;
+  w.BeginObject().Key("counters").BeginObject();
   for (const auto& [name, counter] : counters_) {
-    out << (first ? "\n" : ",\n") << "    \"" << JsonEscape(name)
-        << "\": " << counter.value();
-    first = false;
+    w.Key(name).Uint(counter.value());
   }
-  out << (first ? "}" : "\n  }") << ",\n  \"histograms\": {";
-  first = true;
+  w.EndObject().Key("histograms").BeginObject();
   for (const auto& [name, histogram] : histograms_) {
-    out << (first ? "\n" : ",\n") << "    \"" << JsonEscape(name)
-        << "\": {\"count\":" << histogram.count() << ",\"sum\":" << histogram.sum()
-        << ",\"min\":" << histogram.min() << ",\"max\":" << histogram.max()
-        << ",\"p50\":" << histogram.PercentileUpperBound(50.0)
-        << ",\"p90\":" << histogram.PercentileUpperBound(90.0)
-        << ",\"p99\":" << histogram.PercentileUpperBound(99.0) << ",\"buckets\":[";
-    bool first_bucket = true;
+    w.Key(name).BeginObject().Key("count").Uint(histogram.count());
+    w.Key("sum").Uint(histogram.sum()).Key("min").Uint(histogram.min());
+    w.Key("max").Uint(histogram.max());
+    w.Key("p50").Uint(histogram.PercentileUpperBound(50.0));
+    w.Key("p90").Uint(histogram.PercentileUpperBound(90.0));
+    w.Key("p99").Uint(histogram.PercentileUpperBound(99.0));
+    w.Key("buckets").BeginArray();
     for (const Histogram::Bucket& bucket : histogram.NonZeroBuckets()) {
-      out << (first_bucket ? "" : ",") << "[" << bucket.upper_bound << "," << bucket.count
-          << "]";
-      first_bucket = false;
+      w.BeginArray().Uint(bucket.upper_bound).Uint(bucket.count).EndArray();
     }
-    out << "]}";
-    first = false;
+    w.EndArray().EndObject();
   }
   // `dropped_critical` is the fail-loud field: a nonzero value means security
   // findings were overwritten and the export below is an incomplete record.
-  out << (first ? "}" : "\n  }") << ",\n  \"trace\": {\"recorded\":" << ring_.recorded()
-      << ",\"dropped\":" << ring_.dropped()
-      << ",\"dropped_critical\":" << ring_.dropped(Severity::kCritical)
-      << ",\"dropped_by_severity\":[" << ring_.dropped(Severity::kTrace) << ","
-      << ring_.dropped(Severity::kInfo) << "," << ring_.dropped(Severity::kWarn) << ","
-      << ring_.dropped(Severity::kCritical) << "]"
-      << ",\"filtered\":" << ring_.filtered() << ",\"events\":[";
+  w.EndObject().Key("trace").BeginObject().Key("recorded").Uint(ring_.recorded());
+  w.Key("dropped").Uint(ring_.dropped());
+  w.Key("dropped_critical").Uint(ring_.dropped(Severity::kCritical));
+  w.Key("dropped_by_severity").BeginArray();
+  for (const Severity severity :
+       {Severity::kTrace, Severity::kInfo, Severity::kWarn, Severity::kCritical}) {
+    w.Uint(ring_.dropped(severity));
+  }
+  w.EndArray().Key("filtered").Uint(ring_.filtered()).Key("events").BeginArray();
   const std::vector<Event> events = ring_.Snapshot();
-  size_t emitted = 0;
-  for (const Event& event : events) {
-    if (emitted >= max_trace_events) {
-      break;
-    }
-    out << (emitted == 0 ? "\n    " : ",\n    ");
-    AppendEventJson(out, event);
-    ++emitted;
+  for (size_t i = 0; i < events.size() && i < max_trace_events; ++i) {
+    AppendEventJson(w, events[i]);
   }
-  out << (emitted == 0 ? "]" : "\n  ]") << "}\n}\n";
-  return out.str();
-}
-
-std::string Hub::ExportCountersCsv() const {
-  std::ostringstream out;
-  out << "name,value\n";
-  for (const auto& [name, counter] : counters_) {
-    out << CsvEscape(name) << "," << counter.value() << "\n";
-  }
-  return out.str();
+  w.EndArray().EndObject().EndObject();
+  return w.Take();
 }
 
 std::string Hub::ExportTraceCsv() const {

@@ -371,8 +371,6 @@ class Hub {
 
   // Counters + histograms + trace (events included up to `max_trace_events`).
   std::string ExportJson(size_t max_trace_events = SIZE_MAX) const;
-  // "name,value" per counter.
-  std::string ExportCountersCsv() const;
   // One CSV row per ring event; consumed by tools/trace_cli.
   std::string ExportTraceCsv() const;
 
@@ -401,8 +399,6 @@ class Hub {
 
 // CSV-escapes `field` (quotes it when it contains a comma, quote or newline).
 std::string CsvEscape(std::string_view field);
-// JSON string escaping (quotes, backslashes, control characters).
-std::string JsonEscape(std::string_view text);
 
 // Parses `Hub::ExportTraceCsv` output back into Events (the inverse of the
 // exporter; shared by tools/trace_cli and tests). Accepts both the current

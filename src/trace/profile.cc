@@ -5,6 +5,8 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "base/json.h"
+
 namespace spv::trace {
 
 namespace {
@@ -127,46 +129,53 @@ std::unordered_set<uint64_t> SubtreeMask(const SpanForest& forest, SpanId root) 
 
 std::string ChromeTraceJson(const SpanForest& forest, const std::vector<Instant>& instants,
                             const std::unordered_set<uint64_t>& mask) {
-  std::ostringstream out;
-  out << "{\"displayTimeUnit\":\"ns\",\"otherData\":{\"timebase\":\"sim_cycles\"},"
-      << "\"traceEvents\":[\n"
-      << "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
-         "\"args\":{\"name\":\"spv-sim\"}},\n"
-      << "{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"thread_name\","
-         "\"args\":{\"name\":\"spans\"}},\n"
-      << "{\"ph\":\"M\",\"pid\":1,\"tid\":2,\"name\":\"thread_name\","
-         "\"args\":{\"name\":\"windows\"}}";
+  json::Writer w;
+  w.BeginObject().Key("displayTimeUnit").String("ns");
+  w.Key("otherData").BeginObject().Key("timebase").String("sim_cycles").EndObject();
+  w.Key("traceEvents").BeginArray();
+  const auto metadata = [&w](uint64_t tid, std::string_view name, std::string_view value) {
+    w.BeginObject().Key("ph").String("M").Key("pid").Uint(1).Key("tid").Uint(tid);
+    w.Key("name").String(name).Key("args").BeginObject().Key("name").String(value);
+    w.EndObject().EndObject();
+  };
+  metadata(0, "process_name", "spv-sim");
+  metadata(1, "thread_name", "spans");
+  metadata(2, "thread_name", "windows");
   for (const SpanRecord& record : forest.records) {
     if (!InMask(mask, record.id.value)) {
       continue;
     }
-    const std::string name = telemetry::JsonEscape(record.name);
     if (record.detached) {
-      out << ",\n{\"name\":\"" << name << "\",\"cat\":\"window\",\"ph\":\"b\",\"id\":"
-          << record.id.value << ",\"ts\":" << record.open_cycle
-          << ",\"pid\":1,\"tid\":2,\"args\":{\"parent\":" << record.parent.value << "}}";
-      out << ",\n{\"name\":\"" << name << "\",\"cat\":\"window\",\"ph\":\"e\",\"id\":"
-          << record.id.value << ",\"ts\":"
-          << (record.closed ? record.close_cycle : forest.total_cycles)
-          << ",\"pid\":1,\"tid\":2,\"args\":{}}";
+      w.BeginObject().Key("name").String(record.name).Key("cat").String("window");
+      w.Key("ph").String("b").Key("id").Uint(record.id.value).Key("ts").Uint(record.open_cycle);
+      w.Key("pid").Uint(1).Key("tid").Uint(2);
+      w.Key("args").BeginObject().Key("parent").Uint(record.parent.value).EndObject();
+      w.EndObject();
+      w.BeginObject().Key("name").String(record.name).Key("cat").String("window");
+      w.Key("ph").String("e").Key("id").Uint(record.id.value);
+      w.Key("ts").Uint(record.closed ? record.close_cycle : forest.total_cycles);
+      w.Key("pid").Uint(1).Key("tid").Uint(2).Key("args").BeginObject().EndObject();
+      w.EndObject();
     } else {
-      out << ",\n{\"name\":\"" << name << "\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":"
-          << record.open_cycle << ",\"dur\":" << EffectiveDuration(record, forest.total_cycles)
-          << ",\"pid\":1,\"tid\":1,\"args\":{\"span\":" << record.id.value
-          << ",\"parent\":" << record.parent.value << "}}";
+      w.BeginObject().Key("name").String(record.name).Key("cat").String("span");
+      w.Key("ph").String("X").Key("ts").Uint(record.open_cycle);
+      w.Key("dur").Uint(EffectiveDuration(record, forest.total_cycles));
+      w.Key("pid").Uint(1).Key("tid").Uint(1).Key("args").BeginObject();
+      w.Key("span").Uint(record.id.value).Key("parent").Uint(record.parent.value);
+      w.EndObject().EndObject();
     }
   }
   for (const Instant& instant : instants) {
     if (!mask.empty() && mask.count(instant.span) == 0) {
       continue;
     }
-    out << ",\n{\"name\":\"" << telemetry::JsonEscape(instant.name)
-        << "\",\"cat\":\"instant\",\"ph\":\"i\",\"ts\":" << instant.cycle
-        << ",\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"detail\":\""
-        << telemetry::JsonEscape(instant.detail) << "\",\"span\":" << instant.span << "}}";
+    w.BeginObject().Key("name").String(instant.name).Key("cat").String("instant");
+    w.Key("ph").String("i").Key("ts").Uint(instant.cycle).Key("pid").Uint(1);
+    w.Key("tid").Uint(1).Key("s").String("t").Key("args").BeginObject();
+    w.Key("detail").String(instant.detail).Key("span").Uint(instant.span);
+    w.EndObject().EndObject();
   }
-  out << "\n]}\n";
-  return out.str();
+  return w.EndArray().EndObject().Take();
 }
 
 std::string CollapsedStacks(const SpanForest& forest,

@@ -1,12 +1,17 @@
-// Unit tests for the base module: strong types, status, rng, align, clock.
+// Unit tests for the base module: strong types, status, rng, align, clock,
+// json.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <optional>
 #include <set>
+#include <string>
 #include <unordered_set>
 
 #include "base/align.h"
 #include "base/clock.h"
+#include "base/json.h"
 #include "base/log.h"
 #include "base/rng.h"
 #include "base/status.h"
@@ -237,6 +242,51 @@ TEST(ClockTest, AdvancesMonotonically) {
 TEST(ClockTest, UnitConversionsRoundTrip) {
   EXPECT_EQ(SimClock::MsToCycles(10), 10u * 1000u * SimClock::kCyclesPerUs);
   EXPECT_DOUBLE_EQ(SimClock::CyclesToUs(SimClock::UsToCycles(250)), 250.0);
+}
+
+// ---- json -------------------------------------------------------------------
+
+TEST(JsonTest, WriterIsCompactInCallOrder) {
+  json::Writer w;
+  w.BeginObject().Key("b").BeginArray().Uint(1).Int(-2).Bool(true).Null().EndArray();
+  w.Key("a").Double(2.0 / 3).Key("big").Double(1234567.0).Key("raw").Raw("{\"x\":[]}");
+  w.Key("none").Raw("").Key("nan").Double(std::nan("")).Key("s").String("q\"\n");
+  EXPECT_EQ(w.EndObject().Take(),
+            "{\"b\":[1,-2,true,null],\"a\":0.666667,\"big\":1.23457e+06,\"raw\":{\"x\":[]},"
+            "\"none\":null,\"nan\":null,\"s\":\"q\\\"\\n\"}");
+}
+
+// A double holds 53 bits: a reader that parses through one turns the kernel
+// address 0xffff8dde00400400 into ...400000, erasing the sub-page offset the
+// paper's classes (a), (b) and (d) are told apart by.
+TEST(JsonTest, RoundTripKeepsIntegersAndBytesExact) {
+  std::string every_ascii;
+  for (int c = 0x01; c <= 0x7f; ++c) {
+    every_ascii.push_back(static_cast<char>(c));
+  }
+  json::Writer w;
+  w.BeginObject().Key("max").Uint(UINT64_MAX).Key("kva").Uint(0xffff8dde00400400ull);
+  w.Key("bytes").String(every_ascii).EndObject();
+  const std::optional<json::Value> doc = json::Parse(w.Take());
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->U64("max"), UINT64_MAX);
+  EXPECT_EQ(doc->U64("kva"), 0xffff8dde00400400ull);
+  EXPECT_EQ(doc->Str("bytes"), every_ascii);
+}
+
+TEST(JsonTest, ParseReportsWhereMalformedInputStops) {
+  size_t offset = 0;
+  EXPECT_FALSE(json::Parse("{\"a\":1,}", &offset).has_value());
+  EXPECT_EQ(offset, 7u);
+  EXPECT_FALSE(json::Parse("[1] 2", &offset).has_value());
+  EXPECT_EQ(offset, 4u);
+  EXPECT_FALSE(json::Parse(std::string(100000, '['), &offset).has_value());  // stack-safe
+  EXPECT_EQ(offset, 257u);
+  const std::optional<json::Value> doc = json::Parse(" {\"d\": -2.5e1, \"u\": \"\\u00e9\"} ");
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->Find("d")->number, -25.0);
+  EXPECT_EQ(doc->U64("d"), 0u);
+  EXPECT_EQ(doc->Str("u"), "\xc3\xa9");
 }
 
 }  // namespace

@@ -16,10 +16,12 @@
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/json.h"
 #include "core/machine.h"
 #include "device/device_port.h"
 #include "device/malicious_nic.h"
@@ -610,8 +612,12 @@ TEST(DegradedSoak, NoDrillReportsIdentityDegradedAvailability) {
   EXPECT_EQ(report.degraded_probes, 0u);
   EXPECT_EQ(report.degraded_ok, 0u);
   EXPECT_EQ(report.availability_degraded, 1.0);
-  EXPECT_NE(report.ToJson().find("\"availability_degraded\":1.000000"),
-            std::string::npos);
+  const std::optional<json::Value> doc = json::Parse(report.ToJson());
+  ASSERT_TRUE(doc.has_value());
+  const json::Value* degraded = doc->Find("availability_degraded");
+  ASSERT_NE(degraded, nullptr);
+  EXPECT_EQ(degraded->type, json::Value::Type::kNumber);
+  EXPECT_EQ(degraded->number, 1.0);
 }
 
 }  // namespace

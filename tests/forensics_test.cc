@@ -13,12 +13,15 @@
 //     branch, and the soak harness embeds a deterministic forensics block.
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "base/clock.h"
+#include "base/json.h"
 #include "core/machine.h"
 #include "device/device_port.h"
 #include "fault/fault.h"
@@ -26,7 +29,9 @@
 #include "forensics/incident.h"
 #include "nvme/malicious_nvme.h"
 #include "nvme/nvme_driver.h"
+#include "policy/policy.h"
 #include "soak/soak.h"
+#include "trace/tracer.h"
 
 namespace spv::forensics {
 namespace {
@@ -473,6 +478,84 @@ TEST(ForensicsSoak, SoakEmbedsDeterministicForensicsBlock) {
   EXPECT_EQ(off.sim_cycles, first.sim_cycles);
   EXPECT_EQ(off.epochs, first.epochs);
   EXPECT_EQ(off.echo_ok, first.echo_ok);
+}
+
+// Every JSON document one seeded run produces parses back, each with its
+// structure intact: the telemetry export; the incident report with its
+// embedded recorder, windows, trust and recovery; the summary; the posture;
+// a soak report embedding that posture and summary; the Chrome trace.
+TEST(ForensicsExport, EveryDocumentOfOneRunParses) {
+  core::MachineConfig mc = BaseConfig(205, iommu::InvalidationMode::kDeferred);
+  mc.telemetry.enabled = true;
+  mc.trace.enabled = true;
+  mc.policy.enabled = true;
+  policy::Quirk inbox;  // trusted, so the deferred stale window stays open
+  inbox.match_class = "nvme";
+  inbox.initial_trust = policy::TrustState::kTrusted;
+  mc.policy.quirks.push_back(inbox);
+  EvilRig rig(mc);
+  ASSERT_TRUE(rig.driver.Init().ok());
+  rig.controller.set_warm_iotlb(true);
+  rig.controller.set_complete_before_transfer(true);
+  auto buf = rig.machine.slab().Kmalloc(512, "posted_read_buf");
+  ASSERT_TRUE(buf.ok());
+  ASSERT_TRUE(rig.driver.ReadBlocks(8, 1, *buf).ok());
+  ASSERT_TRUE(rig.machine.slab().Kfree(*buf).ok());
+  buf = rig.machine.slab().Kmalloc(512, "recycled_victim");
+  ASSERT_TRUE(buf.ok());
+  rig.machine.clock().AdvanceUs(5);
+  const uint64_t stale_before = rig.machine.iommu().stats().stale_iotlb_accesses;
+  ASSERT_TRUE(rig.controller.ReplayPendingTransfer().ok());  // stale hit: auto-freeze
+  ASSERT_GT(rig.machine.iommu().stats().stale_iotlb_accesses, stale_before);
+  IncidentEngine* incidents = rig.machine.incidents();
+  ASSERT_EQ(incidents->incident_count(), 1u);
+
+  const json::Value kMissing;
+  const auto at = [&kMissing](const json::Value& value,
+                              std::string_view key) -> const json::Value& {
+    const json::Value* member = value.Find(key);
+    EXPECT_NE(member, nullptr) << key;
+    return member != nullptr ? *member : kMissing;
+  };
+  const auto parse = [](const std::string& text) {
+    std::optional<json::Value> doc = json::Parse(text);
+    EXPECT_TRUE(doc.has_value()) << text;
+    return doc.value_or(json::Value{});
+  };
+
+  const json::Value hub = parse(rig.machine.telemetry().ExportJson());
+  EXPECT_GT(at(hub, "counters").U64("iommu.maps"), 0u);
+  EXPECT_FALSE(at(at(hub, "trace"), "events").array.empty());
+
+  const json::Value reports = parse(incidents->ReportsJson());
+  ASSERT_EQ(at(reports, "incidents").array.size(), 1u);
+  const json::Value& incident = at(reports, "incidents").array[0];
+  EXPECT_EQ(incident.Str("inferred_class"), "poisoned_completion");
+  EXPECT_FALSE(at(incident, "windows").array.empty());
+  EXPECT_EQ(at(incident, "trust").Str("trust"), "trusted");
+  EXPECT_EQ(at(incident, "recovery").type, json::Value::Type::kObject);
+  EXPECT_FALSE(at(at(reports, "recorder"), "rings").array.empty());
+
+  const std::string summary = incidents->SummaryJson();
+  EXPECT_EQ(at(parse(summary), "by_class").U64("poisoned_completion"), 1u);
+
+  const std::string posture = rig.machine.policy()->PostureJson();
+  EXPECT_TRUE(parse(posture).Bool("policy_enabled"));
+
+  soak::SoakReport report;
+  report.posture_json = posture;
+  report.incident_summary_json = summary;
+  const json::Value soak_doc = parse(report.ToJson());
+  EXPECT_EQ(at(at(soak_doc, "posture"), "devices").type, json::Value::Type::kArray);
+  EXPECT_EQ(at(at(soak_doc, "forensics"), "summary").U64("count"), 1u);
+
+  const json::Value chrome = parse(rig.machine.tracer()->ChromeTraceJson());
+  EXPECT_EQ(at(chrome, "traceEvents").array.at(0).Str("ph"), "M");
+
+  rig.controller.ClearPendingTransfers();
+  rig.machine.iommu().FlushNow();
+  ASSERT_TRUE(rig.machine.slab().Kfree(*buf).ok());
+  EXPECT_TRUE(rig.driver.Shutdown().ok());
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "base/json.h"
 #include "core/machine.h"
 #include "device/device_port.h"
 #include "device/malicious_nic.h"
@@ -385,10 +387,16 @@ TEST(PolicyPosture, JsonIsDeterministic) {
   const std::string second = run();
   EXPECT_EQ(first, second);
   // Spot-check the HSI-style surface.
-  EXPECT_NE(first.find("\"policy_enabled\": true"), std::string::npos);
-  EXPECT_NE(first.find("\"model\": \"scanner\""), std::string::npos);
-  EXPECT_NE(first.find("\"trust\": \"untrusted\""), std::string::npos);
-  EXPECT_NE(first.find("\"promotions_blocked\": 1"), std::string::npos);
+  const std::optional<json::Value> posture = json::Parse(first);
+  ASSERT_TRUE(posture.has_value()) << first;
+  EXPECT_TRUE(posture->Bool("policy_enabled"));
+  const json::Value* devices = posture->Find("devices");
+  ASSERT_NE(devices, nullptr);
+  ASSERT_EQ(devices->array.size(), 2u);
+  const json::Value& scanner = devices->array[1];
+  EXPECT_EQ(scanner.Str("model"), "scanner");
+  EXPECT_EQ(scanner.Str("trust"), "untrusted");
+  EXPECT_EQ(scanner.U64("promotions_blocked"), 1u);
 }
 
 TEST(PolicyPosture, DisabledEngineRefusesRegistration) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "attack/attacks.h"
+#include "base/json.h"
 #include "attack/mini_cpu.h"
 #include "core/machine.h"
 #include "device/malicious_nic.h"
@@ -183,11 +184,13 @@ TEST(ExportTest, CsvEscaping) {
   EXPECT_EQ(CsvEscape("two\nlines"), "\"two\nlines\"");
 }
 
+std::string JsonString(std::string_view text) { return json::Writer().String(text).Take(); }
+
 TEST(ExportTest, JsonEscaping) {
-  EXPECT_EQ(JsonEscape("plain"), "plain");
-  EXPECT_EQ(JsonEscape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(JsonEscape("tab\there"), "tab\\there");
-  EXPECT_EQ(JsonEscape(std::string_view("\x01", 1)), "\\u0001");
+  EXPECT_EQ(JsonString("plain"), "\"plain\"");
+  EXPECT_EQ(JsonString("a\"b\\c"), "\"a\\\"b\\\\c\"");
+  EXPECT_EQ(JsonString("tab\there"), "\"tab\\there\"");
+  EXPECT_EQ(JsonString(std::string_view("\x01", 1)), "\"\\u0001\"");
 }
 
 TEST(ExportTest, HistogramJsonCarriesSummaryQuantiles) {

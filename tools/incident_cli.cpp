@@ -21,206 +21,17 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
-#include <vector>
+
+#include "base/json.h"
+
+using namespace spv;
 
 namespace {
 
-// ---- A minimal JSON reader (the document is machine-written, so the
-// ---- grammar is honest; errors still fail loudly, never silently) ----------
-
-struct Value {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<Value> array;
-  std::vector<std::pair<std::string, Value>> object;  // insertion order kept
-
-  const Value* Find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) {
-        return &v;
-      }
-    }
-    return nullptr;
-  }
-  uint64_t U64(const std::string& key, uint64_t fallback = 0) const {
-    const Value* v = Find(key);
-    return v != nullptr && v->type == Type::kNumber
-               ? static_cast<uint64_t>(v->number)
-               : fallback;
-  }
-  std::string Str(const std::string& key, const std::string& fallback = "") const {
-    const Value* v = Find(key);
-    return v != nullptr && v->type == Type::kString ? v->string : fallback;
-  }
-  bool Bool(const std::string& key) const {
-    const Value* v = Find(key);
-    return v != nullptr && v->type == Type::kBool && v->boolean;
-  }
-};
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  bool Parse(Value* out) {
-    return ParseValue(out) && (SkipWs(), pos_ == text_.size());
-  }
-  size_t error_pos() const { return pos_; }
-
- private:
-  void SkipWs() {
-    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                                   text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  bool Literal(const char* word, size_t len) {
-    if (text_.compare(pos_, len, word) != 0) {
-      return false;
-    }
-    pos_ += len;
-    return true;
-  }
-  bool ParseString(std::string* out) {
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      return false;
-    }
-    ++pos_;
-    out->clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'u':
-            // The writer only escapes control bytes; render them blank.
-            pos_ += pos_ + 4 <= text_.size() ? 4 : text_.size() - pos_;
-            c = '?';
-            break;
-          default: c = esc; break;
-        }
-      }
-      out->push_back(c);
-    }
-    if (pos_ >= text_.size()) {
-      return false;
-    }
-    ++pos_;  // closing quote
-    return true;
-  }
-  bool ParseValue(Value* out) {
-    SkipWs();
-    if (pos_ >= text_.size()) {
-      return false;
-    }
-    const char c = text_[pos_];
-    if (c == 'n') {
-      out->type = Value::Type::kNull;
-      return Literal("null", 4);
-    }
-    if (c == 't') {
-      out->type = Value::Type::kBool;
-      out->boolean = true;
-      return Literal("true", 4);
-    }
-    if (c == 'f') {
-      out->type = Value::Type::kBool;
-      out->boolean = false;
-      return Literal("false", 5);
-    }
-    if (c == '"') {
-      out->type = Value::Type::kString;
-      return ParseString(&out->string);
-    }
-    if (c == '[') {
-      ++pos_;
-      out->type = Value::Type::kArray;
-      SkipWs();
-      if (pos_ < text_.size() && text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        out->array.emplace_back();
-        if (!ParseValue(&out->array.back())) {
-          return false;
-        }
-        SkipWs();
-        if (pos_ >= text_.size()) {
-          return false;
-        }
-        if (text_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (text_[pos_] == ']') {
-          ++pos_;
-          return true;
-        }
-        return false;
-      }
-    }
-    if (c == '{') {
-      ++pos_;
-      out->type = Value::Type::kObject;
-      SkipWs();
-      if (pos_ < text_.size() && text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        SkipWs();
-        std::string key;
-        if (!ParseString(&key)) {
-          return false;
-        }
-        SkipWs();
-        if (pos_ >= text_.size() || text_[pos_] != ':') {
-          return false;
-        }
-        ++pos_;
-        out->object.emplace_back(std::move(key), Value{});
-        if (!ParseValue(&out->object.back().second)) {
-          return false;
-        }
-        SkipWs();
-        if (pos_ >= text_.size()) {
-          return false;
-        }
-        if (text_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (text_[pos_] == '}') {
-          ++pos_;
-          return true;
-        }
-        return false;
-      }
-    }
-    // Number (the writer emits plain integers and fixed-precision doubles).
-    char* end = nullptr;
-    out->type = Value::Type::kNumber;
-    out->number = std::strtod(text_.c_str() + pos_, &end);
-    if (end == text_.c_str() + pos_) {
-      return false;
-    }
-    pos_ = static_cast<size_t>(end - text_.c_str());
-    return true;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
+using json::Value;
 
 // ---- Rendering -------------------------------------------------------------
 
@@ -376,13 +187,14 @@ int main(int argc, char** argv) {
   buffer << in.rdbuf();
   const std::string text = buffer.str();
 
-  Value doc;
-  Parser parser(text);
-  if (!parser.Parse(&doc) || doc.type != Value::Type::kObject) {
+  size_t error_offset = 0;
+  const std::optional<Value> parsed = json::Parse(text, &error_offset);
+  if (!parsed.has_value() || parsed->type != Value::Type::kObject) {
     std::fprintf(stderr, "incident: malformed JSON in '%s' (offset %zu)\n",
-                 path.c_str(), parser.error_pos());
+                 path.c_str(), error_offset);
     return 1;
   }
+  const Value& doc = *parsed;
   if (summary) {
     return PrintSummaryOnly(doc);
   }

@@ -14,36 +14,30 @@
 #include <string>
 #include <vector>
 
+#include "base/json.h"
 #include "spade/analyzer.h"
 #include "spade/corpus.h"
-#include "telemetry/telemetry.h"
 
 using namespace spv;
 
 namespace {
 
 void PrintJson(const std::vector<spade::SiteFinding>& findings) {
-  std::printf("[\n");
-  for (size_t i = 0; i < findings.size(); ++i) {
-    const spade::SiteFinding& f = findings[i];
-    std::printf("  {\"file\": \"%s\", \"line\": %d, \"function\": \"%s\", "
-                "\"callee\": \"%s\", \"exposed_struct\": \"%s\", "
-                "\"callbacks_exposed\": %s, \"direct_callbacks\": %u, "
-                "\"spoofable_callbacks\": %u, \"shared_info_mapped\": %s, "
-                "\"type_c\": %s, \"private_data\": %s, \"stack_mapped\": %s, "
-                "\"unresolved\": %s, \"possible_false_positive\": %s}%s\n",
-                telemetry::JsonEscape(f.file).c_str(), f.line,
-                telemetry::JsonEscape(f.function).c_str(),
-                telemetry::JsonEscape(f.callee).c_str(),
-                telemetry::JsonEscape(f.exposed_struct).c_str(),
-                f.callbacks_exposed ? "true" : "false", f.direct_callbacks,
-                f.spoofable_callbacks, f.shared_info_mapped ? "true" : "false",
-                f.type_c ? "true" : "false", f.private_data ? "true" : "false",
-                f.stack_mapped ? "true" : "false", f.unresolved ? "true" : "false",
-                f.possible_false_positive ? "true" : "false",
-                i + 1 < findings.size() ? "," : "");
+  json::Writer w;
+  w.BeginArray();
+  for (const spade::SiteFinding& f : findings) {
+    w.BeginObject().Key("file").String(f.file).Key("line").Int(f.line);
+    w.Key("function").String(f.function).Key("callee").String(f.callee);
+    w.Key("exposed_struct").String(f.exposed_struct);
+    w.Key("callbacks_exposed").Bool(f.callbacks_exposed);
+    w.Key("direct_callbacks").Uint(f.direct_callbacks);
+    w.Key("spoofable_callbacks").Uint(f.spoofable_callbacks);
+    w.Key("shared_info_mapped").Bool(f.shared_info_mapped).Key("type_c").Bool(f.type_c);
+    w.Key("private_data").Bool(f.private_data).Key("stack_mapped").Bool(f.stack_mapped);
+    w.Key("unresolved").Bool(f.unresolved);
+    w.Key("possible_false_positive").Bool(f.possible_false_positive).EndObject();
   }
-  std::printf("]\n");
+  std::printf("%s\n", w.EndArray().Take().c_str());
 }
 
 }  // namespace

@@ -410,7 +410,7 @@ int Render(const std::string& csv, const Options& opts) {
   if (opts.format == "chrome") {
     const std::vector<trace::Instant> instants =
         trace::CollectInstants(events, telemetry::Severity::kWarn);
-    std::fputs(trace::ChromeTraceJson(forest, instants, mask).c_str(), stdout);
+    std::printf("%s\n", trace::ChromeTraceJson(forest, instants, mask).c_str());
     return 0;
   }
   if (opts.format == "flame") {
