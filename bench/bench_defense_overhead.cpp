@@ -5,9 +5,10 @@
 // than a 2000-cycle invalidation — both fall out of the model. The bounce
 // rows run the device untrusted under the trust policy, so DmaApi diverts
 // every transfer through its dma::BouncePool pages.
+//
+// Plain main with a fixed op count per row, so every row is deterministic.
 
-#include <benchmark/benchmark.h>
-
+#include <cstdio>
 #include <vector>
 
 #include "core/machine.h"
@@ -17,6 +18,7 @@ using namespace spv;
 namespace {
 
 constexpr DeviceId kDev{3};
+constexpr uint64_t kOps = 10000;  // RX cycles per row
 
 core::MachineConfig MakeConfig(iommu::InvalidationMode mode, bool bounce_backend) {
   core::MachineConfig config;
@@ -28,8 +30,7 @@ core::MachineConfig MakeConfig(iommu::InvalidationMode mode, bool bounce_backend
   return config;
 }
 
-void RxCycle(benchmark::State& state, iommu::InvalidationMode mode, bool bounce_backend) {
-  const uint64_t pkt = static_cast<uint64_t>(state.range(0));
+double SimCyclesPerRx(iommu::InvalidationMode mode, bool bounce_backend, uint64_t pkt) {
   core::Machine machine{MakeConfig(mode, bounce_backend)};
   machine.iommu().AttachDevice(kDev);
   if (bounce_backend) {
@@ -38,36 +39,39 @@ void RxCycle(benchmark::State& state, iommu::InvalidationMode mode, bool bounce_
   dma::DmaApi& dma = machine.dma();
   Kva buf = *machine.slab().Kmalloc(pkt, "rx_buf");
   std::vector<uint8_t> packet(pkt, 0xab);
-
-  uint64_t ops = 0;
   const uint64_t cycles_start = machine.clock().now();
-  for (auto _ : state) {
+  for (uint64_t op = 0; op < kOps; ++op) {
     auto iova = dma.MapSingle(kDev, buf, pkt, dma::DmaDirection::kFromDevice, "rx");
-    benchmark::DoNotOptimize(iova);
     (void)machine.iommu().DeviceWrite(kDev, *iova, packet);
     (void)dma.UnmapSingle(kDev, *iova, pkt, dma::DmaDirection::kFromDevice);
-    ++ops;
   }
-  state.counters["sim_cycles_per_op"] =
-      ops ? static_cast<double>(machine.clock().now() - cycles_start) /
-                static_cast<double>(ops)
-          : 0;
+  return static_cast<double>(machine.clock().now() - cycles_start) /
+         static_cast<double>(kOps);
 }
-
-void BM_Rx_Deferred(benchmark::State& state) {
-  RxCycle(state, iommu::InvalidationMode::kDeferred, false);
-}
-void BM_Rx_Strict(benchmark::State& state) {
-  RxCycle(state, iommu::InvalidationMode::kStrict, false);
-}
-void BM_Rx_Bounce(benchmark::State& state) {
-  RxCycle(state, iommu::InvalidationMode::kStrict, true);
-}
-
-BENCHMARK(BM_Rx_Deferred)->Arg(64)->Arg(1500)->Arg(4096)->ArgNames({"bytes"});
-BENCHMARK(BM_Rx_Strict)->Arg(64)->Arg(1500)->Arg(4096)->ArgNames({"bytes"});
-BENCHMARK(BM_Rx_Bounce)->Arg(64)->Arg(1500)->Arg(4096)->ArgNames({"bytes"});
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main() {
+  struct Row {
+    const char* name;
+    iommu::InvalidationMode mode;
+    bool bounce;
+  };
+  const Row rows[] = {
+      {"deferred", iommu::InvalidationMode::kDeferred, false},
+      {"strict", iommu::InvalidationMode::kStrict, false},
+      {"bounce", iommu::InvalidationMode::kStrict, true},
+  };
+  const uint64_t sizes[] = {64, 1500, 4096};
+  std::printf("Defense cost: sim cycles per RX map/DMA/unmap (%llu ops per row)\n",
+              static_cast<unsigned long long>(kOps));
+  std::printf("%-9s %10s %10s %10s\n", "defense", "64 B", "1500 B", "4096 B");
+  for (const Row& row : rows) {
+    std::printf("%-9s", row.name);
+    for (const uint64_t pkt : sizes) {
+      std::printf(" %10.2f", SimCyclesPerRx(row.mode, row.bounce, pkt));
+    }
+    std::printf("\n");
+  }
+  return 0;
+}

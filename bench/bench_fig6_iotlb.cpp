@@ -5,10 +5,10 @@
 // flush per queue — and (b) the vulnerability window: how long after
 // dma_unmap a device with a warm IOTLB entry retains access.
 //
-// Built on google-benchmark; simulated-cycle costs are reported as counters.
+// Plain main with a fixed op count, so every row is deterministic; the
+// counters come off the telemetry bus.
 
-#include <benchmark/benchmark.h>
-
+#include <cstdio>
 #include <vector>
 
 #include "core/machine.h"
@@ -17,6 +17,8 @@
 using namespace spv;
 
 namespace {
+
+constexpr uint64_t kOps = 10000;  // map/DMA/unmap cycles per mode
 
 core::MachineConfig MakeConfig(iommu::InvalidationMode mode) {
   core::MachineConfig config;
@@ -28,90 +30,78 @@ core::MachineConfig MakeConfig(iommu::InvalidationMode mode) {
   return config;
 }
 
-void RunMapUnmap(benchmark::State& state, iommu::InvalidationMode mode) {
+void RunMapUnmap(iommu::InvalidationMode mode) {
   core::Machine machine{MakeConfig(mode)};
   const DeviceId dev{1};
   machine.iommu().AttachDevice(dev);
   Kva buf = *machine.slab().Kmalloc(2048, "io_buf");
   std::vector<uint8_t> touch(8);
-
-  uint64_t ops = 0;
-  for (auto _ : state) {
+  for (uint64_t op = 0; op < kOps; ++op) {
     auto iova = machine.dma().MapSingle(dev, buf, 2048, dma::DmaDirection::kFromDevice,
                                         "bench_map");
-    benchmark::DoNotOptimize(iova);
     // Device DMA (warms the IOTLB like a real transfer would).
     (void)machine.iommu().DeviceWrite(dev, *iova, touch);
     (void)machine.dma().UnmapSingle(dev, *iova, 2048, dma::DmaDirection::kFromDevice);
-    ++ops;
   }
-  telemetry::Hub& hub = machine.telemetry();
-  state.counters["sim_inval_cycles_per_op"] =
-      ops ? static_cast<double>(hub.counter_value("iommu.invalidation_cycles")) /
-                static_cast<double>(ops)
-          : 0;
-  state.counters["flushes"] = static_cast<double>(hub.counter_value("iommu.flushes"));
-  state.counters["targeted_invalidations"] =
-      static_cast<double>(hub.counter_value("iommu.targeted_invalidations"));
-  state.counters["iotlb_hits"] = static_cast<double>(hub.counter_value("iotlb.hits"));
-  state.counters["iotlb_misses"] = static_cast<double>(hub.counter_value("iotlb.misses"));
+  const telemetry::Hub& hub = machine.telemetry();
+  auto count = [&hub](const char* name) {
+    return static_cast<unsigned long long>(hub.counter_value(name));
+  };
   // Why the deferred queue drained: full queue vs 10 ms deadline. Strict mode
   // reports zeros (it never queues); deferred at this op rate drains almost
   // exclusively on capacity.
-  state.counters["drain_capacity"] =
-      static_cast<double>(hub.counter_value("iommu.flush_drain.capacity"));
-  state.counters["drain_deadline"] =
-      static_cast<double>(hub.counter_value("iommu.flush_drain.deadline"));
+  std::printf("%-9s %23.2f %8llu %22llu %10llu %12llu %14llu %14llu\n",
+              iommu::InvalidationModeName(mode).c_str(),
+              static_cast<double>(hub.counter_value("iommu.invalidation_cycles")) /
+                  static_cast<double>(kOps),
+              count("iommu.flushes"), count("iommu.targeted_invalidations"),
+              count("iotlb.hits"), count("iotlb.misses"),
+              count("iommu.flush_drain.capacity"), count("iommu.flush_drain.deadline"));
 }
 
-void BM_MapUnmap_Strict(benchmark::State& state) {
-  RunMapUnmap(state, iommu::InvalidationMode::kStrict);
-}
-void BM_MapUnmap_Deferred(benchmark::State& state) {
-  RunMapUnmap(state, iommu::InvalidationMode::kDeferred);
-}
-BENCHMARK(BM_MapUnmap_Strict);
-BENCHMARK(BM_MapUnmap_Deferred);
-
-// The window measurement is deterministic, not timing-based: binary output.
-// Distribution stats come from a telemetry Histogram (one shared quantile
-// implementation) rather than hand-rolled aggregation.
-void BM_StaleWindow(benchmark::State& state) {
-  const bool deferred = state.range(0) == 1;
-  telemetry::Histogram window_us_hist;
-  for (auto _ : state) {
-    core::Machine machine{
-        MakeConfig(deferred ? iommu::InvalidationMode::kDeferred
-                            : iommu::InvalidationMode::kStrict)};
-    const DeviceId dev{1};
-    machine.iommu().AttachDevice(dev);
-    Kva buf = *machine.slab().Kmalloc(2048, "io_buf");
-    std::vector<uint8_t> touch(8);
-    auto iova = machine.dma().MapSingle(dev, buf, 2048, dma::DmaDirection::kFromDevice,
-                                        "window_map");
-    (void)machine.iommu().DeviceWrite(dev, *iova, touch);
-    const uint64_t unmap_time = machine.clock().now();
-    (void)machine.dma().UnmapSingle(dev, *iova, 2048, dma::DmaDirection::kFromDevice);
-    // Probe in 100 us steps until access is revoked.
-    uint64_t window_us = 0;
-    while (machine.iommu().DeviceWrite(dev, *iova, touch).ok()) {
-      machine.clock().AdvanceUs(100);
-      machine.iommu().ProcessDeferredTimer();
-      window_us = SimClock::CyclesToUs(machine.clock().now() - unmap_time);
-      if (window_us > 100000) {
-        break;  // defensive
-      }
+// The window is deterministic, not timing-based: the device probes in
+// 100 us steps until its access is revoked.
+uint64_t StaleWindowUs(iommu::InvalidationMode mode) {
+  core::Machine machine{MakeConfig(mode)};
+  const DeviceId dev{1};
+  machine.iommu().AttachDevice(dev);
+  Kva buf = *machine.slab().Kmalloc(2048, "io_buf");
+  std::vector<uint8_t> touch(8);
+  auto iova = machine.dma().MapSingle(dev, buf, 2048, dma::DmaDirection::kFromDevice,
+                                      "window_map");
+  (void)machine.iommu().DeviceWrite(dev, *iova, touch);
+  const uint64_t unmap_time = machine.clock().now();
+  (void)machine.dma().UnmapSingle(dev, *iova, 2048, dma::DmaDirection::kFromDevice);
+  uint64_t window_us = 0;
+  while (machine.iommu().DeviceWrite(dev, *iova, touch).ok()) {
+    machine.clock().AdvanceUs(100);
+    machine.iommu().ProcessDeferredTimer();
+    window_us = SimClock::CyclesToUs(machine.clock().now() - unmap_time);
+    if (window_us > 100000) {
+      break;  // defensive
     }
-    window_us_hist.Record(window_us);
-    benchmark::DoNotOptimize(window_us);
   }
-  const telemetry::Histogram::Summary summary = window_us_hist.Summarize();
-  state.counters["stale_window_us"] = summary.mean;
-  state.counters["stale_window_us_p50"] = static_cast<double>(summary.p50);
-  state.counters["stale_window_us_p99"] = static_cast<double>(summary.p99);
+  return window_us;
 }
-BENCHMARK(BM_StaleWindow)->Arg(0)->Arg(1)->ArgNames({"deferred"});
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main() {
+  const iommu::InvalidationMode modes[] = {iommu::InvalidationMode::kStrict,
+                                           iommu::InvalidationMode::kDeferred};
+  std::printf("Figure 6: strict vs deferred IOTLB invalidation (%llu map/DMA/unmap ops)\n",
+              static_cast<unsigned long long>(kOps));
+  std::printf("%-9s %23s %8s %22s %10s %12s %14s %14s\n", "mode", "sim_inval_cycles_per_op",
+              "flushes", "targeted_invalidations", "iotlb_hits", "iotlb_misses",
+              "drain_capacity", "drain_deadline");
+  for (const iommu::InvalidationMode mode : modes) {
+    RunMapUnmap(mode);
+  }
+  std::printf("\nStale-IOTLB window after dma_unmap (device probes every 100 us)\n");
+  std::printf("%-9s %15s\n", "mode", "stale_window_us");
+  for (const iommu::InvalidationMode mode : modes) {
+    std::printf("%-9s %15llu\n", iommu::InvalidationModeName(mode).c_str(),
+                static_cast<unsigned long long>(StaleWindowUs(mode)));
+  }
+  return 0;
+}

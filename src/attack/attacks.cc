@@ -57,7 +57,7 @@ void EmitStage(core::Machine& machine, std::string_view attack, const std::strin
   event.site = std::string(attack) + ": " + text;
   hub.Publish(std::move(event));
   if (hub.enabled()) {
-    hub.counter("attack.stages").Add();
+    ++hub.counter("attack.stages");
   }
 }
 

@@ -201,12 +201,12 @@ net::NicDriver& Machine::AddNicDriver(const net::NicDriver::Config& config) {
   }
   driver.set_fault_engine(&fault_);
   driver.set_tracer(tracer_.get());
-  const policy::DeviceIdentity identity{config.name, "nic"};
-  recovery_->RegisterDevice(device, drivers_.back().get(), RecoveryTuneFor(identity));
+  recovery_->RegisterDevice(device, &driver);
   if (policy_ != nullptr) {
     // Pool attach can only fail on physical-memory exhaustion at bring-up;
     // the device then simply stays outside the policy (never bounced).
-    (void)policy_->RegisterDevice(device, identity, drivers_.back().get());
+    (void)policy_->RegisterDevice(device, policy::DeviceIdentity{config.name, "nic"},
+                                  &driver);
   }
   return driver;
 }
@@ -219,22 +219,12 @@ nvme::NvmeDriver& Machine::AddNvmeDriver(const nvme::NvmeDriver::Config& config)
       device, *dma_, *kmem_, *slab_, &pool, clock_, config));
   nvme_drivers_.back()->set_fault_engine(&fault_);
   nvme_drivers_.back()->set_tracer(tracer_.get());
-  const policy::DeviceIdentity identity{config.name, "nvme"};
-  recovery_->RegisterDevice(device, nvme_drivers_.back().get(), RecoveryTuneFor(identity));
+  recovery_->RegisterDevice(device, nvme_drivers_.back().get());
   if (policy_ != nullptr) {
-    (void)policy_->RegisterDevice(device, identity, nvme_drivers_.back().get());
+    (void)policy_->RegisterDevice(device, policy::DeviceIdentity{config.name, "nvme"},
+                                  nvme_drivers_.back().get());
   }
   return *nvme_drivers_.back();
-}
-
-const recovery::RecoveryConfig* Machine::RecoveryTuneFor(
-    const policy::DeviceIdentity& identity) const {
-  if (policy_ == nullptr) {
-    return nullptr;
-  }
-  const policy::Quirk* quirk = policy_->FindQuirk(identity);
-  return quirk != nullptr && quirk->recovery_tune.has_value() ? &*quirk->recovery_tune
-                                                              : nullptr;
 }
 
 Status Machine::CheckInvariants() const {

@@ -174,11 +174,6 @@ class Machine {
   DeviceId next_device_id() const { return DeviceId{next_device_id_}; }
 
  private:
-  // The quirks-table recovery override for `identity`, or nullptr (machine
-  // default / policy disabled).
-  const recovery::RecoveryConfig* RecoveryTuneFor(
-      const policy::DeviceIdentity& identity) const;
-
   MachineConfig config_;
   SimClock clock_;
   telemetry::Hub hub_;  // before any component that publishes into it

@@ -102,8 +102,8 @@ void DKasan::AddReport(Report report) {
     event.site = ReportKindName(report.kind) + ": " + report.site;
     hub_->Publish(std::move(event));
     if (hub_->enabled()) {
-      hub_->counter("dkasan.reports").Add();
-      hub_->counter("dkasan.reports." + ReportKindName(report.kind)).Add();
+      ++hub_->counter("dkasan.reports");
+      ++hub_->counter("dkasan.reports." + ReportKindName(report.kind));
     }
   }
   reports_.push_back(std::move(report));

@@ -12,7 +12,12 @@ BouncePool::BouncePool(iommu::Iommu& iommu, const mem::KernelLayout& layout,
                        mem::PhysicalMemory& pm, mem::PageAllocator& page_alloc,
                        SimClock& clock, telemetry::Hub* hub)
     : iommu_(iommu), layout_(layout), pm_(pm), page_alloc_(page_alloc), clock_(clock),
-      hub_(hub) {}
+      hub_(hub) {
+  if (hub_ != nullptr) {
+    links_.push_back(hub_->Link("bounce.sync_for_cpu", syncs_for_cpu_));
+    links_.push_back(hub_->Link("bounce.sync_for_device", syncs_for_device_));
+  }
+}
 
 Status BouncePool::AttachDevice(DeviceId device, uint64_t pages) {
   if (pages == 0) {
@@ -202,22 +207,10 @@ void BouncePool::PublishEvent(telemetry::EventKind kind, DeviceId device,
   event.origin = this;
   event.site = active.site;
   hub_->Publish(std::move(event));
-  if (hub_->enabled()) {
-    const char* counter = "bounce.maps";
-    switch (kind) {
-      case telemetry::EventKind::kBounceUnmap:
-        counter = "bounce.unmaps";
-        break;
-      case telemetry::EventKind::kBounceSyncCpu:
-        counter = "bounce.sync_for_cpu";
-        break;
-      case telemetry::EventKind::kBounceSyncDevice:
-        counter = "bounce.sync_for_device";
-        break;
-      default:
-        break;
-    }
-    hub_->counter(counter).Add();
+  if (hub_->enabled() && (kind == telemetry::EventKind::kBounceMap ||
+                          kind == telemetry::EventKind::kBounceUnmap)) {
+    ++hub_->counter(kind == telemetry::EventKind::kBounceMap ? "bounce.maps"
+                                                             : "bounce.unmaps");
   }
 }
 

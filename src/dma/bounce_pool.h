@@ -30,6 +30,7 @@
 #include <string_view>
 #include <vector>
 
+#include "base/stat_counter.h"
 #include "base/status.h"
 #include "base/types.h"
 #include "dma/dma_api.h"
@@ -51,17 +52,9 @@ class DmaRouter {
   virtual ~DmaRouter() = default;
 
   // True if `device` must not receive direct mappings: DmaApi::MapSingle
-  // diverts the transfer through the BouncePool instead.
+  // diverts the transfer through the BouncePool instead, and queue-protocol
+  // drivers run their rings in ServiceMode::kBounceSync.
   virtual bool ShouldBounce(DeviceId device) const = 0;
-
-  // The service mode queue-protocol drivers should run `device` under. The
-  // default derives it from ShouldBounce (transient bounces, the PR 8
-  // behaviour); the policy engine overrides this to hand untrusted devices
-  // the sync-ring degraded mode instead of letting their rings starve.
-  virtual ServiceMode ServiceModeFor(DeviceId device) const {
-    return ShouldBounce(device) ? ServiceMode::kBounceTransient
-                                : ServiceMode::kZeroCopy;
-  }
 };
 
 class BouncePool {
@@ -106,7 +99,8 @@ class BouncePool {
   // SyncForCpu copies device writes back for the range; SyncForDevice scrubs
   // the range (whole pages when the full mapping is re-armed) and copies
   // kernel bytes in for device-readable directions. Both publish telemetry
-  // (kBounceSyncCpu/kBounceSyncDevice + bounce.sync_* counters).
+  // (kBounceSyncCpu/kBounceSyncDevice; the hub reads the sync tallies as
+  // bounce.sync_*).
   Status SyncForCpu(DeviceId device, Iova iova, uint64_t len, DmaDirection dir);
   Status SyncForDevice(DeviceId device, Iova iova, uint64_t len, DmaDirection dir);
 
@@ -198,8 +192,9 @@ class BouncePool {
   std::map<uint32_t, Pool> pools_;
   uint64_t copies_ = 0;
   uint64_t copy_cycles_ = 0;
-  uint64_t syncs_for_cpu_ = 0;
-  uint64_t syncs_for_device_ = 0;
+  StatCounter syncs_for_cpu_;
+  StatCounter syncs_for_device_;
+  std::vector<telemetry::CounterLink> links_;  // after the tallies it reads
 };
 
 }  // namespace spv::dma

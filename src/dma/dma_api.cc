@@ -39,8 +39,6 @@ std::string_view ServiceModeName(ServiceMode mode) {
       return "zero_copy";
     case ServiceMode::kBounceSync:
       return "bounce_sync";
-    case ServiceMode::kBounceTransient:
-      return "bounce_transient";
   }
   return "?";
 }
@@ -124,10 +122,9 @@ Result<Iova> DmaApi::MapPersistent(DeviceId device, Kva kva, uint64_t len,
 }
 
 ServiceMode DmaApi::service_mode(DeviceId device) const {
-  if (router_ == nullptr || bounce_pool_ == nullptr) {
-    return ServiceMode::kZeroCopy;
-  }
-  return router_->ServiceModeFor(device);
+  return router_ != nullptr && bounce_pool_ != nullptr && router_->ShouldBounce(device)
+             ? ServiceMode::kBounceSync
+             : ServiceMode::kZeroCopy;
 }
 
 Status DmaApi::UnmapSingle(DeviceId device, Iova iova, uint64_t len, DmaDirection dir) {
@@ -229,7 +226,7 @@ Status DmaApi::SyncSingleForCpu(DeviceId device, Iova iova, uint64_t len, DmaDir
     event.site = "dma_sync_single_for_cpu";
     hub.Publish(std::move(event));
     if (hub.enabled()) {
-      hub.counter("dma.syncs").Add();
+      ++hub.counter("dma.syncs");
     }
   }
   NotifyCpuAccess(mapping->kva, len, /*is_write=*/false);
@@ -343,7 +340,7 @@ void DmaApi::NotifyCpuAccess(Kva kva, uint64_t len, bool is_write) {
   event.origin = this;
   hub.Publish(std::move(event));
   if (hub.enabled()) {
-    hub.counter("dma.cpu_accesses").Add();
+    ++hub.counter("dma.cpu_accesses");
   }
 }
 
@@ -364,11 +361,11 @@ void DmaApi::Notify(const DmaMapping& mapping, bool map) {
   event.site = mapping.site;
   hub.Publish(std::move(event));
   if (hub.enabled()) {
-    hub.counter(map ? "dma.maps" : "dma.unmaps").Add();
+    ++hub.counter(map ? "dma.maps" : "dma.unmaps");
     // Per-device map/unmap accounting (Table-1 style breakdowns).
     std::string per_device = map ? "dma.maps.dev" : "dma.unmaps.dev";
     per_device += std::to_string(mapping.device.value);
-    hub.counter(per_device).Add();
+    ++hub.counter(per_device);
     if (map) {
       hub.histogram("dma.map_bytes").Record(mapping.len);
       hub.histogram("dma.exposed_bytes").Record(mapping.exposed_bytes());

@@ -63,9 +63,8 @@ std::string DmaDirectionName(DmaDirection dir);
 // diversion is unchanged, but drivers that keep *persistent* ring mappings
 // ask `DmaApi::service_mode()` and switch protocol accordingly.
 enum class ServiceMode : uint8_t {
-  kZeroCopy,         // direct mappings, device sees kernel pages (trusted)
-  kBounceSync,       // persistent bounce slots + explicit sync_for_cpu/device
-  kBounceTransient,  // per-transfer bounce map/unmap (PR 8 behaviour)
+  kZeroCopy,    // direct mappings, device sees kernel pages (trusted)
+  kBounceSync,  // persistent bounce slots + explicit sync_for_cpu/device
 };
 
 std::string_view ServiceModeName(ServiceMode mode);
@@ -117,9 +116,9 @@ class DmaApi {
   Result<Iova> MapPersistent(DeviceId device, Kva kva, uint64_t len, DmaDirection dir,
                              std::string_view site = "dma_map_persistent");
 
-  // The trust policy's service-mode verdict for `device` (kZeroCopy when no
-  // policy is installed). Queue-protocol drivers poll this to pick their ring
-  // protocol and to notice live demotions/promotions.
+  // kBounceSync exactly when the trust policy bounces `device` (kZeroCopy
+  // when no policy is installed). Queue-protocol drivers poll this to pick
+  // their ring protocol and to notice live demotions/promotions.
   ServiceMode service_mode(DeviceId device) const;
 
   // dma_sync_single_for_cpu / _for_device: ownership handoff without

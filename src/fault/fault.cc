@@ -163,8 +163,7 @@ bool FaultEngine::ShouldInject(FaultSite site) {
     event.site = std::string("fault:") + std::string(FaultSiteName(site));
     hub_->Publish(std::move(event));
     if (hub_->enabled()) {
-      hub_->counter(std::string("fault.injected.") + std::string(FaultSiteName(site)))
-          .Add();
+      ++hub_->counter(std::string("fault.injected.") + std::string(FaultSiteName(site)));
     }
   }
   return true;

@@ -5,13 +5,12 @@
 namespace spv::iommu {
 
 void IoPageTable::set_telemetry(telemetry::Hub* hub) {
-  hub_ = hub;
-  if (hub_ == nullptr) {
-    c_hits_ = c_misses_ = nullptr;
+  links_.clear();
+  if (hub == nullptr) {
     return;
   }
-  c_hits_ = &hub_->counter("iommu.walk_cache.hits");
-  c_misses_ = &hub_->counter("iommu.walk_cache.misses");
+  links_.push_back(hub->Link("iommu.walk_cache.hits", walk_cache_stats_.hits));
+  links_.push_back(hub->Link("iommu.walk_cache.misses", walk_cache_stats_.misses));
 }
 
 Status IoPageTable::Map(Iova iova, Pfn pfn, AccessRights rights) {
@@ -95,18 +94,12 @@ std::optional<PteEntry> IoPageTable::Lookup(Iova iova, int* walk_levels) const {
     const WalkCacheEntry& slot = walk_cache_[region % kWalkCacheSlots];
     if (slot.region == region) {
       ++walk_cache_stats_.hits;
-      if (hub_ != nullptr && hub_->enabled()) {
-        c_hits_->Add();
-      }
       if (walk_levels != nullptr) {
         *walk_levels = 1;
       }
       return slot.leaf->entries[IndexAt(iova, 0)];
     }
     ++walk_cache_stats_.misses;
-    if (hub_ != nullptr && hub_->enabled()) {
-      c_misses_->Add();
-    }
   }
   int levels = 0;
   const Node* leaf = WalkToLeaf(iova, &levels);

@@ -73,7 +73,7 @@ class IoPageTable {
   uint64_t mapped_pages() const { return mapped_pages_; }
   const WalkCacheStats& walk_cache_stats() const { return walk_cache_stats_; }
 
-  // Publishes walk-cache hit/miss counters to `hub` (nullptr detaches).
+  // Links the walk-cache hit/miss tallies into `hub` (nullptr detaches).
   void set_telemetry(telemetry::Hub* hub);
 
   // Engages the internal lock for ExecMode::kThreads. Even const Lookup
@@ -126,9 +126,7 @@ class IoPageTable {
   // hardware behaviour rather than guarding memory safety.
   mutable std::array<WalkCacheEntry, kWalkCacheSlots> walk_cache_{};
   mutable WalkCacheStats walk_cache_stats_;
-  telemetry::Hub* hub_ = nullptr;
-  telemetry::Counter* c_hits_ = nullptr;
-  telemetry::Counter* c_misses_ = nullptr;
+  std::vector<telemetry::CounterLink> links_;  // after the tallies it reads
 };
 
 }  // namespace spv::iommu

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <mutex>
 #include <shared_mutex>
+#include <utility>
 
 #include "fault/fault.h"
 #include "forensics/flight_recorder.h"
@@ -49,7 +50,31 @@ void Iommu::EngageThreadSafety(uint32_t num_cpus) {
 }
 
 void Iommu::set_telemetry(telemetry::Hub* hub) {
+  // Every Stats tally is a fact the hub reports under one name (the drain
+  // reasons as iommu.flush_drain.<reason>).
+  static constexpr std::pair<std::string_view, StatCounter Stats::*> kStatNames[] = {
+      {"iommu.maps", &Stats::maps},
+      {"iommu.unmaps", &Stats::unmaps},
+      {"iommu.flushes", &Stats::flushes},
+      {"iommu.targeted_invalidations", &Stats::targeted_invalidations},
+      {"iommu.invalidation_cycles", &Stats::invalidation_cycles},
+      {"iommu.device_accesses", &Stats::device_accesses},
+      {"iommu.stale_iotlb_accesses", &Stats::stale_iotlb_accesses},
+      {"iommu.flush_drain.capacity", &Stats::flush_capacity_drains},
+      {"iommu.flush_drain.deadline", &Stats::flush_deadline_drains},
+      {"iommu.flush_drain.manual", &Stats::flush_manual_drains},
+      {"iommu.device_fences", &Stats::device_fences},
+      {"iommu.device_detaches", &Stats::device_detaches},
+      {"iommu.fenced_accesses", &Stats::fenced_accesses},
+      {"iommu.drained_device_entries", &Stats::drained_device_entries},
+  };
   hub_ = hub;
+  links_.clear();
+  if (hub != nullptr) {
+    for (const auto& [name, tally] : kStatNames) {
+      links_.push_back(hub->Link(name, stats_.*tally));
+    }
+  }
   iotlb_.set_telemetry(hub);
   for (auto& [id, domain] : device_domain_) {
     domain->iova_alloc.set_telemetry(hub);
@@ -148,9 +173,6 @@ Status Iommu::FenceDevice(DeviceId device) {
     revoked_.insert(device.value);
   }
   ++stats_.device_fences;
-  if (hub_ != nullptr && hub_->enabled()) {
-    hub_->counter("iommu.device_fences").Add();
-  }
   return OkStatus();
 }
 
@@ -194,9 +216,6 @@ uint64_t Iommu::DrainDeviceInvalidations(DeviceId device) {
       }
     }
   }
-  if (drained != 0 && hub_ != nullptr && hub_->enabled()) {
-    hub_->counter("iommu.drained_device_entries").Add(drained);
-  }
   return drained;
 }
 
@@ -222,9 +241,6 @@ Status Iommu::DetachDevice(DeviceId device) {
     revoked_.insert(device.value);  // but the revocation memory persists
   }
   ++stats_.device_detaches;
-  if (hub_ != nullptr && hub_->enabled()) {
-    hub_->counter("iommu.device_detaches").Add();
-  }
   return OkStatus();
 }
 
@@ -239,9 +255,6 @@ void Iommu::NoteFencedAccess(DeviceId device, Iova iova, std::string_view what) 
     event.origin = this;
     event.site = std::string(what);
     hub_->Publish(std::move(event));
-    if (hub_->enabled()) {
-      hub_->counter("iommu.fenced_accesses").Add();
-    }
   }
 }
 
@@ -301,9 +314,6 @@ Result<Iova> Iommu::MapRange(DeviceId device, std::span<const Pfn> pfns, AccessR
   }
   clock_.Advance(kMapPteCycles * pfns.size());
   stats_.maps += pfns.size();
-  if (hub_ != nullptr && hub_->enabled()) {
-    hub_->counter("iommu.maps").Add(pfns.size());
-  }
   return *base;
 }
 
@@ -341,9 +351,6 @@ Status Iommu::UnmapRange(DeviceId device, Iova base, uint64_t pages) {
     cleared.push_back(*old);
   }
   stats_.unmaps += pages;
-  if (hub_ != nullptr && hub_->enabled()) {
-    hub_->counter("iommu.unmaps").Add(pages);
-  }
 
   if (config_.mode == InvalidationMode::kStrict) {
     // One synchronous invalidation command for the whole range, then the
@@ -469,10 +476,6 @@ void Iommu::DrainShard(size_t shard_index, FlushReason reason) {
     event.site = std::string("flush_now:") + std::string(FlushReasonName(reason));
     hub_->Publish(std::move(event));
     if (hub_->enabled()) {
-      hub_->counter("iommu.flushes").Add();
-      hub_->counter(std::string("iommu.flush_drain.") +
-                    std::string(FlushReasonName(reason)))
-          .Add();
       hub_->histogram("iommu.flush_batch").Record(amortized);
     }
   }
@@ -505,12 +508,6 @@ uint64_t Iommu::ChargeInvalidation(uint64_t stall, bool targeted) {
   stats_.invalidation_cycles += cycles;
   if (targeted) {
     ++stats_.targeted_invalidations;
-  }
-  if (hub_ != nullptr && hub_->enabled()) {
-    hub_->counter("iommu.invalidation_cycles").Add(cycles);
-    if (targeted) {
-      hub_->counter("iommu.targeted_invalidations").Add();
-    }
   }
   return cycles;
 }
@@ -556,9 +553,6 @@ Status Iommu::Access(DeviceId device, Iova iova, AccessOp op, std::span<uint8_t>
     return Revoked("device quarantined: DMA fenced");
   }
   ++stats_.device_accesses;
-  if (hub_ != nullptr && hub_->enabled()) {
-    hub_->counter("iommu.device_accesses").Add();
-  }
 
   if (!config_.enabled) {
     // No translation, no checks: the device masters the bus directly.
@@ -619,9 +613,6 @@ Result<PteEntry> Iommu::TranslateForDevice(DeviceId device, Domain& state, Iova 
         event.origin = this;
         event.site = "stale translation served from IOTLB";
         hub_->Publish(std::move(event));
-        if (hub_->enabled()) {
-          hub_->counter("iommu.stale_iotlb_accesses").Add();
-        }
       }
     }
     return *cached;
@@ -657,7 +648,7 @@ void Iommu::Fault(DeviceId device, Iova iova, AccessOp op, std::string reason) {
     event.site = reason;
     hub_->Publish(std::move(event));
     if (hub_->enabled()) {
-      hub_->counter("iommu.faults").Add();
+      ++hub_->counter("iommu.faults");
     }
   }
   // Bound the fault log; a scanning attacker can generate millions.

@@ -131,8 +131,9 @@ class Iommu {
   // no lock is ever taken, preserving the legacy semantics bit-for-bit.
   void EngageThreadSafety(uint32_t num_cpus);
 
-  // Routes IOMMU/IOTLB counters and events (flushes, faults, stale hits)
-  // through `hub`; forwards to the embedded IOTLB. Pass nullptr to detach.
+  // Routes IOMMU/IOTLB events (flushes, faults, stale hits) through `hub`
+  // and links every Stats tally into it, here and in the IOTLB and each
+  // domain's page table and IOVA allocator. Pass nullptr to detach.
   void set_telemetry(telemetry::Hub* hub);
 
   // Optional fault hook (kIovaAlloc, kIoPageTableMap, kIotlbInvalidation):
@@ -351,9 +352,9 @@ class Iommu {
   // the kIotlbInvalidation fault site fires.
   uint64_t InvalidationStall();
   // Charges one invalidation command, kIotlbInvalidationCycles + `stall`:
-  // advances the clock and adds the same cycles to Stats and the hub, so the
-  // two always agree. A `targeted` command also counts in
-  // targeted_invalidations. Returns the cycles charged.
+  // advances the clock and adds the same cycles to Stats (which the hub
+  // reads). A `targeted` command also counts in targeted_invalidations.
+  // Returns the cycles charged.
   uint64_t ChargeInvalidation(uint64_t stall, bool targeted);
 
   Status Access(DeviceId device, Iova iova, AccessOp op, std::span<uint8_t> read_out,
@@ -386,6 +387,7 @@ class Iommu {
   mutable MaybeMutex faults_mu_;
   std::vector<IommuFault> faults_;
   telemetry::Hub* hub_ = nullptr;
+  std::vector<telemetry::CounterLink> links_;  // after stats_, which it reads
   fault::FaultEngine* fault_ = nullptr;
   trace::Tracer* tracer_ = nullptr;
   forensics::FlightRecorder* recorder_ = nullptr;

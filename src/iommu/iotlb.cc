@@ -5,16 +5,15 @@
 namespace spv::iommu {
 
 void Iotlb::set_telemetry(telemetry::Hub* hub) {
-  hub_ = hub;
-  if (hub_ == nullptr) {
-    c_hits_ = c_misses_ = c_inserts_ = c_evictions_ = c_invalidations_ = nullptr;
+  links_.clear();
+  if (hub == nullptr) {
     return;
   }
-  c_hits_ = &hub_->counter("iotlb.hits");
-  c_misses_ = &hub_->counter("iotlb.misses");
-  c_inserts_ = &hub_->counter("iotlb.inserts");
-  c_evictions_ = &hub_->counter("iotlb.evictions");
-  c_invalidations_ = &hub_->counter("iotlb.invalidations");
+  links_.push_back(hub->Link("iotlb.hits", hits_));
+  links_.push_back(hub->Link("iotlb.misses", misses_));
+  links_.push_back(hub->Link("iotlb.inserts", inserts_));
+  links_.push_back(hub->Link("iotlb.evictions", evictions_));
+  links_.push_back(hub->Link("iotlb.invalidations", invalidations_));
 }
 
 std::optional<PteEntry> Iotlb::Lookup(DeviceId device, Iova iova_page) {
@@ -23,15 +22,9 @@ std::optional<PteEntry> Iotlb::Lookup(DeviceId device, Iova iova_page) {
   auto it = map_.find(key);
   if (it == map_.end()) {
     ++misses_;
-    if (hub_ != nullptr && hub_->enabled()) {
-      c_misses_->Add();
-    }
     return std::nullopt;
   }
   ++hits_;
-  if (hub_ != nullptr && hub_->enabled()) {
-    c_hits_->Add();
-  }
   Touch(key, it->second);
   return it->second.entry;
 }
@@ -49,15 +42,11 @@ void Iotlb::Insert(DeviceId device, Iova iova_page, PteEntry entry) {
     const Key victim = lru_.back();
     lru_.pop_back();
     map_.erase(victim);
-    if (hub_ != nullptr && hub_->enabled()) {
-      c_evictions_->Add();
-    }
+    ++evictions_;
   }
   lru_.push_front(key);
   map_.emplace(key, Slot{entry, lru_.begin()});
-  if (hub_ != nullptr && hub_->enabled()) {
-    c_inserts_->Add();
-  }
+  ++inserts_;
 }
 
 void Iotlb::InvalidateRange(DeviceId device, Iova base, uint64_t pages) {
@@ -70,9 +59,6 @@ void Iotlb::InvalidateRange(DeviceId device, Iova base, uint64_t pages) {
     }
   }
   ++invalidations_;
-  if (hub_ != nullptr && hub_->enabled()) {
-    c_invalidations_->Add();
-  }
 }
 
 void Iotlb::InvalidateDevice(DeviceId device) {
@@ -86,9 +72,6 @@ void Iotlb::InvalidateDevice(DeviceId device) {
     }
   }
   ++invalidations_;
-  if (hub_ != nullptr && hub_->enabled()) {
-    c_invalidations_->Add();
-  }
 }
 
 void Iotlb::InvalidateAll() {
@@ -96,9 +79,6 @@ void Iotlb::InvalidateAll() {
   map_.clear();
   lru_.clear();
   ++invalidations_;
-  if (hub_ != nullptr && hub_->enabled()) {
-    c_invalidations_->Add();
-  }
 }
 
 void Iotlb::Touch(const Key& key, Slot& slot) {

@@ -12,6 +12,7 @@
 #include <mutex>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "base/maybe_mutex.h"
 #include "base/stat_counter.h"
@@ -26,9 +27,8 @@ class Iotlb {
  public:
   explicit Iotlb(size_t capacity = 256) : capacity_(capacity) {}
 
-  // Publishes hit/miss/insert/eviction/invalidation counters to `hub`
-  // (pass nullptr to detach). Counter references are resolved once here so
-  // the hot lookup path pays a pointer test plus an increment.
+  // Links the hit/miss/insert/eviction/invalidation tallies into `hub`
+  // (pass nullptr to detach). The lookup path only bumps its own tallies.
   void set_telemetry(telemetry::Hub* hub);
 
   // Engages the internal lock for ExecMode::kThreads. The IOTLB is one
@@ -93,13 +93,9 @@ class Iotlb {
   StatCounter hits_;
   StatCounter misses_;
   StatCounter invalidations_;
-
-  telemetry::Hub* hub_ = nullptr;
-  telemetry::Counter* c_hits_ = nullptr;
-  telemetry::Counter* c_misses_ = nullptr;
-  telemetry::Counter* c_inserts_ = nullptr;
-  telemetry::Counter* c_evictions_ = nullptr;
-  telemetry::Counter* c_invalidations_ = nullptr;
+  StatCounter inserts_;    // read through the hub (iotlb.inserts)
+  StatCounter evictions_;  // read through the hub (iotlb.evictions)
+  std::vector<telemetry::CounterLink> links_;  // after the tallies it reads
 };
 
 }  // namespace spv::iommu

@@ -30,16 +30,15 @@ IovaAllocator::IovaAllocator(uint64_t window_start, uint64_t window_end,
 }
 
 void IovaAllocator::set_telemetry(telemetry::Hub* hub) {
-  hub_ = hub;
-  if (hub_ == nullptr) {
-    c_hits_ = c_misses_ = c_depot_refills_ = c_depot_spills_ = c_coalesces_ = nullptr;
+  links_.clear();
+  if (hub == nullptr) {
     return;
   }
-  c_hits_ = &hub_->counter("iova.rcache.hits");
-  c_misses_ = &hub_->counter("iova.rcache.misses");
-  c_depot_refills_ = &hub_->counter("iova.rcache.depot_refills");
-  c_depot_spills_ = &hub_->counter("iova.rcache.depot_spills");
-  c_coalesces_ = &hub_->counter("iova.coalesces");
+  links_.push_back(hub->Link("iova.rcache.hits", stats_.rcache_hits));
+  links_.push_back(hub->Link("iova.rcache.misses", stats_.rcache_misses));
+  links_.push_back(hub->Link("iova.rcache.depot_refills", stats_.depot_refills));
+  links_.push_back(hub->Link("iova.rcache.depot_spills", stats_.depot_spills));
+  links_.push_back(hub->Link("iova.coalesces", stats_.coalesces));
 }
 
 int IovaAllocator::SizeClassFor(uint64_t pages) {
@@ -67,17 +66,11 @@ Result<Iova> IovaAllocator::Alloc(uint64_t pages, CpuId cpu) {
   if (fast_path_.rcache_enabled && !cache_bypass_ && size_class >= 0 &&
       MagazinePop(size_class, cpu, &base_page)) {
     ++stats_.rcache_hits;
-    if (hub_ != nullptr && hub_->enabled()) {
-      c_hits_->Add();
-    }
     std::lock_guard<MaybeMutex> guard(mu_);
     live_.emplace(base_page, effective);
   } else {
     if (fast_path_.rcache_enabled && !cache_bypass_ && size_class >= 0) {
       ++stats_.rcache_misses;
-      if (hub_ != nullptr && hub_->enabled()) {
-        c_misses_->Add();
-      }
     }
     std::lock_guard<MaybeMutex> guard(mu_);
     Result<uint64_t> range = AllocRange(effective);
@@ -191,9 +184,6 @@ bool IovaAllocator::MagazinePop(int size_class, CpuId cpu, uint64_t* base_page) 
       std::swap(cpu_cache.loaded, cache.depot.back());
       cache.depot.pop_back();
       ++stats_.depot_refills;
-      if (hub_ != nullptr && hub_->enabled()) {
-        c_depot_refills_->Add();
-      }
     }
   }
   *base_page = cpu_cache.loaded.back();
@@ -214,9 +204,6 @@ void IovaAllocator::MagazinePush(int size_class, CpuId cpu, uint64_t base_page) 
         cpu_cache.loaded = Magazine{};
         cpu_cache.loaded.reserve(fast_path_.magazine_capacity);
         ++stats_.depot_spills;
-        if (hub_ != nullptr && hub_->enabled()) {
-          c_depot_spills_->Add();
-        }
       } else {
         // Depot full: return the whole magazine to the range tree, like
         // iova_magazine_free_pfns.
@@ -268,9 +255,6 @@ void IovaAllocator::FreeRange(uint64_t base_page, uint64_t pages) {
     it->second += next->second;
     free_ranges_.erase(next);
     ++stats_.coalesces;
-    if (hub_ != nullptr && hub_->enabled()) {
-      c_coalesces_->Add();
-    }
   }
   if (it != free_ranges_.begin()) {
     auto prev = std::prev(it);
@@ -279,9 +263,6 @@ void IovaAllocator::FreeRange(uint64_t base_page, uint64_t pages) {
       free_ranges_.erase(it);
       it = prev;
       ++stats_.coalesces;
-      if (hub_ != nullptr && hub_->enabled()) {
-        c_coalesces_->Add();
-      }
     }
   }
   // A block that reaches back down to the virgin frontier melts into it

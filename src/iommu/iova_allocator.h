@@ -120,7 +120,8 @@ class IovaAllocator {
     return out;
   }
 
-  // Publishes rcache hit/miss/depot counters to `hub` (nullptr detaches).
+  // Links the rcache hit/miss/depot and coalesce tallies into `hub`
+  // (nullptr detaches).
   void set_telemetry(telemetry::Hub* hub);
 
  private:
@@ -171,13 +172,7 @@ class IovaAllocator {
 
   StatCounter allocated_pages_;
   Stats stats_;
-
-  telemetry::Hub* hub_ = nullptr;
-  telemetry::Counter* c_hits_ = nullptr;
-  telemetry::Counter* c_misses_ = nullptr;
-  telemetry::Counter* c_depot_refills_ = nullptr;
-  telemetry::Counter* c_depot_spills_ = nullptr;
-  telemetry::Counter* c_coalesces_ = nullptr;
+  std::vector<telemetry::CounterLink> links_;  // after the tallies it reads
 };
 
 }  // namespace spv::iommu

@@ -1,6 +1,8 @@
 #include "net/nic_driver.h"
 
 #include <algorithm>
+#include <string_view>
+#include <utility>
 
 #include "dma/bounce_pool.h"
 #include "fault/fault.h"
@@ -52,6 +54,29 @@ NicDriver::NicDriver(DeviceId device_id, dma::DmaApi& dma, dma::KernelMemory& km
     queue.rx_ring.resize(config_.rx_ring_size);
     queue.tx_ring.resize(config_.tx_ring_size);
   }
+  // Every queue tally and the hub name it is linked under (tx_resets backs
+  // two names).
+  static constexpr std::pair<std::string_view, StatCounter Queue::*> kQueueCounterNames[] = {
+      {"nic.rx_packets", &Queue::rx_packets},
+      {"nic.tx_packets", &Queue::tx_packets},
+      {"nic.xdp_drops", &Queue::xdp_drops},
+      {"nic.xdp_tx", &Queue::xdp_tx},
+      {"nic.tx_resets", &Queue::tx_resets},
+      {"nic.ring_reset", &Queue::tx_resets},
+      {"nic.rx_length_errors", &Queue::rx_length_errors},
+      {"nic.rx_device_drops", &Queue::rx_device_drops},
+      {"nic.rx_refill_failures", &Queue::rx_refill_failures},
+      {"nic.tx_dropped", &Queue::tx_flush_drops},
+      {"nic.tx_requeue_dropped", &Queue::tx_requeue_drops},
+      {"nic.poll_deadline_exceeded", &Queue::poll_deadline_hits},
+      {"nic.rx_sync_frames", &Queue::rx_sync_frames},
+  };
+  telemetry::Hub& hub = dma_.telemetry();
+  for (const Queue& queue : queues_) {
+    for (const auto& [name, tally] : kQueueCounterNames) {
+      links_.push_back(hub.Link(name, queue.*tally));
+    }
+  }
 }
 
 uint32_t NicDriver::rx_buffer_bytes() const {
@@ -70,9 +95,6 @@ bool NicDriver::PollDeadlineHit(Queue& q, uint64_t start_cycle, std::string_view
   EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicPollDeadline,
                telemetry::Severity::kWarn, device_id_, clock_.now() - start_cycle,
                this, q.name + "_" + std::string(loop));
-  if (dma_.telemetry().enabled()) {
-    dma_.telemetry().counter("nic.poll_deadline_exceeded").Add();
-  }
   return true;
 }
 
@@ -186,9 +208,6 @@ void NicDriver::RefillSlotTolerant(Queue& q, uint32_t queue, uint32_t index) {
   ++q.rx_refill_failures;
   q.rx_needs_refill = true;
   q.refill_backoff_until = clock_.now() + config_.refill_retry_backoff_cycles;
-  if (dma_.telemetry().enabled()) {
-    dma_.telemetry().counter("nic.rx_refill_failures").Add();
-  }
 }
 
 uint32_t NicDriver::RetryRefills(uint32_t queue) {
@@ -211,9 +230,6 @@ uint32_t NicDriver::RetryRefills(uint32_t queue) {
     if (!status.ok()) {
       ++q.rx_refill_failures;
       q.refill_backoff_until = clock_.now() + config_.refill_retry_backoff_cycles;
-      if (dma_.telemetry().enabled()) {
-        dma_.telemetry().counter("nic.rx_refill_failures").Add();
-      }
       failed = true;
       break;
     }
@@ -227,7 +243,7 @@ uint32_t NicDriver::RetryRefills(uint32_t queue) {
                  telemetry::Severity::kInfo, device_id_, refilled, this,
                  q.name + "_rx_refill_retry");
     if (dma_.telemetry().enabled()) {
-      dma_.telemetry().counter("fault.recovered.rx_refill_retry").Add();
+      ++dma_.telemetry().counter("fault.recovered.rx_refill_retry");
     }
   }
   return refilled;
@@ -241,17 +257,14 @@ uint32_t NicDriver::RetryAllRefills() {
   return refilled;
 }
 
-Result<SkBuffPtr> NicDriver::DropRxFrame(uint32_t queue, uint32_t index, uint32_t pkt_len,
-                                         std::string_view counter) {
+Result<SkBuffPtr> NicDriver::DropRxFrame(uint32_t queue, uint32_t index,
+                                         uint32_t pkt_len) {
   Queue& q = queues_[queue];
   RxSlot slot = q.rx_ring[index];
   q.rx_ring[index].posted = false;
   EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicRxError,
                telemetry::Severity::kWarn, device_id_, pkt_len, this,
                q.name + "_rx_error");
-  if (dma_.telemetry().enabled()) {
-    dma_.telemetry().counter(std::string(counter)).Add();
-  }
   const dma::DmaDirection rx_dir =
       config_.xdp ? dma::DmaDirection::kBidirectional : dma::DmaDirection::kFromDevice;
   if (slot.sync_mode &&
@@ -330,14 +343,14 @@ Result<SkBuffPtr> NicDriver::CompleteRx(uint32_t queue, uint32_t index, uint32_t
     if (injected_bad_len) {
       // Device-originated garbage: drop with accounting and recover the slot.
       ++q.rx_length_errors;
-      return DropRxFrame(queue, index, pkt_len, "nic.rx_length_errors");
+      return DropRxFrame(queue, index, pkt_len);
     }
     // Caller misuse: reject and leave the slot posted.
     return InvalidArgument("RX packet length out of bounds");
   }
   if (faulting && fault_->ShouldInject(fault::FaultSite::kNicRxDrop)) {
     ++q.rx_device_drops;
-    return DropRxFrame(queue, index, pkt_len, "nic.rx_device_drops");
+    return DropRxFrame(queue, index, pkt_len);
   }
   RxSlot slot = q.rx_ring[index];
   q.rx_ring[index].posted = false;
@@ -353,7 +366,7 @@ Result<SkBuffPtr> NicDriver::CompleteRx(uint32_t queue, uint32_t index, uint32_t
     if (!synced.ok()) {
       q.rx_ring[index] = slot;  // restore: DropRxFrame re-arms from the ring
       ++q.rx_device_drops;
-      return DropRxFrame(queue, index, pkt_len, "nic.rx_device_drops");
+      return DropRxFrame(queue, index, pkt_len);
     }
   }
   if (faulting && fault_->ShouldInject(fault::FaultSite::kNicRxCorrupt)) {
@@ -393,9 +406,6 @@ Result<SkBuffPtr> NicDriver::CompleteRx(uint32_t queue, uint32_t index, uint32_t
         EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kXdpDrop,
                      telemetry::Severity::kInfo, device_id_, pkt_len, this,
                      q.name + "_xdp_drop");
-        if (dma_.telemetry().enabled()) {
-          dma_.telemetry().counter("nic.xdp_drops").Add();
-        }
         slab::PageFragPool* pool = skb_alloc_.frag_pool(q.cpu);
         if (pool != nullptr) {
           SPV_RETURN_IF_ERROR(pool->Free(slot.head));
@@ -419,9 +429,6 @@ Result<SkBuffPtr> NicDriver::CompleteRx(uint32_t queue, uint32_t index, uint32_t
       EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kXdpTx,
                    telemetry::Severity::kInfo, device_id_, pkt_len, this,
                    q.name + "_xdp_tx");
-      if (dma_.telemetry().enabled()) {
-        dma_.telemetry().counter("nic.xdp_tx").Add();
-      }
       SPV_RETURN_IF_ERROR(RefillSlot(q, queue, index));
       return SkBuffPtr{};
     }
@@ -458,9 +465,6 @@ Result<SkBuffPtr> NicDriver::CompleteRx(uint32_t queue, uint32_t index, uint32_t
       // No memory for the copy: drop the frame but keep the ring armed.
       rearm();
       ++q.rx_device_drops;
-      if (dma_.telemetry().enabled()) {
-        dma_.telemetry().counter("nic.rx_device_drops").Add();
-      }
       return SkBuffPtr{};
     }
     Status copied = kmem_.Copy(*copy, slot.head, pkt_len);
@@ -486,10 +490,6 @@ Result<SkBuffPtr> NicDriver::CompleteRx(uint32_t queue, uint32_t index, uint32_t
     EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicRx,
                  telemetry::Severity::kInfo, device_id_, pkt_len, this,
                  q.name + "_rx_sync");
-    if (dma_.telemetry().enabled()) {
-      dma_.telemetry().counter("nic.rx_packets").Add();
-      dma_.telemetry().counter("nic.rx_sync_frames").Add();
-    }
     return built;
   }
   if (slot.sync_mode) {
@@ -531,9 +531,6 @@ Result<SkBuffPtr> NicDriver::CompleteRx(uint32_t queue, uint32_t index, uint32_t
   EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicRx,
                telemetry::Severity::kInfo, device_id_, pkt_len, this,
                q.name + "_rx");
-  if (dma_.telemetry().enabled()) {
-    dma_.telemetry().counter("nic.rx_packets").Add();
-  }
   // Linux refills opportunistically; we refill immediately to keep the ring
   // full (this is what makes consecutive ring buffers page-neighbours). A
   // failed refill must not lose the packet we already built — it arms the
@@ -631,9 +628,6 @@ Result<uint32_t> NicDriver::TryPostTx(uint32_t queue, SkBuffPtr& skb) {
   EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicTx,
                telemetry::Severity::kInfo, device_id_, slot.linear_len, this,
                q.name + "_tx");
-  if (dma_.telemetry().enabled()) {
-    dma_.telemetry().counter("nic.tx_packets").Add();
-  }
   if (device_ != nullptr) {
     device_->OnTxPosted(descriptor);
   }
@@ -698,11 +692,8 @@ uint32_t NicDriver::CheckTxTimeout(uint32_t queue) {
       if (q.tx_requeue.size() < q.tx_ring.size()) {
         q.tx_requeue.push_back(PendingTx{std::move(slot.skb), 0});
       } else {
-        ++q.tx_requeue_drops;
+        ++q.tx_flush_drops;
         (void)skb_alloc_.FreeSkb(std::move(slot.skb), nullptr);
-        if (dma_.telemetry().enabled()) {
-          dma_.telemetry().counter("nic.tx_dropped").Add();
-        }
       }
       slot = TxSlot{};
     }
@@ -710,10 +701,6 @@ uint32_t NicDriver::CheckTxTimeout(uint32_t queue) {
     EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicTxReset,
                  telemetry::Severity::kWarn, device_id_, timed_out, this,
                  q.name + "_tx_timeout_reset");
-    if (dma_.telemetry().enabled()) {
-      dma_.telemetry().counter("nic.tx_resets").Add();
-      dma_.telemetry().counter("nic.ring_reset").Add();
-    }
   }
   return timed_out;
 }
@@ -743,7 +730,7 @@ uint32_t NicDriver::RequeueTimedOut(uint32_t queue) {
                    telemetry::Severity::kInfo, device_id_, *index, this,
                    q.name + "_tx_requeue");
       if (dma_.telemetry().enabled()) {
-        dma_.telemetry().counter("fault.recovered.tx_requeue").Add();
+        ++dma_.telemetry().counter("fault.recovered.tx_requeue");
       }
       continue;
     }
@@ -751,9 +738,6 @@ uint32_t NicDriver::RequeueTimedOut(uint32_t queue) {
     if (pending.attempts >= config_.tx_requeue_max_attempts) {
       ++q.tx_requeue_drops;
       (void)skb_alloc_.FreeSkb(std::move(pending.skb), nullptr);
-      if (dma_.telemetry().enabled()) {
-        dma_.telemetry().counter("nic.tx_requeue_dropped").Add();
-      }
       continue;
     }
     // Head-of-line: put it back and stop — the ring is presumably still full.

@@ -226,7 +226,10 @@ class NicDriver : public recovery::SupervisedDriver {
   uint64_t rx_length_errors() const { return SumQueues(&Queue::rx_length_errors); }
   uint64_t rx_device_drops() const { return SumQueues(&Queue::rx_device_drops); }
   uint64_t rx_refill_failures() const { return SumQueues(&Queue::rx_refill_failures); }
-  uint64_t tx_requeue_drops() const { return SumQueues(&Queue::tx_requeue_drops); }
+  // Watchdog-flushed skbs freed: requeue list full, or out of repost tries.
+  uint64_t tx_requeue_drops() const {
+    return SumQueues(&Queue::tx_flush_drops) + SumQueues(&Queue::tx_requeue_drops);
+  }
   size_t tx_requeue_depth() const;
   size_t tx_requeue_depth(uint32_t queue) const { return queues_[queue].tx_requeue.size(); }
   uint64_t poll_deadline_hits() const { return SumQueues(&Queue::poll_deadline_hits); }
@@ -275,7 +278,8 @@ class NicDriver : public recovery::SupervisedDriver {
   // One RX/TX queue pair and everything that used to be device-global state.
   // In kThreads mode each queue is driven only by the thread for `cpu`, so
   // the plain fields need no lock; the counters are StatCounters because the
-  // aggregate accessors sum them from other threads.
+  // aggregate accessors (and the hub, through the driver's links) sum them
+  // from other threads.
   struct Queue {
     Queue() = default;
     Queue(const Queue&) = delete;
@@ -298,7 +302,8 @@ class NicDriver : public recovery::SupervisedDriver {
     StatCounter rx_length_errors;
     StatCounter rx_device_drops;
     StatCounter rx_refill_failures;
-    StatCounter tx_requeue_drops;
+    StatCounter tx_flush_drops;    // watchdog flush found the requeue list full
+    StatCounter tx_requeue_drops;  // repost budget exhausted
     StatCounter poll_deadline_hits;
     StatCounter rx_sync_frames;
   };
@@ -347,10 +352,9 @@ class NicDriver : public recovery::SupervisedDriver {
   Status UnmapTxSlot(Queue& q, TxSlot& slot);
   // PostTx body that leaves `skb` with the caller on failure (requeue path).
   Result<uint32_t> TryPostTx(uint32_t queue, SkBuffPtr& skb);
-  // Drops a completion the device delivered broken: recovers the slot (repost
-  // or unmap+free+refill), accounts under `counter`, returns a null skb.
-  Result<SkBuffPtr> DropRxFrame(uint32_t queue, uint32_t index, uint32_t pkt_len,
-                                std::string_view counter);
+  // Drops a completion the device delivered broken (the caller has counted
+  // it): recovers the slot (repost or unmap+free+refill), returns a null skb.
+  Result<SkBuffPtr> DropRxFrame(uint32_t queue, uint32_t index, uint32_t pkt_len);
 
   DeviceId device_id_;
   dma::DmaApi& dma_;
@@ -366,6 +370,7 @@ class NicDriver : public recovery::SupervisedDriver {
   XdpProgram* xdp_program_ = nullptr;
   fault::FaultEngine* fault_ = nullptr;
   trace::Tracer* tracer_ = nullptr;
+  std::vector<telemetry::CounterLink> links_;  // after queues_, which it reads
 };
 
 }  // namespace spv::net

@@ -1,5 +1,8 @@
 #include "net/stack.h"
 
+#include <string_view>
+#include <utility>
+
 #include "mem/kernel_symbols.h"
 
 namespace spv::net {
@@ -35,7 +38,21 @@ NetworkStack::NetworkStack(dma::KernelMemory& kmem, slab::SlabAllocator& slab,
       skb_alloc_(skb_alloc),
       config_(config),
       gro_(kmem, skb_alloc),
-      init_net_(kmem.layout().SymbolKva(mem::kSymInitNet)) {}
+      init_net_(kmem.layout().SymbolKva(mem::kSymInitNet)) {
+  static constexpr std::pair<std::string_view, StatCounter Stats::*> kStatNames[] = {
+      {"stack.rx_delivered", &Stats::rx_delivered},
+      {"stack.rx_forwarded", &Stats::rx_forwarded},
+      {"stack.rx_dropped", &Stats::rx_dropped},
+      {"stack.rx_length_errors", &Stats::rx_length_errors},
+      {"stack.tx_sent", &Stats::tx_sent},
+      {"stack.echoed", &Stats::echoed},
+      {"stack.tx_shed", &Stats::tx_shed},
+  };
+  telemetry::Hub& hub = slab_.telemetry();
+  for (const auto& [name, tally] : kStatNames) {
+    links_.push_back(hub.Link(name, stats_.*tally));
+  }
+}
 
 Result<Kva> NetworkStack::CreateSocket(uint16_t port, bool echo) {
   if (sockets_.contains(port)) {
@@ -76,68 +93,50 @@ Status NetworkStack::NapiComplete() {
 Status NetworkStack::Deliver(SkBuffPtr skb) {
   telemetry::Hub& hub = slab_.telemetry();
   if (!skb->header_parsed) {
-    ++stats_.rx_dropped;
-    Drop(hub, skb->len, "unparseable header");
+    Drop(skb->len, "unparseable header");
     return FreeSkb(std::move(skb));
   }
   // A header claiming more payload than the skb holds is device-originated
   // garbage (truncated frame, corrupt length field): reading it would walk
   // past the buffer. GRO only grows skb->len, so a merged skb never trips it.
   if (PacketHeader::kSize + uint64_t{skb->header.payload_len} > skb->len) {
-    ++stats_.rx_dropped;
     ++stats_.rx_length_errors;
-    Drop(hub, skb->len, "payload_len over-claims skb length");
-    if (hub.enabled()) {
-      hub.counter("stack.rx_length_errors").Add();
-    }
+    Drop(skb->len, "payload_len over-claims skb length");
     return FreeSkb(std::move(skb));
   }
   if (skb->header.dst_ip == config_.local_ip) {
     auto it = sockets_.find(skb->header.dst_port);
     if (it == sockets_.end()) {
-      ++stats_.rx_dropped;
-      Drop(hub, skb->len, "no socket bound");
+      Drop(skb->len, "no socket bound");
       return FreeSkb(std::move(skb));
     }
     ++stats_.rx_delivered;
     EmitStackEvent(hub, telemetry::EventKind::kStackDeliver, skb->len, this,
                    "local delivery");
-    if (hub.enabled()) {
-      hub.counter("stack.rx_delivered").Add();
-    }
     if (it->second.echo) {
       SPV_RETURN_IF_ERROR(Echo(*skb));
       ++stats_.echoed;
       EmitStackEvent(hub, telemetry::EventKind::kStackEcho, skb->len, this, "echo service");
-      if (hub.enabled()) {
-        hub.counter("stack.echoed").Add();
-      }
     }
     return FreeSkb(std::move(skb));
   }
   if (config_.forwarding_enabled && egress_ != nullptr) {
     return Forward(std::move(skb));
   }
-  ++stats_.rx_dropped;
-  Drop(hub, skb->len, "not local, forwarding off");
+  Drop(skb->len, "not local, forwarding off");
   return FreeSkb(std::move(skb));
 }
 
-void NetworkStack::Drop(telemetry::Hub& hub, uint64_t len, std::string reason) {
-  EmitStackEvent(hub, telemetry::EventKind::kStackDrop, len, this, std::move(reason));
-  if (hub.enabled()) {
-    hub.counter("stack.rx_dropped").Add();
-  }
+void NetworkStack::Drop(uint64_t len, std::string reason) {
+  ++stats_.rx_dropped;
+  EmitStackEvent(slab_.telemetry(), telemetry::EventKind::kStackDrop, len, this,
+                 std::move(reason));
 }
 
 void NetworkStack::Shed(uint64_t len, std::string_view path) {
   ++stats_.tx_shed;
-  telemetry::Hub& hub = slab_.telemetry();
-  EmitStackEvent(hub, telemetry::EventKind::kStackDrop, len, this,
+  EmitStackEvent(slab_.telemetry(), telemetry::EventKind::kStackDrop, len, this,
                  std::string("egress revoked: ") + std::string(path));
-  if (hub.enabled()) {
-    hub.counter("stack.tx_shed").Add();
-  }
 }
 
 Status NetworkStack::Forward(SkBuffPtr skb) {
@@ -156,11 +155,8 @@ Status NetworkStack::Forward(SkBuffPtr skb) {
     return index.status();
   }
   ++stats_.rx_forwarded;
-  telemetry::Hub& hub = slab_.telemetry();
-  EmitStackEvent(hub, telemetry::EventKind::kStackForward, 0, this, "ip_forward");
-  if (hub.enabled()) {
-    hub.counter("stack.rx_forwarded").Add();
-  }
+  EmitStackEvent(slab_.telemetry(), telemetry::EventKind::kStackForward, 0, this,
+                 "ip_forward");
   return OkStatus();
 }
 
@@ -270,12 +266,8 @@ Status NetworkStack::SendPacket(const PacketHeader& header, std::span<const uint
     return index.status();
   }
   ++stats_.tx_sent;
-  telemetry::Hub& hub = slab_.telemetry();
-  EmitStackEvent(hub, telemetry::EventKind::kStackSend, payload.size(), this,
+  EmitStackEvent(slab_.telemetry(), telemetry::EventKind::kStackSend, payload.size(), this,
                  use_frags ? "sendmsg (frags)" : "sendmsg (linear)");
-  if (hub.enabled()) {
-    hub.counter("stack.tx_sent").Add();
-  }
   return OkStatus();
 }
 

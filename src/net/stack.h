@@ -18,6 +18,7 @@
 #include <span>
 #include <vector>
 
+#include "base/stat_counter.h"
 #include "base/status.h"
 #include "base/types.h"
 #include "dma/kernel_memory.h"
@@ -36,17 +37,18 @@ class NetworkStack {
     uint32_t linear_tx_threshold = 512;  // larger payloads go into frags
   };
 
+  // The hub reads each tally as stack.<name>.
   struct Stats {
-    uint64_t rx_delivered = 0;
-    uint64_t rx_forwarded = 0;
-    uint64_t rx_dropped = 0;
-    uint64_t rx_length_errors = 0;  // header payload_len over-claims skb->len
-    uint64_t tx_sent = 0;
-    uint64_t echoed = 0;
+    StatCounter rx_delivered;
+    StatCounter rx_forwarded;
+    StatCounter rx_dropped;
+    StatCounter rx_length_errors;  // header payload_len over-claims skb->len
+    StatCounter tx_sent;
+    StatCounter echoed;
     // TX packets dropped because the egress device was quarantined/detached
     // (PostTx came back kRevoked). Shedding is not an error: the stack keeps
     // serving while spv::recovery decides the device's fate.
-    uint64_t tx_shed = 0;
+    StatCounter tx_shed;
   };
 
   NetworkStack(dma::KernelMemory& kmem, slab::SlabAllocator& slab, SkbAllocator& skb_alloc,
@@ -99,7 +101,8 @@ class NetworkStack {
   Status Deliver(SkBuffPtr skb);
   Status Forward(SkBuffPtr skb);
   Status Echo(const SkBuff& skb);
-  void Drop(telemetry::Hub& hub, uint64_t len, std::string reason);
+  // Accounts an RX packet the stack dropped.
+  void Drop(uint64_t len, std::string reason);
   // Accounts a TX packet dropped on a revoked egress device.
   void Shed(uint64_t len, std::string_view path);
 
@@ -114,6 +117,7 @@ class NetworkStack {
   std::map<uint16_t, Socket> sockets_;
   Kva init_net_;
   Stats stats_;
+  std::vector<telemetry::CounterLink> links_;  // after stats_, which it reads
 };
 
 }  // namespace spv::net

@@ -290,6 +290,9 @@ Result<std::vector<PrpChunk>> NvmeController::WalkPrps(const Sqe& sqe,
     }
     ++stats_.prp_segments_walked;
     prp_segments_seen_.push_back(Iova{cur});
+    if (prp_segments_seen_.size() > kPrpSegmentsKept) {
+      prp_segments_seen_.pop_front();
+    }
     const uint64_t pages_left = (remaining + kPageSize - 1) / kPageSize;
     const uint64_t data_entries =
         pages_left <= kPrpSegEntries ? pages_left : kPrpSegEntries - 1;

@@ -15,6 +15,7 @@
 #define SPV_NVME_NVME_CONTROLLER_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <vector>
 
@@ -81,9 +82,15 @@ class NvmeController : public NvmeDeviceModel {
   // Host-side test oracle: peek at the media without any DMA.
   Result<std::vector<uint8_t>> PeekMedia(uint64_t slba, uint64_t blocks) const;
 
+  // How many of the most recently walked PRP-list segments the controller
+  // remembers; older ones are forgotten, so the list stays bounded on a
+  // long storage run.
+  static constexpr size_t kPrpSegmentsKept = 1024;
+
   // PRP-list segment IOVAs the controller has legitimately observed while
-  // walking commands — the malicious twin harvests the pages behind them.
-  const std::vector<Iova>& prp_segments_seen() const { return prp_segments_seen_; }
+  // walking commands, oldest first (at most kPrpSegmentsKept) — the
+  // malicious twin harvests the pages behind them.
+  const std::deque<Iova>& prp_segments_seen() const { return prp_segments_seen_; }
 
  protected:
   struct QueueState {
@@ -130,7 +137,7 @@ class NvmeController : public NvmeDeviceModel {
     uint16_t entries = 0;
   };
   std::map<uint16_t, PendingCq> pending_cqs_;
-  std::vector<Iova> prp_segments_seen_;
+  std::deque<Iova> prp_segments_seen_;
   Stats stats_;
   fault::FaultEngine* fault_ = nullptr;
   trace::Tracer* tracer_ = nullptr;

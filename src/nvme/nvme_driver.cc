@@ -45,7 +45,16 @@ NvmeDriver::NvmeDriver(DeviceId device_id, dma::DmaApi& dma,
       slab_(slab),
       frag_pool_(frag_pool),
       clock_(clock),
-      config_(std::move(config)) {}
+      config_(std::move(config)) {
+  telemetry::Hub& hub = dma_.telemetry();
+  links_.push_back(hub.Link("nvme.reads", reads_completed_));
+  links_.push_back(hub.Link("nvme.writes", writes_completed_));
+  links_.push_back(hub.Link("nvme.io_errors", io_errors_));
+  links_.push_back(hub.Link("nvme.completion_errors", completion_errors_));
+  links_.push_back(hub.Link("nvme.queue_resets", queue_resets_));
+  links_.push_back(hub.Link("nvme.poll_deadline_exceeded", poll_deadline_hits_));
+  links_.push_back(hub.Link("nvme.mode_switches", mode_switches_));
+}
 
 bool NvmeDriver::PollDeadlineHit(uint64_t start_cycle, std::string_view loop) {
   if (clock_.now() - start_cycle < EffectivePollDeadline()) {
@@ -56,9 +65,6 @@ bool NvmeDriver::PollDeadlineHit(uint64_t start_cycle, std::string_view loop) {
                 telemetry::Severity::kWarn, device_id_,
                 clock_.now() - start_cycle, 0, this,
                 config_.name + "_" + std::string(loop));
-  if (dma_.telemetry().enabled()) {
-    dma_.telemetry().counter("nvme.poll_deadline_exceeded").Add();
-  }
   return true;
 }
 
@@ -588,9 +594,6 @@ bool NvmeDriver::HandleIoCqe(const Cqe& cqe) {
     EmitNvmeEvent(hub, telemetry::EventKind::kNvmeCompletionError,
                   telemetry::Severity::kWarn, device_id_, 0, cqe.cid, this,
                   config_.name + "_bad_cid");
-    if (hub.enabled()) {
-      hub.counter("nvme.completion_errors").Add();
-    }
     return false;
   }
   IoCmd cmd = std::move(it->second);
@@ -604,9 +607,6 @@ bool NvmeDriver::HandleIoCqe(const Cqe& cqe) {
     EmitNvmeEvent(hub, telemetry::EventKind::kNvmeCompletionError,
                   telemetry::Severity::kWarn, device_id_, transferred, cqe.cid,
                   this, config_.name + "_short_transfer");
-    if (hub.enabled()) {
-      hub.counter("nvme.completion_errors").Add();
-    }
     status = kScDataTransferError;
   }
   (void)ReleaseCmd(cmd, "complete");
@@ -621,7 +621,6 @@ bool NvmeDriver::HandleIoCqe(const Cqe& cqe) {
                   telemetry::Severity::kInfo, device_id_, transferred, cqe.cid,
                   this, config_.name + "_complete");
     if (hub.enabled()) {
-      hub.counter(cmd.opcode == kOpRead ? "nvme.reads" : "nvme.writes").Add();
       hub.histogram("nvme.io_latency_cycles")
           .Record(clock_.now() - cmd.submit_cycle);
       hub.histogram("nvme.transfer_bytes").Record(transferred);
@@ -631,9 +630,6 @@ bool NvmeDriver::HandleIoCqe(const Cqe& cqe) {
     EmitNvmeEvent(hub, telemetry::EventKind::kNvmeComplete,
                   telemetry::Severity::kWarn, device_id_, transferred, cqe.cid,
                   this, config_.name + "_error_status");
-    if (hub.enabled()) {
-      hub.counter("nvme.io_errors").Add();
-    }
   }
   return true;
 }
@@ -725,9 +721,6 @@ uint32_t NvmeDriver::CheckTimeouts() {
   EmitNvmeEvent(dma_.telemetry(), telemetry::EventKind::kNvmeQueueReset,
                 telemetry::Severity::kWarn, device_id_, failed, 0, this,
                 config_.name + "_watchdog");
-  if (dma_.telemetry().enabled()) {
-    dma_.telemetry().counter("nvme.queue_resets").Add();
-  }
   FailAllOutstanding("watchdog");
   (void)ResetIoQueue();
   return failed;
@@ -801,9 +794,6 @@ Status NvmeDriver::SwitchServiceMode(dma::ServiceMode next) {
                 telemetry::Severity::kWarn, device_id_, pending.size(),
                 static_cast<uint64_t>(next), this,
                 config_.name + "_mode_switch");
-  if (dma_.telemetry().enabled()) {
-    dma_.telemetry().counter("nvme.mode_switches").Add();
-  }
   Status up = AllocQueue(admin_, kAdminQid, config_.admin_queue_entries,
                          config_.admin_queue_entries);
   if (up.ok()) {

@@ -138,14 +138,14 @@ class NvmeDriver : public recovery::SupervisedDriver {
   uint64_t writes_completed() const { return writes_completed_; }
   uint64_t io_errors() const { return io_errors_; }
   uint64_t completion_errors() const { return completion_errors_; }
-  uint32_t queue_resets() const { return queue_resets_; }
+  uint32_t queue_resets() const { return static_cast<uint32_t>(queue_resets_.load()); }
   uint64_t poll_deadline_hits() const { return poll_deadline_hits_; }
   uint64_t prp_segments_built() const { return prp_segments_built_; }
   // Degraded-service state: which queue protocol the driver is running
   // (kBounceSync = rings on persistent sync'd bounce slots) and how many
   // live transitions it has absorbed.
   dma::ServiceMode service_mode() const { return active_mode_; }
-  uint32_t mode_switches() const { return mode_switches_; }
+  uint32_t mode_switches() const { return static_cast<uint32_t>(mode_switches_.load()); }
 
   // Queue geometry, for the attack tests that target ring memory.
   Kva io_sq_kva() const { return io_.sq_kva; }
@@ -274,16 +274,18 @@ class NvmeDriver : public recovery::SupervisedDriver {
   std::map<uint16_t, Finished> finished_;
   uint16_t next_cid_ = 1;
 
-  uint64_t reads_completed_ = 0;
-  uint64_t writes_completed_ = 0;
-  uint64_t io_errors_ = 0;          // commands that completed with bad status
-  uint64_t completion_errors_ = 0;  // CQEs rejected as implausible
-  uint32_t queue_resets_ = 0;
-  uint64_t poll_deadline_hits_ = 0;
+  // The hub reads these tallies as nvme.* (linked in the constructor).
+  StatCounter reads_completed_;
+  StatCounter writes_completed_;
+  StatCounter io_errors_;          // commands that failed: bad status or aborted
+  StatCounter completion_errors_;  // CQEs rejected as implausible
+  StatCounter queue_resets_;
+  StatCounter poll_deadline_hits_;
   uint64_t prp_segments_built_ = 0;
   dma::ServiceMode active_mode_ = dma::ServiceMode::kZeroCopy;
-  uint32_t mode_switches_ = 0;
+  StatCounter mode_switches_;
   bool in_mode_switch_ = false;  // re-entrancy guard for RefreshServiceMode
+  std::vector<telemetry::CounterLink> links_;  // after the tallies it reads
 };
 
 }  // namespace spv::nvme

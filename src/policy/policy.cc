@@ -48,6 +48,9 @@ PolicyEngine::PolicyEngine(iommu::Iommu& iommu, dma::BouncePool& pool, SimClock&
   if (config_.enabled) {
     hub_.AddSink(&sink_);
   }
+  links_.push_back(hub_.Link("policy.demotions", total_demotions_));
+  links_.push_back(hub_.Link("policy.promotions", total_promotions_));
+  links_.push_back(hub_.Link("policy.promotions_blocked", total_promotions_blocked_));
 }
 
 PolicyEngine::~PolicyEngine() {
@@ -109,15 +112,6 @@ void PolicyEngine::Publish(telemetry::EventKind kind, DeviceId device, TrustStat
   event.origin = this;
   event.site = std::string(reason);
   hub_.Publish(std::move(event));
-  if (hub_.enabled()) {
-    if (refused) {
-      hub_.counter("policy.promotions_blocked").Add();
-    } else {
-      hub_.counter(kind == telemetry::EventKind::kTrustPromoted ? "policy.promotions"
-                                                                : "policy.demotions")
-          .Add();
-    }
-  }
 }
 
 Status PolicyEngine::RegisterDevice(DeviceId device, DeviceIdentity identity,
@@ -145,7 +139,7 @@ Status PolicyEngine::RegisterDevice(DeviceId device, DeviceIdentity identity,
   auto [it, inserted] = devices_.emplace(device.value, std::move(entry));
   ApplyTrust(device, it->second, initial, "attach", /*is_promotion=*/false);
   if (hub_.enabled()) {
-    hub_.counter("policy.registered").Add();
+    ++hub_.counter("policy.registered");
   }
   return OkStatus();
 }
@@ -184,6 +178,7 @@ Status PolicyEngine::Promote(DeviceId device, std::string_view reason) {
   }
   ApplyTrust(device, entry, next, reason, /*is_promotion=*/true);
   ++entry.promotions;
+  ++total_promotions_;
   Publish(telemetry::EventKind::kTrustPromoted, device, next, /*refused=*/false, reason);
   return OkStatus();
 }
@@ -239,23 +234,6 @@ bool PolicyEngine::ShouldBounce(DeviceId device) const {
   return it != devices_.end() && it->second.trust == TrustState::kUntrusted;
 }
 
-dma::ServiceMode PolicyEngine::ServiceModeFor(DeviceId device) const {
-  if (!config_.enabled) {
-    return dma::ServiceMode::kZeroCopy;
-  }
-  auto it = devices_.find(device.value);
-  if (it == devices_.end() || it->second.trust != TrustState::kUntrusted) {
-    // Probation devices keep direct mappings (clamped service limits do the
-    // containment); only the untrusted rung is degraded.
-    return dma::ServiceMode::kZeroCopy;
-  }
-  const Device& entry = it->second;
-  if (entry.quirk != nullptr && entry.quirk->untrusted_service.has_value()) {
-    return *entry.quirk->untrusted_service;
-  }
-  return config_.untrusted_service;
-}
-
 TrustState PolicyEngine::state(DeviceId device) const {
   auto it = devices_.find(device.value);
   // Unregistered devices are outside the policy's remit; they behave as
@@ -304,7 +282,9 @@ std::string PolicyEngine::PostureJson() const {
     w.Key("active_bounces").Uint(pool_.active_bounces(device));
     // Degraded-service stats: which protocol the device would run under
     // right now, and how much sync-ring traffic it has actually served.
-    w.Key("service_mode").String(dma::ServiceModeName(ServiceModeFor(device)));
+    w.Key("service_mode")
+        .String(dma::ServiceModeName(ShouldBounce(device) ? dma::ServiceMode::kBounceSync
+                                                          : dma::ServiceMode::kZeroCopy));
     w.Key("persistent_bounces").Uint(pool_.persistent_bounces(device));
     w.Key("bounce_syncs_for_cpu").Uint(pool_.syncs_for_cpu(device));
     w.Key("bounce_syncs_for_device").Uint(pool_.syncs_for_device(device));

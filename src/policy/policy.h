@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -77,15 +76,8 @@ struct Quirk {
   TrustState initial_trust = TrustState::kUntrusted;
   // Bounce pool size while untrusted (0 = engine default).
   uint64_t bounce_pages = 0;
-  // How this device is serviced while untrusted (unset = engine default).
-  // kBounceSync keeps its queue protocols alive on persistent sync'd slots;
-  // kBounceTransient is the PR 8 per-transfer bounce (rings starve).
-  std::optional<dma::ServiceMode> untrusted_service;
   // Service limits applied on kProbation (zero fields = driver default).
   recovery::DmaPolicyLimits probation_limits;
-  // Per-device recovery tuning (scorer weights, backoff, retry budget) the
-  // machine passes to RecoveryManager::RegisterDevice for this identity.
-  std::optional<recovery::RecoveryConfig> recovery_tune;
 };
 
 class PolicyEngine : public dma::DmaRouter {
@@ -98,12 +90,6 @@ class PolicyEngine : public dma::DmaRouter {
     // tests that predate the engine run with it disabled instead).
     TrustState default_trust = TrustState::kUntrusted;
     uint64_t bounce_pages = dma::BouncePool::kDefaultPoolPages;
-    // Degraded service mode for untrusted devices. kBounceSync by default:
-    // queue-protocol drivers keep serving through persistent sync'd bounce
-    // slots instead of starving behind per-transfer bounces. MapSingle's
-    // transient diversion is unchanged either way — this only steers
-    // drivers that ask DmaApi::service_mode().
-    dma::ServiceMode untrusted_service = dma::ServiceMode::kBounceSync;
     // Limits applied on kProbation when no quirk overrides them.
     recovery::DmaPolicyLimits probation_limits{SimClock::UsToCycles(500), 16};
     // Hysteresis: after a demotion, Promote() is refused this long.
@@ -151,12 +137,9 @@ class PolicyEngine : public dma::DmaRouter {
   // workload loop; returns the number of demotions performed.
   uint32_t Poll();
 
-  // dma::DmaRouter: untrusted registered devices divert through the pool.
+  // dma::DmaRouter: untrusted registered devices divert through the pool
+  // (their queue protocols run on sync'd bounce slots).
   bool ShouldBounce(DeviceId device) const override;
-
-  // dma::DmaRouter: untrusted devices get the configured degraded mode
-  // (quirk override first); everything else runs zero-copy.
-  dma::ServiceMode ServiceModeFor(DeviceId device) const override;
 
   TrustState state(DeviceId device) const;
   DeviceStatus device_status(DeviceId device) const;
@@ -164,10 +147,6 @@ class PolicyEngine : public dma::DmaRouter {
   const Config& config() const { return config_; }
   uint64_t total_demotions() const { return total_demotions_; }
   uint64_t total_promotions_blocked() const { return total_promotions_blocked_; }
-
-  // First quirks-table row matching `identity`, or nullptr. Exposed so the
-  // machine can hand the row's recovery_tune to RecoveryManager.
-  const Quirk* FindQuirk(const DeviceIdentity& identity) const;
 
   // Optional: lets the posture report include quarantine history and
   // supervision state. nullptr detaches.
@@ -199,6 +178,8 @@ class PolicyEngine : public dma::DmaRouter {
     PolicyEngine& engine_;
   };
 
+  // First quirks-table row matching `identity`, or nullptr.
+  const Quirk* FindQuirk(const DeviceIdentity& identity) const;
   void ApplyTrust(DeviceId device, Device& entry, TrustState next,
                   std::string_view reason, bool is_promotion);
   recovery::DmaPolicyLimits ProbationLimitsFor(const Device& entry) const;
@@ -215,8 +196,10 @@ class PolicyEngine : public dma::DmaRouter {
   std::map<uint32_t, Device> devices_;  // ordered: deterministic Poll/report
   // (device, trigger kind) pairs recorded by the sink since the last Poll.
   std::vector<std::pair<uint32_t, telemetry::EventKind>> pending_demotions_;
-  uint64_t total_demotions_ = 0;
-  uint64_t total_promotions_blocked_ = 0;
+  StatCounter total_demotions_;
+  StatCounter total_promotions_;  // read through the hub (policy.promotions)
+  StatCounter total_promotions_blocked_;
+  std::vector<telemetry::CounterLink> links_;  // after the tallies it reads
 };
 
 }  // namespace spv::policy

@@ -7,19 +7,7 @@ namespace spv::recovery {
 
 void HealthScorer::Track(DeviceId device) { scores_.try_emplace(device.value); }
 
-void HealthScorer::Untrack(DeviceId device) {
-  scores_.erase(device.value);
-  overrides_.erase(device.value);
-}
-
-void HealthScorer::SetDeviceConfig(DeviceId device, const Config& config) {
-  overrides_[device.value] = config;
-}
-
-const HealthScorer::Config& HealthScorer::ConfigFor(DeviceId device) const {
-  auto it = overrides_.find(device.value);
-  return it == overrides_.end() ? config_ : it->second;
-}
+void HealthScorer::Untrack(DeviceId device) { scores_.erase(device.value); }
 
 double HealthScorer::WeightFor(const Config& config, const telemetry::Event& event) {
   switch (event.kind) {
@@ -61,17 +49,16 @@ void HealthScorer::OnEvent(const telemetry::Event& event) {
   if (it == scores_.end()) {
     return;  // not a device we supervise
   }
-  const Config& config = ConfigFor(DeviceId{event.device});
-  const double weight = WeightFor(config, event);
+  const double weight = WeightFor(config_, event);
   if (weight == 0.0) {
     return;
   }
   DeviceScore& entry = it->second;
   entry.score = Decayed(entry.score, entry.last_cycle, event.cycle,
-                        config.half_life_cycles) +
+                        config_.half_life_cycles) +
                 weight;
   entry.last_cycle = std::max(entry.last_cycle, event.cycle);
-  if (!entry.breached && entry.score >= config.threshold) {
+  if (!entry.breached && entry.score >= config_.threshold) {
     entry.breached = true;
     pending_breaches_.push_back(DeviceId{event.device});
   }
@@ -83,7 +70,7 @@ double HealthScorer::ScoreAt(DeviceId device, uint64_t now) const {
     return 0.0;
   }
   return Decayed(it->second.score, it->second.last_cycle, now,
-                 ConfigFor(device).half_life_cycles);
+                 config_.half_life_cycles);
 }
 
 std::vector<DeviceId> HealthScorer::TakeBreaches() {

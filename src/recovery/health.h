@@ -47,13 +47,6 @@ class HealthScorer : public telemetry::EventSink {
   void Track(DeviceId device);
   void Untrack(DeviceId device);
 
-  // Per-device override: this device is scored with `config` (weights,
-  // threshold, half-life) instead of the machine-wide one. Survives Reset();
-  // used by the quirks table to pre-tune supervision per device identity.
-  void SetDeviceConfig(DeviceId device, const Config& config);
-  // The config actually scoring `device` (the override, or the baseline).
-  const Config& ConfigFor(DeviceId device) const;
-
   void OnEvent(const telemetry::Event& event) override;
 
   // Decayed score as of `now` (0 for untracked devices).
@@ -82,7 +75,6 @@ class HealthScorer : public telemetry::EventSink {
 
   Config config_;
   std::unordered_map<uint32_t, DeviceScore> scores_;
-  std::unordered_map<uint32_t, Config> overrides_;  // per-device quirk configs
   std::vector<DeviceId> pending_breaches_;
 };
 

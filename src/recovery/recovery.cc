@@ -29,6 +29,8 @@ RecoveryManager::RecoveryManager(iommu::Iommu& iommu, dma::DmaApi& dma, SimClock
   if (config_.enabled) {
     hub_.AddSink(&scorer_);
   }
+  links_.push_back(hub_.Link("recovery.quarantines", total_quarantines_));
+  links_.push_back(hub_.Link("recovery.permanent_detaches", total_detaches_));
 }
 
 RecoveryManager::~RecoveryManager() {
@@ -37,22 +39,9 @@ RecoveryManager::~RecoveryManager() {
   }
 }
 
-void RecoveryManager::RegisterDevice(DeviceId device, SupervisedDriver* driver,
-                                     const RecoveryConfig* tune) {
-  Supervised& entry = devices_[device.value];
-  entry.driver = driver;
-  if (tune != nullptr) {
-    entry.tune = *tune;
-  }
+void RecoveryManager::RegisterDevice(DeviceId device, SupervisedDriver* driver) {
+  devices_[device.value].driver = driver;
   scorer_.Track(device);
-  if (tune != nullptr) {
-    scorer_.SetDeviceConfig(device, tune->health);
-  }
-}
-
-const RecoveryConfig& RecoveryManager::effective_config(DeviceId device) const {
-  auto it = devices_.find(device.value);
-  return it == devices_.end() ? config_ : TuneFor(it->second);
 }
 
 void RecoveryManager::Emit(telemetry::EventKind kind, telemetry::Severity severity,
@@ -106,23 +95,21 @@ Status RecoveryManager::DoQuarantine(DeviceId device, Supervised& entry,
   }
   iommu_.DrainDeviceInvalidations(device);
 
-  const RecoveryConfig& tune = TuneFor(entry);
   entry.state = DeviceState::kQuarantined;
   entry.quarantine_start = start;
   // First quarantine waits the base backoff; every re-quarantine after a
   // failed probation multiplies it (exponential backoff on a flapping device).
   entry.current_backoff =
       entry.reattach_attempts == 0
-          ? tune.reattach_backoff_cycles
+          ? config_.reattach_backoff_cycles
           : static_cast<uint64_t>(static_cast<double>(entry.current_backoff) *
-                                  tune.backoff_multiplier);
+                                  config_.backoff_multiplier);
   entry.next_reattach_cycle = clock_.now() + entry.current_backoff;
   ++entry.quarantines;
   ++total_quarantines_;
   Emit(telemetry::EventKind::kDeviceQuarantined, telemetry::Severity::kWarn, device,
        *revoked, std::string(reason));
   if (hub_.enabled()) {
-    hub_.counter("recovery.quarantines").Add();
     hub_.histogram("recovery.quarantine_latency_cycles").Record(clock_.now() - start);
     hub_.histogram("recovery.revoked_mappings").Record(*revoked);
   }
@@ -130,9 +117,8 @@ Status RecoveryManager::DoQuarantine(DeviceId device, Supervised& entry,
 }
 
 void RecoveryManager::DoReattach(DeviceId device, Supervised& entry) {
-  const RecoveryConfig& tune = TuneFor(entry);
   ++entry.reattach_attempts;
-  if (entry.reattach_attempts > tune.max_reattach_attempts) {
+  if (entry.reattach_attempts > config_.max_reattach_attempts) {
     DoDetach(device, entry, "retry budget exhausted");
     return;
   }
@@ -146,13 +132,13 @@ void RecoveryManager::DoReattach(DeviceId device, Supervised& entry) {
   }
   entry.quarantined_cycles += clock_.now() - entry.quarantine_start;
   entry.state = DeviceState::kProbation;
-  entry.probation_until = clock_.now() + tune.probation_cycles;
+  entry.probation_until = clock_.now() + config_.probation_cycles;
   // Probation starts from a clean score; the breach latch re-arms.
   scorer_.Reset(device);
   Emit(telemetry::EventKind::kDeviceReattached, telemetry::Severity::kInfo, device,
        entry.reattach_attempts, "supervised re-attach");
   if (hub_.enabled()) {
-    hub_.counter("recovery.reattach_attempts").Add();
+    ++hub_.counter("recovery.reattach_attempts");
     hub_.histogram("recovery.downtime_cycles")
         .Record(clock_.now() - entry.quarantine_start);
   }
@@ -185,9 +171,6 @@ void RecoveryManager::DoDetach(DeviceId device, Supervised& entry,
   ++total_detaches_;
   Emit(telemetry::EventKind::kDeviceDetached, telemetry::Severity::kCritical, device,
        entry.reattach_attempts, std::string(reason));
-  if (hub_.enabled()) {
-    hub_.counter("recovery.permanent_detaches").Add();
-  }
 }
 
 uint32_t RecoveryManager::Poll() {
@@ -209,7 +192,7 @@ uint32_t RecoveryManager::Poll() {
       Emit(telemetry::EventKind::kHealthBreach, telemetry::Severity::kWarn, device,
            static_cast<uint64_t>(score), "health threshold crossed");
       if (hub_.enabled()) {
-        hub_.counter("recovery.health_breaches").Add();
+        ++hub_.counter("recovery.health_breaches");
       }
       if (DoQuarantine(device, entry, "health breach").ok()) {
         ++transitions;

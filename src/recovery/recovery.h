@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,30 +50,25 @@ enum class DeviceState : uint8_t {
 
 std::string_view DeviceStateName(DeviceState state);
 
-// Every quarantine-hysteresis and re-attach knob in one value type: scorer
-// weights, retry budget, backoff base/multiplier, probation length. The
-// manager's machine-wide Config carries one as its baseline, and
-// RegisterDevice accepts a per-device override so a quirks table (spv::policy)
-// can pre-tune supervision per device identity.
-struct RecoveryConfig {
-  HealthScorer::Config health;
-  // First re-attach is attempted this long after quarantine; each failed
-  // probation multiplies the wait (exponential backoff).
-  uint64_t reattach_backoff_cycles = SimClock::MsToCycles(10);
-  double backoff_multiplier = 2.0;
-  // Re-attach attempts before the device is permanently detached.
-  uint32_t max_reattach_attempts = 3;
-  // A device surviving probation this long returns to kHealthy with its
-  // score and retry budget cleared.
-  uint64_t probation_cycles = SimClock::MsToCycles(50);
-};
-
 class RecoveryManager {
  public:
-  struct Config : RecoveryConfig {
+  // Every quarantine-hysteresis and re-attach knob in one value type: scorer
+  // weights, retry budget, backoff base/multiplier, probation length. One
+  // machine-wide value governs every supervised device.
+  struct Config {
     // Disabled by default: scoring and supervision cost nothing, and the
     // paper's attacks reproduce unhindered.
     bool enabled = false;
+    HealthScorer::Config health;
+    // First re-attach is attempted this long after quarantine; each failed
+    // probation multiplies the wait (exponential backoff).
+    uint64_t reattach_backoff_cycles = SimClock::MsToCycles(10);
+    double backoff_multiplier = 2.0;
+    // Re-attach attempts before the device is permanently detached.
+    uint32_t max_reattach_attempts = 3;
+    // A device surviving probation this long returns to kHealthy with its
+    // score and retry budget cleared.
+    uint64_t probation_cycles = SimClock::MsToCycles(50);
   };
 
   struct DeviceStatus {
@@ -97,14 +91,7 @@ class RecoveryManager {
   // Places `device` under supervision. `driver` (may be null for driverless
   // devices) is Shutdown() on quarantine and Resume()d on re-attach; any
   // device class implementing SupervisedDriver (NIC, NVMe, ...) plugs in.
-  // A non-null `tune` replaces the machine-wide RecoveryConfig for this
-  // device only (scorer weights included) — the quirks-table entry point.
-  void RegisterDevice(DeviceId device, SupervisedDriver* driver,
-                      const RecoveryConfig* tune = nullptr);
-
-  // The RecoveryConfig actually governing `device`: its registered override,
-  // or the machine-wide baseline.
-  const RecoveryConfig& effective_config(DeviceId device) const;
+  void RegisterDevice(DeviceId device, SupervisedDriver* driver);
 
   // Drives the state machine: consumes health breaches (quarantining the
   // offenders), attempts due re-attaches, and promotes devices that survived
@@ -133,8 +120,6 @@ class RecoveryManager {
  private:
   struct Supervised {
     SupervisedDriver* driver = nullptr;
-    // Per-device RecoveryConfig override (quirks); nullopt = machine default.
-    std::optional<RecoveryConfig> tune;
     DeviceState state = DeviceState::kHealthy;
     uint32_t reattach_attempts = 0;
     uint64_t quarantines = 0;
@@ -145,9 +130,6 @@ class RecoveryManager {
     uint64_t current_backoff = 0;
   };
 
-  const RecoveryConfig& TuneFor(const Supervised& entry) const {
-    return entry.tune.has_value() ? *entry.tune : config_;
-  }
   Status DoQuarantine(DeviceId device, Supervised& entry, std::string_view reason);
   void DoReattach(DeviceId device, Supervised& entry);
   void DoDetach(DeviceId device, Supervised& entry, std::string_view reason);
@@ -162,8 +144,9 @@ class RecoveryManager {
   HealthScorer scorer_;
   trace::Tracer* tracer_ = nullptr;
   std::map<uint32_t, Supervised> devices_;  // ordered: deterministic Poll order
-  uint64_t total_quarantines_ = 0;
-  uint64_t total_detaches_ = 0;
+  StatCounter total_quarantines_;
+  StatCounter total_detaches_;
+  std::vector<telemetry::CounterLink> links_;  // after the tallies it reads
 };
 
 }  // namespace spv::recovery

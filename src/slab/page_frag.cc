@@ -18,6 +18,9 @@ PageFragPool::PageFragPool(mem::PageDb& page_db, mem::PageAllocator& page_alloc,
       region_bytes_(AlignUp(region_bytes, kPageSize)),
       hub_(hub) {
   assert(region_bytes_ >= kPageSize);
+  if (hub_ != nullptr) {
+    regions_link_ = hub_->Link("frag.regions", regions_allocated_);
+  }
 }
 
 telemetry::Hub& PageFragPool::telemetry() {
@@ -42,9 +45,6 @@ Result<PageFragPool::Region*> PageFragPool::RefillRegion(uint64_t bytes) {
   region.offset = region.bytes;  // offset starts at the region end (Fig 5)
   region.current = true;
   ++regions_allocated_;
-  if (hub_ != nullptr && hub_->enabled()) {
-    hub_->counter("frag.regions").Add();
-  }
   auto [it, inserted] = regions_.emplace(head->value, region);
   assert(inserted);
   return &it->second;
@@ -179,7 +179,7 @@ void PageFragPool::Notify(bool alloc, Kva kva, uint64_t size, std::string_view s
   event.site = std::string(site);
   hub.Publish(std::move(event));
   if (hub.enabled()) {
-    hub.counter(alloc ? "frag.allocs" : "frag.frees").Add();
+    ++hub.counter(alloc ? "frag.allocs" : "frag.frees");
     if (alloc) {
       hub.histogram("frag.alloc_bytes").Record(size);
     }

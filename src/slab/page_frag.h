@@ -109,8 +109,9 @@ class PageFragPool {
   std::unordered_map<uint64_t, Frag> frags_;            // frag kva -> record
   telemetry::Hub* hub_;
   std::unique_ptr<telemetry::Hub> owned_hub_;  // fallback when none injected
-  uint64_t regions_allocated_ = 0;
+  StatCounter regions_allocated_;
   fault::FaultEngine* fault_ = nullptr;
+  telemetry::CounterLink regions_link_;  // after the tally it reads
 };
 
 }  // namespace spv::slab

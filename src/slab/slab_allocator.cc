@@ -281,7 +281,7 @@ void SlabAllocator::Notify(bool alloc, Kva kva, uint64_t size, std::string_view 
   event.site = std::string(site);
   hub.Publish(std::move(event));
   if (hub.enabled()) {
-    hub.counter(alloc ? "slab.allocs" : "slab.frees").Add();
+    ++hub.counter(alloc ? "slab.allocs" : "slab.frees");
     if (alloc) {
       hub.histogram("slab.alloc_bytes").Record(size);
     }

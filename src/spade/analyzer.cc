@@ -81,7 +81,7 @@ Result<std::vector<SiteFinding>> SpadeAnalyzer::Analyze() {
                    finding.function + " -> " + finding.callee;
       hub_->Publish(std::move(event));
       if (hub_->enabled()) {
-        hub_->counter("spade.vulnerable_sites").Add();
+        ++hub_->counter("spade.vulnerable_sites");
       }
     }
   }
@@ -667,26 +667,26 @@ Summary SpadeAnalyzer::Summarize(const std::vector<SiteFinding>& findings) const
   if (hub_ != nullptr && hub_->enabled()) {
     // Table-2 rows as counters, so benches read the aggregation straight off
     // the bus export instead of the Summary struct.
-    hub_->counter("spade.total_calls").Set(summary.total_calls);
-    hub_->counter("spade.total_files").Set(summary.total_files);
-    hub_->counter("spade.vulnerable_calls").Set(summary.vulnerable_calls);
-    hub_->counter("spade.exposed_structs").Set(summary.exposed_structs.size());
-    hub_->counter("spade.callbacks_exposed.calls").Set(summary.callbacks_exposed.calls);
-    hub_->counter("spade.callbacks_exposed.files").Set(summary.callbacks_exposed.files);
-    hub_->counter("spade.shared_info_mapped.calls").Set(summary.shared_info_mapped.calls);
-    hub_->counter("spade.shared_info_mapped.files").Set(summary.shared_info_mapped.files);
-    hub_->counter("spade.callbacks_exposed_directly.calls")
-        .Set(summary.callbacks_exposed_directly.calls);
-    hub_->counter("spade.callbacks_exposed_directly.files")
-        .Set(summary.callbacks_exposed_directly.files);
-    hub_->counter("spade.private_data_mapped.calls").Set(summary.private_data_mapped.calls);
-    hub_->counter("spade.private_data_mapped.files").Set(summary.private_data_mapped.files);
-    hub_->counter("spade.stack_mapped.calls").Set(summary.stack_mapped.calls);
-    hub_->counter("spade.stack_mapped.files").Set(summary.stack_mapped.files);
-    hub_->counter("spade.type_c.calls").Set(summary.type_c.calls);
-    hub_->counter("spade.type_c.files").Set(summary.type_c.files);
-    hub_->counter("spade.build_skb_used.calls").Set(summary.build_skb_used.calls);
-    hub_->counter("spade.build_skb_used.files").Set(summary.build_skb_used.files);
+    hub_->counter("spade.total_calls") = summary.total_calls;
+    hub_->counter("spade.total_files") = summary.total_files;
+    hub_->counter("spade.vulnerable_calls") = summary.vulnerable_calls;
+    hub_->counter("spade.exposed_structs") = summary.exposed_structs.size();
+    hub_->counter("spade.callbacks_exposed.calls") = summary.callbacks_exposed.calls;
+    hub_->counter("spade.callbacks_exposed.files") = summary.callbacks_exposed.files;
+    hub_->counter("spade.shared_info_mapped.calls") = summary.shared_info_mapped.calls;
+    hub_->counter("spade.shared_info_mapped.files") = summary.shared_info_mapped.files;
+    hub_->counter("spade.callbacks_exposed_directly.calls") =
+        summary.callbacks_exposed_directly.calls;
+    hub_->counter("spade.callbacks_exposed_directly.files") =
+        summary.callbacks_exposed_directly.files;
+    hub_->counter("spade.private_data_mapped.calls") = summary.private_data_mapped.calls;
+    hub_->counter("spade.private_data_mapped.files") = summary.private_data_mapped.files;
+    hub_->counter("spade.stack_mapped.calls") = summary.stack_mapped.calls;
+    hub_->counter("spade.stack_mapped.files") = summary.stack_mapped.files;
+    hub_->counter("spade.type_c.calls") = summary.type_c.calls;
+    hub_->counter("spade.type_c.files") = summary.type_c.files;
+    hub_->counter("spade.build_skb_used.calls") = summary.build_skb_used.calls;
+    hub_->counter("spade.build_skb_used.files") = summary.build_skb_used.files;
   }
   return summary;
 }

@@ -49,8 +49,8 @@ void AppendEventJson(json::Writer& w, const Event& event) {
 std::string Hub::ExportJson(size_t max_trace_events) const {
   json::Writer w;
   w.BeginObject().Key("counters").BeginObject();
-  for (const auto& [name, counter] : counters_) {
-    w.Key(name).Uint(counter.value());
+  for (const auto& [name, entry] : counters_) {
+    w.Key(name).Uint(entry.value());
   }
   w.EndObject().Key("histograms").BeginObject();
   for (const auto& [name, histogram] : histograms_) {

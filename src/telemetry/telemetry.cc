@@ -320,13 +320,74 @@ void Hub::RemoveSink(EventSink* sink) {
   sinks_.erase(std::remove(sinks_.begin(), sinks_.end(), sink), sinks_.end());
 }
 
-Counter& Hub::counter(std::string_view name) {
-  std::lock_guard<MaybeMutex> guard(registry_mu_);
+namespace detail {
+
+// Shared by the CounterLink handle and the Hub so that either may outlive the
+// other.
+struct LinkedCount {
+  LinkedCount(const StatCounter* counter, uint64_t start) : source(counter), base(start) {}
+  // Increments since linking; once unlinked, the increments the link kept.
+  uint64_t value() const {
+    const StatCounter* counter = source.load(std::memory_order_acquire);
+    return counter != nullptr ? counter->load() - base : kept;
+  }
+
+  std::atomic<const StatCounter*> source;  // null once unlinked
+  uint64_t base;      // the source's value when linked
+  uint64_t kept = 0;  // written before `source` is cleared
+};
+
+}  // namespace detail
+
+void CounterLink::Unlink() {
+  if (state_ == nullptr) {
+    return;
+  }
+  const StatCounter* counter = state_->source.load(std::memory_order_relaxed);
+  state_->kept = counter->load() - state_->base;
+  state_->source.store(nullptr, std::memory_order_release);
+  state_.reset();
+}
+
+uint64_t Hub::CounterEntry::value() const {
+  uint64_t total = owned.load();
+  for (const auto& link : links) {
+    total += link->value();
+  }
+  return total;
+}
+
+Hub::CounterEntry& Hub::Entry(std::string_view name) {
   auto it = counters_.find(name);
   if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), Counter{}).first;
+    it = counters_.try_emplace(std::string(name)).first;
   }
   return it->second;
+}
+
+StatCounter& Hub::counter(std::string_view name) {
+  std::lock_guard<MaybeMutex> guard(registry_mu_);
+  return Entry(name).owned;
+}
+
+CounterLink Hub::Link(std::string_view name, const StatCounter& counter) {
+  if (!enabled_) {
+    return CounterLink{};
+  }
+  auto state = std::make_shared<detail::LinkedCount>(&counter, counter.load());
+  std::lock_guard<MaybeMutex> guard(registry_mu_);
+  CounterEntry& entry = Entry(name);
+  // Fold the links whose handles are gone into the hub-owned count, so
+  // re-wiring and device hot-plug churn do not grow the list.
+  std::erase_if(entry.links, [&entry](const std::shared_ptr<detail::LinkedCount>& link) {
+    if (link->source.load(std::memory_order_acquire) != nullptr) {
+      return false;
+    }
+    entry.owned += link->kept;
+    return true;
+  });
+  entry.links.push_back(state);
+  return CounterLink{std::move(state)};
 }
 
 Histogram& Hub::histogram(std::string_view name) {

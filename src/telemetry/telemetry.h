@@ -1,11 +1,13 @@
 // spv::telemetry — the one instrumentation spine of the simulated host.
 //
 // Every layer (IOMMU, IOTLB, DMA API, slab, page_frag, NIC driver, network
-// stack, attacks, D-KASAN, SPADE) publishes events through a single Hub
-// instead of keeping private tallies. The Hub provides:
+// stack, attacks, D-KASAN, SPADE) publishes events through a single Hub. The
+// Hub provides:
 //
-//   * typed Counters and log2-bucketed Histograms, registered by name in a
-//     deterministic (sorted) registry;
+//   * named counters and log2-bucketed Histograms in a deterministic (sorted)
+//     registry. A fact a layer already tallies in its own StatCounter is
+//     *linked* (Hub::Link), not counted twice: the Hub reads the layer's
+//     tally, so there is one count per fact;
 //   * a fixed-capacity single-writer trace ring of timestamped Events with
 //     severity filtering and drop accounting — overwritten slots are counted,
 //     never silently lost;
@@ -16,9 +18,9 @@
 // The Hub is also the one fan-out path for functional consumers: D-KASAN,
 // the recovery health scorer, the window tracker, the incident engine and the
 // trust policy are all plain EventSinks. Sinks always receive events;
-// *recording* (ring + counters) is gated by `enabled` so a disabled Hub with
-// no sinks costs one branch per emit site (components guard with `active()`
-// before building an Event).
+// *recording* (ring, hub-owned counters, links) is fixed by `enabled` when
+// the Hub is constructed, so a disabled Hub with no sinks costs one branch
+// per emit site (components guard with `active()` before building an Event).
 
 #ifndef SPV_TELEMETRY_TELEMETRY_H_
 #define SPV_TELEMETRY_TELEMETRY_H_
@@ -37,6 +39,7 @@
 #include "base/clock.h"
 #include "base/maybe_mutex.h"
 #include "base/spsc_ring.h"
+#include "base/stat_counter.h"
 
 namespace spv::telemetry {
 
@@ -167,25 +170,31 @@ class EventSink {
 
 // ---- Metrics -------------------------------------------------------------------
 
-// Counters are relaxed atomics so cached Counter* pointers (the idiom every
-// hot component uses) stay valid bump targets from concurrent sim CPUs in
-// ExecMode::kThreads. Relaxed is enough: counters are statistics, read only
-// at quiescence or for monotonic progress checks.
-class Counter {
+namespace detail {
+struct LinkedCount;  // one link's state, shared by its CounterLink and the Hub
+}  // namespace detail
+
+// The handle Hub::Link returns. Move-only; the owning layer keeps it next to
+// (declared after) the StatCounter it links. Destroying it freezes the
+// counter's linked increments into the Hub, so totals survive the layer — a
+// detached device's IOVA domain, say.
+class CounterLink {
  public:
-  Counter() = default;
-  Counter(const Counter& other) : value_(other.value()) {}
-  Counter& operator=(const Counter& other) {
-    value_.store(other.value(), std::memory_order_relaxed);
+  CounterLink() = default;
+  CounterLink(CounterLink&& other) noexcept = default;
+  CounterLink& operator=(CounterLink&& other) noexcept {
+    Unlink();
+    state_ = std::move(other.state_);
     return *this;
   }
-
-  void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  void Set(uint64_t v) { value_.store(v, std::memory_order_relaxed); }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  ~CounterLink() { Unlink(); }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  friend class Hub;
+  explicit CounterLink(std::shared_ptr<detail::LinkedCount> state) : state_(std::move(state)) {}
+  void Unlink();
+
+  std::shared_ptr<detail::LinkedCount> state_;
 };
 
 // log2-bucketed histogram: bucket i counts samples whose bit width is i
@@ -308,7 +317,6 @@ class Hub {
   void BindClock(const SimClock* clock) { clock_ = clock; }
 
   bool enabled() const { return enabled_; }
-  void set_enabled(bool on) { enabled_ = on; }
 
   // True if Publish would do any work — emit sites guard Event construction
   // with this so a disabled Hub with no sinks costs one branch.
@@ -352,13 +360,22 @@ class Hub {
   void RemoveSink(EventSink* sink);
   size_t sink_count() const { return sinks_.size(); }
 
-  // Named metrics. References are stable for the Hub's lifetime.
-  Counter& counter(std::string_view name);
+  // Named metrics. References are stable for the Hub's lifetime. A
+  // hub-owned counter is for a fact no layer tallies itself.
+  StatCounter& counter(std::string_view name);
   Histogram& histogram(std::string_view name);
-  // Value of a counter, or 0 when it was never touched (read-only lookup).
+
+  // Reports `counter`'s increments from now on under `name`, for as long as
+  // the returned handle lives; links under one name sum, and a destroyed
+  // handle's increments are kept. A layer links each tally once, where it is
+  // wired to the Hub; with recording off the handle links nothing. The name
+  // is exported (0 included) from the moment it is linked.
+  [[nodiscard]] CounterLink Link(std::string_view name, const StatCounter& counter);
+
+  // Hub-owned value plus every linked value, or 0 for an unknown name
+  // (read-only lookup). Read at quiescence in kThreads runs.
   uint64_t counter_value(std::string_view name) const;
 
-  const std::map<std::string, Counter, std::less<>>& counters() const { return counters_; }
   const std::map<std::string, Histogram, std::less<>>& histograms() const {
     return histograms_;
   }
@@ -379,15 +396,23 @@ class Hub {
   // direct Publish path in sequential mode; the drainer's merge path in MT.
   void Dispatch(Event event);
 
-  bool enabled_;
+  // One counter name: the hub-owned count plus the links reporting under it.
+  struct CounterEntry {
+    StatCounter owned;
+    std::vector<std::shared_ptr<detail::LinkedCount>> links;
+    uint64_t value() const;
+  };
+  CounterEntry& Entry(std::string_view name);  // caller holds registry_mu_
+
+  const bool enabled_;
   const SimClock* clock_ = nullptr;
   uint64_t current_span_ = 0;
   TraceRing ring_;
   std::vector<EventSink*> sinks_;
-  std::map<std::string, Counter, std::less<>> counters_;
+  std::map<std::string, CounterEntry, std::less<>> counters_;
   std::map<std::string, Histogram, std::less<>> histograms_;
   // MT state. registry_mu_ guards only the *structure* of the metric maps
-  // (lazy name registration); the Counters/Histograms themselves are
+  // (lazy name registration, links); the counters/Histograms themselves are
   // internally synchronized, so cached references stay lock-free.
   bool mt_ = false;
   mutable MaybeMutex registry_mu_;

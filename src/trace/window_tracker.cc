@@ -128,9 +128,8 @@ void WindowTracker::CloseWindow(size_t index, uint64_t cycle, std::string reason
                                        : subpage_open_cycles_;
   internal.Record(duration);
   if (hub_.enabled()) {
-    hub_.counter(window.kind == WindowKind::kStaleIotlb ? "window.stale.closed"
-                                                        : "window.subpage.closed")
-        .Add();
+    ++hub_.counter(window.kind == WindowKind::kStaleIotlb ? "window.stale.closed"
+                                                          : "window.subpage.closed");
     hub_.histogram(window.kind == WindowKind::kStaleIotlb ? "window.stale.open_cycles"
                                                           : "window.subpage.open_cycles")
         .Record(duration);
@@ -160,7 +159,7 @@ void WindowTracker::OnDmaMap(const telemetry::Event& event) {
   }
   open_subpage_[{event.device, page}] = index;
   if (hub_.enabled()) {
-    hub_.counter("window.subpage.opened").Add();
+    ++hub_.counter("window.subpage.opened");
   }
   PublishWindowEvent(windows_[index], /*open=*/true, telemetry::Severity::kTrace);
 }
@@ -214,8 +213,8 @@ void WindowTracker::OnDmaUnmap(const telemetry::Event& event) {
     const uint64_t duration = window.duration();
     stale_open_cycles_.Record(duration);
     if (hub_.enabled()) {
-      hub_.counter("window.stale.opened").Add();
-      hub_.counter("window.stale.closed").Add();
+      ++hub_.counter("window.stale.opened");
+      ++hub_.counter("window.stale.closed");
       hub_.histogram("window.stale.open_cycles").Record(duration);
     }
     PublishWindowEvent(window, /*open=*/false, telemetry::Severity::kInfo);
@@ -231,7 +230,7 @@ void WindowTracker::OnDmaUnmap(const telemetry::Event& event) {
   }
   open_stale_.push_back(index);
   if (hub_.enabled()) {
-    hub_.counter("window.stale.opened").Add();
+    ++hub_.counter("window.stale.opened");
   }
   PublishWindowEvent(windows_[index], /*open=*/true, telemetry::Severity::kInfo);
 }
@@ -277,7 +276,7 @@ void WindowTracker::OnStaleHit(const telemetry::Event& event) {
   }
   ++window.device_hits;
   if (hub_.enabled()) {
-    hub_.counter("window.stale.hits").Add();
+    ++hub_.counter("window.stale.hits");
   }
 }
 
@@ -311,7 +310,7 @@ void WindowTracker::OnDetection(const telemetry::Event& event, bool dkasan) {
   if (hub_.enabled()) {
     hub_.histogram(dkasan ? "window.detect_latency.dkasan" : "window.detect_latency.spade")
         .Record(latency);
-    hub_.counter(dkasan ? "window.detected.dkasan" : "window.detected.spade").Add();
+    ++hub_.counter(dkasan ? "window.detected.dkasan" : "window.detected.spade");
   }
   // D-KASAN is a runtime detector: its report ends the exploitable interval
   // (the kernel now knows). SPADE is static analysis over sites — a finding

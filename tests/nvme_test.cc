@@ -175,6 +175,21 @@ TEST_F(NvmePrpTest, LargeTransferChainsListSegments) {
   EXPECT_EQ(rig_.controller.prp_segments_seen().size(), 4u);
 }
 
+TEST_F(NvmePrpTest, SeenSegmentHistoryStopsAtItsBound) {
+  // A long storage run walks more list segments than the controller keeps:
+  // the history holds the most recent kPrpSegmentsKept and stops growing.
+  constexpr uint16_t kBlocks = 144;  // two chained segments per command
+  Result<Kva> buf = rig_.machine.slab().Kmalloc(kBlocks * kLbaSize, "nvme_history");
+  ASSERT_TRUE(buf.ok());
+  while (rig_.controller.stats().prp_segments_walked <= NvmeController::kPrpSegmentsKept) {
+    ASSERT_TRUE(rig_.driver.ReadBlocks(0, kBlocks, *buf).ok());
+  }
+  EXPECT_EQ(rig_.controller.prp_segments_seen().size(), NvmeController::kPrpSegmentsKept);
+  ASSERT_TRUE(rig_.driver.ReadBlocks(0, kBlocks, *buf).ok());
+  EXPECT_EQ(rig_.controller.prp_segments_seen().size(), NvmeController::kPrpSegmentsKept);
+  ASSERT_TRUE(rig_.machine.slab().Kfree(*buf).ok());
+}
+
 TEST_F(NvmePrpTest, MaxTransferBoundary) {
   // MDTS analogue: 256 blocks goes through, 257 is rejected client-side.
   const auto pattern = Pattern(256 * kLbaSize, 0x55);

@@ -20,14 +20,15 @@ namespace {
 
 // ---- Counters and histograms ----------------------------------------------------
 
+// Hub counters are the same StatCounter every layer tallies with.
 TEST(CounterTest, AddAndSet) {
-  Counter c;
-  EXPECT_EQ(c.value(), 0u);
-  c.Add();
-  c.Add(41);
-  EXPECT_EQ(c.value(), 42u);
-  c.Set(7);
-  EXPECT_EQ(c.value(), 7u);
+  StatCounter c;
+  EXPECT_EQ(c.load(), 0u);
+  ++c;
+  c += 41;
+  EXPECT_EQ(c.load(), 42u);
+  c = 7;
+  EXPECT_EQ(c.load(), 7u);
 }
 
 TEST(HistogramTest, Log2BucketPlacement) {
@@ -168,10 +169,87 @@ TEST(HubTest, ClockStampsCycles) {
   EXPECT_EQ(events[0].cycle, clock.now());
 }
 
+Hub::Config Recording() {
+  Hub::Config config;
+  config.enabled = true;
+  return config;
+}
+
+TEST(HubTest, LinksUnderOneNameSum) {
+  Hub hub{Recording()};
+  StatCounter nic0;
+  StatCounter nic1;
+  const CounterLink link0 = hub.Link("nic.rx_packets", nic0);
+  const CounterLink link1 = hub.Link("nic.rx_packets", nic1);
+  nic0 += 2;
+  nic1 += 3;
+  ++hub.counter("nic.rx_packets");  // a hub-owned count adds to the links
+  EXPECT_EQ(hub.counter_value("nic.rx_packets"), 6u);
+  EXPECT_NE(hub.ExportJson().find("\"nic.rx_packets\":6"), std::string::npos);
+}
+
+TEST(HubTest, LinkCountsOnlyIncrementsAfterLinking) {
+  Hub hub{Recording()};
+  StatCounter tally = 5;
+  const CounterLink link = hub.Link("iotlb.hits", tally);
+  // Listed from the moment it is linked, zero included.
+  EXPECT_EQ(hub.counter_value("iotlb.hits"), 0u);
+  EXPECT_NE(hub.ExportJson().find("\"iotlb.hits\":0"), std::string::npos);
+  tally += 2;
+  EXPECT_EQ(hub.counter_value("iotlb.hits"), 2u);
+}
+
+TEST(HubTest, DestroyedLinkKeepsItsCount) {
+  Hub hub{Recording()};
+  {
+    StatCounter tally;
+    const CounterLink link = hub.Link("iova.rcache.hits", tally);
+    tally += 4;
+  }
+  EXPECT_EQ(hub.counter_value("iova.rcache.hits"), 4u);
+  StatCounter next_domain;
+  const CounterLink relink = hub.Link("iova.rcache.hits", next_domain);  // folds the dead link
+  ++next_domain;
+  EXPECT_EQ(hub.counter_value("iova.rcache.hits"), 5u);
+
+  // Re-wiring replaces a link without counting anything twice, and moving a
+  // handle moves the one link.
+  StatCounter tally = 10;
+  CounterLink link = hub.Link("iommu.maps", tally);
+  ++tally;
+  link = hub.Link("iommu.maps", tally);
+  ++tally;
+  EXPECT_EQ(hub.counter_value("iommu.maps"), 2u);
+  CounterLink moved = std::move(link);
+  ++tally;
+  EXPECT_EQ(hub.counter_value("iommu.maps"), 3u);
+}
+
+TEST(HubTest, LinkMayOutliveItsHub) {
+  StatCounter tally;
+  CounterLink link;
+  {
+    Hub hub{Recording()};
+    link = hub.Link("iommu.maps", tally);
+    ++tally;
+    EXPECT_EQ(hub.counter_value("iommu.maps"), 1u);
+  }
+  ++tally;  // the link now unlinks from a Hub that is gone
+}
+
+TEST(HubTest, RecordingOffHubLinksNothing) {
+  Hub hub;  // recording off by default
+  StatCounter tally;
+  const CounterLink link = hub.Link("iommu.maps", tally);
+  tally += 9;
+  EXPECT_EQ(hub.counter_value("iommu.maps"), 0u);
+  EXPECT_EQ(hub.ExportJson().find("iommu.maps"), std::string::npos);
+}
+
 TEST(HubTest, CounterValueIsZeroForUnknownNames) {
   Hub hub;
   EXPECT_EQ(hub.counter_value("never.touched"), 0u);
-  hub.counter("touched").Add(3);
+  hub.counter("touched") += 3;
   EXPECT_EQ(hub.counter_value("touched"), 3u);
 }
 
@@ -329,6 +407,65 @@ TEST(ExportTest, JsonExportIsDeterministicUnderFixedSeed) {
   EXPECT_NE(first.find("\"iommu.maps\""), std::string::npos);
   EXPECT_NE(first.find("\"dma.map_bytes\""), std::string::npos);
   EXPECT_NE(first.find("stale_iotlb_hit"), std::string::npos);
+}
+
+// ---- Layer tallies on the machine bus -------------------------------------------
+
+TEST(TelemetryIntegrationTest, DetachedDomainCountsStayInHubTotals) {
+  core::MachineConfig config;
+  config.phys_pages = 4096;
+  config.iommu.mode = iommu::InvalidationMode::kStrict;  // IOVAs recycle at once
+  config.telemetry.enabled = true;
+  core::Machine machine{config};
+  const DeviceId dev{9};
+  machine.iommu().AttachDevice(dev);  // hot-plug
+  Kva buf = *machine.slab().Kmalloc(8192, "hotplug_test");
+  const std::vector<uint8_t> payload(8192, 0x5a);
+  for (int i = 0; i < 4; ++i) {
+    auto iova = machine.dma().MapSingle(dev, buf, 8192, dma::DmaDirection::kFromDevice,
+                                        "hotplug_map");
+    ASSERT_TRUE(iova.ok());
+    ASSERT_TRUE(machine.iommu().DeviceWrite(dev, *iova, payload).ok());
+    ASSERT_TRUE(
+        machine.dma().UnmapSingle(dev, *iova, 8192, dma::DmaDirection::kFromDevice).ok());
+  }
+  const iommu::IovaAllocator::Stats iova_stats = machine.iommu().iova_allocator(dev)->stats();
+  const iommu::IoPageTable::WalkCacheStats walk_stats =
+      machine.iommu().page_table(dev)->walk_cache_stats();
+  ASSERT_GT(iova_stats.rcache_hits, 0u);
+  ASSERT_GT(walk_stats.hits, 0u);
+
+  ASSERT_TRUE(machine.iommu().DetachDevice(dev).ok());
+  ASSERT_EQ(machine.iommu().iova_allocator(dev), nullptr);  // the domain is gone
+  const Hub& hub = machine.telemetry();
+  EXPECT_EQ(hub.counter_value("iova.rcache.hits"), iova_stats.rcache_hits);
+  EXPECT_EQ(hub.counter_value("iova.rcache.misses"), iova_stats.rcache_misses);
+  EXPECT_EQ(hub.counter_value("iommu.walk_cache.hits"), walk_stats.hits);
+  EXPECT_EQ(hub.counter_value("iommu.walk_cache.misses"), walk_stats.misses);
+  (void)machine.slab().Kfree(buf);
+}
+
+TEST(TelemetryIntegrationTest, BypassMapsAndUnmapsReachTheHub) {
+  core::MachineConfig config;
+  config.phys_pages = 4096;
+  config.iommu.enabled = false;  // pre-IOMMU world: dma_addr == phys
+  config.telemetry.enabled = true;
+  core::Machine machine{config};
+  const DeviceId dev{1};
+  machine.iommu().AttachDevice(dev);
+  Kva buf = *machine.slab().Kmalloc(2048, "bypass_test");
+  for (int i = 0; i < 3; ++i) {
+    auto iova =
+        machine.dma().MapSingle(dev, buf, 2048, dma::DmaDirection::kToDevice, "bypass_map");
+    ASSERT_TRUE(iova.ok());
+    ASSERT_TRUE(
+        machine.dma().UnmapSingle(dev, *iova, 2048, dma::DmaDirection::kToDevice).ok());
+  }
+  const iommu::Iommu::Stats& stats = machine.iommu().stats();
+  ASSERT_EQ(stats.maps, 3u);
+  EXPECT_EQ(machine.telemetry().counter_value("iommu.maps"), stats.maps);
+  EXPECT_EQ(machine.telemetry().counter_value("iommu.unmaps"), stats.unmaps);
+  (void)machine.slab().Kfree(buf);
 }
 
 // ---- End-to-end: attack run on the machine bus ----------------------------------
