@@ -734,7 +734,10 @@ Status Iommu::AuditCrossCpu() const {
   // its entries can never deadline-drain), and every pending range must still
   // be parked (live) in its domain's allocator — parked IOVAs are freed only
   // at drain, so a pending range absent from the live set has leaked or been
-  // handed out while stale.
+  // handed out while stale. Each domain's live set is copied once per audit
+  // (ascending and disjoint); a pending base page is parked when the live
+  // range with the greatest base at or below it still covers it.
+  std::unordered_map<uint32_t, std::vector<IovaAllocator::LiveRange>> live_by_domain;
   for (size_t i = 0; i < flush_shards_.size(); ++i) {
     const FlushShard& shard = *flush_shards_[i];
     std::lock_guard<MaybeMutex> lock(shard.mu);
@@ -747,15 +750,18 @@ Status Iommu::AuditCrossCpu() const {
       if (ref.domain == nullptr) {
         continue;  // detached while pending: DrainDeviceInvalidations missed it
       }
-      const uint64_t base_page = pending.base.value >> kPageShift;
-      bool parked = false;
-      for (const IovaAllocator::LiveRange& range : ref.domain->iova_alloc.live_ranges()) {
-        if (base_page >= range.base_page && base_page < range.base_page + range.pages) {
-          parked = true;
-          break;
-        }
+      auto [live, first_use] = live_by_domain.try_emplace(ref.domain->id);
+      if (first_use) {
+        live->second = ref.domain->iova_alloc.live_ranges();
       }
-      if (!parked) {
+      const std::vector<IovaAllocator::LiveRange>& ranges = live->second;
+      const uint64_t base_page = pending.base.value >> kPageShift;
+      auto above = std::upper_bound(ranges.begin(), ranges.end(), base_page,
+                                    [](uint64_t page, const IovaAllocator::LiveRange& range) {
+                                      return page < range.base_page;
+                                    });
+      if (above == ranges.begin() ||
+          base_page >= (above - 1)->base_page + (above - 1)->pages) {
         return Internal("pending invalidation not parked in live set (shard " +
                              std::to_string(i) + ")");
       }

@@ -1,17 +1,23 @@
 #include "mem/phys_memory.h"
 
 #include <cassert>
+#include <new>
 
 namespace spv::mem {
 
 PhysicalMemory::PhysicalMemory(uint64_t num_pages)
-    : num_pages_(num_pages), bytes_(num_pages << kPageShift, 0) {}
+    : num_pages_(num_pages),
+      bytes_(static_cast<uint8_t*>(std::calloc(num_pages << kPageShift, 1))) {
+  if (bytes_ == nullptr && num_pages != 0) {
+    throw std::bad_alloc();
+  }
+}
 
 Status PhysicalMemory::Read(PhysAddr addr, std::span<uint8_t> out) const {
   if (!Contains(addr, out.size())) {
     return OutOfRange("phys read beyond end of memory");
   }
-  std::memcpy(out.data(), bytes_.data() + addr.value, out.size());
+  std::memcpy(out.data(), bytes_.get() + addr.value, out.size());
   return OkStatus();
 }
 
@@ -19,7 +25,7 @@ Status PhysicalMemory::Write(PhysAddr addr, std::span<const uint8_t> data) {
   if (!Contains(addr, data.size())) {
     return OutOfRange("phys write beyond end of memory");
   }
-  std::memcpy(bytes_.data() + addr.value, data.data(), data.size());
+  std::memcpy(bytes_.get() + addr.value, data.data(), data.size());
   return OkStatus();
 }
 
@@ -75,18 +81,18 @@ Status PhysicalMemory::Fill(PhysAddr addr, uint64_t len, uint8_t byte) {
   if (!Contains(addr, len)) {
     return OutOfRange("phys fill beyond end of memory");
   }
-  std::memset(bytes_.data() + addr.value, byte, len);
+  std::memset(bytes_.get() + addr.value, byte, len);
   return OkStatus();
 }
 
 std::span<uint8_t> PhysicalMemory::PageSpan(Pfn pfn) {
   assert(pfn.value < num_pages_);
-  return std::span<uint8_t>(bytes_.data() + (pfn.value << kPageShift), kPageSize);
+  return std::span<uint8_t>(bytes_.get() + (pfn.value << kPageShift), kPageSize);
 }
 
 std::span<const uint8_t> PhysicalMemory::PageSpan(Pfn pfn) const {
   assert(pfn.value < num_pages_);
-  return std::span<const uint8_t>(bytes_.data() + (pfn.value << kPageShift), kPageSize);
+  return std::span<const uint8_t>(bytes_.get() + (pfn.value << kPageShift), kPageSize);
 }
 
 }  // namespace spv::mem

@@ -4,14 +4,20 @@
 // corrupt and every byte the simulated kernel parses lives here; host-side
 // C++ objects (drivers, rings, the sk_buff metadata that Linux also keeps
 // off the DMA page) merely *reference* ranges of this memory.
+//
+// The array is lazily zeroed host memory from calloc: a large one is a fresh
+// anonymous mapping whose pages the host kernel supplies, already zero, on
+// first touch. Constructing a memory therefore costs nothing in proportion
+// to its size, and host RSS follows the pages the simulation touches.
 
 #ifndef SPV_MEM_PHYS_MEMORY_H_
 #define SPV_MEM_PHYS_MEMORY_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <span>
-#include <vector>
 
 #include "base/status.h"
 #include "base/types.h"
@@ -51,8 +57,12 @@ class PhysicalMemory {
   std::span<const uint8_t> PageSpan(Pfn pfn) const;
 
  private:
+  struct FreeBytes {
+    void operator()(uint8_t* bytes) const { std::free(bytes); }
+  };
+
   uint64_t num_pages_;
-  std::vector<uint8_t> bytes_;
+  std::unique_ptr<uint8_t[], FreeBytes> bytes_;
 };
 
 }  // namespace spv::mem

@@ -4,8 +4,11 @@
 // and IOTLB statistics sanity.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <fstream>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/machine.h"
@@ -143,6 +146,68 @@ TEST(DeterminismTest, IdenticalSeedsYieldIdenticalMachines) {
   };
   EXPECT_EQ(run(42), run(42));
   EXPECT_NE(run(42), run(43));
+}
+
+// ---- Boot cost ---------------------------------------------------------------------------
+
+// Resident set size in bytes from /proc/self/statm, or -1 when unreadable.
+int64_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  int64_t size_pages = 0;
+  int64_t resident_pages = 0;
+  if (!(statm >> size_pages >> resident_pages)) {
+    return -1;
+  }
+  return resident_pages * sysconf(_SC_PAGESIZE);
+}
+
+TEST(BootCostTest, DefaultMachineDoesNotTouchAllOfItsRam) {
+  // Simulated RAM is lazily zeroed host memory: booting touches only the
+  // pages the kernel image, allocators and metadata write, not all 64 MiB.
+  const int64_t before = ResidentBytes();
+  if (before < 0) {
+    GTEST_SKIP() << "/proc/self/statm unreadable";
+  }
+  core::Machine machine{core::MachineConfig{}};
+  const int64_t ram_bytes = static_cast<int64_t>(machine.pm().size_bytes());
+  ASSERT_EQ(machine.pm().num_pages(), 16384u);
+  const int64_t growth = ResidentBytes() - before;
+  EXPECT_LT(growth, ram_bytes / 4) << "RSS grew by " << growth << " bytes";
+}
+
+// ---- Invariant (5) through the machine audit ----------------------------------------------
+
+TEST(InvariantAuditTest, PendingRangeFreedBehindFlushQueueFailsCheckInvariants) {
+  // Two devices in separate domains, deferred mode: each has deferred unmaps
+  // parked on the flush queue between buffers that stay mapped.
+  core::MachineConfig config;
+  config.seed = 77;
+  config.iommu.mode = iommu::InvalidationMode::kDeferred;
+  core::Machine machine{config};
+  for (const DeviceId device : {DeviceId{1}, DeviceId{2}}) {
+    machine.iommu().AttachDevice(device);
+    for (int i = 0; i < 6; ++i) {
+      const uint64_t len = 512 + 1024 * i;
+      Kva buf = *machine.slab().Kmalloc(len, "audit");
+      auto iova =
+          machine.dma().MapSingle(device, buf, len, dma::DmaDirection::kBidirectional, "audit");
+      ASSERT_TRUE(iova.ok());
+      if (i % 2 == 0) {
+        ASSERT_TRUE(
+            machine.dma().UnmapSingle(device, *iova, len, dma::DmaDirection::kBidirectional).ok());
+      }
+    }
+  }
+  ASSERT_EQ(machine.iommu().pending_invalidation_count(), 6u);
+  Status clean = machine.CheckInvariants();
+  ASSERT_TRUE(clean.ok()) << clean.message();
+
+  const iommu::Iommu::PendingRange victim = machine.iommu().pending_invalidations()[3];
+  auto* alloc = const_cast<iommu::IovaAllocator*>(machine.iommu().iova_allocator(victim.device));
+  ASSERT_TRUE(alloc->Free(victim.base, victim.pages).ok());
+  Status audit = machine.CheckInvariants();
+  EXPECT_FALSE(audit.ok());
+  EXPECT_NE(audit.message().find("not parked"), std::string::npos) << audit.message();
 }
 
 // ---- GRO multi-flow isolation ----------------------------------------------------------

@@ -660,6 +660,112 @@ TEST_F(IommuTest, UnattachedDomainOwnerRejected) {
   EXPECT_FALSE(iommu.AttachDeviceToDomainOf(DeviceId{50}, DeviceId{51}).ok());
 }
 
+// ---- Cross-CPU audit: every pending range is still parked -----------------------
+
+// A deferred unmap keeps its IOVA range live (parked) in the domain's allocator
+// until the flush queue drains. AuditCrossCpu must reject a pending range that
+// is missing from its own domain's live set, wherever it sits.
+class ParkedRangeAuditTest : public IommuTest {
+ protected:
+  static constexpr uint64_t kSizes[] = {1, 2, 1, 3, 1, 2, 1};
+
+  // Both devices, in separate domains, map the same seven ranges. The
+  // allocator carves top-down, so each range ends exactly at the base of the
+  // one mapped before it. Ranges 0, 3 and 6 are then unmapped and wait on the
+  // flush queue in the order nic 0, fw 0, nic 3, fw 3, nic 6, fw 6; the others
+  // stay mapped.
+  Iommu& MakeParkedState() {
+    Iommu& iommu = MakeIommu(InvalidationMode::kDeferred);
+    std::vector<Iova> bases;
+    for (uint64_t i = 0; i < std::size(kSizes); ++i) {
+      std::vector<Pfn> pfns;
+      for (uint64_t page = 0; page < kSizes[i]; ++page) {
+        pfns.push_back(Pfn{16 + 4 * i + page});
+      }
+      for (DeviceId device : {kNic, kFirewire}) {
+        auto base = iommu.MapRange(device, pfns, AccessRights::kBidirectional);
+        EXPECT_TRUE(base.ok());
+        bases.push_back(base.ok() ? *base : Iova{0});
+      }
+    }
+    for (uint64_t i : {0, 3, 6}) {
+      EXPECT_TRUE(iommu.UnmapRange(kNic, bases[2 * i], kSizes[i]).ok());
+      EXPECT_TRUE(iommu.UnmapRange(kFirewire, bases[2 * i + 1], kSizes[i]).ok());
+    }
+    EXPECT_EQ(iommu.pending_invalidation_count(), 6u);
+    return iommu;
+  }
+
+  // Frees a pending range's IOVA behind the flush queue's back, as a lost or
+  // prematurely recycled IOVA would be.
+  static void FreeBehindQueue(Iommu& iommu, const Iommu::PendingRange& range) {
+    auto* alloc = const_cast<IovaAllocator*>(iommu.iova_allocator(range.device));
+    ASSERT_NE(alloc, nullptr);
+    ASSERT_TRUE(alloc->Free(range.base, range.pages).ok());
+  }
+
+  static bool LiveAt(const Iommu& iommu, DeviceId device, uint64_t page) {
+    for (const IovaAllocator::LiveRange& range : iommu.iova_allocator(device)->live_ranges()) {
+      if (page >= range.base_page && page < range.base_page + range.pages) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  static void ExpectNotParked(const Status& audit) {
+    EXPECT_FALSE(audit.ok());
+    EXPECT_NE(audit.message().find("not parked"), std::string::npos) << audit.message();
+  }
+};
+
+TEST_F(ParkedRangeAuditTest, CleanStatePasses) {
+  Iommu& iommu = MakeParkedState();
+  for (const Iommu::PendingRange& range : iommu.pending_invalidations()) {
+    EXPECT_TRUE(LiveAt(iommu, range.device, range.base.value >> kPageShift));
+  }
+  EXPECT_TRUE(iommu.AuditCrossCpu().ok());
+}
+
+TEST_F(ParkedRangeAuditTest, FreedFirstMiddleAndLastPendingRangeFail) {
+  for (const size_t index : {size_t{0}, size_t{3}, size_t{5}}) {
+    SCOPED_TRACE(index);
+    Iommu& iommu = MakeParkedState();
+    const std::vector<Iommu::PendingRange> pending = iommu.pending_invalidations();
+    ASSERT_EQ(pending.size(), 6u);
+    FreeBehindQueue(iommu, pending[index]);
+    ExpectNotParked(iommu.AuditCrossCpu());
+  }
+}
+
+TEST_F(ParkedRangeAuditTest, FreedRangeAbuttingLowerLiveRangeFails) {
+  // nic 3's lower neighbour (nic 4, still mapped) ends exactly at its base:
+  // the greatest live base at or below the page is a range that stops short.
+  Iommu& iommu = MakeParkedState();
+  const Iommu::PendingRange victim = iommu.pending_invalidations()[2];
+  ASSERT_EQ(victim.device.value, kNic.value);
+  const uint64_t base_page = victim.base.value >> kPageShift;
+  FreeBehindQueue(iommu, victim);
+  EXPECT_TRUE(LiveAt(iommu, kNic, base_page - 1));
+  EXPECT_FALSE(LiveAt(iommu, kNic, base_page));
+  ExpectNotParked(iommu.AuditCrossCpu());
+}
+
+TEST_F(ParkedRangeAuditTest, FreedRangeStillLiveInOtherDomainFails) {
+  // Both domains hand out the same IOVAs, so the freed page stays live in the
+  // other domain: a live set looked up under the wrong domain would pass it.
+  for (const size_t index : {size_t{2}, size_t{3}}) {
+    SCOPED_TRACE(index);
+    Iommu& iommu = MakeParkedState();
+    const Iommu::PendingRange victim = iommu.pending_invalidations()[index];
+    const DeviceId other = victim.device.value == kNic.value ? kFirewire : kNic;
+    const uint64_t base_page = victim.base.value >> kPageShift;
+    FreeBehindQueue(iommu, victim);
+    EXPECT_TRUE(LiveAt(iommu, other, base_page));
+    ExpectNotParked(iommu.AuditCrossCpu());
+  }
+}
+
 // ---- Bypass (no-IOMMU) mode: the §2.1 classic-DMA-attack baseline --------------
 
 class BypassTest : public ::testing::Test {

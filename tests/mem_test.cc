@@ -29,6 +29,35 @@ TEST(PhysMemoryTest, StartsZeroed) {
   }
 }
 
+TEST(PhysMemoryTest, FreshMemoryReadsZeroWhereFreedMemoryWasDirty) {
+  // Machine-sized memory is lazily zeroed host memory. Dirty the first,
+  // middle and last pages of one, free it, and a fresh one of the same size
+  // must still read zero there, however the host recycles the bytes.
+  constexpr uint64_t kPages = 16384;
+  const Pfn pages[] = {Pfn{0}, Pfn{kPages / 2}, Pfn{kPages - 1}};
+  {
+    PhysicalMemory dirty{kPages};
+    for (Pfn pfn : pages) {
+      ASSERT_TRUE(dirty.Fill(PhysAddr::FromPfn(pfn), kPageSize, 0xff).ok());
+    }
+  }
+  PhysicalMemory pm{kPages};
+  for (Pfn pfn : pages) {
+    SCOPED_TRACE(pfn.value);
+    std::vector<uint8_t> buf(kPageSize, 0xee);
+    ASSERT_TRUE(pm.Read(PhysAddr::FromPfn(pfn), std::span<uint8_t>(buf)).ok());
+    for (uint8_t byte : buf) {
+      ASSERT_EQ(byte, 0);
+    }
+    for (uint64_t offset = 0; offset < kPageSize; offset += 8) {
+      ASSERT_EQ(*pm.ReadU64(PhysAddr::FromPfn(pfn, offset)), 0u);
+    }
+    for (uint8_t byte : pm.PageSpan(pfn)) {
+      ASSERT_EQ(byte, 0);
+    }
+  }
+}
+
 TEST(PhysMemoryTest, ScalarRoundTrip) {
   PhysicalMemory pm{2};
   PhysAddr addr{0x123};
