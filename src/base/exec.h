@@ -19,7 +19,6 @@
 #define SPV_BASE_EXEC_H_
 
 #include <cstdint>
-#include <string_view>
 
 #include "base/types.h"
 
@@ -29,10 +28,6 @@ enum class ExecMode : uint8_t {
   kSequential,  // one thread, seeded round-robin over sim CPUs (deterministic)
   kThreads,     // one host worker thread per sim CPU (wall-clock / TSan runs)
 };
-
-inline std::string_view ExecModeName(ExecMode mode) {
-  return mode == ExecMode::kSequential ? "sequential" : "threads";
-}
 
 namespace internal {
 inline thread_local uint32_t tls_current_cpu = 0;

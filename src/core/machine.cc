@@ -12,6 +12,9 @@ namespace spv::core {
 
 namespace {
 
+// Pages reserved for the kernel image at the bottom of RAM.
+constexpr uint64_t kKernelImagePages = 1024;
+
 mem::KernelLayout MakeLayout(const MachineConfig& config, Xoshiro256& rng) {
   return mem::KernelLayout::Create(config.phys_pages, config.kaslr, rng);
 }
@@ -25,18 +28,16 @@ Machine::Machine(const MachineConfig& config)
       pm_(config.phys_pages),
       page_db_(config.phys_pages),
       layout_(MakeLayout(config, rng_)) {
-  assert(config.kernel_image_pages < config.phys_pages);
+  assert(kKernelImagePages < config.phys_pages);
   hub_.BindClock(&clock_);
   // Span tracing keeps a single current-span register, which only makes sense
   // with one thread of execution; kThreads runs forgo it.
   if (config.trace.enabled && config.exec != ExecMode::kThreads) {
     tracer_ = std::make_unique<trace::Tracer>(hub_, clock_, config.trace);
-    if (config.trace.track_windows) {
-      trace::WindowTracker::Config window_config;
-      window_config.iommu_enabled = config.iommu.enabled;
-      windows_ = std::make_unique<trace::WindowTracker>(hub_, tracer_.get(), window_config);
-      hub_.AddSink(windows_.get());
-    }
+    trace::WindowTracker::Config window_config;
+    window_config.iommu_enabled = config.iommu.enabled;
+    windows_ = std::make_unique<trace::WindowTracker>(hub_, tracer_.get(), window_config);
+    hub_.AddSink(windows_.get());
   }
   // Everything below advances the logical clock (allocator + subsystem
   // bring-up); attribute it to a boot span so a traced run starts at ~100%
@@ -50,12 +51,11 @@ Machine::Machine(const MachineConfig& config)
     layout_.set_shinfo_destructor_offset(candidates[rng_.NextBelow(3)]);
   }
   // Reserve the kernel image at the bottom of RAM.
-  for (uint64_t pfn = 0; pfn < config.kernel_image_pages; ++pfn) {
+  for (uint64_t pfn = 0; pfn < kKernelImagePages; ++pfn) {
     page_db_.Get(Pfn{pfn}).owner = mem::PageOwner::kKernelImage;
   }
   page_alloc_ = std::make_unique<mem::PageAllocator>(
-      page_db_, Pfn{config.kernel_image_pages},
-      config.phys_pages - config.kernel_image_pages);
+      page_db_, Pfn{kKernelImagePages}, config.phys_pages - kKernelImagePages);
   iommu_ = std::make_unique<iommu::Iommu>(pm_, clock_, config.iommu);
   iommu_->set_telemetry(&hub_);
   iommu_->set_tracer(tracer_.get());
@@ -65,14 +65,11 @@ Machine::Machine(const MachineConfig& config)
     // The flight recorder shards one ring per sim CPU so kThreads workers
     // never contend; it observes from inside the IOMMU/DmaApi hot paths but
     // never advances the clock (the bench gate depends on that).
-    forensics::ForensicsConfig forensics_config = config.forensics;
-    const uint32_t cpus = config.iommu.fast_path.num_cpus;
-    forensics_config.num_cpus = cpus == 0 ? 1 : cpus;
-    recorder_ = std::make_unique<forensics::FlightRecorder>(&clock_, forensics_config);
+    const uint32_t cpus = num_cpus() == 0 ? 1 : num_cpus();
+    recorder_ = std::make_unique<forensics::FlightRecorder>(&clock_, config.forensics, cpus);
     iommu_->set_flight_recorder(recorder_.get());
     dma_->set_flight_recorder(recorder_.get());
-    incidents_ = std::make_unique<forensics::IncidentEngine>(hub_, recorder_.get(),
-                                                             &clock_, forensics_config);
+    incidents_ = std::make_unique<forensics::IncidentEngine>(hub_, recorder_.get(), &clock_);
     incidents_->set_window_tracker(windows_.get());
     hub_.AddSink(incidents_.get());
   }
@@ -134,7 +131,7 @@ Machine::Machine(const MachineConfig& config)
     // later event stamps from per-CPU counters, then telemetry ingest, then
     // the layers from the IOMMU outwards.
     const uint32_t cpus = num_cpus() == 0 ? 1 : num_cpus();
-    clock_.EnablePerCpu(cpus);
+    clock_.EnablePerCpu();
     hub_.EnableMt(cpus);
     iommu_->EngageThreadSafety(cpus);
     dma_->EngageLock();

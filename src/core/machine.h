@@ -54,7 +54,6 @@ struct MachineConfig {
   // The CPU count is config.iommu.fast_path.num_cpus in both modes.
   ExecMode exec = ExecMode::kSequential;
   uint64_t phys_pages = 16384;  // 64 MiB of simulated RAM
-  uint64_t kernel_image_pages = 1024;  // reserved at the bottom of RAM
   bool kaslr = true;
   // CONFIG_GCC_PLUGIN_RANDSTRUCT-style structure layout randomization
   // (paper footnote 2): shuffles skb_shared_info's destructor_arg slot.
@@ -66,8 +65,8 @@ struct MachineConfig {
   // and a trace ring for the whole machine.
   telemetry::Hub::Config telemetry;
   // Causal span tracing (spv::trace). Off by default; flip `trace.enabled`
-  // to open spans around every multi-step operation and (unless
-  // `trace.track_windows` is cleared) account vulnerability windows.
+  // to open spans around every multi-step operation and account
+  // vulnerability windows.
   trace::TracerConfig trace;
   // Deterministic fault injection: a non-empty plan arms the machine-wide
   // FaultEngine (seeded from `seed`) and every layer's hooks start firing.
@@ -113,7 +112,6 @@ class Machine {
   void set_current_cpu(CpuId cpu) { dma_->set_current_cpu(cpu); }
   CpuId current_cpu() const { return iommu_->current_cpu(); }
 
-  ExecMode exec_mode() const { return config_.exec; }
   uint32_t num_cpus() const { return config_.iommu.fast_path.num_cpus; }
 
   // Runs `fn(cpu)` for sim CPUs [0, cpus). In kSequential mode the CPUs run
@@ -142,7 +140,7 @@ class Machine {
   telemetry::Hub& telemetry() { return hub_; }
   // Span tracer; null unless config.trace.enabled.
   trace::Tracer* tracer() { return tracer_.get(); }
-  // Vulnerability-window accounting; null unless tracing with track_windows.
+  // Vulnerability-window accounting; null unless config.trace.enabled.
   trace::WindowTracker* windows() { return windows_.get(); }
   // The machine-wide fault engine (armed iff config.fault_plan is non-empty).
   fault::FaultEngine& fault() { return fault_; }
@@ -171,7 +169,6 @@ class Machine {
   Status CheckInvariants() const;
 
   const MachineConfig& config() const { return config_; }
-  DeviceId next_device_id() const { return DeviceId{next_device_id_}; }
 
  private:
   MachineConfig config_;

@@ -25,6 +25,9 @@ constexpr std::array<SitePattern, 6> kBuildSites = {{
     {"getname_flags+0x4f/0x1e0", 4096},
 }};
 
+// Chance, per step, that the workload frees one more of its live objects.
+constexpr double kFreeProbability = 0.6;
+
 }  // namespace
 
 Result<WorkloadStats> RunBuildAndPingWorkload(core::Machine& machine, net::NicDriver& nic,
@@ -51,7 +54,7 @@ Result<WorkloadStats> RunBuildAndPingWorkload(core::Machine& machine, net::NicDr
         (void)machine.kmem().WriteU64(*kva, 0x636f6d70696c65ULL);
       }
     }
-    while (!live.empty() && rng.NextBool(config.free_probability)) {
+    while (!live.empty() && rng.NextBool(kFreeProbability)) {
       const size_t victim = rng.NextBelow(live.size());
       if (machine.slab().Kfree(live[victim]).ok()) {
         ++stats.frees;
@@ -130,7 +133,7 @@ Result<WorkloadStats> RunRouterWorkload(core::Machine& machine, net::NicDriver& 
         ++stats.allocs;
       }
     }
-    while (!conntrack.empty() && rng.NextBool(config.free_probability * 0.5)) {
+    while (!conntrack.empty() && rng.NextBool(kFreeProbability * 0.5)) {
       if (machine.slab().Kfree(conntrack.back()).ok()) {
         ++stats.frees;
       }
@@ -207,7 +210,7 @@ Result<WorkloadStats> RunStorageWorkload(core::Machine& machine, DeviceId storag
       fs_meta.push_back(*meta);
       ++stats.allocs;
     }
-    while (!fs_meta.empty() && rng.NextBool(config.free_probability)) {
+    while (!fs_meta.empty() && rng.NextBool(kFreeProbability)) {
       if (machine.slab().Kfree(fs_meta.back()).ok()) {
         ++stats.frees;
       }

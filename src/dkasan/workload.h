@@ -21,7 +21,6 @@ namespace spv::dkasan {
 struct WorkloadConfig {
   int iterations = 200;
   uint64_t seed = 7;
-  double free_probability = 0.6;
 };
 
 struct WorkloadStats {

@@ -102,19 +102,6 @@ Status BouncePool::Copy(Kva dst, Kva src, uint64_t len) {
 }
 
 template <typename Fn>
-Status BouncePool::ForEachChunk(const Active& active, Fn&& fn) const {
-  const uint64_t first_offset = active.orig_kva.page_offset();
-  uint64_t done = 0;
-  for (size_t i = 0; i < active.num_slots && done < active.len; ++i) {
-    const uint64_t slot_offset = (i == 0) ? first_offset : 0;
-    const uint64_t chunk = std::min(active.len - done, kPageSize - slot_offset);
-    SPV_RETURN_IF_ERROR(fn(active.first_slot + i, slot_offset, done, chunk));
-    done += chunk;
-  }
-  return OkStatus();
-}
-
-template <typename Fn>
 Status BouncePool::ForEachChunkRange(const Active& active, uint64_t from,
                                      uint64_t span, Fn&& fn) const {
   // Buffer offset `off` lives in slot (first_offset + off) / page at page
@@ -134,22 +121,6 @@ Status BouncePool::ForEachChunkRange(const Active& active, uint64_t from,
   return OkStatus();
 }
 
-Status BouncePool::CopyIn(Pool& pool, const Active& active) {
-  return ForEachChunk(active, [&](size_t slot, uint64_t slot_off, uint64_t buf_off,
-                                  uint64_t chunk) {
-    return Copy(SlotKva(pool, slot) + slot_off, active.orig_kva + buf_off, chunk);
-  });
-}
-
-Status BouncePool::CopyOut(Pool& pool, const Active& active) {
-  // Only the buffer's own bytes travel back: a device write anywhere else in
-  // the dedicated pages is simply never copied (type (a)/(d) confinement).
-  return ForEachChunk(active, [&](size_t slot, uint64_t slot_off, uint64_t buf_off,
-                                  uint64_t chunk) {
-    return Copy(active.orig_kva + buf_off, SlotKva(pool, slot) + slot_off, chunk);
-  });
-}
-
 Status BouncePool::CopyInRange(Pool& pool, const Active& active, uint64_t from,
                                uint64_t span) {
   return ForEachChunkRange(active, from, span,
@@ -161,6 +132,8 @@ Status BouncePool::CopyInRange(Pool& pool, const Active& active, uint64_t from,
 
 Status BouncePool::CopyOutRange(Pool& pool, const Active& active, uint64_t from,
                                 uint64_t span) {
+  // Only the buffer's own bytes travel back: a device write anywhere else in
+  // the dedicated pages is simply never copied (type (a)/(d) confinement).
   return ForEachChunkRange(active, from, span,
                            [&](size_t slot, uint64_t slot_off, uint64_t buf_off,
                                uint64_t chunk) {
@@ -264,7 +237,7 @@ Result<Iova> BouncePool::MapInternal(DeviceId device, Kva kva, uint64_t len,
   Active active{first, need, kva, len, dir, std::string(site), persistent};
   SPV_RETURN_IF_ERROR(Scrub(pool, active));
   if (dir == DmaDirection::kToDevice || dir == DmaDirection::kBidirectional) {
-    SPV_RETURN_IF_ERROR(CopyIn(pool, active));
+    SPV_RETURN_IF_ERROR(CopyInRange(pool, active, 0, active.len));
   }
   for (size_t i = 0; i < need; ++i) {
     pool.slots[first + i].in_use = true;
@@ -293,7 +266,7 @@ Status BouncePool::Unmap(DeviceId device, Iova iova, uint64_t len, DmaDirection 
   }
   const uint64_t before = copy_cycles_;
   if (dir == DmaDirection::kFromDevice || dir == DmaDirection::kBidirectional) {
-    SPV_RETURN_IF_ERROR(CopyOut(pool, active));
+    SPV_RETURN_IF_ERROR(CopyOutRange(pool, active, 0, active.len));
   }
   // No unmap, no invalidation: the static block stays; just recycle slots.
   for (size_t i = 0; i < active.num_slots; ++i) {

@@ -125,15 +125,12 @@ class BouncePool {
   Status Audit() const;
 
   uint64_t copies() const { return copies_; }
-  uint64_t copy_cycles() const { return copy_cycles_; }
   uint64_t total_active() const;
   uint64_t pool_pages(DeviceId device) const;
   uint64_t active_bounces(DeviceId device) const;
   uint64_t persistent_bounces(DeviceId device) const;
   uint64_t syncs_for_cpu(DeviceId device) const;
   uint64_t syncs_for_device(DeviceId device) const;
-  uint64_t total_syncs_for_cpu() const { return syncs_for_cpu_; }
-  uint64_t total_syncs_for_device() const { return syncs_for_device_; }
 
  private:
   struct Slot {
@@ -161,11 +158,8 @@ class BouncePool {
                            std::string_view site, bool persistent);
   Status Copy(Kva dst, Kva src, uint64_t len);
   Kva SlotKva(const Pool& pool, size_t slot) const;
-  // Walks the buffer's per-slot chunks: fn(slot_index, slot_offset,
-  // buffer_offset, chunk_len).
-  template <typename Fn>
-  Status ForEachChunk(const Active& active, Fn&& fn) const;
-  // Same walk restricted to buffer offsets [from, from+span).
+  // Walks the per-slot chunks of buffer offsets [from, from+span):
+  // fn(slot_index, slot_offset, buffer_offset, chunk_len).
   template <typename Fn>
   Status ForEachChunkRange(const Active& active, uint64_t from, uint64_t span,
                            Fn&& fn) const;
@@ -174,8 +168,6 @@ class BouncePool {
   // miss; *rel_out is the byte offset of `iova` within the buffer.
   std::map<uint64_t, Active>::iterator FindContaining(Pool& pool, Iova iova,
                                                       uint64_t* rel_out);
-  Status CopyIn(Pool& pool, const Active& active);
-  Status CopyOut(Pool& pool, const Active& active);
   Status CopyInRange(Pool& pool, const Active& active, uint64_t from, uint64_t span);
   Status CopyOutRange(Pool& pool, const Active& active, uint64_t from, uint64_t span);
   Status Scrub(Pool& pool, const Active& active);

@@ -9,6 +9,20 @@
 
 namespace spv::dma {
 
+namespace {
+
+// True when [iova, iova + len) lies inside the mapped buffer, the same check
+// the bounce pool applies to a sync of a bounced mapping.
+bool SyncRangeInside(const DmaMapping& mapping, Iova iova, uint64_t len) {
+  if (iova.value < mapping.iova.value) {
+    return false;
+  }
+  const uint64_t rel = iova.value - mapping.iova.value;
+  return rel <= mapping.len && len <= mapping.len - rel;
+}
+
+}  // namespace
+
 iommu::AccessRights RightsFor(DmaDirection dir) {
   switch (dir) {
     case DmaDirection::kToDevice:
@@ -19,18 +33,6 @@ iommu::AccessRights RightsFor(DmaDirection dir) {
       return iommu::AccessRights::kBidirectional;
   }
   return iommu::AccessRights::kNone;
-}
-
-std::string DmaDirectionName(DmaDirection dir) {
-  switch (dir) {
-    case DmaDirection::kToDevice:
-      return "DMA_TO_DEVICE";
-    case DmaDirection::kFromDevice:
-      return "DMA_FROM_DEVICE";
-    case DmaDirection::kBidirectional:
-      return "DMA_BIDIRECTIONAL";
-  }
-  return "?";
 }
 
 std::string_view ServiceModeName(ServiceMode mode) {
@@ -209,17 +211,18 @@ Status DmaApi::SyncSingleForCpu(DeviceId device, Iova iova, uint64_t len, DmaDir
     return status;
   }
   std::optional<DmaMapping> mapping = FindMapping(device, iova);
-  if (!mapping.has_value() || mapping->dir != dir || mapping->len < len) {
+  if (!mapping.has_value() || mapping->dir != dir || !SyncRangeInside(*mapping, iova, len)) {
     return FailedPrecondition("dma_sync_single_for_cpu on invalid mapping");
   }
-  // CPU takes ownership of the bytes; the translation stays live.
+  // CPU takes ownership of the synced bytes; the translation stays live.
+  const Kva kva = mapping->kva + (iova.value - mapping->iova.value);
   telemetry::Hub& hub = telemetry();
   if (hub.active()) {
     telemetry::Event event;
     event.kind = telemetry::EventKind::kDmaSync;
     event.severity = telemetry::Severity::kTrace;
     event.device = device.value;
-    event.addr = mapping->kva.value;
+    event.addr = kva.value;
     event.addr2 = iova.value;
     event.len = len;
     event.origin = this;
@@ -229,7 +232,7 @@ Status DmaApi::SyncSingleForCpu(DeviceId device, Iova iova, uint64_t len, DmaDir
       ++hub.counter("dma.syncs");
     }
   }
-  NotifyCpuAccess(mapping->kva, len, /*is_write=*/false);
+  NotifyCpuAccess(kva, len, /*is_write=*/false);
   return OkStatus();
 }
 
@@ -244,7 +247,7 @@ Status DmaApi::SyncSingleForDevice(DeviceId device, Iova iova, uint64_t len,
     return status;
   }
   std::optional<DmaMapping> mapping = FindMapping(device, iova);
-  if (!mapping.has_value() || mapping->dir != dir || mapping->len < len) {
+  if (!mapping.has_value() || mapping->dir != dir || !SyncRangeInside(*mapping, iova, len)) {
     return FailedPrecondition("dma_sync_single_for_device on invalid mapping");
   }
   return OkStatus();

@@ -56,7 +56,6 @@ enum class DmaDirection : uint8_t {
 };
 
 iommu::AccessRights RightsFor(DmaDirection dir);
-std::string DmaDirectionName(DmaDirection dir);
 
 // How a device's DMA is serviced, per the trust policy's verdict. The mode is
 // advisory routing for queue-protocol drivers: MapSingle's per-map bounce

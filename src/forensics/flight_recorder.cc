@@ -52,16 +52,14 @@ bool RecordOpCritical(RecordOp op) {
   return op == RecordOp::kStaleHit || op == RecordOp::kFault;
 }
 
-FlightRecorder::FlightRecorder(const SimClock* clock, ForensicsConfig config)
-    : clock_(clock), config_(config) {
+FlightRecorder::FlightRecorder(const SimClock* clock, ForensicsConfig config,
+                               uint32_t num_cpus)
+    : clock_(clock), config_(config), num_cpus_(num_cpus) {
   if (config_.ring_capacity == 0) {
     config_.ring_capacity = 1;
   }
   if (config_.ledger_capacity == 0) {
     config_.ledger_capacity = 1;
-  }
-  if (config_.num_cpus == 0) {
-    config_.num_cpus = 1;
   }
 }
 
@@ -102,8 +100,8 @@ FlightRecorder::Lane& FlightRecorder::LaneFor(DeviceId device) {
   std::unique_ptr<Lane>& slot = lanes_[device.value];
   if (slot == nullptr) {
     slot = std::make_unique<Lane>();
-    slot->rings.reserve(config_.num_cpus);
-    for (uint32_t c = 0; c < config_.num_cpus; ++c) {
+    slot->rings.reserve(num_cpus_);
+    for (uint32_t c = 0; c < num_cpus_; ++c) {
       slot->rings.push_back(std::make_unique<Ring>(config_.ring_capacity));
     }
   }

@@ -106,19 +106,12 @@ struct ForensicsConfig {
   bool enabled = false;          // null recorder when false: one-branch cost
   uint32_t ring_capacity = 1024;    // FlightRecords per (device, CPU) ring
   uint32_t ledger_capacity = 128;   // MappingLife entries per device
-  uint32_t num_cpus = 1;            // rings per device
-  // Incident engine knobs (consumed by IncidentEngine, carried here so one
-  // MachineConfig member arms the whole layer).
-  uint32_t max_incidents = 32;           // hard cap on frozen reports
-  uint64_t cooldown_cycles = 200'000;    // per (device, trigger) rate limit
-  uint32_t timeline_limit = 96;          // records exported per report
 };
 
 class FlightRecorder {
  public:
-  FlightRecorder(const SimClock* clock, ForensicsConfig config);
-
-  const ForensicsConfig& config() const { return config_; }
+  // One ring per sim CPU per device; Machine passes its CPU count (>= 1).
+  FlightRecorder(const SimClock* clock, ForensicsConfig config, uint32_t num_cpus = 1);
 
   // ---- Hook entry points (hot path; called with recorder != nullptr) -----------
 
@@ -190,6 +183,7 @@ class FlightRecorder {
 
   const SimClock* clock_;
   ForensicsConfig config_;
+  uint32_t num_cpus_;
   // Lane structure is append-only; the spinlock guards map mutation and
   // lookup so kThreads workers can fault in lanes for hot-plugged devices.
   mutable std::atomic_flag lanes_lock_ = ATOMIC_FLAG_INIT;

@@ -8,6 +8,10 @@ namespace spv::forensics {
 
 namespace {
 
+constexpr size_t kMaxIncidents = 32;            // hard cap on frozen reports
+constexpr uint64_t kCooldownCycles = 200'000;   // per (device, trigger) rate limit
+constexpr size_t kTimelineLimit = 96;           // records exported per report
+
 class SpinGuard {
  public:
   explicit SpinGuard(std::atomic_flag& flag) : flag_(flag) {
@@ -199,12 +203,8 @@ AttackClass ClassifyEvidence(const std::vector<FlightRecord>& timeline,
 }
 
 IncidentEngine::IncidentEngine(telemetry::Hub& hub, FlightRecorder* recorder,
-                               const SimClock* clock, ForensicsConfig config)
-    : hub_(hub), recorder_(recorder), clock_(clock), config_(config) {
-  if (config_.timeline_limit == 0) {
-    config_.timeline_limit = 1;
-  }
-}
+                               const SimClock* clock)
+    : hub_(hub), recorder_(recorder), clock_(clock) {}
 
 void IncidentEngine::OnEvent(const telemetry::Event& event) {
   switch (event.kind) {
@@ -232,7 +232,7 @@ void IncidentEngine::Freeze(DeviceId device, std::string_view trigger,
   Incident incident;
   {
     SpinGuard guard(lock_);
-    if (incidents_.size() >= config_.max_incidents) {
+    if (incidents_.size() >= kMaxIncidents) {
       ++suppressed_;
       return;
     }
@@ -240,7 +240,7 @@ void IncidentEngine::Freeze(DeviceId device, std::string_view trigger,
       const auto key = std::make_pair(device.value, std::string(trigger));
       const auto it = last_trigger_cycle_.find(key);
       if (it != last_trigger_cycle_.end() &&
-          now - it->second < config_.cooldown_cycles) {
+          now - it->second < kCooldownCycles) {
         ++suppressed_;
         return;
       }
@@ -257,8 +257,8 @@ void IncidentEngine::Freeze(DeviceId device, std::string_view trigger,
     std::vector<FlightRecord> full = recorder_->SnapshotTimeline(device);
     incident.ledger = recorder_->SnapshotLedger(device);
     incident.inferred = ClassifyEvidence(full, incident.ledger, &incident.implicated);
-    if (full.size() > config_.timeline_limit) {
-      full.erase(full.begin(), full.end() - config_.timeline_limit);
+    if (full.size() > kTimelineLimit) {
+      full.erase(full.begin(), full.end() - kTimelineLimit);
     }
     incident.timeline = std::move(full);
   }

@@ -33,10 +33,11 @@
 // providers, so spv_forensics never links spv_policy / spv_recovery — the
 // Machine wires lambdas over whatever engines it actually runs.
 //
-// Rate limiting: a global max_incidents cap plus a per-(device, trigger)
-// cooldown in sim cycles, so a stale-hit storm yields one report, not one
-// per access. Manual OpenIncident() lets an operator (or a test replaying
-// an attack that fires no automatic detector) freeze evidence on demand.
+// Rate limiting: a global cap of kMaxIncidents (32) reports plus a
+// per-(device, trigger) cooldown of kCooldownCycles (200,000 sim cycles;
+// both in incident.cc), so a stale-hit storm yields one report, not one per
+// access. Manual OpenIncident() lets an operator (or a test replaying an
+// attack that fires no automatic detector) freeze evidence on demand.
 
 #ifndef SPV_FORENSICS_INCIDENT_H_
 #define SPV_FORENSICS_INCIDENT_H_
@@ -84,7 +85,7 @@ struct Incident {
   std::string reason;    // trigger event site / operator reason
   AttackClass inferred = AttackClass::kUnknown;
   size_t implicated = SIZE_MAX;          // index into `ledger`
-  std::vector<FlightRecord> timeline;    // last timeline_limit records
+  std::vector<FlightRecord> timeline;    // last kTimelineLimit (96) records
   std::vector<MappingLife> ledger;       // full ledger snapshot at freeze
   // Frozen JSON values, embedded with json::Writer::Raw ("" reads as null).
   std::string windows_json;              // overlapping WindowTracker windows
@@ -102,7 +103,7 @@ class IncidentEngine : public telemetry::EventSink {
   // outlive the engine. The engine does not add itself to the hub — the
   // owner wires AddSink/RemoveSink (the WindowTracker convention).
   IncidentEngine(telemetry::Hub& hub, FlightRecorder* recorder,
-                 const SimClock* clock, ForensicsConfig config);
+                 const SimClock* clock);
 
   void set_window_tracker(const trace::WindowTracker* tracker) {
     tracker_ = tracker;
@@ -114,7 +115,7 @@ class IncidentEngine : public telemetry::EventSink {
 
   // Operator-initiated freeze: same evidence pipeline, trigger "manual".
   // Bypasses the cooldown (an explicit ask is never rate-limited) but not
-  // the max_incidents cap.
+  // the kMaxIncidents cap.
   void OpenIncident(DeviceId device, std::string_view reason);
 
   size_t incident_count() const;
@@ -136,7 +137,6 @@ class IncidentEngine : public telemetry::EventSink {
   telemetry::Hub& hub_;
   FlightRecorder* recorder_;
   const SimClock* clock_;
-  ForensicsConfig config_;
   const trace::WindowTracker* tracker_ = nullptr;
   StateSnapshotFn trust_;
   StateSnapshotFn recovery_;

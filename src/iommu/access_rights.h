@@ -45,8 +45,6 @@ inline std::string AccessRightsName(AccessRights rights) {
   return "?";
 }
 
-inline std::string AccessOpName(AccessOp op) { return op == AccessOp::kRead ? "read" : "write"; }
-
 }  // namespace spv::iommu
 
 #endif  // SPV_IOMMU_ACCESS_RIGHTS_H_

@@ -257,7 +257,6 @@ class Iommu {
   const Iotlb& iotlb() const { return iotlb_; }
   // Pending entries across all shards.
   uint64_t pending_invalidation_count() const;
-  size_t flush_shard_count() const { return flush_shards_.size(); }
   // Pending entries in one CPU's shard (cross-CPU drain tests).
   uint64_t pending_invalidation_count(CpuId cpu) const;
 

@@ -4,27 +4,8 @@
 
 namespace spv::mem {
 
-std::string RegionName(Region region) {
-  switch (region) {
-    case Region::kNone:
-      return "none";
-    case Region::kDirectMap:
-      return "direct map of phys memory";
-    case Region::kVmalloc:
-      return "vmalloc/ioremap space";
-    case Region::kVmemmap:
-      return "virtual memory map";
-    case Region::kKernelText:
-      return "kernel text mapping";
-    case Region::kModules:
-      return "module mapping space";
-  }
-  return "?";
-}
-
 KernelLayout KernelLayout::Create(uint64_t phys_pages, bool kaslr, Xoshiro256& rng) {
   KernelLayout layout;
-  layout.kaslr_ = kaslr;
   layout.phys_pages_ = phys_pages;
   if (!kaslr) {
     return layout;

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 
 #include "base/rng.h"
 #include "base/status.h"
@@ -29,8 +28,6 @@ enum class Region {
   kKernelText,  // ffffffff80000000 .. +512 MB
   kModules,     // ffffffffa0000000 .. +1520 MB
 };
-
-std::string RegionName(Region region);
 
 // Fixed range boundaries from Table 1. These are architectural constants an
 // attacker is assumed to know.
@@ -60,8 +57,6 @@ class KernelLayout {
   // `kaslr` enabled, bases are randomized from `rng` under the alignment
   // rules above; otherwise the compile-time defaults from Table 1 are used.
   static KernelLayout Create(uint64_t phys_pages, bool kaslr, Xoshiro256& rng);
-
-  bool kaslr_enabled() const { return kaslr_; }
 
   uint64_t page_offset_base() const { return page_offset_base_; }
   uint64_t vmalloc_base() const { return vmalloc_base_; }
@@ -109,7 +104,6 @@ class KernelLayout {
   void set_shinfo_destructor_offset(uint64_t offset) { shinfo_destructor_offset_ = offset; }
 
  private:
-  bool kaslr_ = false;
   uint64_t phys_pages_ = 0;
   uint64_t page_offset_base_ = LayoutRanges::kDirectMapStart;
   uint64_t vmalloc_base_ = LayoutRanges::kVmallocStart;

@@ -50,7 +50,6 @@ class PageAllocator {
   Status FreePages(Pfn head);
 
   uint64_t free_pages() const { return free_pages_; }
-  uint64_t total_pages() const { return num_pages_; }
 
   // Optional fault hook (kPageAlloc): nullptr detaches.
   void set_fault_engine(fault::FaultEngine* engine) { fault_ = engine; }

@@ -2,24 +2,6 @@
 
 namespace spv::mem {
 
-std::string PageOwnerName(PageOwner owner) {
-  switch (owner) {
-    case PageOwner::kFree:
-      return "free";
-    case PageOwner::kKernelImage:
-      return "kernel-image";
-    case PageOwner::kSlab:
-      return "slab";
-    case PageOwner::kPageFrag:
-      return "page-frag";
-    case PageOwner::kDriver:
-      return "driver";
-    case PageOwner::kAnon:
-      return "anon";
-  }
-  return "?";
-}
-
 uint64_t PageDb::CountOwned(PageOwner owner) const {
   uint64_t count = 0;
   for (const auto& meta : pages_) {

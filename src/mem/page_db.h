@@ -9,7 +9,6 @@
 #define SPV_MEM_PAGE_DB_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "base/types.h"
@@ -24,8 +23,6 @@ enum class PageOwner : uint8_t {
   kDriver,       // whole-page driver allocation (e.g. ring descriptors)
   kAnon,         // anonymous / other kernel allocation
 };
-
-std::string PageOwnerName(PageOwner owner);
 
 struct PageMeta {
   PageOwner owner = PageOwner::kFree;

@@ -11,6 +11,13 @@ namespace spv::net {
 
 namespace {
 
+// After a failed RX refill the driver waits this long before retrying
+// (bounded backoff: a starved allocator is not hammered every completion).
+constexpr uint64_t kRefillRetryBackoffCycles = SimClock::MsToCycles(1);
+// A watchdog-flushed TX skb is reposted at most this many times before the
+// driver gives up and frees it.
+constexpr uint32_t kTxRequeueMaxAttempts = 3;
+
 // One helper for every driver emit point: packet milestones share the shape
 // (device + length + site), only kind/severity vary.
 void EmitNicEvent(telemetry::Hub& hub, telemetry::EventKind kind,
@@ -207,7 +214,7 @@ void NicDriver::RefillSlotTolerant(Queue& q, uint32_t queue, uint32_t index) {
   // backoff window instead of failing the completion that noticed it.
   ++q.rx_refill_failures;
   q.rx_needs_refill = true;
-  q.refill_backoff_until = clock_.now() + config_.refill_retry_backoff_cycles;
+  q.refill_backoff_until = clock_.now() + kRefillRetryBackoffCycles;
 }
 
 uint32_t NicDriver::RetryRefills(uint32_t queue) {
@@ -229,7 +236,7 @@ uint32_t NicDriver::RetryRefills(uint32_t queue) {
     Status status = RefillSlot(q, queue, i);
     if (!status.ok()) {
       ++q.rx_refill_failures;
-      q.refill_backoff_until = clock_.now() + config_.refill_retry_backoff_cycles;
+      q.refill_backoff_until = clock_.now() + kRefillRetryBackoffCycles;
       failed = true;
       break;
     }
@@ -735,7 +742,7 @@ uint32_t NicDriver::RequeueTimedOut(uint32_t queue) {
       continue;
     }
     ++pending.attempts;
-    if (pending.attempts >= config_.tx_requeue_max_attempts) {
+    if (pending.attempts >= kTxRequeueMaxAttempts) {
       ++q.tx_requeue_drops;
       (void)skb_alloc_.FreeSkb(std::move(pending.skb), nullptr);
       continue;

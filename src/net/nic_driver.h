@@ -88,12 +88,6 @@ class NicDriver : public recovery::SupervisedDriver {
     // 0 = no extra clamp.
     uint32_t sync_ring_limit = 8;
     uint64_t tx_timeout_cycles = SimClock::MsToCycles(5000);
-    // After a failed RX refill the driver waits this long before retrying
-    // (bounded backoff: a starved allocator is not hammered every completion).
-    uint64_t refill_retry_backoff_cycles = SimClock::MsToCycles(1);
-    // A watchdog-flushed TX skb is reposted at most this many times before
-    // the driver gives up and frees it.
-    uint32_t tx_requeue_max_attempts = 3;
     // NAPI-style budget for the driver's polling loops (ring fill, refill
     // retry, TX requeue): a loop that has burned this many sim cycles yields,
     // leaving the rest for the next poll. The budget is PER QUEUE per entry —
@@ -179,7 +173,7 @@ class NicDriver : public recovery::SupervisedDriver {
   uint32_t CheckTxTimeout(uint32_t queue);
 
   // Reposts skbs the watchdog flushed. Each skb gets at most
-  // tx_requeue_max_attempts tries before it is freed. Returns the number
+  // kTxRequeueMaxAttempts (3) tries before it is freed. Returns the number
   // successfully reposted. The no-argument form drains every queue, each
   // with its own fresh poll budget.
   uint32_t RequeueTimedOut();
@@ -205,7 +199,6 @@ class NicDriver : public recovery::SupervisedDriver {
   // ---- Introspection -----------------------------------------------------------
 
   DeviceId device_id() const { return device_id_; }
-  const Config& config() const { return config_; }
   uint32_t num_queues() const { return static_cast<uint32_t>(queues_.size()); }
   CpuId queue_cpu(uint32_t queue) const { return queues_[queue].cpu; }
   uint32_t rx_buffer_bytes() const;  // truesize of one RX buffer
@@ -226,10 +219,6 @@ class NicDriver : public recovery::SupervisedDriver {
   uint64_t rx_length_errors() const { return SumQueues(&Queue::rx_length_errors); }
   uint64_t rx_device_drops() const { return SumQueues(&Queue::rx_device_drops); }
   uint64_t rx_refill_failures() const { return SumQueues(&Queue::rx_refill_failures); }
-  // Watchdog-flushed skbs freed: requeue list full, or out of repost tries.
-  uint64_t tx_requeue_drops() const {
-    return SumQueues(&Queue::tx_flush_drops) + SumQueues(&Queue::tx_requeue_drops);
-  }
   size_t tx_requeue_depth() const;
   size_t tx_requeue_depth(uint32_t queue) const { return queues_[queue].tx_requeue.size(); }
   uint64_t poll_deadline_hits() const { return SumQueues(&Queue::poll_deadline_hits); }

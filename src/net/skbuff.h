@@ -54,7 +54,6 @@ struct SkBuff {
 
   uint32_t linear_len() const { return len - data_len; }
   Kva shared_info() const { return end; }
-  uint64_t headroom() const { return data - head; }
 };
 
 using SkBuffPtr = std::unique_ptr<SkBuff>;

@@ -13,6 +13,8 @@ namespace {
 // I/O pages (type (d)).
 constexpr uint64_t kSockObjectBytes = 680;
 constexpr uint64_t kSkNetOffset = 8;  // sk->sk_net position within the object
+// SendPacket puts larger payloads into frags.
+constexpr uint32_t kLinearTxThreshold = 512;
 
 // Stack milestones share one shape: a kind + packet length + free-form site.
 void EmitStackEvent(telemetry::Hub& hub, telemetry::EventKind kind, uint64_t len,
@@ -208,7 +210,7 @@ Status NetworkStack::SendPacket(const PacketHeader& header, std::span<const uint
   if (egress_ == nullptr) {
     return FailedPrecondition("no egress driver");
   }
-  const bool use_frags = payload.size() > config_.linear_tx_threshold;
+  const bool use_frags = payload.size() > kLinearTxThreshold;
   const uint32_t linear_payload =
       use_frags ? 0 : static_cast<uint32_t>(payload.size());
 

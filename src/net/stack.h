@@ -34,7 +34,6 @@ class NetworkStack {
   struct Config {
     uint32_t local_ip = 0x0a000001;  // 10.0.0.1
     bool forwarding_enabled = false;
-    uint32_t linear_tx_threshold = 512;  // larger payloads go into frags
   };
 
   // The hub reads each tally as stack.<name>.
@@ -74,8 +73,8 @@ class NetworkStack {
   Status NapiComplete();
 
   // Userspace-initiated TX: copies `payload` into kernel buffers and posts to
-  // the egress driver. Payloads above linear_tx_threshold are placed in frags
-  // (the TCP-stack-with-fragments shape of Fig 8).
+  // the egress driver. Payloads above kLinearTxThreshold (512 bytes) are
+  // placed in frags (the TCP-stack-with-fragments shape of Fig 8).
   Status SendPacket(const PacketHeader& header, std::span<const uint8_t> payload);
 
   // TX completion from the driver: unmap, then kfree_skb — which invokes the

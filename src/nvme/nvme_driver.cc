@@ -15,6 +15,10 @@ namespace {
 // deadline reachable on a silent device.
 constexpr uint64_t kPollSpinCycles = 100;
 
+constexpr uint16_t kAdminQueueEntries = 16;
+// MDTS analogue: at most 256 blocks (128 KiB) per command.
+constexpr uint16_t kMaxTransferBlocks = 256;
+
 // One helper for every driver emit point, same shape as the NIC's.
 void EmitNvmeEvent(telemetry::Hub& hub, telemetry::EventKind kind,
                    telemetry::Severity severity, DeviceId device, uint64_t len,
@@ -88,8 +92,7 @@ Status NvmeDriver::Init() {
   }
   trace::ScopedSpan span(tracer_, "nvme.init");
   active_mode_ = dma_.service_mode(device_id_);
-  SPV_RETURN_IF_ERROR(AllocQueue(admin_, kAdminQid, config_.admin_queue_entries,
-                                 config_.admin_queue_entries));
+  SPV_RETURN_IF_ERROR(AllocQueue(admin_, kAdminQid, kAdminQueueEntries, kAdminQueueEntries));
   device_->OnAdminQueueConfigured(QueuePair{kAdminQid, admin_.sq_iova,
                                             admin_.sq_entries, admin_.cq_iova,
                                             admin_.cq_entries});
@@ -368,8 +371,8 @@ Result<uint16_t> NvmeDriver::SubmitIoWithCid(uint8_t opcode, uint64_t slba,
   if (nblocks == 0) {
     return InvalidArgument("zero-length transfer");
   }
-  if (nblocks > config_.max_transfer_blocks) {
-    return InvalidArgument("transfer exceeds max_transfer_blocks");
+  if (nblocks > kMaxTransferBlocks) {
+    return InvalidArgument("transfer exceeds MDTS");
   }
   if (capacity_blocks_ != 0 && slba + nblocks > capacity_blocks_) {
     return InvalidArgument("transfer beyond device capacity");
@@ -794,8 +797,7 @@ Status NvmeDriver::SwitchServiceMode(dma::ServiceMode next) {
                 telemetry::Severity::kWarn, device_id_, pending.size(),
                 static_cast<uint64_t>(next), this,
                 config_.name + "_mode_switch");
-  Status up = AllocQueue(admin_, kAdminQid, config_.admin_queue_entries,
-                         config_.admin_queue_entries);
+  Status up = AllocQueue(admin_, kAdminQid, kAdminQueueEntries, kAdminQueueEntries);
   if (up.ok()) {
     device_->OnAdminQueueConfigured(QueuePair{kAdminQid, admin_.sq_iova,
                                               admin_.sq_entries, admin_.cq_iova,

@@ -50,7 +50,6 @@ class NvmeDriver : public recovery::SupervisedDriver {
   struct Config {
     std::string name = "nvme0";
     CpuId cpu{0};
-    uint16_t admin_queue_entries = 16;
     uint16_t io_queue_entries = 32;
     // A command outstanding longer than this is failed by CheckTimeouts(),
     // which flushes and re-creates the IO queue (the NVMe controller-reset
@@ -61,7 +60,6 @@ class NvmeDriver : public recovery::SupervisedDriver {
     // PRP-list segments as 128-byte page_frag carves (sub-page co-location:
     // the attack surface). false = one kmalloc page per segment, sole owner.
     bool prp_lists_from_frags = true;
-    uint16_t max_transfer_blocks = 256;  // MDTS analogue: 128 KiB per command
   };
 
   NvmeDriver(DeviceId device_id, dma::DmaApi& dma, dma::KernelMemory& kmem,
@@ -130,7 +128,6 @@ class NvmeDriver : public recovery::SupervisedDriver {
   // ---- Introspection -----------------------------------------------------------
 
   DeviceId device_id() const { return device_id_; }
-  const Config& config() const { return config_; }
   uint64_t capacity_blocks() const { return capacity_blocks_; }
   bool io_queue_live() const { return io_.live; }
   size_t outstanding() const { return outstanding_.size(); }
@@ -148,9 +145,7 @@ class NvmeDriver : public recovery::SupervisedDriver {
   uint32_t mode_switches() const { return static_cast<uint32_t>(mode_switches_.load()); }
 
   // Queue geometry, for the attack tests that target ring memory.
-  Kva io_sq_kva() const { return io_.sq_kva; }
   Iova io_sq_iova() const { return io_.sq_iova; }
-  Kva io_cq_kva() const { return io_.cq_kva; }
   Iova io_cq_iova() const { return io_.cq_iova; }
 
  private:

@@ -6,6 +6,16 @@
 
 namespace spv::policy {
 
+namespace {
+
+// Where an unmatched device starts: kUntrusted, the secure default (tests
+// that predate the engine run with it disabled instead).
+constexpr TrustState kDefaultTrust = TrustState::kUntrusted;
+// Limits applied on kProbation when no quirk overrides them.
+constexpr recovery::DmaPolicyLimits kProbationLimits{SimClock::UsToCycles(500), 16};
+
+}  // namespace
+
 std::string_view TrustStateName(TrustState state) {
   switch (state) {
     case TrustState::kUntrusted:
@@ -77,7 +87,7 @@ recovery::DmaPolicyLimits PolicyEngine::ProbationLimitsFor(const Device& entry) 
                                  entry.quirk->probation_limits.ring_limit != 0)) {
     return entry.quirk->probation_limits;
   }
-  return config_.probation_limits;
+  return kProbationLimits;
 }
 
 void PolicyEngine::ApplyTrust(DeviceId device, Device& entry, TrustState next,
@@ -135,7 +145,7 @@ Status PolicyEngine::RegisterDevice(DeviceId device, DeviceIdentity identity,
   // pressure from the very device being contained.
   SPV_RETURN_IF_ERROR(pool_.AttachDevice(device, pages));
   const TrustState initial =
-      entry.quirk != nullptr ? entry.quirk->initial_trust : config_.default_trust;
+      entry.quirk != nullptr ? entry.quirk->initial_trust : kDefaultTrust;
   auto [it, inserted] = devices_.emplace(device.value, std::move(entry));
   ApplyTrust(device, it->second, initial, "attach", /*is_promotion=*/false);
   if (hub_.enabled()) {
@@ -265,7 +275,7 @@ std::string PolicyEngine::PostureJson() const {
   w.Key("strict_invalidation").Bool(iommu_.mode() == iommu::InvalidationMode::kStrict);
   w.Key("iova_rcache").Bool(iommu_.fast_path().rcache_enabled);
   w.Key("policy_enabled").Bool(config_.enabled);
-  w.Key("default_trust").String(TrustStateName(config_.default_trust));
+  w.Key("default_trust").String(TrustStateName(kDefaultTrust));
   w.Key("recovery_supervision").Bool(recovery_ != nullptr && recovery_->enabled());
   w.Key("promotion_cooldown_cycles").Uint(config_.promotion_cooldown_cycles);
   w.Key("total_demotions").Uint(total_demotions_);

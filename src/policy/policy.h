@@ -86,12 +86,7 @@ class PolicyEngine : public dma::DmaRouter {
     // Disabled by default: routing costs one null check per map and the
     // paper's attacks reproduce unhindered.
     bool enabled = false;
-    // Where an unmatched device starts (kUntrusted = the secure default;
-    // tests that predate the engine run with it disabled instead).
-    TrustState default_trust = TrustState::kUntrusted;
     uint64_t bounce_pages = dma::BouncePool::kDefaultPoolPages;
-    // Limits applied on kProbation when no quirk overrides them.
-    recovery::DmaPolicyLimits probation_limits{SimClock::UsToCycles(500), 16};
     // Hysteresis: after a demotion, Promote() is refused this long.
     uint64_t promotion_cooldown_cycles = SimClock::MsToCycles(100);
     std::vector<Quirk> quirks;
@@ -116,7 +111,7 @@ class PolicyEngine : public dma::DmaRouter {
   // to the IOMMU (the bounce pool installs its static block through it).
   // `driver` (may be null for driverless devices) receives ApplyDmaPolicy on
   // probation transitions. Initial trust comes from the quirks table, else
-  // `default_trust`.
+  // kUntrusted.
   Status RegisterDevice(DeviceId device, DeviceIdentity identity,
                         recovery::SupervisedDriver* driver = nullptr);
 
@@ -144,7 +139,6 @@ class PolicyEngine : public dma::DmaRouter {
   TrustState state(DeviceId device) const;
   DeviceStatus device_status(DeviceId device) const;
   bool enabled() const { return config_.enabled; }
-  const Config& config() const { return config_; }
   uint64_t total_demotions() const { return total_demotions_; }
   uint64_t total_promotions_blocked() const { return total_promotions_blocked_; }
 

@@ -3,62 +3,78 @@
 #include <algorithm>
 #include <cmath>
 
+#include "base/clock.h"
+
 namespace spv::recovery {
 
-void HealthScorer::Track(DeviceId device) { scores_.try_emplace(device.value); }
+namespace {
 
-void HealthScorer::Untrack(DeviceId device) { scores_.erase(device.value); }
+// Signal weights, tuned so a handful of security findings (or a sustained
+// fault storm) breach while sporadic recoverable faults decay away.
+constexpr double kWeightIommuFault = 1.0;
+constexpr double kWeightRingReset = 8.0;        // kNicTxReset / kNvmeQueueReset
+constexpr double kWeightStaleIotlbHit = 5.0;
+constexpr double kWeightDkasanReport = 25.0;
+constexpr double kWeightSpadeFinding = 25.0;
+constexpr double kWeightBadCompletion = 2.0;    // kNicRxError / kNvmeCompletionError
+constexpr double kWeightPollDeadline = 2.0;     // kNicPollDeadline / kNvmePollDeadline
+constexpr double kBreachThreshold = 24.0;       // score that triggers quarantine
+// Score half-life in simulated cycles: after this long with no new signal,
+// half the score is gone.
+constexpr uint64_t kHalfLifeCycles = SimClock::MsToCycles(50);
 
-double HealthScorer::WeightFor(const Config& config, const telemetry::Event& event) {
+double WeightFor(const telemetry::Event& event) {
   switch (event.kind) {
     case telemetry::EventKind::kIommuFault:
-      return config.weight_iommu_fault;
+      return kWeightIommuFault;
     case telemetry::EventKind::kNicTxReset:
-      return config.weight_ring_reset;
+    case telemetry::EventKind::kNvmeQueueReset:
+      return kWeightRingReset;
     case telemetry::EventKind::kStaleIotlbHit:
-      return config.weight_stale_iotlb_hit;
+      return kWeightStaleIotlbHit;
     case telemetry::EventKind::kDkasanReport:
-      return config.weight_dkasan_report;
+      return kWeightDkasanReport;
     case telemetry::EventKind::kSpadeFinding:
-      return config.weight_spade_finding;
+      return kWeightSpadeFinding;
     case telemetry::EventKind::kNicRxError:
     case telemetry::EventKind::kNvmeCompletionError:
-      return config.weight_bad_completion;
+      return kWeightBadCompletion;
     case telemetry::EventKind::kNicPollDeadline:
     case telemetry::EventKind::kNvmePollDeadline:
-      return config.weight_poll_deadline;
-    case telemetry::EventKind::kNvmeQueueReset:
-      return config.weight_ring_reset;
+      return kWeightPollDeadline;
     default:
       return 0.0;
   }
 }
 
-double HealthScorer::Decayed(double score, uint64_t from, uint64_t to,
-                             uint64_t half_life_cycles) {
-  if (score == 0.0 || to <= from || half_life_cycles == 0) {
+double Decayed(double score, uint64_t from, uint64_t to) {
+  if (score == 0.0 || to <= from) {
     return score;
   }
   const double half_lives =
-      static_cast<double>(to - from) / static_cast<double>(half_life_cycles);
+      static_cast<double>(to - from) / static_cast<double>(kHalfLifeCycles);
   return score * std::exp2(-half_lives);
 }
+
+}  // namespace
+
+void HealthScorer::Track(DeviceId device) { scores_.try_emplace(device.value); }
+
+void HealthScorer::Untrack(DeviceId device) { scores_.erase(device.value); }
 
 void HealthScorer::OnEvent(const telemetry::Event& event) {
   auto it = scores_.find(event.device);
   if (it == scores_.end()) {
     return;  // not a device we supervise
   }
-  const double weight = WeightFor(config_, event);
+  const double weight = WeightFor(event);
   if (weight == 0.0) {
     return;
   }
   DeviceScore& entry = it->second;
-  entry.score = Decayed(entry.score, entry.last_cycle, event.cycle,
-                        config_.half_life_cycles) +
-                weight;
+  entry.score = Decayed(entry.score, entry.last_cycle, event.cycle) + weight;
   entry.last_cycle = std::max(entry.last_cycle, event.cycle);
-  if (!entry.breached && entry.score >= config_.threshold) {
+  if (!entry.breached && entry.score >= kBreachThreshold) {
     entry.breached = true;
     pending_breaches_.push_back(DeviceId{event.device});
   }
@@ -69,8 +85,7 @@ double HealthScorer::ScoreAt(DeviceId device, uint64_t now) const {
   if (it == scores_.end()) {
     return 0.0;
   }
-  return Decayed(it->second.score, it->second.last_cycle, now,
-                 config_.half_life_cycles);
+  return Decayed(it->second.score, it->second.last_cycle, now);
 }
 
 std::vector<DeviceId> HealthScorer::TakeBreaches() {

@@ -2,8 +2,8 @@
 //
 // The scorer is an EventSink: every published event that implicates a device
 // (IOMMU faults, TX ring resets, D-KASAN reports, SPADE findings, stale-IOTLB
-// hits, bad completions, poll-deadline trips) adds a configurable weight to
-// that device's score. Scores decay exponentially with simulated time, so a
+// hits, bad completions, poll-deadline trips) adds a fixed weight to that
+// device's score. Scores decay exponentially with simulated time, so a
 // burst of faults trips the threshold while the same count spread over
 // seconds does not. Crossing the threshold records a *pending breach*; the
 // RecoveryManager consumes breaches from Poll() — never from inside OnEvent,
@@ -16,7 +16,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "base/clock.h"
 #include "base/types.h"
 #include "telemetry/telemetry.h"
 
@@ -24,25 +23,6 @@ namespace spv::recovery {
 
 class HealthScorer : public telemetry::EventSink {
  public:
-  struct Config {
-    // Signal weights. Defaults are tuned so a handful of security findings
-    // (or a sustained fault storm) breach, while sporadic recoverable faults
-    // decay away.
-    double weight_iommu_fault = 1.0;
-    double weight_ring_reset = 8.0;
-    double weight_stale_iotlb_hit = 5.0;
-    double weight_dkasan_report = 25.0;
-    double weight_spade_finding = 25.0;
-    double weight_bad_completion = 2.0;   // kNicRxError / kNvmeCompletionError
-    double weight_poll_deadline = 2.0;    // kNicPollDeadline / kNvmePollDeadline
-    double threshold = 24.0;              // score that triggers quarantine
-    // Score half-life in simulated cycles: after this long with no new
-    // signal, half the score is gone.
-    uint64_t half_life_cycles = SimClock::MsToCycles(50);
-  };
-
-  explicit HealthScorer(Config config) : config_(config) {}
-
   // Only registered devices are scored; everything else on the bus is noise.
   void Track(DeviceId device);
   void Untrack(DeviceId device);
@@ -60,8 +40,6 @@ class HealthScorer : public telemetry::EventSink {
   // starts from a clean slate.
   void Reset(DeviceId device);
 
-  const Config& config() const { return config_; }
-
  private:
   struct DeviceScore {
     double score = 0.0;
@@ -69,11 +47,6 @@ class HealthScorer : public telemetry::EventSink {
     bool breached = false;  // latched until Reset()
   };
 
-  static double WeightFor(const Config& config, const telemetry::Event& event);
-  static double Decayed(double score, uint64_t from, uint64_t to,
-                        uint64_t half_life_cycles);
-
-  Config config_;
   std::unordered_map<uint32_t, DeviceScore> scores_;
   std::vector<DeviceId> pending_breaches_;
 };

@@ -4,6 +4,13 @@
 
 namespace spv::recovery {
 
+namespace {
+
+// Each failed probation multiplies the re-attach wait by this factor.
+constexpr double kBackoffMultiplier = 2.0;
+
+}  // namespace
+
 std::string_view DeviceStateName(DeviceState state) {
   switch (state) {
     case DeviceState::kHealthy:
@@ -24,8 +31,7 @@ RecoveryManager::RecoveryManager(iommu::Iommu& iommu, dma::DmaApi& dma, SimClock
       dma_(dma),
       clock_(clock),
       hub_(hub),
-      config_(config),
-      scorer_(config.health) {
+      config_(config) {
   if (config_.enabled) {
     hub_.AddSink(&scorer_);
   }
@@ -103,7 +109,7 @@ Status RecoveryManager::DoQuarantine(DeviceId device, Supervised& entry,
       entry.reattach_attempts == 0
           ? config_.reattach_backoff_cycles
           : static_cast<uint64_t>(static_cast<double>(entry.current_backoff) *
-                                  config_.backoff_multiplier);
+                                  kBackoffMultiplier);
   entry.next_reattach_cycle = clock_.now() + entry.current_backoff;
   ++entry.quarantines;
   ++total_quarantines_;
@@ -235,16 +241,6 @@ RecoveryManager::DeviceStatus RecoveryManager::device_status(DeviceId device) co
 DeviceState RecoveryManager::state(DeviceId device) const {
   auto it = devices_.find(device.value);
   return it == devices_.end() ? DeviceState::kHealthy : it->second.state;
-}
-
-uint32_t RecoveryManager::available_devices() const {
-  uint32_t count = 0;
-  for (const auto& [id, entry] : devices_) {
-    if (entry.state == DeviceState::kHealthy || entry.state == DeviceState::kProbation) {
-      ++count;
-    }
-  }
-  return count;
 }
 
 }  // namespace spv::recovery

@@ -52,18 +52,17 @@ std::string_view DeviceStateName(DeviceState state);
 
 class RecoveryManager {
  public:
-  // Every quarantine-hysteresis and re-attach knob in one value type: scorer
-  // weights, retry budget, backoff base/multiplier, probation length. One
-  // machine-wide value governs every supervised device.
+  // Every quarantine-hysteresis and re-attach knob in one value type: retry
+  // budget, backoff base, probation length. One machine-wide value governs
+  // every supervised device; the scorer's weights and threshold are
+  // constants in health.cc.
   struct Config {
     // Disabled by default: scoring and supervision cost nothing, and the
     // paper's attacks reproduce unhindered.
     bool enabled = false;
-    HealthScorer::Config health;
     // First re-attach is attempted this long after quarantine; each failed
-    // probation multiplies the wait (exponential backoff).
+    // probation doubles the wait (exponential backoff).
     uint64_t reattach_backoff_cycles = SimClock::MsToCycles(10);
-    double backoff_multiplier = 2.0;
     // Re-attach attempts before the device is permanently detached.
     uint32_t max_reattach_attempts = 3;
     // A device surviving probation this long returns to kHealthy with its
@@ -108,12 +107,9 @@ class RecoveryManager {
   Status Detach(DeviceId device, std::string_view reason);
 
   bool enabled() const { return config_.enabled; }
-  const Config& config() const { return config_; }
   HealthScorer& scorer() { return scorer_; }
   DeviceStatus device_status(DeviceId device) const;
   DeviceState state(DeviceId device) const;
-  // Registered devices currently in full service (kHealthy or kProbation).
-  uint32_t available_devices() const;
   uint64_t total_quarantines() const { return total_quarantines_; }
   uint64_t total_detaches() const { return total_detaches_; }
 

@@ -62,6 +62,17 @@ constexpr uint64_t kSecretSentinel = 0x534f414b'5f534543ull;  // "SOAK_SEC"
 constexpr uint64_t kLegitMark = 0x424f554e'43453a31ull;       // "BOUNCE:1"
 constexpr uint64_t kEvilMark = 0xdead5722'17e0fULL;
 
+// The per-epoch workload mix.
+constexpr uint32_t kEpochPackets = 4;      // echo round trips attempted per epoch
+constexpr uint32_t kStorageProbes = 2;     // block IO round trips attempted per epoch
+constexpr uint32_t kChurnMaps = 8;         // map/unmap pairs per epoch
+constexpr uint32_t kPerCpuChurnMaps = 4;   // map/unmap pairs per CPU per epoch
+constexpr uint32_t kAttackInterval = 64;   // epochs between attack phases
+constexpr uint32_t kAbuseStormEpochs = 8;  // length of an abuse burst
+constexpr uint32_t kAbuseCalmEpochs = 56;  // quiet stretch between bursts
+constexpr uint32_t kHotplugInterval = 17;  // epochs between hostile hot-plug storms
+constexpr uint32_t kHotplugDevices = 2;    // hostile devices plugged per storm
+
 fault::FaultPlan MakeSoakFaultPlan() {
   // Low per-arm probabilities: the soak wants a steady drizzle of recoverable
   // faults underneath the deliberate abuse storms, not a machine that cannot
@@ -293,8 +304,7 @@ SoakReport RunSoak(const SoakConfig& config) {
 
   uint64_t epoch = 0;
   for (; epoch < config.max_epochs && machine.clock().now() < config.target_cycles; ++epoch) {
-    const bool storm = (epoch % (config.abuse_storm_epochs + config.abuse_calm_epochs)) <
-                       config.abuse_storm_epochs;
+    const bool storm = (epoch % (kAbuseStormEpochs + kAbuseCalmEpochs)) < kAbuseStormEpochs;
 
     // -- Degraded drill: demote the SERVING devices mid-run ---------------------
     //
@@ -315,7 +325,7 @@ SoakReport RunSoak(const SoakConfig& config) {
 
     // -- Service traffic: echo round trips through nic0 -------------------------
     (void)nic0.RetryAllRefills();
-    for (uint32_t p = 0; p < config.epoch_packets; ++p) {
+    for (uint32_t p = 0; p < kEpochPackets; ++p) {
       ++report.echo_probes;
       const uint64_t before = machine.stack().stats().echoed;
       net::PacketHeader header{.src_ip = 0x0a000002,
@@ -379,7 +389,7 @@ SoakReport RunSoak(const SoakConfig& config) {
     // -- Storage traffic: block write/read-verify probes through nvme0 ----------
     if (config.storage) {
       mnvme->set_complete_before_transfer(storm);
-      for (uint32_t p = 0; p < config.storage_probes; ++p) {
+      for (uint32_t p = 0; p < kStorageProbes; ++p) {
         ++report.nvme.probes;
         if (degraded_active) {
           ++report.degraded_probes;
@@ -454,7 +464,7 @@ SoakReport RunSoak(const SoakConfig& config) {
     }
 
     // -- Map/unmap churn on the driverless device -------------------------------
-    for (uint32_t c = 0; c < config.churn_maps; ++c) {
+    for (uint32_t c = 0; c < kChurnMaps; ++c) {
       ++report.churn_map_ops;
       Result<Kva> buf = machine.slab().Kmalloc(2048, "soak_churn");
       if (!buf.ok()) {
@@ -502,8 +512,8 @@ SoakReport RunSoak(const SoakConfig& config) {
     //             probe buffer land in bounce padding that copy-out discards
     //             — the neighbour's bytes must come through unchanged, while
     //             the one legit in-bounds write must still be delivered.
-    if (engine != nullptr && config.hostile_hotplug && config.hotplug_interval != 0 &&
-        epoch % config.hotplug_interval == config.hotplug_interval - 1) {
+    if (engine != nullptr && config.hostile_hotplug &&
+        epoch % kHotplugInterval == kHotplugInterval - 1) {
       // Rotate the resident hostile's parked bounce mapping first: retire the
       // old one (copy-out audited) and park a fresh one for coming epochs.
       if (hostile_parked.has_value()) {
@@ -525,7 +535,7 @@ SoakReport RunSoak(const SoakConfig& config) {
         }
       }
 
-      for (uint32_t h = 0; h < config.hotplug_devices; ++h) {
+      for (uint32_t h = 0; h < kHotplugDevices; ++h) {
         const bool is_nvme = (hostile_plugged % 2) == 1;
         const DeviceId dev{kHotplugHostileBase +
                            static_cast<uint32_t>(hostile_plugged++)};
@@ -624,7 +634,7 @@ SoakReport RunSoak(const SoakConfig& config) {
       machine.RunOnCpus(num_cpus, [&](CpuId cpu) {
         Xoshiro256& crng = cpu_rngs[cpu.value];
         const DeviceId dev{kPerCpuChurnBase + cpu.value};
-        for (uint32_t c = 0; c < config.per_cpu_churn_maps; ++c) {
+        for (uint32_t c = 0; c < kPerCpuChurnMaps; ++c) {
           ++cpu_churn_ops[cpu.value];
           const uint64_t len = 512 + (static_cast<uint64_t>(crng.NextBelow(4)) << 9);
           Result<Kva> buf = machine.slab().Kmalloc(len, "soak_cpu_churn");
@@ -705,8 +715,7 @@ SoakReport RunSoak(const SoakConfig& config) {
     (void)nic1.RequeueTimedOut();
 
     // -- Compound attacks through the serving NIC -------------------------------
-    if (config.attacks && config.attack_interval != 0 &&
-        epoch % config.attack_interval == config.attack_interval / 2) {
+    if (config.attacks && epoch % kAttackInterval == kAttackInterval / 2) {
       ++report.attack_runs;
       Result<attack::AttackReport> outcome = [&]() -> Result<attack::AttackReport> {
         if (!ringflood_done) {

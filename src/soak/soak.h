@@ -35,12 +35,6 @@ struct SoakConfig {
   // write/read-verify probes, Poisoned-Completion storms and withheld-
   // transfer replays through whatever stale windows the run leaves open.
   bool storage = true;
-  uint32_t storage_probes = 2;     // block IO round-trips attempted per epoch
-  uint32_t epoch_packets = 4;      // echo round-trips attempted per epoch
-  uint32_t churn_maps = 8;         // map/unmap pairs per epoch
-  uint32_t attack_interval = 64;   // epochs between attack phases
-  uint32_t abuse_storm_epochs = 8;    // length of an abuse burst
-  uint32_t abuse_calm_epochs = 56;    // quiet stretch between bursts
   // How often Machine::CheckInvariants() runs (1 = every epoch). The audit
   // walks every mapping, so sparser checks buy longer soaks per wall-second.
   uint32_t invariant_check_interval = 1;
@@ -59,7 +53,6 @@ struct SoakConfig {
   uint32_t num_cpus = 1;
   uint32_t nic_queues = 1;    // nic0 RX/TX queue pairs, one per CPU is typical
   bool threads = false;
-  uint32_t per_cpu_churn_maps = 4;  // map/unmap pairs per CPU per epoch
 
   // ---- Trust-policy leg --------------------------------------------------------
   //
@@ -69,16 +62,14 @@ struct SoakConfig {
   // subject: its first quarantine demotes it to bounce-only and every
   // re-promotion drill inside the hysteresis cooldown must be refused.
   //
-  // hostile_hotplug=true adds hot-plug storms: every hotplug_interval epochs
-  // a burst of never-authorized NICs/NVMe controllers attaches, lands on the
-  // untrusted rung, and runs the paper's sub-page probes — a page-wide read
-  // hunting a slab neighbour's secret (type (d)) and an off-the-end write at
-  // a co-located neighbour (type (a)). Both must die in the bounce pool:
+  // hostile_hotplug=true adds hot-plug storms: every kHotplugInterval epochs
+  // (soak.cc) a burst of never-authorized NICs/NVMe controllers attaches,
+  // lands on the untrusted rung, and runs the paper's sub-page probes — a
+  // page-wide read hunting a slab neighbour's secret (type (d)) and an
+  // off-the-end write at a co-located neighbour (type (a)). Both must die in the bounce pool:
   // secret_leaks and neighbour_corruptions stay zero or the run fails.
   bool policy = false;
   bool hostile_hotplug = false;
-  uint32_t hotplug_interval = 17;  // epochs between hostile hot-plug storms
-  uint32_t hotplug_devices = 2;    // hostile devices plugged per storm
 
   // degraded_drill=true demotes the SERVING devices (nic0 and, with storage,
   // nvme0) a third of the way through the run: both drivers must switch to

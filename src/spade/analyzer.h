@@ -124,7 +124,6 @@ class SpadeAnalyzer {
   // Table-2 aggregation; uses the API-use counts collected by Analyze().
   Summary Summarize(const std::vector<SiteFinding>& findings) const;
 
-  const std::vector<ApiUse>& api_uses() const { return api_uses_; }
   const LayoutDb& layout_db() const { return layout_db_; }
 
  private:

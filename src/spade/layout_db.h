@@ -60,8 +60,6 @@ class LayoutDb {
   static uint64_t ScalarSize(const TypeRef& type);
   static uint64_t ScalarAlign(const TypeRef& type);
 
-  size_t struct_count() const { return layouts_.size(); }
-
  private:
   Result<StructLayout*> Compute(const std::string& name, std::set<std::string>& in_progress);
   uint32_t CountReachableCallbacks(const std::string& name, std::set<std::string>& visited);

@@ -58,9 +58,6 @@ struct SpanRecord {
 struct TracerConfig {
   bool enabled = false;          // spans off by default, like Hub recording
   size_t max_records = 1 << 20;  // bound on retained SpanRecords
-  // Install a WindowTracker sink on the Machine's hub (vulnerability-window
-  // accounting). Read by core::Machine, not by the Tracer itself.
-  bool track_windows = true;
 };
 
 // Single-owner span registry. Not thread-safe (the simulator is

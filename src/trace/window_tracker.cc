@@ -8,6 +8,8 @@ namespace spv::trace {
 
 namespace {
 
+constexpr size_t kMaxWindows = 1 << 18;  // bound on retained Window records
+
 constexpr uint64_t PageBase(uint64_t addr) { return addr & ~(kPageSize - 1); }
 
 constexpr uint64_t PagesFor(uint64_t addr, uint64_t len) {
@@ -71,7 +73,7 @@ void WindowTracker::OnEvent(const telemetry::Event& event) {
 
 size_t WindowTracker::NewWindow(WindowKind kind, const telemetry::Event& event,
                                 uint64_t iova_page, uint64_t pages, uint64_t exposed) {
-  if (windows_.size() >= config_.max_windows) {
+  if (windows_.size() >= kMaxWindows) {
     ++dropped_windows_;
     return SIZE_MAX;
   }
@@ -197,7 +199,7 @@ void WindowTracker::OnDmaUnmap(const telemetry::Event& event) {
   if (covered >= pages) {
     // Record the (already closed) strict window without a detached span —
     // it opened in the past and tracer spans cannot be backdated.
-    if (windows_.size() >= config_.max_windows) {
+    if (windows_.size() >= kMaxWindows) {
       ++dropped_windows_;
       return;
     }

@@ -73,7 +73,6 @@ struct Window {
 class WindowTracker : public telemetry::EventSink {
  public:
   struct Config {
-    size_t max_windows = 1 << 18;  // bound on retained Window records
     // When the machine runs without an IOMMU there is no flush to ever close
     // a stale window; the tracker then skips stale tracking entirely.
     bool iommu_enabled = true;
@@ -81,7 +80,6 @@ class WindowTracker : public telemetry::EventSink {
 
   // `tracer` may be null (windows then carry kNoSpan ids). The tracker does
   // not add itself to the hub; the owner wires AddSink/RemoveSink.
-  WindowTracker(telemetry::Hub& hub, Tracer* tracer) : WindowTracker(hub, tracer, Config{}) {}
   WindowTracker(telemetry::Hub& hub, Tracer* tracer, Config config);
 
   void OnEvent(const telemetry::Event& event) override;
@@ -104,7 +102,6 @@ class WindowTracker : public telemetry::EventSink {
   telemetry::Histogram::Summary dkasan_latency_summary() const {
     return detect_latency_dkasan_.Summarize();
   }
-  const telemetry::Histogram& stale_open_cycles() const { return stale_open_cycles_; }
 
  private:
   struct PendingStrictInvalidation {
@@ -120,7 +117,7 @@ class WindowTracker : public telemetry::EventSink {
   void OnStaleHit(const telemetry::Event& event);
   void OnDetection(const telemetry::Event& event, bool dkasan);
 
-  // Returns SIZE_MAX when the record budget is exhausted.
+  // Returns SIZE_MAX when the record budget (kMaxWindows) is exhausted.
   size_t NewWindow(WindowKind kind, const telemetry::Event& event, uint64_t iova_page,
                    uint64_t pages, uint64_t exposed);
   void CloseWindow(size_t index, uint64_t cycle, std::string reason);

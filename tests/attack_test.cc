@@ -446,7 +446,7 @@ TEST(ForwardThinkingTest, EscalatesViaGroForwarding) {
   ASSERT_TRUE(SeedResidualKernelData(rig.machine, 200).ok());
   ASSERT_TRUE(rig.nic.FillRxRing().ok());
 
-  auto report = ForwardThinkingAttack::Run(rig.env(), {});
+  auto report = ForwardThinkingAttack::Run(rig.env());
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->kaslr.complete()) << report->kaslr.ToString();
   EXPECT_TRUE(report->success);
@@ -455,7 +455,7 @@ TEST(ForwardThinkingTest, EscalatesViaGroForwarding) {
 TEST(ForwardThinkingTest, RefusedWhenForwardingDisabled) {
   Rig rig{VictimConfig(62, false, iommu::InvalidationMode::kDeferred)};
   ASSERT_TRUE(rig.nic.FillRxRing().ok());
-  auto report = ForwardThinkingAttack::Run(rig.env(), {});
+  auto report = ForwardThinkingAttack::Run(rig.env());
   EXPECT_FALSE(report.ok());
 }
 

@@ -582,7 +582,7 @@ TEST(DegradedSoak, MidRunDemotionKeepsServiceAboveFloor) {
 TEST(DegradedSoak, HostileHotplugStormsDuringDegradedPhaseStayContained) {
   soak::SoakConfig config;
   config.seed = 777;
-  // Long enough for several hotplug_interval-epoch storm cadences to land
+  // Long enough for several 17-epoch hot-plug storm cadences to land
   // inside the degraded phase (one epoch is ~40k cycles of idle advance).
   config.target_cycles = 2'000'000;
   config.policy = true;

@@ -234,6 +234,39 @@ TEST_F(DmaFixture, KernelMemoryFiresCpuAccessHook) {
   EXPECT_EQ(sink.accesses[0].len, 8u);
 }
 
+TEST_F(DmaFixture, SyncRangeMustLieInsideTheMapping) {
+  // A 256-byte buffer at a sub-page offset: its whole page is mapped, but a
+  // sync may only cover the buffer's own bytes, as on the bounce path.
+  constexpr DmaDirection kDir = DmaDirection::kFromDevice;
+  const Kva kva = KvaOf(Pfn{114}, 0x100);
+  auto iova = dma_.MapSingle(kNic, kva, 256, kDir);
+  ASSERT_TRUE(iova.ok());
+
+  // Past the end: [iova + 200, +100) overruns the buffer by 44 bytes.
+  EXPECT_FALSE(dma_.SyncSingleForCpu(kNic, *iova + 200, 100, kDir).ok());
+  EXPECT_FALSE(dma_.SyncSingleForDevice(kNic, *iova + 200, 100, kDir).ok());
+  // Before the start: the same page, 64 bytes below the buffer.
+  const Iova before{iova->value - 64};
+  EXPECT_FALSE(dma_.SyncSingleForCpu(kNic, before, 64, kDir).ok());
+  EXPECT_FALSE(dma_.SyncSingleForDevice(kNic, before, 64, kDir).ok());
+
+  // An in-range partial sync hands the CPU exactly the synced bytes.
+  RecordingDmaSink sink;
+  dma_.telemetry().AddSink(&sink);
+  EXPECT_TRUE(dma_.SyncSingleForCpu(kNic, *iova + 64, 64, kDir).ok());
+  EXPECT_TRUE(dma_.SyncSingleForDevice(kNic, *iova + 64, 64, kDir).ok());
+  dma_.telemetry().RemoveSink(&sink);
+  ASSERT_EQ(sink.accesses.size(), 1u);
+  EXPECT_EQ(sink.accesses[0].kva, kva + 64);
+  EXPECT_EQ(sink.accesses[0].len, 64u);
+  EXPECT_FALSE(sink.accesses[0].is_write);
+
+  // The whole buffer, and its last byte alone, still sync.
+  EXPECT_TRUE(dma_.SyncSingleForCpu(kNic, *iova, 256, kDir).ok());
+  EXPECT_TRUE(dma_.SyncSingleForDevice(kNic, *iova + 255, 1, kDir).ok());
+  ASSERT_TRUE(dma_.UnmapSingle(kNic, *iova, 256, kDir).ok());
+}
+
 TEST_F(DmaFixture, KernelMemoryScalarAndBulkRoundTrip) {
   const Kva kva = KvaOf(Pfn{113}, 100);
   ASSERT_TRUE(kmem_.WriteU32(kva, 0xabcd1234).ok());

@@ -450,6 +450,57 @@ TEST(ForensicsDisabled, DefaultMachineHasNullRecorderAndEngine) {
   ASSERT_TRUE(machine.slab().Kfree(*buf).ok());
 }
 
+// ---- Incident engine rate limits ----------------------------------------------
+
+void PublishStaleHit(core::Machine& machine, DeviceId device) {
+  telemetry::Event event;
+  event.kind = telemetry::EventKind::kStaleIotlbHit;
+  event.severity = telemetry::Severity::kCritical;
+  event.device = device.value;
+  event.site = "rate_limit_probe";
+  machine.telemetry().Publish(std::move(event));
+}
+
+TEST(IncidentEngineLimits, OpensAtMost32Incidents) {
+  core::Machine machine{BaseConfig(21, iommu::InvalidationMode::kDeferred)};
+  IncidentEngine* incidents = machine.incidents();
+  ASSERT_NE(incidents, nullptr);
+  // Manual freezes skip the cooldown but not the cap.
+  for (int i = 0; i < 32; ++i) {
+    incidents->OpenIncident(DeviceId{static_cast<uint32_t>(100 + i)}, "cap probe");
+  }
+  EXPECT_EQ(incidents->incident_count(), 32u);
+  EXPECT_EQ(incidents->suppressed(), 0u);
+  incidents->OpenIncident(DeviceId{200}, "cap probe");
+  EXPECT_EQ(incidents->incident_count(), 32u);
+  EXPECT_EQ(incidents->suppressed(), 1u);
+}
+
+TEST(IncidentEngineLimits, SameTriggerCoolsDownFor200000Cycles) {
+  core::Machine machine{BaseConfig(22, iommu::InvalidationMode::kDeferred)};
+  IncidentEngine* incidents = machine.incidents();
+  ASSERT_NE(incidents, nullptr);
+  const DeviceId device{77};
+
+  PublishStaleHit(machine, device);
+  EXPECT_EQ(incidents->incident_count(), 1u);
+  // One cycle short of the cooldown: the repeat is suppressed.
+  machine.clock().Advance(199'999);
+  PublishStaleHit(machine, device);
+  EXPECT_EQ(incidents->incident_count(), 1u);
+  EXPECT_EQ(incidents->suppressed(), 1u);
+  // Another device has its own cooldown, and a manual freeze is never
+  // rate-limited.
+  PublishStaleHit(machine, DeviceId{78});
+  incidents->OpenIncident(device, "manual freeze");
+  EXPECT_EQ(incidents->incident_count(), 3u);
+  // 200,000 cycles after the first report the same trigger opens again.
+  machine.clock().Advance(1);
+  PublishStaleHit(machine, device);
+  EXPECT_EQ(incidents->incident_count(), 4u);
+  EXPECT_EQ(incidents->suppressed(), 1u);
+}
+
 TEST(ForensicsSoak, SoakEmbedsDeterministicForensicsBlock) {
   soak::SoakConfig config;
   config.seed = 11;

@@ -439,6 +439,44 @@ TEST_F(DriverFixture, TxTimeoutResetsRing) {
   EXPECT_EQ(driver.tx_resets(), 1u);
 }
 
+TEST(NicTxRequeue, FreesAnSkbAfterThreeFailedReposts) {
+  // Watchdog-flushed skbs wait on the requeue list; each gets three tries at
+  // a full ring before the driver gives up and frees it.
+  core::MachineConfig machine_config;
+  machine_config.seed = 2024;
+  machine_config.telemetry.enabled = true;  // links the driver's drop tally
+  core::Machine machine{machine_config};
+  NicDriver::Config config;
+  config.name = "tnic";
+  config.tx_ring_size = 2;
+  NicDriver& driver = machine.AddNicDriver(config);
+  TestNicDevice device{driver.device_id(), machine.iommu()};
+  driver.AttachDevice(&device);
+  auto post = [&] {
+    auto skb = machine.skb_alloc().AllocSkb(64, "tx");
+    ASSERT_TRUE(skb.ok());
+    (*skb)->len = 64;
+    ASSERT_TRUE(driver.PostTx(std::move(*skb)).ok());
+  };
+  auto dropped = [&] { return machine.telemetry().counter_value("nic.tx_requeue_dropped"); };
+
+  post();
+  post();
+  machine.clock().AdvanceUs(6 * 1000 * 1000);  // 6 s > 5 s timeout
+  EXPECT_EQ(driver.CheckTxTimeout(), 2u);
+  EXPECT_EQ(driver.tx_requeue_depth(), 2u);
+  post();  // refill the ring: every repost now fails
+  post();
+  for (int attempt = 1; attempt <= 2; ++attempt) {
+    EXPECT_EQ(driver.RequeueTimedOut(), 0u);
+    EXPECT_EQ(driver.tx_requeue_depth(), 2u) << "attempt " << attempt;
+    EXPECT_EQ(dropped(), 0u) << "attempt " << attempt;
+  }
+  EXPECT_EQ(driver.RequeueTimedOut(), 0u);
+  EXPECT_EQ(driver.tx_requeue_depth(), 1u);  // the head skb is gone
+  EXPECT_EQ(dropped(), 1u);
+}
+
 TEST_F(DriverFixture, XdpRxBuffersMappedBidirectional) {
   // §5.1: XDP maps RX buffers BIDIRECTIONAL — the device can now *read* RX
   // pages too (leak channel on top of the usual write access).
@@ -867,6 +905,30 @@ TEST_F(StackFixture, TcpStreamEchoedThroughGro) {
   std::vector<uint8_t> frag(descriptor.frag_lens[0]);
   ASSERT_TRUE(tx_device_->DeviceRead(descriptor.frag_iovas[0], std::span<uint8_t>(frag)).ok());
   EXPECT_EQ(frag[0], 0x30);  // first segment's bytes lead the reassembly
+}
+
+TEST_F(StackFixture, SendPacketSplitsLinearFromFragsAt512Bytes) {
+  // A 512-byte payload still fits the linear part; one byte more and the
+  // whole payload goes out in frags (the Figure-8 TX shape).
+  SetUpStack();
+  PacketHeader header{.src_ip = machine_.stack().config().local_ip, .dst_ip = 42,
+                      .src_port = 1, .dst_port = 2, .proto = kProtoUdp};
+  ASSERT_TRUE(machine_.stack().SendPacket(header, std::vector<uint8_t>(512, 0x51)).ok());
+  ASSERT_TRUE(machine_.stack().SendPacket(header, std::vector<uint8_t>(513, 0x52)).ok());
+  ASSERT_EQ(tx_device_->tx_posted().size(), 2u);
+
+  const auto& linear = tx_device_->tx_posted()[0];
+  EXPECT_TRUE(linear.frag_iovas.empty());
+  EXPECT_EQ(linear.linear_len, PacketHeader::kSize + 512);
+
+  const auto& fragged = tx_device_->tx_posted()[1];
+  ASSERT_FALSE(fragged.frag_iovas.empty());
+  EXPECT_EQ(fragged.linear_len, PacketHeader::kSize);
+  uint64_t frag_bytes = 0;
+  for (uint32_t len : fragged.frag_lens) {
+    frag_bytes += len;
+  }
+  EXPECT_EQ(frag_bytes, 513u);
 }
 
 TEST_F(StackFixture, LargePayloadSplitsAcrossMultipleFrags) {

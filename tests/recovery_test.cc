@@ -104,6 +104,36 @@ TEST(RecoveryLifecycle, BreachQuarantineReattachProbationSweep) {
   }
 }
 
+TEST(RecoveryLifecycle, HealthScoreBreachesAt24PointsAndHalvesEvery50Ms) {
+  SweepCase c{iommu::InvalidationMode::kDeferred, true};
+  core::Machine machine{SupervisedConfig(c)};
+  net::NicDriver& nic = machine.AddNicDriver({});
+  recovery::HealthScorer& scorer = machine.recovery().scorer();
+  auto fault = [&] {
+    telemetry::Event event;
+    event.kind = telemetry::EventKind::kIommuFault;
+    event.severity = telemetry::Severity::kWarn;
+    event.device = nic.device_id().value;
+    machine.telemetry().Publish(std::move(event));
+  };
+
+  // An IOMMU fault weighs one point; 23 of them in one cycle stay below the
+  // threshold and the 24th crosses it.
+  for (int i = 0; i < 23; ++i) {
+    fault();
+  }
+  const uint64_t now = machine.clock().now();
+  EXPECT_DOUBLE_EQ(scorer.ScoreAt(nic.device_id(), now), 23.0);
+  EXPECT_TRUE(scorer.TakeBreaches().empty());
+  fault();
+  EXPECT_DOUBLE_EQ(scorer.ScoreAt(nic.device_id(), now), 24.0);
+  const std::vector<DeviceId> breaches = scorer.TakeBreaches();
+  ASSERT_EQ(breaches.size(), 1u);
+  EXPECT_EQ(breaches[0], nic.device_id());
+  // The score's half-life is 50 ms of sim time.
+  EXPECT_DOUBLE_EQ(scorer.ScoreAt(nic.device_id(), now + SimClock::MsToCycles(50)), 12.0);
+}
+
 TEST(RecoveryLifecycle, RetryBudgetExhaustionDetachesPermanently) {
   SweepCase c{iommu::InvalidationMode::kDeferred, true};
   core::MachineConfig config = SupervisedConfig(c);
