@@ -96,10 +96,7 @@ core::Machine MakeMachine(const CaseConfig& config) {
   mc.phys_pages = 32768;
   mc.iommu.mode = config.mode;
   mc.iommu.fast_path.num_cpus = config.cpus;
-  if (!config.fast) {
-    mc.iommu.fast_path.rcache_enabled = false;
-    mc.iommu.fast_path.walk_cache_enabled = false;
-  }
+  mc.iommu.fast_path.enabled = config.fast;
   mc.policy.enabled = config.policy_trusted;
   return core::Machine{mc};
 }

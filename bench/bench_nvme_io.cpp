@@ -100,10 +100,7 @@ CaseResult RunCase(const CaseConfig& config) {
     mc.policy.enabled = true;
     mc.policy.bounce_pages = 64;
   }
-  if (!config.fast) {
-    mc.iommu.fast_path.rcache_enabled = false;
-    mc.iommu.fast_path.walk_cache_enabled = false;
-  }
+  mc.iommu.fast_path.enabled = config.fast;
   core::Machine machine{mc};
   nvme::NvmeDriver& driver = machine.AddNvmeDriver({});
   nvme::NvmeController controller{

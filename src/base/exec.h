@@ -7,8 +7,10 @@
 //     in.
 //   * kThreads — N host worker threads, each owning one sim CPU (and that
 //     CPU's NIC queue pair, flush-queue shard, IOVA magazines and frag pool).
-//     Used for wall-clock throughput runs and for surfacing real cross-CPU
-//     interleavings under TSan. Not byte-deterministic.
+//     Telemetry events reach the sinks on the worker that publishes them,
+//     one at a time under the Hub's dispatch lock. Used for wall-clock
+//     throughput runs and for surfacing real cross-CPU interleavings under
+//     TSan. Not byte-deterministic.
 //
 // The "current CPU" is ambient state (like preemption context in the
 // kernel): thread-local, so in kThreads mode each worker carries its own CPU

@@ -17,7 +17,11 @@
 
 namespace spv {
 
-class MaybeMutex {
+// `Mutex` is std::mutex for a layer's lock and std::recursive_mutex where the
+// holder re-enters: the telemetry Hub's dispatch lock, because sinks publish
+// from inside OnEvent.
+template <typename Mutex>
+class BasicMaybeMutex {
  public:
   void Engage() { engaged_ = true; }
   bool engaged() const { return engaged_; }
@@ -36,8 +40,11 @@ class MaybeMutex {
 
  private:
   bool engaged_ = false;
-  std::mutex mu_;
+  Mutex mu_;
 };
+
+using MaybeMutex = BasicMaybeMutex<std::mutex>;
+using MaybeRecursiveMutex = BasicMaybeMutex<std::recursive_mutex>;
 
 class MaybeSharedMutex {
  public:

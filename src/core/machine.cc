@@ -128,11 +128,11 @@ Machine::Machine(const MachineConfig& config)
   if (config.exec == ExecMode::kThreads) {
     // Bring-up for worker threads, before any of them exists (every engage
     // is one-way and must precede concurrency). Order: clock first so every
-    // later event stamps from per-CPU counters, then telemetry ingest, then
+    // later event stamps from per-CPU counters, then telemetry dispatch, then
     // the layers from the IOMMU outwards.
     const uint32_t cpus = num_cpus() == 0 ? 1 : num_cpus();
     clock_.EnablePerCpu();
-    hub_.EnableMt(cpus);
+    hub_.EngageLock();
     iommu_->EngageThreadSafety(cpus);
     dma_->EngageLock();
     page_alloc_->EngageLock();
@@ -157,7 +157,6 @@ void Machine::RunOnCpus(uint32_t cpus, const std::function<void(CpuId)>& fn) {
     SetCurrentCpu(CpuId{0});
     return;
   }
-  hub_.StartDrainer();
   std::vector<std::thread> workers;
   workers.reserve(cpus);
   for (uint32_t c = 0; c < cpus; ++c) {
@@ -169,7 +168,6 @@ void Machine::RunOnCpus(uint32_t cpus, const std::function<void(CpuId)>& fn) {
   for (std::thread& worker : workers) {
     worker.join();
   }
-  hub_.StopDrainer();  // final drain: all published events are recorded
   SetCurrentCpu(CpuId{0});
 }
 

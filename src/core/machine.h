@@ -49,8 +49,9 @@ struct MachineConfig {
   //   * kSequential (default) — one host thread, deterministic, byte-identical
   //     to the historical single-threaded machine;
   //   * kThreads — one host worker per sim CPU. Bring-up engages every
-  //     layer's locks, shards the IOMMU flush queue per CPU, switches the
-  //     clock to per-CPU counters and telemetry ingest to SPSC rings.
+  //     layer's locks (the telemetry Hub's dispatch lock included), shards
+  //     the IOMMU flush queue per CPU and switches the clock to per-CPU
+  //     counters.
   // The CPU count is config.iommu.fast_path.num_cpus in both modes.
   ExecMode exec = ExecMode::kSequential;
   uint64_t phys_pages = 16384;  // 64 MiB of simulated RAM
@@ -116,9 +117,9 @@ class Machine {
 
   // Runs `fn(cpu)` for sim CPUs [0, cpus). In kSequential mode the CPUs run
   // one after another on the calling thread (deterministic); in kThreads mode
-  // each CPU gets its own host worker thread and the telemetry drainer runs
-  // for the duration. Either way the ambient CPU is set for each body and
-  // restored to CPU 0 afterwards. `cpus` is clamped to num_cpus().
+  // each CPU gets its own host worker thread, and each worker's events reach
+  // the sinks on that worker. Either way the ambient CPU is set for each body
+  // and restored to CPU 0 afterwards. `cpus` is clamped to num_cpus().
   void RunOnCpus(uint32_t cpus, const std::function<void(CpuId)>& fn);
 
   // ---- Component access ------------------------------------------------------

@@ -158,7 +158,7 @@ class DmaApi {
 
   // Engages the tracker lock for ExecMode::kThreads (one-way, pre-
   // concurrency). Only the mapping tracker needs it — the IOMMU beneath has
-  // its own engaged locks, and event sinks dispatch on the Hub drainer.
+  // its own engaged locks, and event sinks run under the Hub's dispatch lock.
   void EngageLock() { mu_.Engage(); }
 
   // The CPU the simulated kernel runs map/unmap calls on; forwarded to the

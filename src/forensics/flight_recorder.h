@@ -10,11 +10,10 @@
 //
 // Design rules, in the PR-7 telemetry-ring tradition:
 //   * bounded memory — fixed-capacity rings that overwrite the *oldest*
-//     record when full (forensics wants the most recent history, unlike the
-//     never-overwrite SPSC producer rings), with drops accounted by the
-//     severity class of the record that was lost: losing a fault or stale
-//     hit bumps `dropped_critical`, the same fail-loud parity the telemetry
-//     trace ring keeps (`TraceRing::dropped(Severity::kCritical)`);
+//     record when full (forensics wants the most recent history), with drops
+//     accounted by the severity class of the record that was lost: losing a
+//     fault or stale hit bumps `dropped_critical`, the same fail-loud parity
+//     the telemetry trace ring keeps (`TraceRing::dropped(Severity::kCritical)`);
 //   * near-zero cost when disabled — every hook in Iommu/DmaApi guards on a
 //     null recorder pointer, so a machine without forensics pays one branch;
 //   * pure observer — recording never advances SimClock, so enabling the
@@ -22,7 +21,7 @@
 //   * thread-safe snapshots — each ring and each ledger is guarded by an
 //     atomic_flag spinlock (the Histogram::Record idiom), so kThreads
 //     workers record concurrently while the incident engine snapshots from
-//     the drainer thread, TSan-clean.
+//     another worker, TSan-clean.
 //
 // Layering: spv_forensics depends only on spv_base + spv_telemetry +
 // spv_trace, so spv_iommu and spv_dma can link it without cycles. The

@@ -276,10 +276,8 @@ void IncidentEngine::Freeze(DeviceId device, std::string_view trigger,
     incidents_.push_back(std::move(incident));
   }
 
-  // Announce on the bus — outside the engine lock, and only in sequential
-  // dispatch: an MT-mode publish from the drainer thread would make the
-  // producer rings multi-writer. In MT runs the report itself is the signal.
-  if (hub_.active() && !hub_.mt()) {
+  // Announce on the bus, outside the engine lock.
+  if (hub_.active()) {
     telemetry::Event open;
     open.kind = telemetry::EventKind::kIncidentOpen;
     open.severity = telemetry::Severity::kWarn;

@@ -141,8 +141,9 @@ class IncidentEngine : public telemetry::EventSink {
   StateSnapshotFn trust_;
   StateSnapshotFn recovery_;
 
-  // Guards incidents_/cooldown state: freezes may run on the MT drainer
-  // thread while a test thread polls counts. Publishes happen outside it.
+  // Guards incidents_/cooldown state: in kThreads, freezes run on whichever
+  // worker publishes the trigger or calls OpenIncident, while another thread
+  // polls counts. Publishes happen outside it.
   mutable std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
   std::vector<Incident> incidents_;
   std::map<std::pair<uint32_t, std::string>, uint64_t> last_trigger_cycle_;

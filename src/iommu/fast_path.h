@@ -1,13 +1,13 @@
 // Fast-path knobs for the DMA map/unmap hot path.
 //
-// Each toggle models a structure real systems ship — Linux's per-CPU IOVA
-// rcache, the VT-d paging-structure (walk) cache — so a single binary can run
-// with and without them and an A/B comparison (bench_map_unmap) is honest.
-// They may move simulated cycles but never semantics: the fast path must
-// be *observably equivalent* to the slow path — same IOVAs-are-distinct
-// substrate for the type (c) vulnerability, same deferred-invalidation
-// window, same fault behaviour. Pure host-side data-structure choices are not
-// toggles: they have one implementation.
+// The one toggle switches the two structures real systems ship — Linux's
+// per-CPU IOVA rcache and the VT-d paging-structure (walk) cache — so a
+// single binary can run with and without them and an A/B comparison
+// (bench_map_unmap) is honest. It may move simulated cycles but never
+// semantics: the fast path must be *observably equivalent* to the slow path
+// — same IOVAs-are-distinct substrate for the type (c) vulnerability, same
+// deferred-invalidation window, same fault behaviour. Pure host-side
+// data-structure choices are not toggles: they have one implementation.
 
 #ifndef SPV_IOMMU_FAST_PATH_H_
 #define SPV_IOMMU_FAST_PATH_H_
@@ -19,12 +19,11 @@ namespace spv::iommu {
 
 struct FastPathConfig {
   // Linux-style per-CPU IOVA magazine caches (iova rcache) in front of the
-  // range allocator. Off = every Alloc/Free walks the free-range tree.
-  bool rcache_enabled = true;
-
-  // Last-level walk cache in IoPageTable: repeated translations of hot 2 MiB
-  // regions skip the multi-level radix descent.
-  bool walk_cache_enabled = true;
+  // range allocator, and the last-level walk cache in IoPageTable (repeated
+  // translations of hot 2 MiB regions skip the multi-level radix descent).
+  // Off = every Alloc/Free walks the free-range tree and every translation
+  // walks all levels.
+  bool enabled = true;
 
   // Simulated CPUs sharing the rcache; each gets its own loaded/prev
   // magazine pair (struct iova_cpu_rcache).

@@ -301,7 +301,7 @@ class Iommu {
   // members also share cached translations.
   struct Domain {
     explicit Domain(const FastPathConfig& fast_path)
-        : table(fast_path.walk_cache_enabled),
+        : table(fast_path.enabled),
           iova_alloc(IovaAllocator::kDefaultWindowStart, IovaAllocator::kDefaultWindowEnd,
                      fast_path) {}
     uint32_t id = 0;

@@ -17,7 +17,7 @@ IovaAllocator::IovaAllocator(uint64_t window_start, uint64_t window_end,
   if (fast_path_.num_cpus == 0) {
     fast_path_.num_cpus = 1;
   }
-  if (fast_path_.rcache_enabled) {
+  if (fast_path_.enabled) {
     rcaches_.resize(kNumSizeClasses);
     for (SizeClassCache& cache : rcaches_) {
       cache.cpus.resize(fast_path_.num_cpus);
@@ -50,7 +50,7 @@ int IovaAllocator::SizeClassFor(uint64_t pages) {
 
 uint64_t IovaAllocator::EffectivePages(uint64_t pages) const {
   const int size_class = SizeClassFor(pages);
-  if (!fast_path_.rcache_enabled || size_class < 0) {
+  if (!fast_path_.enabled || size_class < 0) {
     return pages;
   }
   return uint64_t{1} << size_class;
@@ -63,13 +63,13 @@ Result<Iova> IovaAllocator::Alloc(uint64_t pages, CpuId cpu) {
   const uint64_t effective = EffectivePages(pages);
   const int size_class = SizeClassFor(pages);
   uint64_t base_page = 0;
-  if (fast_path_.rcache_enabled && !cache_bypass_ && size_class >= 0 &&
+  if (fast_path_.enabled && !cache_bypass_ && size_class >= 0 &&
       MagazinePop(size_class, cpu, &base_page)) {
     ++stats_.rcache_hits;
     std::lock_guard<MaybeMutex> guard(mu_);
     live_.emplace(base_page, effective);
   } else {
-    if (fast_path_.rcache_enabled && !cache_bypass_ && size_class >= 0) {
+    if (fast_path_.enabled && !cache_bypass_ && size_class >= 0) {
       ++stats_.rcache_misses;
     }
     std::lock_guard<MaybeMutex> guard(mu_);
@@ -108,7 +108,7 @@ Status IovaAllocator::Free(Iova base, uint64_t pages, CpuId cpu) {
   allocated_pages_ -= effective;
 
   const int size_class = SizeClassFor(pages);
-  if (fast_path_.rcache_enabled && !cache_bypass_ && size_class >= 0) {
+  if (fast_path_.enabled && !cache_bypass_ && size_class >= 0) {
     MagazinePush(size_class, cpu, base_page);
   } else {
     std::lock_guard<MaybeMutex> guard(mu_);

@@ -335,25 +335,6 @@ Result<uint64_t> NvmeDriver::WriteBlocks(uint64_t slba, uint16_t nblocks,
   return WaitFor(*cid);
 }
 
-Status NvmeDriver::Flush() {
-  RefreshServiceMode();
-  if (!io_.live) {
-    return FailedPrecondition("io queue down");
-  }
-  trace::ScopedSpan span(tracer_, "nvme.io");
-  Sqe sqe;
-  sqe.opcode = kOpFlush;
-  sqe.cid = NextCid();
-  SPV_RETURN_IF_ERROR(WriteSqe(io_, sqe));
-  io_.sq_tail = static_cast<uint16_t>((io_.sq_tail + 1) % io_.sq_entries);
-  IoCmd cmd;
-  cmd.opcode = kOpFlush;
-  cmd.submit_cycle = clock_.now();
-  outstanding_[sqe.cid] = std::move(cmd);
-  device_->OnSqDoorbell(kIoQid, io_.sq_tail);
-  return WaitFor(sqe.cid).status();
-}
-
 Result<uint16_t> NvmeDriver::SubmitIo(uint8_t opcode, uint64_t slba,
                                       uint16_t nblocks, Kva buf) {
   RefreshServiceMode();
@@ -815,24 +796,6 @@ Status NvmeDriver::SwitchServiceMode(dma::ServiceMode next) {
     return first.ok() ? up : first;
   }
   for (const Pending& p : pending) {
-    if (p.opcode == kOpFlush) {
-      Sqe sqe;
-      sqe.opcode = kOpFlush;
-      sqe.cid = p.cid;
-      Status wrote = WriteSqe(io_, sqe);
-      if (wrote.ok()) {
-        io_.sq_tail = static_cast<uint16_t>((io_.sq_tail + 1) % io_.sq_entries);
-        IoCmd cmd;
-        cmd.opcode = kOpFlush;
-        cmd.submit_cycle = p.submit_cycle;
-        outstanding_[p.cid] = std::move(cmd);
-        device_->OnSqDoorbell(kIoQid, io_.sq_tail);
-      } else {
-        finished_[p.cid] = Finished{kScInternalError, 0};
-        ++io_errors_;
-      }
-      continue;
-    }
     Result<uint16_t> re = SubmitIoWithCid(p.opcode, p.slba, p.nblocks, p.buf,
                                           p.cid, p.submit_cycle);
     if (!re.ok()) {

@@ -108,7 +108,6 @@ class NvmeDriver : public recovery::SupervisedDriver {
   // Synchronous wrappers: submit + poll to completion; return bytes moved.
   Result<uint64_t> ReadBlocks(uint64_t slba, uint16_t nblocks, Kva buf);
   Result<uint64_t> WriteBlocks(uint64_t slba, uint16_t nblocks, Kva buf);
-  Status Flush();
 
   // Drains the IO CQ: validates phase/CID/status/DW0, finishes matching
   // commands (unmap + PRP teardown). Returns completions consumed. Bounded

@@ -273,7 +273,7 @@ std::string PolicyEngine::PostureJson() const {
   json::Writer w;
   w.BeginObject().Key("invalidation").String(iommu::InvalidationModeName(iommu_.mode()));
   w.Key("strict_invalidation").Bool(iommu_.mode() == iommu::InvalidationMode::kStrict);
-  w.Key("iova_rcache").Bool(iommu_.fast_path().rcache_enabled);
+  w.Key("iova_rcache").Bool(iommu_.fast_path().enabled);
   w.Key("policy_enabled").Bool(config_.enabled);
   w.Key("default_trust").String(TrustStateName(kDefaultTrust));
   w.Key("recovery_supervision").Bool(recovery_ != nullptr && recovery_->enabled());

@@ -7,7 +7,8 @@
 // burst of faults trips the threshold while the same count spread over
 // seconds does not. Crossing the threshold records a *pending breach*; the
 // RecoveryManager consumes breaches from Poll() — never from inside OnEvent,
-// which would re-enter the Hub mid-publish.
+// where quarantining would call into the IOMMU and DMA layers mid-publish
+// (the EventSink rule forbids it).
 
 #ifndef SPV_RECOVERY_HEALTH_H_
 #define SPV_RECOVERY_HEALTH_H_

@@ -113,8 +113,7 @@ SoakReport RunSoak(const SoakConfig& config) {
   machine_config.seed = config.seed;
   machine_config.iommu.mode =
       config.deferred ? iommu::InvalidationMode::kDeferred : iommu::InvalidationMode::kStrict;
-  machine_config.iommu.fast_path.rcache_enabled = config.fast_path;
-  machine_config.iommu.fast_path.walk_cache_enabled = config.fast_path;
+  machine_config.iommu.fast_path.enabled = config.fast_path;
   machine_config.telemetry.enabled = true;
   machine_config.telemetry.ring_capacity = 16384;
   machine_config.trace.enabled = true;

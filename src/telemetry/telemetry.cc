@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-
-#include "base/exec.h"
+#include <mutex>
 
 namespace spv::telemetry {
 
@@ -228,26 +227,11 @@ Hub::Hub(Config config) : enabled_(config.enabled), ring_(config.ring_capacity) 
   ring_.set_min_severity(config.min_severity);
 }
 
-Hub::~Hub() { StopDrainer(); }
-
 void Hub::Publish(Event event) {
   if (clock_ != nullptr && event.cycle == 0) {
-    // Producer-side stamp: in MT mode this reads the calling sim CPU's own
-    // clock (thread-local routing), so timestamps stay meaningful even
-    // though the drainer dispatches later.
     event.cycle = clock_->now();
   }
-  if (mt_) {
-    auto& ring = *mt_rings_[CurrentCpu().value % mt_rings_.size()];
-    if (!ring.TryPush(std::move(event))) {
-      mt_dropped_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return;
-  }
-  Dispatch(std::move(event));
-}
-
-void Hub::Dispatch(Event event) {
+  std::lock_guard<MaybeRecursiveMutex> guard(dispatch_mu_);
   if (event.span == 0) {
     event.span = current_span_;
   }
@@ -259,56 +243,9 @@ void Hub::Dispatch(Event event) {
   }
 }
 
-void Hub::EnableMt(uint32_t num_producers) {
-  assert(!mt_ && "EnableMt is one-way and must precede worker start");
-  // Sized for bursts: a worker can publish a few events per simulated op and
-  // the drainer may lag a whole scheduling quantum on a loaded host.
-  constexpr size_t kPerProducerRing = 16384;
-  mt_rings_.clear();
-  const uint32_t producers = std::max<uint32_t>(num_producers, 1);
-  mt_rings_.reserve(producers);
-  for (uint32_t i = 0; i < producers; ++i) {
-    mt_rings_.push_back(std::make_unique<SpscRing<Event>>(kPerProducerRing));
-  }
+void Hub::EngageLock() {
+  dispatch_mu_.Engage();
   registry_mu_.Engage();
-  mt_ = true;
-}
-
-size_t Hub::DrainMtRings() {
-  size_t drained = 0;
-  Event event;
-  for (auto& ring : mt_rings_) {
-    while (ring->TryPop(&event)) {
-      Dispatch(std::move(event));
-      ++drained;
-    }
-  }
-  return drained;
-}
-
-void Hub::StartDrainer() {
-  if (!mt_ || drainer_.joinable()) {
-    return;
-  }
-  drainer_stop_.store(false, std::memory_order_release);
-  drainer_ = std::thread([this] {
-    while (!drainer_stop_.load(std::memory_order_acquire)) {
-      if (DrainMtRings() == 0) {
-        std::this_thread::yield();
-      }
-    }
-  });
-}
-
-void Hub::StopDrainer() {
-  if (!drainer_.joinable()) {
-    return;
-  }
-  drainer_stop_.store(true, std::memory_order_release);
-  drainer_.join();
-  // Producers have joined before StopDrainer (RunOnCpus ordering), so this
-  // final sweep leaves every ring empty.
-  DrainMtRings();
 }
 
 void Hub::AddSink(EventSink* sink) {

@@ -21,6 +21,8 @@
 // *recording* (ring, hub-owned counters, links) is fixed by `enabled` when
 // the Hub is constructed, so a disabled Hub with no sinks costs one branch
 // per emit site (components guard with `active()` before building an Event).
+// Publish dispatches on the calling thread in both execution modes, so every
+// sink sees each event when it happens.
 
 #ifndef SPV_TELEMETRY_TELEMETRY_H_
 #define SPV_TELEMETRY_TELEMETRY_H_
@@ -33,12 +35,10 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "base/clock.h"
 #include "base/maybe_mutex.h"
-#include "base/spsc_ring.h"
 #include "base/stat_counter.h"
 
 namespace spv::telemetry {
@@ -162,6 +162,15 @@ struct Event {
 // A consumer on the bus. Sinks see every published Event regardless of the
 // Hub's enabled flag — functional consumers (D-KASAN) must not go blind when
 // recording is off.
+//
+// OnEvent runs on the thread that publishes, inside the Hub's dispatch lock
+// (engaged in kThreads). A sink may publish from OnEvent (the lock is
+// recursive) and may use its own state and the Hub's metrics, but it must
+// never call into a layer (IOMMU, DMA API, allocators, drivers, fault
+// engine): SlabAllocator::Kmalloc/Kfree and FaultEngine::ShouldInject publish
+// while holding their own lock, so a sink that took a layer lock could
+// deadlock. Lock order: layer locks, then the dispatch lock, then the Hub's
+// registry lock, the flight recorder's spinlocks and the incident engine's.
 class EventSink {
  public:
   virtual ~EventSink() = default;
@@ -308,7 +317,6 @@ class Hub {
 
   Hub();  // all-default Config
   explicit Hub(Config config);
-  ~Hub();
 
   Hub(const Hub&) = delete;
   Hub& operator=(const Hub&) = delete;
@@ -322,33 +330,16 @@ class Hub {
   // with this so a disabled Hub with no sinks costs one branch.
   bool active() const { return enabled_ || !sinks_.empty(); }
 
-  // Records (when enabled), then fans out to every sink (always). In MT mode
-  // (EnableMt) the calling sim CPU instead stamps the cycle from its per-CPU
-  // clock and pushes into its own SPSC ring — wait-free — and the single
-  // drainer performs the recording/fan-out with the sequential code path.
+  // Stamps the cycle (from the calling sim CPU's clock in kThreads), then,
+  // on the calling thread: stamps the current span, records (when enabled)
+  // and fans out to every sink (always).
   void Publish(Event event);
 
-  // ---- kThreads support ----------------------------------------------------------
-  // One SPSC ring per producer (sim CPU); a single drainer merges them into
-  // the ordinary dispatch path, so the trace ring and sinks stay
-  // single-writer. Full rings drop (with accounting) rather than block: the
-  // telemetry hot path must stay wait-free under contention.
-
-  // Must be called at machine bring-up, before any worker thread publishes.
-  void EnableMt(uint32_t num_producers);
-  bool mt() const { return mt_; }
-
-  // Drainer lifecycle; Machine::RunOnCpus brackets parallel sections with
-  // these. StopDrainer performs a final drain, so after it returns every
-  // published event has been recorded or accounted as dropped.
-  void StartDrainer();
-  void StopDrainer();
-  // Consumer-side merge of all producer rings; returns events dispatched.
-  // Single-consumer: only the drainer thread (or the coordinator while no
-  // drainer runs) may call this.
-  size_t DrainMtRings();
-  // Events lost to full producer rings.
-  uint64_t mt_dropped() const { return mt_dropped_.load(std::memory_order_relaxed); }
+  // kThreads bring-up, before any worker thread exists: engages the registry
+  // lock and the recursive dispatch lock that serializes Publish, so the
+  // trace ring and every sink stay single-writer. kSequential never calls
+  // it, and its Publish takes no lock.
+  void EngageLock();
 
   // Current-span register (spv::trace::Tracer maintains it). Publish stamps
   // `event.span` from it when the emitter left the field 0, so every event
@@ -356,6 +347,7 @@ class Hub {
   void set_current_span(uint64_t span) { current_span_ = span; }
   uint64_t current_span() const { return current_span_; }
 
+  // Sinks are wired before worker threads start.
   void AddSink(EventSink* sink);
   void RemoveSink(EventSink* sink);
   size_t sink_count() const { return sinks_.size(); }
@@ -392,10 +384,6 @@ class Hub {
   std::string ExportTraceCsv() const;
 
  private:
-  // Sequential dispatch: span stamping, ring recording, sink fan-out. The
-  // direct Publish path in sequential mode; the drainer's merge path in MT.
-  void Dispatch(Event event);
-
   // One counter name: the hub-owned count plus the links reporting under it.
   struct CounterEntry {
     StatCounter owned;
@@ -406,20 +394,18 @@ class Hub {
 
   const bool enabled_;
   const SimClock* clock_ = nullptr;
+  // Engaged in kThreads: serializes Publish, so the ring and every sink see
+  // one event at a time. Recursive: sinks publish from OnEvent.
+  MaybeRecursiveMutex dispatch_mu_;
   uint64_t current_span_ = 0;
   TraceRing ring_;
   std::vector<EventSink*> sinks_;
   std::map<std::string, CounterEntry, std::less<>> counters_;
   std::map<std::string, Histogram, std::less<>> histograms_;
-  // MT state. registry_mu_ guards only the *structure* of the metric maps
+  // Engaged in kThreads. Guards only the *structure* of the metric maps
   // (lazy name registration, links); the counters/Histograms themselves are
   // internally synchronized, so cached references stay lock-free.
-  bool mt_ = false;
   mutable MaybeMutex registry_mu_;
-  std::vector<std::unique_ptr<SpscRing<Event>>> mt_rings_;
-  std::atomic<uint64_t> mt_dropped_{0};
-  std::atomic<bool> drainer_stop_{false};
-  std::thread drainer_;
 };
 
 // CSV-escapes `field` (quotes it when it contains a comma, quote or newline).

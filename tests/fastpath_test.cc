@@ -28,8 +28,7 @@ using iommu::IovaAllocator;
 
 FastPathConfig AllOff() {
   FastPathConfig off;
-  off.rcache_enabled = false;
-  off.walk_cache_enabled = false;
+  off.enabled = false;
   return off;
 }
 

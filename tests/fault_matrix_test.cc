@@ -282,8 +282,7 @@ TEST_P(FaultMatrixTest, SurvivesWithInvariantsIntact) {
   config.seed = 20240806;
   config.telemetry.enabled = true;
   config.iommu.mode = param.mode;
-  config.iommu.fast_path.rcache_enabled = param.fast_path;
-  config.iommu.fast_path.walk_cache_enabled = param.fast_path;
+  config.iommu.fast_path.enabled = param.fast_path;
   config.fault_plan.EveryNth(param.site, 3);
   core::Machine machine{config};
   ASSERT_TRUE(machine.fault().armed());
@@ -418,8 +417,7 @@ TEST_P(NvmeFaultMatrixTest, SurvivesWithInvariantsIntact) {
   config.seed = 20260808;
   config.telemetry.enabled = true;
   config.iommu.mode = param.mode;
-  config.iommu.fast_path.rcache_enabled = param.fast_path;
-  config.iommu.fast_path.walk_cache_enabled = param.fast_path;
+  config.iommu.fast_path.enabled = param.fast_path;
   core::Machine machine{config};
 
   nvme::NvmeDriver::Config driver_config;

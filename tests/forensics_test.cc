@@ -428,6 +428,35 @@ TEST(ForensicsThreads, ConcurrentChurnRecordsAndFreezesClean) {
   EXPECT_EQ(machine.dma().live_mappings(), 0u);
 }
 
+// A freeze on a worker announces itself on the bus as it does in kSequential.
+TEST(ForensicsThreads, WorkerOpenIncidentAnnouncesOnTheBus) {
+  core::MachineConfig config;
+  config.seed = 9;
+  config.exec = ExecMode::kThreads;
+  config.phys_pages = 4096;
+  config.iommu.fast_path.num_cpus = 2;
+  config.forensics.enabled = true;
+  config.telemetry.enabled = true;
+  core::Machine machine{config};
+  const DeviceId dev{710};
+  machine.iommu().AttachDevice(dev);
+  machine.RunOnCpus(2, [&](CpuId cpu) {
+    if (cpu.value == 1) {
+      machine.incidents()->OpenIncident(dev, "worker freeze");
+    }
+  });
+  ASSERT_EQ(machine.incidents()->incident_count(), 1u);
+  std::vector<telemetry::EventKind> announced;
+  for (const telemetry::Event& event : machine.telemetry().ring().Snapshot()) {
+    if (event.device == dev.value) {
+      announced.push_back(event.kind);
+    }
+  }
+  EXPECT_EQ(announced, (std::vector<telemetry::EventKind>{
+                           telemetry::EventKind::kIncidentOpen,
+                           telemetry::EventKind::kIncidentReport}));
+}
+
 TEST(ForensicsDisabled, DefaultMachineHasNullRecorderAndEngine) {
   core::MachineConfig config;
   config.seed = 5;

@@ -239,7 +239,6 @@ TEST(PolicyRouting, PoolExhaustionFailsCleanlyAndRecovers) {
 
 TEST(PolicyFastPath, GateFollowsTrust) {
   core::MachineConfig config = PolicyConfig();
-  config.iommu.fast_path.rcache_enabled = true;
   core::Machine machine{config};
   const DeviceId dev = Plug(machine, 80, "usb-nic", "nic");
 

@@ -38,8 +38,7 @@ core::MachineConfig SupervisedConfig(const SweepCase& c, uint64_t seed = 99) {
   core::MachineConfig config;
   config.seed = seed;
   config.iommu.mode = c.mode;
-  config.iommu.fast_path.rcache_enabled = c.fast_path;
-  config.iommu.fast_path.walk_cache_enabled = c.fast_path;
+  config.iommu.fast_path.enabled = c.fast_path;
   config.telemetry.enabled = true;
   config.recovery.enabled = true;
   config.recovery.reattach_backoff_cycles = SimClock::UsToCycles(10);
