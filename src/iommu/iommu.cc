@@ -208,9 +208,26 @@ uint64_t Iommu::DrainDeviceInvalidations(DeviceId device) {
         // Kill the stale IOTLB pages *before* the IOVAs become reusable —
         // freeing first would let a recycled IOVA translate through the
         // still-warm stale entry (the exact window quarantine must close).
+        uint64_t cycles = 0;
         for (uint64_t i = 0; i < pending.pages; ++i) {
           iotlb_.InvalidateRange(DeviceId{state->id}, pending.base + (i << kPageShift), 1);
-          ChargeInvalidation(/*stall=*/0, /*targeted=*/true);
+          cycles += ChargeInvalidation(/*stall=*/0, /*targeted=*/true);
+        }
+        if (hub_ != nullptr && hub_->active()) {
+          telemetry::Event event;
+          event.kind = telemetry::EventKind::kIotlbInvalidate;
+          event.severity = telemetry::Severity::kTrace;
+          event.device = device.value;
+          event.addr2 = pending.base.value;
+          event.len = pending.pages << kPageShift;
+          event.aux = cycles;  // what the range's page commands cost
+          event.origin = this;
+          event.site = "drain_device";
+          hub_->Publish(std::move(event));
+        }
+        if (recorder_ != nullptr) {
+          // Quarantine flush edge: the drain closes this range's stale window.
+          recorder_->RecordFlush(device, pending.base, pending.pages);
         }
         (void)state->iova_alloc.Free(pending.base, pending.pages, pending.cpu);
       }

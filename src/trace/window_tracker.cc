@@ -52,6 +52,8 @@ void WindowTracker::OnEvent(const telemetry::Event& event) {
         pending_strict_.push_back(PendingStrictInvalidation{
             event.device, PageBase(event.addr2), PagesFor(event.addr2, event.len),
             event.cycle > event.aux ? event.cycle - event.aux : 0});
+      } else if (event.site == "drain_device") {
+        OnDeviceDrain(event);
       }
       return;
     case telemetry::EventKind::kIommuFlush:
@@ -248,6 +250,23 @@ void WindowTracker::OnFlush(const telemetry::Event& event) {
     CloseWindow(index, event.cycle, reason);
   }
   open_stale_.clear();
+}
+
+void WindowTracker::OnDeviceDrain(const telemetry::Event& event) {
+  // A quarantine retires one device's pending range: only that device's
+  // windows inside it close.
+  const uint64_t end = event.addr2 + event.len;
+  std::vector<size_t> still_open;
+  for (const size_t index : open_stale_) {
+    const Window& window = windows_[index];
+    if (window.device == event.device && window.iova_page < end &&
+        event.addr2 < window.iova_page + (window.pages << kPageShift)) {
+      CloseWindow(index, event.cycle, "flush:device");
+    } else {
+      still_open.push_back(index);
+    }
+  }
+  open_stale_.swap(still_open);
 }
 
 void WindowTracker::OnStaleHit(const telemetry::Event& event) {

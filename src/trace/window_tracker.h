@@ -8,11 +8,12 @@
 //   * stale-IOTLB windows: a dma_unmap under deferred invalidation leaves
 //     the old translation cached until the next flush. Opens at kDmaUnmap
 //     (when no strict invalidation of its range preceded it), closes at
-//     kIommuFlush or at a D-KASAN detection. Under strict invalidation the
-//     window is the synchronous invalidation latency itself (~2000 cycles
-//     per unmap, whatever its page count), recorded closed on the spot —
-//     the deferred-vs-strict gap in the resulting open-cycles histogram
-//     *is* Fig. 7.
+//     kIommuFlush, at a quarantine's per-device drain of its range (the
+//     kIotlbInvalidate with site "drain_device") or at a D-KASAN
+//     detection. Under strict invalidation the window is the synchronous
+//     invalidation latency itself (~2000 cycles per unmap, whatever its
+//     page count), recorded closed on the spot — the deferred-vs-strict gap
+//     in the resulting open-cycles histogram *is* Fig. 7.
 //
 //   * sub-page windows: a writable map whose buffer does not fill its pages
 //     exposes the co-resident bytes (type-b/c/d co-residency). Opens at
@@ -114,6 +115,7 @@ class WindowTracker : public telemetry::EventSink {
   void OnDmaMap(const telemetry::Event& event);
   void OnDmaUnmap(const telemetry::Event& event);
   void OnFlush(const telemetry::Event& event);
+  void OnDeviceDrain(const telemetry::Event& event);
   void OnStaleHit(const telemetry::Event& event);
   void OnDetection(const telemetry::Event& event, bool dkasan);
 

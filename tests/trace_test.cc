@@ -439,6 +439,67 @@ TEST(WindowTest, DeferredWindowClosesOnCapacityDrain) {
   EXPECT_TRUE(capacity_close);
 }
 
+// A quarantine's per-device drain is a flush edge for the fenced device only:
+// its window closes and its ledger life records the flush at the drain,
+// while another device's pending range stays open until a flush.
+TEST(WindowTest, QuarantineDrainClosesOnlyTheFencedDevicesWindow) {
+  core::MachineConfig config = WindowConfig(iommu::InvalidationMode::kDeferred);
+  config.forensics.enabled = true;
+  core::Machine machine{config};
+  const DeviceId fenced{1};
+  const DeviceId other{2};
+  machine.iommu().AttachDevice(fenced);
+  machine.iommu().AttachDevice(other);
+  Kva buf = *machine.slab().Kmalloc(2048, "w_buf");
+  const Iova fenced_iova = OpenStaleWindow(machine, fenced, buf);
+  OpenStaleWindow(machine, other, buf);
+  ASSERT_EQ(machine.windows()->open_stale_count(), 2u);
+
+  // One page drained: one page-selective command.
+  const uint64_t drain_cycle = machine.clock().now() + iommu::kIotlbInvalidationCycles;
+  ASSERT_TRUE(machine.iommu().FenceDevice(fenced).ok());
+  size_t drain_events = 0;
+  for (const telemetry::Event& event : machine.telemetry().ring().Snapshot()) {
+    if (event.kind == telemetry::EventKind::kIotlbInvalidate && event.site == "drain_device") {
+      ++drain_events;
+      EXPECT_EQ(event.device, fenced.value);
+      EXPECT_EQ(event.addr2, fenced_iova.PageBase().value);
+      EXPECT_EQ(event.len, kPageSize);
+      EXPECT_EQ(event.aux, iommu::kIotlbInvalidationCycles);
+      EXPECT_EQ(event.cycle, drain_cycle);
+    }
+  }
+  EXPECT_EQ(drain_events, 1u);
+  EXPECT_EQ(machine.windows()->open_stale_count(), 1u);
+
+  machine.clock().Advance(5000);
+  machine.iommu().FlushNow();
+  const uint64_t flush_cycle = machine.clock().now();
+  EXPECT_EQ(machine.windows()->open_stale_count(), 0u);
+
+  for (const Window& window : machine.windows()->windows()) {
+    if (window.kind != WindowKind::kStaleIotlb) {
+      continue;
+    }
+    EXPECT_FALSE(window.open);
+    if (window.device == fenced.value) {
+      EXPECT_EQ(window.close_reason, "flush:device");
+      EXPECT_EQ(window.close_cycle, drain_cycle);
+    } else {
+      EXPECT_EQ(window.close_reason, "flush:manual");
+      EXPECT_EQ(window.close_cycle, flush_cycle);
+    }
+  }
+  const std::vector<forensics::MappingLife> fenced_ledger =
+      machine.flight_recorder()->SnapshotLedger(fenced);
+  ASSERT_EQ(fenced_ledger.size(), 1u);
+  EXPECT_EQ(fenced_ledger[0].flush_cycle, drain_cycle);
+  const std::vector<forensics::MappingLife> other_ledger =
+      machine.flight_recorder()->SnapshotLedger(other);
+  ASSERT_EQ(other_ledger.size(), 1u);
+  EXPECT_EQ(other_ledger[0].flush_cycle, flush_cycle);
+}
+
 TEST(WindowTest, StrictWindowSpansOnlyTheSynchronousInvalidation) {
   core::Machine machine{WindowConfig(iommu::InvalidationMode::kStrict)};
   const DeviceId dev{1};

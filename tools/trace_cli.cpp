@@ -85,7 +85,8 @@ std::string DescribeEvent(const telemetry::Event& event) {
           << fmt_hex(event.addr);
       break;
     case telemetry::EventKind::kIotlbInvalidate: {
-      // One ranged command: len spans every page it invalidated.
+      // One strict unmap or one drained range: len spans every page
+      // invalidated, aux what they cost.
       const uint64_t pages = (event.len + kPageSize - 1) >> kPageShift;
       out << "dev " << event.device << "  iova " << fmt_hex(event.addr2) << "  " << pages
           << (pages == 1 ? " page" : " pages") << "  (" << event.aux << " cycles)";
