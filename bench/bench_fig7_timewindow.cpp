@@ -14,12 +14,12 @@
 #include "core/machine.h"
 #include "device/malicious_nic.h"
 #include "dkasan/dkasan.h"
+#include "forensics/flight_recorder.h"
 #include "net/layouts.h"
 #include "nvme/malicious_nvme.h"
 #include "nvme/nvme_driver.h"
 #include "spade/analyzer.h"
 #include "spade/corpus.h"
-#include "trace/window_tracker.h"
 
 using namespace spv;
 
@@ -92,9 +92,10 @@ TrialResult RunTrial(uint64_t seed, bool wrong_order, iommu::InvalidationMode mo
 // ---- Instrumented window accounting ------------------------------------------
 //
 // The sections below reproduce the Fig-7 temporal claim from *instrumentation*
-// (trace::WindowTracker listening on the telemetry bus) instead of the bespoke
-// probe loops above: stale-translation windows are opened/closed by the event
-// stream itself, and their open-duration histogram is the measurement.
+// (the flight recorder's mapping lives, fed by the DMA API and the IOMMU)
+// instead of the bespoke probe loops above: a stale-translation window runs
+// from a life's unmap to the invalidation of its range, and the open-duration
+// histogram of those windows is the measurement.
 
 telemetry::Histogram::Summary StaleWindowStats(iommu::InvalidationMode mode) {
   core::MachineConfig config;
@@ -118,7 +119,7 @@ telemetry::Histogram::Summary StaleWindowStats(iommu::InvalidationMode mode) {
   }
   machine.clock().AdvanceUs(10001);  // past the deferred deadline: drain all
   machine.iommu().ProcessDeferredTimer();
-  return machine.windows()->stale_open_summary();
+  return machine.flight_recorder()->stale_open_summary();
 }
 
 void PrintWindowRow(const char* name, const telemetry::Histogram::Summary& s) {
@@ -185,8 +186,8 @@ void DetectionScenario(const char* name, bool ringflood) {
     (void)analyzer.Analyze();
   }
 
-  const telemetry::Histogram::Summary dk = machine.windows()->dkasan_latency_summary();
-  const telemetry::Histogram::Summary sp = machine.windows()->spade_latency_summary();
+  const telemetry::Histogram::Summary dk = machine.flight_recorder()->dkasan_latency_summary();
+  const telemetry::Histogram::Summary sp = machine.flight_recorder()->spade_latency_summary();
   std::printf("%-14s D-KASAN: %4llu reports, first-report latency p50 %8llu cyc | "
               "SPADE: %4llu findings, latency p50 %8llu cyc\n",
               name, static_cast<unsigned long long>(dk.count),
@@ -255,9 +256,9 @@ void StorageDetectionScenario(const char* name) {
     (void)analyzer.Analyze();
   }
 
-  const telemetry::Histogram::Summary st = machine.windows()->stale_open_summary();
-  const telemetry::Histogram::Summary dk = machine.windows()->dkasan_latency_summary();
-  const telemetry::Histogram::Summary sp = machine.windows()->spade_latency_summary();
+  const telemetry::Histogram::Summary st = machine.flight_recorder()->stale_open_summary();
+  const telemetry::Histogram::Summary dk = machine.flight_recorder()->dkasan_latency_summary();
+  const telemetry::Histogram::Summary sp = machine.flight_recorder()->spade_latency_summary();
   std::printf("%-14s D-KASAN: %4llu reports, first-report latency p50 %8llu cyc | "
               "SPADE: %4llu findings, latency p50 %8llu cyc\n",
               name, static_cast<unsigned long long>(dk.count),

@@ -34,10 +34,17 @@ Machine::Machine(const MachineConfig& config)
   // with one thread of execution; kThreads runs forgo it.
   if (config.trace.enabled && config.exec != ExecMode::kThreads) {
     tracer_ = std::make_unique<trace::Tracer>(hub_, clock_, config.trace);
-    trace::WindowTracker::Config window_config;
-    window_config.iommu_enabled = config.iommu.enabled;
-    windows_ = std::make_unique<trace::WindowTracker>(hub_, tracer_.get(), window_config);
-    hub_.AddSink(windows_.get());
+  }
+  if (tracer_ != nullptr || config.forensics.enabled) {
+    // The one ledger of mapping lives: windows for the tracer, evidence for
+    // the incident engine. It shards its flight rings one per sim CPU so
+    // kThreads workers never contend, and never advances the clock (the
+    // bench gate depends on that).
+    const uint32_t cpus = num_cpus() == 0 ? 1 : num_cpus();
+    recorder_ = std::make_unique<forensics::FlightRecorder>(&clock_, config.forensics, cpus,
+                                                            config.iommu.enabled);
+    recorder_->set_tracer(tracer_.get());
+    hub_.AddSink(recorder_.get());
   }
   // Everything below advances the logical clock (allocator + subsystem
   // bring-up); attribute it to a boot span so a traced run starts at ~100%
@@ -59,18 +66,12 @@ Machine::Machine(const MachineConfig& config)
   iommu_ = std::make_unique<iommu::Iommu>(pm_, clock_, config.iommu);
   iommu_->set_telemetry(&hub_);
   iommu_->set_tracer(tracer_.get());
+  iommu_->set_flight_recorder(recorder_.get());
   dma_ = std::make_unique<dma::DmaApi>(*iommu_, layout_, &hub_);
   dma_->set_tracer(tracer_.get());
+  dma_->set_flight_recorder(recorder_.get());
   if (config.forensics.enabled) {
-    // The flight recorder shards one ring per sim CPU so kThreads workers
-    // never contend; it observes from inside the IOMMU/DmaApi hot paths but
-    // never advances the clock (the bench gate depends on that).
-    const uint32_t cpus = num_cpus() == 0 ? 1 : num_cpus();
-    recorder_ = std::make_unique<forensics::FlightRecorder>(&clock_, config.forensics, cpus);
-    iommu_->set_flight_recorder(recorder_.get());
-    dma_->set_flight_recorder(recorder_.get());
     incidents_ = std::make_unique<forensics::IncidentEngine>(hub_, recorder_.get(), &clock_);
-    incidents_->set_window_tracker(windows_.get());
     hub_.AddSink(incidents_.get());
   }
   kmem_ = std::make_unique<dma::KernelMemory>(pm_, layout_, *dma_);

@@ -40,7 +40,6 @@
 #include "slab/slab_allocator.h"
 #include "telemetry/telemetry.h"
 #include "trace/tracer.h"
-#include "trace/window_tracker.h"
 
 namespace spv::core {
 
@@ -141,8 +140,6 @@ class Machine {
   telemetry::Hub& telemetry() { return hub_; }
   // Span tracer; null unless config.trace.enabled.
   trace::Tracer* tracer() { return tracer_.get(); }
-  // Vulnerability-window accounting; null unless config.trace.enabled.
-  trace::WindowTracker* windows() { return windows_.get(); }
   // The machine-wide fault engine (armed iff config.fault_plan is non-empty).
   fault::FaultEngine& fault() { return fault_; }
   // Device supervision; present always, active iff config.recovery.enabled.
@@ -150,8 +147,10 @@ class Machine {
   // Trust policy engine and its bounce pool; null unless config.policy.enabled.
   policy::PolicyEngine* policy() { return policy_.get(); }
   dma::BouncePool* bounce_pool() { return bounce_pool_.get(); }
-  // Flight recorder and incident engine; null unless config.forensics.enabled.
+  // The mapping-life ledger (lives, their windows, and with forensics the
+  // flight rings); null unless a tracer is attached or forensics is on.
   forensics::FlightRecorder* flight_recorder() { return recorder_.get(); }
+  // Incident engine; null unless config.forensics.enabled.
   forensics::IncidentEngine* incidents() { return incidents_.get(); }
 
   // Cross-layer consistency audit; call at teardown (or any quiescent point).
@@ -175,8 +174,8 @@ class Machine {
   MachineConfig config_;
   SimClock clock_;
   telemetry::Hub hub_;  // before any component that publishes into it
-  std::unique_ptr<trace::Tracer> tracer_;          // null when tracing is off
-  std::unique_ptr<trace::WindowTracker> windows_;  // sink on hub_ when present
+  std::unique_ptr<trace::Tracer> tracer_;  // null when tracing is off
+  std::unique_ptr<forensics::FlightRecorder> recorder_;  // sink on hub_ when present
   fault::FaultEngine fault_;  // before any component holding a hook into it
   Xoshiro256 rng_;
   mem::PhysicalMemory pm_;
@@ -192,7 +191,6 @@ class Machine {
   std::unique_ptr<recovery::RecoveryManager> recovery_;
   std::unique_ptr<dma::BouncePool> bounce_pool_;   // before policy_ (used by it)
   std::unique_ptr<policy::PolicyEngine> policy_;
-  std::unique_ptr<forensics::FlightRecorder> recorder_;
   // After policy_/recovery_: its snapshot providers capture those engines.
   std::unique_ptr<forensics::IncidentEngine> incidents_;
   std::vector<std::unique_ptr<slab::PageFragPool>> frag_pools_;

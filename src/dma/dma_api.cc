@@ -94,11 +94,12 @@ Result<Iova> DmaApi::MapSingle(DeviceId device, Kva kva, uint64_t len, DmaDirect
     std::lock_guard<MaybeMutex> guard(mu_);
     index_.InsertOrAssign(device.value, base->value >> kPageShift, mapping);
   }
+  Notify(mapping, /*map=*/true);
   if (recorder_ != nullptr) {
+    // After the kDmaMap event, so its window events follow it on the bus.
     recorder_->RecordMap(device, iova, kva, len, static_cast<uint8_t>(dir),
                          /*bounced=*/false, site);
   }
-  Notify(mapping, /*map=*/true);
   return iova;
 }
 
@@ -161,11 +162,13 @@ Status DmaApi::UnmapSingle(DeviceId device, Iova iova, uint64_t len, DmaDirectio
     std::lock_guard<MaybeMutex> guard(mu_);
     index_.Erase(device.value, iova_page);
   }
+  Notify(mapping, /*map=*/false);
   if (recorder_ != nullptr) {
-    recorder_->RecordUnmap(device, iova, len, static_cast<uint8_t>(dir),
+    // The edge names the mapping the tracker removed: the index matches by
+    // IOVA page, so `iova` may be a stale handle to an earlier mapping there.
+    recorder_->RecordUnmap(device, mapping.iova, len, static_cast<uint8_t>(dir),
                            /*bounced=*/false);
   }
-  Notify(mapping, /*map=*/false);
   return OkStatus();
 }
 
@@ -186,11 +189,11 @@ Result<uint64_t> DmaApi::RevokeDeviceMappings(DeviceId device, std::string_view 
       std::lock_guard<MaybeMutex> guard(mu_);
       index_.Erase(device.value, mapping.iova.value >> kPageShift);
     }
+    Notify(mapping, /*map=*/false);
     if (recorder_ != nullptr) {
       recorder_->RecordUnmap(device, mapping.iova, mapping.len,
                              static_cast<uint8_t>(mapping.dir), /*bounced=*/false);
     }
-    Notify(mapping, /*map=*/false);
     ++revoked;
   }
   // In-flight bounces are dropped without copy-out: the device is suspect,

@@ -190,9 +190,9 @@ class DmaApi {
   void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
   trace::Tracer* tracer() { return tracer_; }
 
-  // DMA flight recorder (spv::forensics): records every mapping lifecycle
-  // edge (map/unmap, direct and bounced) for incident reconstruction. Pure
-  // observer — never advances the sim clock; nullptr detaches.
+  // Mapping-life ledger (spv::forensics::FlightRecorder): receives every
+  // map, unmap and bounce-sync edge, direct and bounced. Pure observer —
+  // never advances the sim clock; nullptr detaches.
   void set_flight_recorder(forensics::FlightRecorder* recorder) { recorder_ = recorder; }
 
   const mem::KernelLayout& layout() const { return layout_; }

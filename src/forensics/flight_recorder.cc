@@ -1,6 +1,7 @@
 #include "forensics/flight_recorder.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "base/json.h"
 
@@ -21,6 +22,18 @@ class SpinGuard {
  private:
   std::atomic_flag& flag_;
 };
+
+constexpr uint64_t PagesFor(uint64_t addr, uint64_t len) {
+  return ((addr & kPageMask) + len + kPageSize - 1) >> kPageShift;
+}
+
+// The first entry of `index` (keyed by start address) that may overlap
+// [lo, ...): the last one starting at or below `lo`, else the first above.
+template <typename Index>
+typename Index::iterator FirstCandidate(Index& index, uint64_t lo) {
+  auto it = index.upper_bound(lo);
+  return it == index.begin() ? it : std::prev(it);
+}
 
 }  // namespace
 
@@ -52,9 +65,19 @@ bool RecordOpCritical(RecordOp op) {
   return op == RecordOp::kStaleHit || op == RecordOp::kFault;
 }
 
+std::string_view WindowKindName(WindowKind kind) {
+  switch (kind) {
+    case WindowKind::kStaleIotlb:
+      return "stale_iotlb";
+    case WindowKind::kSubPage:
+      return "sub_page";
+  }
+  return "?";
+}
+
 FlightRecorder::FlightRecorder(const SimClock* clock, ForensicsConfig config,
-                               uint32_t num_cpus)
-    : clock_(clock), config_(config), num_cpus_(num_cpus) {
+                               uint32_t num_cpus, bool iommu_enabled)
+    : clock_(clock), config_(config), num_cpus_(num_cpus), iommu_enabled_(iommu_enabled) {
   if (config_.ring_capacity == 0) {
     config_.ring_capacity = 1;
   }
@@ -96,203 +119,454 @@ std::vector<FlightRecord> FlightRecorder::Ring::Snapshot() const {
 }
 
 FlightRecorder::Lane& FlightRecorder::LaneFor(DeviceId device) {
-  SpinGuard guard(lanes_lock_);
   std::unique_ptr<Lane>& slot = lanes_[device.value];
   if (slot == nullptr) {
     slot = std::make_unique<Lane>();
-    slot->rings.reserve(num_cpus_);
-    for (uint32_t c = 0; c < num_cpus_; ++c) {
-      slot->rings.push_back(std::make_unique<Ring>(config_.ring_capacity));
+    if (config_.enabled) {
+      slot->rings.reserve(num_cpus_);
+      for (uint32_t c = 0; c < num_cpus_; ++c) {
+        slot->rings.push_back(std::make_unique<Ring>(config_.ring_capacity));
+      }
     }
   }
   return *slot;
 }
 
 const FlightRecorder::Lane* FlightRecorder::FindLane(DeviceId device) const {
-  SpinGuard guard(lanes_lock_);
   const auto it = lanes_.find(device.value);
   return it == lanes_.end() ? nullptr : it->second.get();
 }
 
-FlightRecorder::Ring& FlightRecorder::RingFor(Lane& lane) const {
-  return *lane.rings[CurrentCpu().value % lane.rings.size()];
+FlightRecorder::Life* FlightRecorder::FindLive(Lane& lane, uint64_t iova) {
+  auto it = lane.by_iova.upper_bound(iova);
+  if (it == lane.by_iova.begin()) {
+    return nullptr;
+  }
+  const MappingLife& facts = std::prev(it)->second->facts;
+  return facts.unmap_cycle == 0 && iova < facts.iova + facts.len ? std::prev(it)->second
+                                                                  : nullptr;
+}
+
+FlightRecorder::Life* FlightRecorder::FindPending(Lane& lane, uint64_t page) {
+  // The life's key may sit a sub-page offset above its first page.
+  auto it = lane.by_iova.upper_bound(page | kPageMask);
+  if (it == lane.by_iova.begin()) {
+    return nullptr;
+  }
+  const MappingLife& facts = std::prev(it)->second->facts;
+  return facts.unmap_cycle != 0 &&
+                 page < (facts.iova & ~kPageMask) + (PagesFor(facts.iova, facts.len) << kPageShift)
+             ? std::prev(it)->second
+             : nullptr;
+}
+
+void FlightRecorder::Retire(Lane& lane, Life& life) {
+  lane.retired.push_back(life.facts.generation);
+  std::push_heap(lane.retired.begin(), lane.retired.end(), std::greater<>());
+  while (lane.retired.size() > config_.ledger_capacity) {
+    std::pop_heap(lane.retired.begin(), lane.retired.end(), std::greater<>());
+    lane.lives.erase(lane.retired.back());
+    lane.retired.pop_back();
+    ++lane.dropped;
+  }
+}
+
+void FlightRecorder::LinkOpen(Life& life) {
+  life.older_open = newest_open_;
+  if (newest_open_ != nullptr) {
+    newest_open_->newer_open = &life;
+  }
+  newest_open_ = &life;
+  ++stale_windows_open_;
+}
+
+void FlightRecorder::UnlinkOpen(Life& life) {
+  (life.newer_open != nullptr ? life.newer_open->older_open : newest_open_) = life.older_open;
+  if (life.older_open != nullptr) {
+    life.older_open->newer_open = life.newer_open;
+  }
+  life.older_open = life.newer_open = nullptr;
+  --stale_windows_open_;
 }
 
 void FlightRecorder::Push(Lane& lane, FlightRecord record) {
+  if (lane.rings.empty()) {
+    return;
+  }
   record.cycle = clock_->now();
   record.cpu = CurrentCpu().value;
-  RingFor(lane).Push(record);
+  lane.rings[CurrentCpu().value % lane.rings.size()]->Push(record);
+}
+
+Window FlightRecorder::SubPageView(const Life& life) {
+  const MappingLife& facts = life.facts;
+  Window window;
+  window.kind = WindowKind::kSubPage;
+  window.generation = facts.generation;
+  window.span = life.subpage_span;
+  window.device = facts.device;
+  window.iova_page = facts.iova & ~kPageMask;
+  window.pages = PagesFor(facts.iova, facts.len);
+  window.exposed_bytes = (window.pages << kPageShift) - facts.len;
+  window.open_cycle = facts.map_cycle;
+  window.open = facts.unmap_cycle == 0;
+  if (!window.open) {
+    window.close_cycle = facts.unmap_cycle;
+    window.close_reason = "unmap";
+  }
+  return window;
+}
+
+Window FlightRecorder::StaleView(const Life& life) {
+  const MappingLife& facts = life.facts;
+  Window window;
+  window.generation = facts.generation;
+  window.span = life.stale_span;
+  window.device = facts.device;
+  window.iova_page = facts.iova & ~kPageMask;
+  window.pages = PagesFor(facts.iova, facts.len);
+  window.open_cycle = life.stale_open;
+  window.close_cycle = life.stale_close;
+  window.open = life.stale_close == 0;
+  window.device_hits = facts.stale_hits;
+  window.first_hit_cycle = life.first_hit_cycle;
+  window.detected = life.detected;
+  window.close_reason = life.stale_reason;
+  return window;
+}
+
+void FlightRecorder::CloseStale(Life& life, uint64_t cycle, std::string_view reason,
+                                std::vector<Announcement>& out) {
+  life.stale_close = cycle;
+  life.stale_reason.assign(reason);
+  UnlinkOpen(life);
+  stale_open_cycles_.Record(cycle - life.stale_open);
+  if (tracer_ != nullptr) {
+    out.push_back(Announcement{StaleView(life), nullptr, /*open=*/false});
+  }
 }
 
 void FlightRecorder::RecordMap(DeviceId device, Iova iova, Kva kva, uint64_t len,
                                uint8_t dir, bool bounced, std::string_view site) {
-  Lane& lane = LaneFor(device);
-  FlightRecord record;
-  record.device = device.value;
-  record.op = RecordOp::kMap;
-  record.dir = dir;
-  record.bounced = bounced;
-  record.iova = iova.value;
-  record.gpa = kva.value;
-  record.len = len;
+  FlightRecord record{.device = device.value, .op = RecordOp::kMap, .dir = dir,
+                      .bounced = bounced, .iova = iova.value, .gpa = kva.value, .len = len};
+  std::vector<Announcement> announcements;
+  Lane* lane = nullptr;
   {
-    SpinGuard guard(lane.ledger_lock);
-    record.generation = lane.next_generation++;
-    MappingLife life;
-    life.generation = record.generation;
-    life.device = device.value;
-    life.iova = iova.value;
-    life.kva = kva.value;
-    life.len = len;
-    life.dir = dir;
-    life.bounced = bounced;
-    life.site.assign(site);
-    life.map_cycle = clock_->now();
-    if (lane.ledger.size() >= config_.ledger_capacity) {
-      lane.ledger.pop_front();
-      ++lane.ledger_dropped;
+    SpinGuard guard(lock_);
+    lane = &LaneFor(device);
+    // A live life still indexed over these bytes lost its mapping without an
+    // unmap edge (a bounce released by revocation): it retires as it is. An
+    // unmapped one cannot overlap: its IOVA stays parked until the
+    // invalidation that takes it out of the index.
+    const uint64_t end = iova.value + len;
+    for (auto it = FirstCandidate(lane->by_iova, iova.value);
+         it != lane->by_iova.end() && it->first < end;) {
+      Life& old = *it->second;
+      if (old.facts.unmap_cycle == 0 && it->first + old.facts.len > iova.value) {
+        it = lane->by_iova.erase(it);
+        Retire(*lane, old);
+      } else {
+        ++it;
+      }
     }
-    lane.ledger.push_back(std::move(life));
-  }
-  Push(lane, record);
-}
-
-void FlightRecorder::RecordUnmap(DeviceId device, Iova iova, uint64_t len,
-                                 uint8_t dir, bool bounced) {
-  Lane& lane = LaneFor(device);
-  FlightRecord record;
-  record.device = device.value;
-  record.op = RecordOp::kUnmap;
-  record.dir = dir;
-  record.bounced = bounced;
-  record.iova = iova.value;
-  record.len = len;
-  {
-    SpinGuard guard(lane.ledger_lock);
-    // Latest live life at this IOVA — reverse scan so remap-at-same-IOVA
-    // retires the newest generation first.
-    for (auto it = lane.ledger.rbegin(); it != lane.ledger.rend(); ++it) {
-      if (it->unmap_cycle == 0 && it->iova == iova.value) {
-        it->unmap_cycle = clock_->now();
-        record.generation = it->generation;
-        record.gpa = it->kva;
-        break;
+    record.generation = lane->next_generation++;
+    Life& life = lane->lives[record.generation];
+    life.facts = MappingLife{.generation = record.generation, .device = device.value,
+                             .iova = iova.value, .kva = kva.value, .len = len, .dir = dir,
+                             .bounced = bounced, .site = std::string(site),
+                             .map_cycle = clock_->now()};
+    lane->by_iova[iova.value] = &life;
+    // Sub-page exposure: the mapping covers whole pages; a device-writable
+    // one (any direction but DMA_TO_DEVICE, raw 0) whose buffer does not fill
+    // them exposes the remainder.
+    if (!bounced && dir != 0 && (PagesFor(iova.value, len) << kPageShift) > len) {
+      life.subpage_seq = next_window_seq_++;
+      ++subpage_windows_open_;
+      if (tracer_ != nullptr) {
+        announcements.push_back(Announcement{SubPageView(life), &life, /*open=*/true});
       }
     }
   }
-  Push(lane, record);
+  Push(*lane, record);
+  Announce(announcements);
 }
 
-void FlightRecorder::RecordAccess(DeviceId device, Iova iova, uint64_t gpa,
-                                  uint64_t len, bool is_write) {
-  Lane& lane = LaneFor(device);
-  FlightRecord record;
-  record.device = device.value;
-  record.op = is_write ? RecordOp::kDeviceWrite : RecordOp::kDeviceRead;
-  record.iova = iova.value;
-  record.gpa = gpa;
-  record.len = len;
+void FlightRecorder::RecordUnmap(DeviceId device, Iova iova, uint64_t len, uint8_t dir,
+                                 bool bounced) {
+  FlightRecord record{.device = device.value, .op = RecordOp::kUnmap, .dir = dir,
+                      .bounced = bounced, .iova = iova.value, .len = len};
+  std::vector<Announcement> announcements;
+  Lane* lane = nullptr;
   {
-    SpinGuard guard(lane.ledger_lock);
-    for (auto it = lane.ledger.rbegin(); it != lane.ledger.rend(); ++it) {
-      if (it->unmap_cycle == 0 && iova.value >= it->iova &&
-          iova.value < it->iova + it->len) {
-        ++it->accesses;
-        record.generation = it->generation;
-        break;
+    SpinGuard guard(lock_);
+    lane = &LaneFor(device);
+    const auto it = lane->by_iova.find(iova.value);
+    if (it != lane->by_iova.end() && it->second->facts.unmap_cycle == 0) {
+      Life& life = *it->second;
+      MappingLife& facts = life.facts;
+      const uint64_t now = clock_->now();
+      facts.unmap_cycle = now;
+      record.generation = facts.generation;
+      record.gpa = facts.kva;
+      if (life.subpage_seq != 0) {
+        --subpage_windows_open_;
+        subpage_open_cycles_.Record(now - facts.map_cycle);
+        if (tracer_ != nullptr) {
+          announcements.push_back(Announcement{SubPageView(life), nullptr, /*open=*/false});
+        }
+      }
+      bool pending = false;
+      if (!facts.bounced && iommu_enabled_) {
+        life.stale_seq = next_window_seq_++;
+        last_stale_device_ = device.value;
+        last_stale_generation_ = facts.generation;
+        if (facts.flush_cycle != 0) {
+          // Invalidated before this edge: the window was the synchronous
+          // invalidation itself and is closed on arrival.
+          life.stale_close = now;
+          stale_open_cycles_.Record(now - life.stale_open);
+          if (tracer_ != nullptr) {
+            announcements.push_back(Announcement{StaleView(life), nullptr, /*open=*/false,
+                                                 /*opened_closed=*/true});
+          }
+        } else {
+          // Its translation may linger until the invalidation of its range.
+          pending = true;
+          life.stale_open = now;
+          LinkOpen(life);
+          if (tracer_ != nullptr) {
+            announcements.push_back(Announcement{StaleView(life), &life, /*open=*/true});
+          }
+        }
+        last_stale_open_ = life.stale_open;
+      }
+      if (!pending) {
+        lane->by_iova.erase(it);
+        Retire(*lane, life);  // last: it may evict `life` itself
       }
     }
   }
-  Push(lane, record);
+  Push(*lane, record);
+  Announce(announcements);
+}
+
+void FlightRecorder::RecordFlush(DeviceId device, Iova page_iova, uint64_t pages,
+                                 uint64_t cost, std::string_view reason) {
+  FlightRecord record{.device = device.value, .op = RecordOp::kFlush,
+                      .iova = page_iova.value, .len = pages << kPageShift};
+  std::vector<Announcement> announcements;
+  Lane* lane = nullptr;
+  {
+    SpinGuard guard(lock_);
+    lane = &LaneFor(device);
+    const uint64_t now = clock_->now();
+    const uint64_t lo = page_iova.value;
+    const uint64_t hi = lo + (pages << kPageShift);
+    for (auto it = FirstCandidate(lane->by_iova, lo);
+         it != lane->by_iova.end() && it->first < hi;) {
+      Life& life = *it->second;
+      MappingLife& facts = life.facts;
+      if ((facts.iova & ~kPageMask) + (PagesFor(facts.iova, facts.len) << kPageShift) <= lo ||
+          facts.bounced || facts.flush_cycle != 0) {
+        ++it;
+        continue;
+      }
+      facts.flush_cycle = now;
+      if (facts.unmap_cycle == 0) {
+        // Still mapped: the invalidation precedes the unmap edge (a strict
+        // unmap, or a capacity drain inside the unmap call).
+        life.stale_open = now > cost ? now - cost : 0;
+        life.stale_reason.assign(reason);
+        ++it;
+        continue;
+      }
+      // Unmapped: this invalidation revokes its lingering translation.
+      if (life.stale_close == 0) {
+        CloseStale(life, now, reason, announcements);
+      }
+      it = lane->by_iova.erase(it);
+      Retire(*lane, life);
+    }
+  }
+  Push(*lane, record);
+  Announce(announcements);
+}
+
+void FlightRecorder::RecordAccess(DeviceId device, Iova iova, uint64_t gpa, uint64_t len,
+                                  bool is_write) {
+  FlightRecord record{.device = device.value,
+                      .op = is_write ? RecordOp::kDeviceWrite : RecordOp::kDeviceRead,
+                      .iova = iova.value, .gpa = gpa, .len = len};
+  Lane* lane = nullptr;
+  {
+    SpinGuard guard(lock_);
+    lane = &LaneFor(device);
+    if (Life* life = FindLive(*lane, iova.value); life != nullptr) {
+      ++life->facts.accesses;
+      record.generation = life->facts.generation;
+    }
+  }
+  Push(*lane, record);
 }
 
 void FlightRecorder::RecordStaleHit(DeviceId device, Iova page_iova, uint64_t gpa) {
-  Lane& lane = LaneFor(device);
-  FlightRecord record;
-  record.device = device.value;
-  record.op = RecordOp::kStaleHit;
-  record.iova = page_iova.value;
-  record.gpa = gpa;
-  record.len = kPageSize;
+  FlightRecord record{.device = device.value, .op = RecordOp::kStaleHit,
+                      .iova = page_iova.value, .gpa = gpa, .len = kPageSize};
+  Lane* lane = nullptr;
   {
-    SpinGuard guard(lane.ledger_lock);
-    // The life this translation belonged to: latest *unmapped* entry whose
-    // page covers the faulting page (the stale window's owner).
-    for (auto it = lane.ledger.rbegin(); it != lane.ledger.rend(); ++it) {
-      const uint64_t first_page = it->iova & ~kPageMask;
-      const uint64_t last_page = (it->iova + (it->len ? it->len - 1 : 0)) & ~kPageMask;
-      if (it->unmap_cycle != 0 && page_iova.value >= first_page &&
-          page_iova.value <= last_page) {
-        ++it->stale_hits;
-        record.generation = it->generation;
-        break;
+    SpinGuard guard(lock_);
+    lane = &LaneFor(device);
+    if (Life* life = FindPending(*lane, page_iova.value); life != nullptr) {
+      if (life->facts.stale_hits++ == 0) {
+        life->first_hit_cycle = clock_->now();
       }
+      record.generation = life->facts.generation;
     }
   }
-  Push(lane, record);
+  Push(*lane, record);
+  if (record.generation != 0 && tracer_ != nullptr && tracer_->hub().enabled()) {
+    ++tracer_->hub().counter("window.stale.hits");
+  }
 }
 
-void FlightRecorder::RecordFault(DeviceId device, Iova iova, uint64_t len,
-                                 bool is_write) {
-  Lane& lane = LaneFor(device);
-  FlightRecord record;
-  record.device = device.value;
-  record.op = RecordOp::kFault;
-  record.dir = is_write ? 1 : 0;
-  record.iova = iova.value;
-  record.len = len;
-  Push(lane, record);
-}
-
-void FlightRecorder::RecordSync(DeviceId device, Iova iova, uint64_t len,
-                                uint8_t dir, bool for_cpu, bool bounced) {
-  Lane& lane = LaneFor(device);
-  FlightRecord record;
-  record.device = device.value;
-  record.op = for_cpu ? RecordOp::kSyncCpu : RecordOp::kSyncDevice;
-  record.dir = dir;
-  record.bounced = bounced;
-  record.iova = iova.value;
-  record.len = len;
+void FlightRecorder::RecordFault(DeviceId device, Iova iova, uint64_t len, bool is_write) {
+  FlightRecord record{.device = device.value, .op = RecordOp::kFault,
+                      .dir = static_cast<uint8_t>(is_write ? 1 : 0), .iova = iova.value,
+                      .len = len};
+  Lane* lane = nullptr;
   {
-    SpinGuard guard(lane.ledger_lock);
-    // Latest live life covering the sync'd range — syncs never retire a
-    // life, they just stamp which generation the handoff belonged to.
-    for (auto it = lane.ledger.rbegin(); it != lane.ledger.rend(); ++it) {
-      if (it->unmap_cycle == 0 && iova.value >= it->iova &&
-          iova.value < it->iova + it->len) {
-        record.generation = it->generation;
-        record.gpa = it->kva;
-        break;
-      }
+    SpinGuard guard(lock_);
+    lane = &LaneFor(device);
+  }
+  Push(*lane, record);
+}
+
+void FlightRecorder::RecordSync(DeviceId device, Iova iova, uint64_t len, uint8_t dir,
+                                bool for_cpu, bool bounced) {
+  FlightRecord record{.device = device.value,
+                      .op = for_cpu ? RecordOp::kSyncCpu : RecordOp::kSyncDevice, .dir = dir,
+                      .bounced = bounced, .iova = iova.value, .len = len};
+  Lane* lane = nullptr;
+  {
+    SpinGuard guard(lock_);
+    lane = &LaneFor(device);
+    if (Life* life = FindLive(*lane, iova.value); life != nullptr) {
+      record.generation = life->facts.generation;
+      record.gpa = life->facts.kva;
     }
   }
-  Push(lane, record);
+  Push(*lane, record);
 }
 
-void FlightRecorder::RecordFlush(DeviceId device, Iova page_iova, uint64_t pages) {
-  Lane& lane = LaneFor(device);
-  FlightRecord record;
-  record.device = device.value;
-  record.op = RecordOp::kFlush;
-  record.iova = page_iova.value;
-  record.len = pages << kPageShift;
+void FlightRecorder::OnEvent(const telemetry::Event& event) {
+  if (event.kind != telemetry::EventKind::kDkasanReport &&
+      event.kind != telemetry::EventKind::kSpadeFinding) {
+    return;
+  }
+  const bool dkasan = event.kind == telemetry::EventKind::kDkasanReport;
+  std::vector<Announcement> announcements;
+  uint64_t latency = 0;
   {
-    SpinGuard guard(lane.ledger_lock);
-    const uint64_t flush_base = page_iova.value;
-    const uint64_t flush_end = flush_base + (pages << kPageShift);
-    for (MappingLife& life : lane.ledger) {
-      if (life.unmap_cycle != 0 && life.flush_cycle == 0 &&
-          life.iova < flush_end && life.iova + life.len > flush_base) {
-        life.flush_cycle = clock_->now();
+    SpinGuard guard(lock_);
+    // The most recently opened window still open; else the most recent
+    // stale window of any state (the detector may fire right after a flush
+    // closed the window it caught).
+    Life* target = nullptr;
+    uint64_t open_cycle = 0;
+    if (newest_open_ != nullptr) {
+      target = newest_open_;
+      open_cycle = target->stale_open;
+    } else if (last_stale_generation_ != 0) {
+      open_cycle = last_stale_open_;
+      if (const auto lane = lanes_.find(last_stale_device_); lane != lanes_.end()) {
+        const auto life = lane->second->lives.find(last_stale_generation_);
+        target = life == lane->second->lives.end() ? nullptr : &life->second;
       }
+    } else {
+      return;
+    }
+    latency = event.cycle > open_cycle ? event.cycle - open_cycle : 0;
+    if (target != nullptr) {
+      target->detected = true;
+    }
+    // D-KASAN is a runtime detector: its report ends the exploitable
+    // interval (the kernel now knows). A SPADE finding cannot invalidate a
+    // live translation, so the window stays open.
+    if (dkasan && target != nullptr && target->stale_close == 0) {
+      CloseStale(*target, event.cycle, "detected:dkasan", announcements);
     }
   }
-  Push(lane, record);
+  (dkasan ? detect_latency_dkasan_ : detect_latency_spade_).Record(latency);
+  if (tracer_ != nullptr && tracer_->hub().enabled()) {
+    telemetry::Hub& hub = tracer_->hub();
+    hub.histogram(dkasan ? "window.detect_latency.dkasan" : "window.detect_latency.spade")
+        .Record(latency);
+    ++hub.counter(dkasan ? "window.detected.dkasan" : "window.detected.spade");
+  }
+  Announce(announcements);
+}
+
+void FlightRecorder::Announce(std::vector<Announcement>& announcements) {
+  for (Announcement& a : announcements) {
+    Window& window = a.window;
+    const bool stale = window.kind == WindowKind::kStaleIotlb;
+    telemetry::Hub& hub = tracer_->hub();
+    const std::string_view kind = stale ? "window.stale" : "window.subpage";
+    if (a.open) {
+      // Spans cannot be backdated, so only windows that open now get one.
+      window.span = tracer_->OpenDetached(kind, trace::SpanId{hub.current_span()});
+      {
+        SpinGuard guard(lock_);
+        (stale ? a.life->stale_span : a.life->subpage_span) = window.span;
+      }
+    }
+    if (hub.enabled()) {
+      const std::string name(kind);
+      if (a.open || a.opened_closed) {
+        ++hub.counter(name + ".opened");
+      }
+      if (!a.open) {
+        ++hub.counter(name + ".closed");
+        hub.histogram(name + ".open_cycles").Record(window.duration());
+      }
+    }
+    PublishWindowEvent(window, a.open);
+    if (!a.open && window.span.valid()) {
+      tracer_->Close(window.span);
+    }
+  }
+}
+
+void FlightRecorder::PublishWindowEvent(const Window& window, bool open) {
+  telemetry::Hub& hub = tracer_->hub();
+  if (!hub.active()) {
+    return;
+  }
+  const bool stale = window.kind == WindowKind::kStaleIotlb;
+  telemetry::Event event;
+  event.kind = open ? telemetry::EventKind::kWindowOpen : telemetry::EventKind::kWindowClose;
+  event.severity = stale ? telemetry::Severity::kInfo : telemetry::Severity::kTrace;
+  event.device = window.device;
+  event.addr2 = window.iova_page;
+  event.len = window.pages << kPageShift;
+  event.aux = open ? window.exposed_bytes : window.duration();
+  event.flag = window.detected;
+  event.span = window.span.value;  // 0 lets the Hub stamp the current span
+  event.origin = this;
+  event.site = stale ? "window.stale" : "window.subpage";
+  if (!open && !window.close_reason.empty()) {
+    event.site += ":" + window.close_reason;
+  }
+  hub.Publish(std::move(event));
 }
 
 std::vector<FlightRecord> FlightRecorder::SnapshotTimeline(DeviceId device) const {
-  const Lane* lane = FindLane(device);
+  const Lane* lane = nullptr;
+  {
+    SpinGuard guard(lock_);
+    lane = FindLane(device);
+  }
   if (lane == nullptr) {
     return {};
   }
@@ -315,62 +589,86 @@ std::vector<FlightRecord> FlightRecorder::SnapshotTimeline(DeviceId device) cons
 }
 
 std::vector<MappingLife> FlightRecorder::SnapshotLedger(DeviceId device) const {
+  SpinGuard guard(lock_);
   const Lane* lane = FindLane(device);
-  if (lane == nullptr) {
-    return {};
+  std::vector<MappingLife> out;
+  if (lane != nullptr) {
+    out.reserve(lane->lives.size());
+    for (const auto& [generation, life] : lane->lives) {
+      out.push_back(life.facts);
+    }
   }
-  SpinGuard guard(lane->ledger_lock);
-  return std::vector<MappingLife>(lane->ledger.begin(), lane->ledger.end());
+  return out;
+}
+
+std::vector<Window> FlightRecorder::SnapshotWindows(DeviceId device) const {
+  std::vector<std::pair<uint64_t, Window>> ordered;
+  {
+    SpinGuard guard(lock_);
+    const Lane* lane = FindLane(device);
+    if (lane == nullptr) {
+      return {};
+    }
+    for (const auto& [generation, life] : lane->lives) {
+      if (life.subpage_seq != 0) {
+        ordered.emplace_back(life.subpage_seq, SubPageView(life));
+      }
+      if (life.stale_seq != 0) {
+        ordered.emplace_back(life.stale_seq, StaleView(life));
+      }
+    }
+  }
+  std::sort(ordered.begin(), ordered.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<Window> out;
+  out.reserve(ordered.size());
+  for (auto& [seq, window] : ordered) {
+    out.push_back(std::move(window));
+  }
+  return out;
+}
+
+size_t FlightRecorder::open_windows(WindowKind kind) const {
+  SpinGuard guard(lock_);
+  return kind == WindowKind::kStaleIotlb ? stale_windows_open_ : subpage_windows_open_;
+}
+
+template <typename Fn>
+uint64_t FlightRecorder::SumRings(Fn per_ring) const {
+  SpinGuard guard(lock_);
+  uint64_t total = 0;
+  for (const auto& [device, lane] : lanes_) {
+    for (const std::unique_ptr<Ring>& ring : lane->rings) {
+      SpinGuard ring_guard(ring->lock);
+      total += per_ring(*ring);
+    }
+  }
+  return total;
 }
 
 uint64_t FlightRecorder::total_recorded() const {
-  SpinGuard guard(lanes_lock_);
-  uint64_t total = 0;
-  for (const auto& [device, lane] : lanes_) {
-    for (const std::unique_ptr<Ring>& ring : lane->rings) {
-      SpinGuard ring_guard(ring->lock);
-      total += ring->next_seq;
-    }
-  }
-  return total;
+  return SumRings([](const Ring& ring) { return ring.next_seq; });
 }
 
 uint64_t FlightRecorder::total_dropped() const {
-  SpinGuard guard(lanes_lock_);
-  uint64_t total = 0;
-  for (const auto& [device, lane] : lanes_) {
-    for (const std::unique_ptr<Ring>& ring : lane->rings) {
-      SpinGuard ring_guard(ring->lock);
-      total += ring->dropped_info + ring->dropped_critical;
-    }
-  }
-  return total;
+  return SumRings([](const Ring& ring) { return ring.dropped_info + ring.dropped_critical; });
 }
 
 uint64_t FlightRecorder::total_dropped_critical() const {
-  SpinGuard guard(lanes_lock_);
-  uint64_t total = 0;
-  for (const auto& [device, lane] : lanes_) {
-    for (const std::unique_ptr<Ring>& ring : lane->rings) {
-      SpinGuard ring_guard(ring->lock);
-      total += ring->dropped_critical;
-    }
-  }
-  return total;
+  return SumRings([](const Ring& ring) { return ring.dropped_critical; });
 }
 
 uint64_t FlightRecorder::ledger_dropped() const {
-  SpinGuard guard(lanes_lock_);
+  SpinGuard guard(lock_);
   uint64_t total = 0;
   for (const auto& [device, lane] : lanes_) {
-    SpinGuard ledger_guard(lane->ledger_lock);
-    total += lane->ledger_dropped;
+    total += lane->dropped;
   }
   return total;
 }
 
 std::string FlightRecorder::AccountingJson() const {
-  SpinGuard guard(lanes_lock_);
+  SpinGuard guard(lock_);
   json::Writer w;
   w.BeginObject().Key("ring_capacity").Uint(config_.ring_capacity);
   w.Key("ledger_capacity").Uint(config_.ledger_capacity).Key("rings").BeginArray();
@@ -390,9 +688,8 @@ std::string FlightRecorder::AccountingJson() const {
   }
   w.EndArray().Key("ledgers").BeginArray();
   for (const auto& [device, lane] : lanes_) {
-    SpinGuard ledger_guard(lane->ledger_lock);
     w.BeginObject().Key("device").Uint(device).Key("lives").Uint(lane->next_generation - 1);
-    w.Key("retained").Uint(lane->ledger.size()).Key("dropped").Uint(lane->ledger_dropped);
+    w.Key("retained").Uint(lane->lives.size()).Key("dropped").Uint(lane->dropped);
     w.EndObject();
   }
   return w.EndArray().EndObject().Take();

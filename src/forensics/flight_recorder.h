@@ -1,39 +1,53 @@
-// spv::forensics — the DMA flight recorder (ISSUE 9 tentpole, part 1).
+// spv::forensics — the mapping-life ledger and DMA flight recorder.
 //
-// Every device-side transaction at the IOMMU boundary (reads, writes,
-// translation faults, stale-IOTLB hits, flush edges) and every mapping
-// lifecycle edge from the DMA API (map/unmap, direct or bounced) lands in a
-// bounded per-device, per-CPU ring of FlightRecords. The recorder is the
-// evidence substrate the incident engine freezes when a detector fires: it
-// answers "what exactly did the device do, to which mappings, in what
-// order, and on which CPU" after the fact, from recorded state alone.
+// One record per mapping life (direct or bounced): its map, every device
+// access through it, its unmap, the IOTLB invalidation that finally revokes
+// its translation, stale hits and detector hits. The paper's temporal
+// measurements are *views* of these lives, not a second tracker:
 //
-// Design rules, in the PR-7 telemetry-ring tradition:
-//   * bounded memory — fixed-capacity rings that overwrite the *oldest*
-//     record when full (forensics wants the most recent history), with drops
-//     accounted by the severity class of the record that was lost: losing a
-//     fault or stale hit bumps `dropped_critical`, the same fail-loud parity
-//     the telemetry trace ring keeps (`TraceRing::dropped(Severity::kCritical)`);
-//   * near-zero cost when disabled — every hook in Iommu/DmaApi guards on a
-//     null recorder pointer, so a machine without forensics pays one branch;
-//   * pure observer — recording never advances SimClock, so enabling the
-//     recorder cannot move a single sim-cycle quantile (the bench gate);
-//   * thread-safe snapshots — each ring and each ledger is guarded by an
-//     atomic_flag spinlock (the Histogram::Record idiom), so kThreads
-//     workers record concurrently while the incident engine snapshots from
-//     another worker, TSan-clean.
+//   * stale-IOTLB window (§5.2.1, Figs. 6–7): a direct life's unmap until
+//     the invalidation of its range. A deferred unmap opens it and a queue
+//     drain (flush:<reason>) or a quarantine's per-device drain
+//     (flush:device) closes it; an invalidation that precedes the unmap edge
+//     (a strict unmap, "strict", or a capacity drain inside the unmap call)
+//     makes it closed on arrival, spanning the synchronous invalidation. A
+//     D-KASAN report closes it early (detected:dkasan — the kernel now
+//     knows); a SPADE finding only marks it detected. No IOMMU, no window.
+//   * sub-page window (§3.3): a device-writable direct life whose buffer
+//     does not fill its pages, from map to unmap.
 //
-// Layering: spv_forensics depends only on spv_base + spv_telemetry +
-// spv_trace, so spv_iommu and spv_dma can link it without cycles. The
-// recorder never sees dma:: or iommu:: types — directions arrive as raw
-// uint8_t and addresses as the base vocabulary types.
+// Bounced lives open no window: their IOVA is the pool's static page.
+//
+// Edges arrive once, from the call site that holds all their fields: the
+// DMA API's map, unmap and sync sites, and the IOMMU's device accesses,
+// stale hits, faults and three invalidation sites (strict unmap, per-device
+// drain, shard drain). Device-side edges find their life by lookup in the
+// device's IOVA index, never by a scan. No live life is evicted;
+// retired lives per device stay bounded by `ledger_capacity`, and a life
+// whose translation still awaits invalidation is never evicted.
+//
+// With forensics on, every edge is also appended to a bounded per-device,
+// per-CPU ring of FlightRecords — the timeline the incident engine freezes.
+// Rings overwrite the *oldest* record when full and account each loss by the
+// class of the record lost (`dropped_critical` for faults and stale hits,
+// the telemetry trace ring's fail-loud parity).
+//
+// With a Tracer attached, each window is also a detached span, announced as
+// kWindowOpen/kWindowClose events, and counted in `window.*` hub metrics.
+// The recorder publishes only after releasing its own lock. It joins the Hub
+// as a sink for kDkasanReport and kSpadeFinding only: detection latency is
+// measured from the most recently opened stale window still open (else the
+// most recent stale window of any state).
+//
+// Pure observer: recording never advances SimClock. Layering: spv_forensics
+// depends only on spv_base + spv_telemetry + spv_trace, so spv_iommu and
+// spv_dma link it without cycles; directions arrive as raw uint8_t.
 
 #ifndef SPV_FORENSICS_FLIGHT_RECORDER_H_
 #define SPV_FORENSICS_FLIGHT_RECORDER_H_
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -43,6 +57,8 @@
 #include "base/clock.h"
 #include "base/exec.h"
 #include "base/types.h"
+#include "telemetry/telemetry.h"
+#include "trace/tracer.h"
 
 namespace spv::forensics {
 
@@ -66,7 +82,7 @@ bool RecordOpCritical(RecordOp op);
 // One device-side transaction or mapping edge, ~56 bytes, trivially
 // copyable. `gpa` is the translated physical address for device ops and the
 // kernel-virtual address for map/unmap edges; `generation` links the record
-// to the MappingLife entry it went through (0 = no live mapping matched).
+// to the MappingLife it went through (0 = no life matched).
 struct FlightRecord {
   uint64_t cycle = 0;
   uint64_t seq = 0;  // per-ring monotonic; merge tie-breaker
@@ -81,9 +97,9 @@ struct FlightRecord {
   uint64_t generation = 0;
 };
 
-// The full map→access→unmap→flush lifecycle of one mapping, kept in a
-// bounded per-device ledger. Generations are per-device monotonic, bumped
-// on every map edge, so an access record names exactly one life.
+// The map→access→unmap→flush lifecycle of one mapping. Generations are
+// per-device monotonic, bumped on every map edge, so a record names exactly
+// one life.
 struct MappingLife {
   uint64_t generation = 0;
   uint32_t device = 0;
@@ -95,53 +111,103 @@ struct MappingLife {
   std::string site;
   uint64_t map_cycle = 0;
   uint64_t unmap_cycle = 0;  // 0 = still live
-  uint64_t flush_cycle = 0;  // 0 = translation never (yet) invalidated
+  uint64_t flush_cycle = 0;  // 0 = its translation not (yet) invalidated
   uint64_t accesses = 0;     // device reads+writes served through it
   uint64_t stale_hits = 0;   // translations served after unmap_cycle
-  uint64_t faults = 0;       // faults attributed to its IOVA range
+};
+
+enum class WindowKind : uint8_t {
+  kStaleIotlb,  // unmapped but still translated (Fig. 6 window)
+  kSubPage,     // mapped, writable, larger than the buffer
+};
+
+std::string_view WindowKindName(WindowKind kind);
+
+// A window as seen from its life at one instant.
+struct Window {
+  WindowKind kind = WindowKind::kStaleIotlb;
+  uint64_t generation = 0;     // the life it is a view of
+  trace::SpanId span;          // kNoSpan without a Tracer
+  uint32_t device = 0;
+  uint64_t iova_page = 0;      // page-aligned base IOVA
+  uint64_t pages = 0;
+  uint64_t exposed_bytes = 0;  // sub-page: bytes reachable beyond the buffer
+  uint64_t open_cycle = 0;
+  uint64_t close_cycle = 0;
+  bool open = true;
+  uint64_t device_hits = 0;    // stale translations served inside
+  uint64_t first_hit_cycle = 0;
+  bool detected = false;       // a detector fired while it was the target
+  std::string close_reason;    // "flush:<reason>" / "strict" / "unmap" / "detected:dkasan"
+
+  uint64_t duration() const { return open ? 0 : close_cycle - open_cycle; }
 };
 
 struct ForensicsConfig {
-  bool enabled = false;          // null recorder when false: one-branch cost
+  bool enabled = false;             // flight rings and the incident engine
   uint32_t ring_capacity = 1024;    // FlightRecords per (device, CPU) ring
-  uint32_t ledger_capacity = 128;   // MappingLife entries per device
+  uint32_t ledger_capacity = 128;   // retired lives kept per device
 };
 
-class FlightRecorder {
+class FlightRecorder : public telemetry::EventSink {
  public:
-  // One ring per sim CPU per device; Machine passes its CPU count (>= 1).
-  FlightRecorder(const SimClock* clock, ForensicsConfig config, uint32_t num_cpus = 1);
+  // Rings are kept iff `config.enabled`; one per sim CPU per device, so
+  // Machine passes its CPU count (>= 1). Without an IOMMU no stale window
+  // opens (nothing translates, so nothing lingers).
+  FlightRecorder(const SimClock* clock, ForensicsConfig config, uint32_t num_cpus = 1,
+                 bool iommu_enabled = true);
 
-  // ---- Hook entry points (hot path; called with recorder != nullptr) -----------
+  // Attaching a Tracer turns on window spans, events and hub metrics.
+  void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
 
-  // Mapping installed. Returns the generation assigned to this life.
+  // kDkasanReport / kSpadeFinding: detection latency against the windows.
+  void OnEvent(const telemetry::Event& event) override;
+
+  // ---- Edges (hot path; callers hold a non-null recorder) -----------------------
+
   void RecordMap(DeviceId device, Iova iova, Kva kva, uint64_t len, uint8_t dir,
                  bool bounced, std::string_view site);
-  void RecordUnmap(DeviceId device, Iova iova, uint64_t len, uint8_t dir,
-                   bool bounced);
+  void RecordUnmap(DeviceId device, Iova iova, uint64_t len, uint8_t dir, bool bounced);
   // Device-side access served for one in-page chunk (gpa = translated phys).
-  void RecordAccess(DeviceId device, Iova iova, uint64_t gpa, uint64_t len,
-                    bool is_write);
+  void RecordAccess(DeviceId device, Iova iova, uint64_t gpa, uint64_t len, bool is_write);
   // Translation served from the IOTLB after the mapping was torn down.
   void RecordStaleHit(DeviceId device, Iova page_iova, uint64_t gpa);
   void RecordFault(DeviceId device, Iova iova, uint64_t len, bool is_write);
-  // IOTLB invalidation covering [page_iova, page_iova + pages) landed.
-  void RecordFlush(DeviceId device, Iova page_iova, uint64_t pages);
+  // The IOTLB invalidation of [page_iova, page_iova + pages) completed now,
+  // `cost` cycles after it started; `reason` names the closing edge
+  // ("strict", "flush:<drain reason>", "flush:device").
+  void RecordFlush(DeviceId device, Iova page_iova, uint64_t pages, uint64_t cost,
+                   std::string_view reason);
   // Sync-mode ownership handoff on a persistent bounce (sync_for_cpu when
-  // `for_cpu`, else sync_for_device). Linked to the covering mapping life
-  // like unmap edges, so ledger cross-checks see the full sync history.
-  void RecordSync(DeviceId device, Iova iova, uint64_t len, uint8_t dir,
-                  bool for_cpu, bool bounced);
+  // `for_cpu`, else sync_for_device), stamped with the covering life.
+  void RecordSync(DeviceId device, Iova iova, uint64_t len, uint8_t dir, bool for_cpu,
+                  bool bounced);
 
-  // ---- Evidence snapshots (incident engine / exports) --------------------------
+  // ---- Snapshots ------------------------------------------------------------------
 
   // Merged per-device timeline across all CPU rings, oldest first, ordered
   // by (cycle, cpu, seq) — deterministic for deterministic runs.
   std::vector<FlightRecord> SnapshotTimeline(DeviceId device) const;
-  // The device's mapping ledger, oldest life first.
+  // The device's retained lives, oldest generation first.
   std::vector<MappingLife> SnapshotLedger(DeviceId device) const;
+  // The windows of the device's retained lives, in the order they opened.
+  std::vector<Window> SnapshotWindows(DeviceId device) const;
 
-  // Totals across every ring, by drop class.
+  size_t open_windows(WindowKind kind) const;
+  telemetry::Histogram::Summary stale_open_summary() const {
+    return stale_open_cycles_.Summarize();
+  }
+  telemetry::Histogram::Summary subpage_open_summary() const {
+    return subpage_open_cycles_.Summarize();
+  }
+  telemetry::Histogram::Summary spade_latency_summary() const {
+    return detect_latency_spade_.Summarize();
+  }
+  telemetry::Histogram::Summary dkasan_latency_summary() const {
+    return detect_latency_dkasan_.Summarize();
+  }
+
+  // Totals across every ring, by drop class, and lives evicted.
   uint64_t total_recorded() const;
   uint64_t total_dropped() const;
   uint64_t total_dropped_critical() const;
@@ -150,7 +216,7 @@ class FlightRecorder {
   // Deterministic per-ring drop accounting, `dropped_critical` parity with
   // the telemetry trace ring: {"rings":[{"device","cpu","recorded",
   // "dropped","dropped_critical"}...],"ledgers":[...]}. Sorted by (device,
-  // cpu); embedded in incident reports and the soak JSON.
+  // cpu); embedded in incident reports.
   std::string AccountingJson() const;
 
  private:
@@ -166,27 +232,83 @@ class FlightRecorder {
     std::vector<FlightRecord> Snapshot() const;
   };
 
-  // Per-device lane: one ring per CPU plus the mapping ledger.
-  struct Lane {
-    std::vector<std::unique_ptr<Ring>> rings;
-    std::deque<MappingLife> ledger;
-    uint64_t next_generation = 1;
-    uint64_t ledger_dropped = 0;
-    mutable std::atomic_flag ledger_lock = ATOMIC_FLAG_INIT;
+  // A life plus the bookkeeping its windows are computed from.
+  struct Life {
+    MappingLife facts;
+    uint64_t subpage_seq = 0;  // window open order; 0 = no such window
+    uint64_t stale_seq = 0;
+    uint64_t stale_open = 0;
+    uint64_t stale_close = 0;  // 0 while open
+    std::string stale_reason;  // why the stale window closed
+    uint64_t first_hit_cycle = 0;
+    bool detected = false;
+    trace::SpanId subpage_span;
+    trace::SpanId stale_span;
+    // Links in the list of open stale windows, oldest first.
+    Life* older_open = nullptr;
+    Life* newer_open = nullptr;
   };
 
+  struct Lane {
+    std::vector<std::unique_ptr<Ring>> rings;  // empty with forensics off
+    std::map<uint64_t, Life> lives;            // retained, by generation
+    // By IOVA: mapped lives, and unmapped ones whose translation awaits
+    // invalidation (their IOVA stays parked until then, so none overlap).
+    std::map<uint64_t, Life*> by_iova;
+    std::vector<uint64_t> retired;             // evictable generations, a min-heap
+    uint64_t next_generation = 1;
+    uint64_t dropped = 0;
+  };
+
+  // A window event to announce once the lock is released (Tracer attached).
+  struct Announcement {
+    Window window;
+    Life* life = nullptr;  // opens only: where the span id goes
+    bool open = false;
+    bool opened_closed = false;  // closed on arrival: count the open too
+  };
+
+  template <typename Fn>
+  uint64_t SumRings(Fn per_ring) const;
   Lane& LaneFor(DeviceId device);
   const Lane* FindLane(DeviceId device) const;
-  Ring& RingFor(Lane& lane) const;
+  static Life* FindLive(Lane& lane, uint64_t iova);
+  static Life* FindPending(Lane& lane, uint64_t page);
+  void Retire(Lane& lane, Life& life);
+  void LinkOpen(Life& life);
+  void UnlinkOpen(Life& life);
+  void CloseStale(Life& life, uint64_t cycle, std::string_view reason,
+                  std::vector<Announcement>& out);
+  static Window SubPageView(const Life& life);
+  static Window StaleView(const Life& life);
   void Push(Lane& lane, FlightRecord record);
+  void Announce(std::vector<Announcement>& announcements);
+  void PublishWindowEvent(const Window& window, bool open);
 
   const SimClock* clock_;
   ForensicsConfig config_;
   uint32_t num_cpus_;
-  // Lane structure is append-only; the spinlock guards map mutation and
-  // lookup so kThreads workers can fault in lanes for hot-plugged devices.
-  mutable std::atomic_flag lanes_lock_ = ATOMIC_FLAG_INIT;
+  bool iommu_enabled_;
+  trace::Tracer* tracer_ = nullptr;
+
+  // Guards lanes_ (append-only), every lane's lives and indexes, and the
+  // window state below. Rings have their own locks; nothing is published
+  // while it is held.
+  mutable std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
   std::map<uint32_t, std::unique_ptr<Lane>> lanes_;
+  Life* newest_open_ = nullptr;  // open stale windows: detection targets
+  size_t stale_windows_open_ = 0;
+  size_t subpage_windows_open_ = 0;
+  uint64_t next_window_seq_ = 1;
+  // The most recent stale window of any state: the detection fallback.
+  uint32_t last_stale_device_ = 0;
+  uint64_t last_stale_generation_ = 0;
+  uint64_t last_stale_open_ = 0;
+
+  telemetry::Histogram stale_open_cycles_;
+  telemetry::Histogram subpage_open_cycles_;
+  telemetry::Histogram detect_latency_spade_;
+  telemetry::Histogram detect_latency_dkasan_;
 };
 
 }  // namespace spv::forensics

@@ -67,7 +67,7 @@ void AppendLifeJson(json::Writer& w, const MappingLife& life) {
   w.Key("bounced").Bool(life.bounced).Key("site").String(life.site);
   w.Key("map_cycle").Uint(life.map_cycle).Key("unmap_cycle").Uint(life.unmap_cycle);
   w.Key("flush_cycle").Uint(life.flush_cycle).Key("accesses").Uint(life.accesses);
-  w.Key("stale_hits").Uint(life.stale_hits).Key("faults").Uint(life.faults).EndObject();
+  w.Key("stale_hits").Uint(life.stale_hits).EndObject();
 }
 
 }  // namespace
@@ -264,8 +264,7 @@ void IncidentEngine::Freeze(DeviceId device, std::string_view trigger,
   }
   const uint64_t from =
       incident.timeline.empty() ? now : incident.timeline.front().cycle;
-  incident.windows_json =
-      tracker_ != nullptr ? WindowsJson(device.value, from, now) : "[]";
+  incident.windows_json = recorder_ != nullptr ? WindowsJson(device, from, now) : "[]";
   incident.trust_json = trust_ ? trust_(device.value) : "";
   incident.recovery_json = recovery_ ? recovery_(device.value) : "";
 
@@ -298,21 +297,20 @@ void IncidentEngine::Freeze(DeviceId device, std::string_view trigger,
   }
 }
 
-std::string IncidentEngine::WindowsJson(uint32_t device, uint64_t from_cycle,
+std::string IncidentEngine::WindowsJson(DeviceId device, uint64_t from_cycle,
                                         uint64_t to_cycle) const {
   json::Writer out;
   out.BeginArray();
-  for (const trace::Window& w : tracker_->windows()) {
-    if (w.device != device || w.open_cycle > to_cycle ||
-        (!w.open && w.close_cycle < from_cycle)) {
+  for (const Window& w : recorder_->SnapshotWindows(device)) {
+    if (w.open_cycle > to_cycle || (!w.open && w.close_cycle < from_cycle)) {
       continue;
     }
-    out.BeginObject().Key("kind").String(trace::WindowKindName(w.kind));
-    out.Key("iova_page").Uint(w.iova_page).Key("pages").Uint(w.pages);
-    out.Key("exposed_bytes").Uint(w.exposed_bytes).Key("open_cycle").Uint(w.open_cycle);
-    out.Key("close_cycle").Uint(w.close_cycle).Key("open").Bool(w.open);
-    out.Key("device_hits").Uint(w.device_hits).Key("detected").Bool(w.detected);
-    out.Key("close_reason").String(w.close_reason).EndObject();
+    out.BeginObject().Key("kind").String(WindowKindName(w.kind));
+    out.Key("generation").Uint(w.generation).Key("iova_page").Uint(w.iova_page);
+    out.Key("pages").Uint(w.pages).Key("exposed_bytes").Uint(w.exposed_bytes);
+    out.Key("open_cycle").Uint(w.open_cycle).Key("close_cycle").Uint(w.close_cycle);
+    out.Key("open").Bool(w.open).Key("device_hits").Uint(w.device_hits);
+    out.Key("detected").Bool(w.detected).Key("close_reason").String(w.close_reason).EndObject();
   }
   return out.EndArray().Take();
 }

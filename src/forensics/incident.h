@@ -5,11 +5,11 @@
 // reports, SPADE findings, stale-IOTLB hits, health breaches, quarantines,
 // trust demotions — freeze the flight recorder's evidence for the implicated
 // device at that instant: the reconstructed access timeline, the implicated
-// mapping's full map→access→unmap→flush lifecycle, the WindowTracker windows
-// that overlapped it, the trust-ladder and recovery state at trigger time,
-// and an attack-class inference labeling the incident as paper type (a)–(d),
-// poisoned completion, or unknown — from recorded evidence alone, never from
-// detector-internal state.
+// mapping's full map→access→unmap→flush lifecycle, the windows of the
+// device's lives that overlapped the timeline, the trust-ladder and recovery
+// state at trigger time, and an attack-class inference labeling the incident
+// as paper type (a)–(d), poisoned completion, or unknown — from recorded
+// evidence alone, never from detector-internal state.
 //
 // Classifier rules, applied in order (first match wins):
 //   1. poisoned_completion — the timeline holds a stale-IOTLB hit: a
@@ -55,7 +55,6 @@
 #include "base/types.h"
 #include "forensics/flight_recorder.h"
 #include "telemetry/telemetry.h"
-#include "trace/window_tracker.h"
 
 namespace spv::forensics {
 
@@ -88,7 +87,7 @@ struct Incident {
   std::vector<FlightRecord> timeline;    // last kTimelineLimit (96) records
   std::vector<MappingLife> ledger;       // full ledger snapshot at freeze
   // Frozen JSON values, embedded with json::Writer::Raw ("" reads as null).
-  std::string windows_json;              // overlapping WindowTracker windows
+  std::string windows_json;              // windows overlapping the timeline
   std::string trust_json;                // "" without a policy engine
   std::string recovery_json;             // "" without a recovery manager
 };
@@ -101,13 +100,10 @@ class IncidentEngine : public telemetry::EventSink {
 
   // `recorder` may be null (reports then carry empty evidence); `clock` must
   // outlive the engine. The engine does not add itself to the hub — the
-  // owner wires AddSink/RemoveSink (the WindowTracker convention).
+  // owner wires AddSink/RemoveSink.
   IncidentEngine(telemetry::Hub& hub, FlightRecorder* recorder,
                  const SimClock* clock);
 
-  void set_window_tracker(const trace::WindowTracker* tracker) {
-    tracker_ = tracker;
-  }
   void set_trust_provider(StateSnapshotFn fn) { trust_ = std::move(fn); }
   void set_recovery_provider(StateSnapshotFn fn) { recovery_ = std::move(fn); }
 
@@ -131,13 +127,12 @@ class IncidentEngine : public telemetry::EventSink {
  private:
   void Freeze(DeviceId device, std::string_view trigger, std::string_view reason,
               bool manual);
-  std::string WindowsJson(uint32_t device, uint64_t from_cycle,
+  std::string WindowsJson(DeviceId device, uint64_t from_cycle,
                           uint64_t to_cycle) const;
 
   telemetry::Hub& hub_;
   FlightRecorder* recorder_;
   const SimClock* clock_;
-  const trace::WindowTracker* tracker_ = nullptr;
   StateSnapshotFn trust_;
   StateSnapshotFn recovery_;
 

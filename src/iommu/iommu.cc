@@ -227,7 +227,7 @@ uint64_t Iommu::DrainDeviceInvalidations(DeviceId device) {
         }
         if (recorder_ != nullptr) {
           // Quarantine flush edge: the drain closes this range's stale window.
-          recorder_->RecordFlush(device, pending.base, pending.pages);
+          recorder_->RecordFlush(device, pending.base, pending.pages, cycles, "flush:device");
         }
         (void)state->iova_alloc.Free(pending.base, pending.pages, pending.cpu);
       }
@@ -389,9 +389,9 @@ Status Iommu::UnmapRange(DeviceId device, Iova base, uint64_t pages) {
       hub_->Publish(std::move(event));
     }
     if (recorder_ != nullptr) {
-      // Strict flush edge: the translation died with the unmap, so the
-      // mapping's stale window is the invalidation latency itself.
-      recorder_->RecordFlush(device, base, pages);
+      // Strict flush edge: the translation dies before the unmap edge, so
+      // the mapping's stale window is the invalidation latency itself.
+      recorder_->RecordFlush(device, base, pages, cycles, "strict");
     }
     return state->iova_alloc.Free(base, pages, CurrentCpu());
   }
@@ -471,7 +471,7 @@ void Iommu::DrainShard(size_t shard_index, FlushReason reason) {
       domain->table.InvalidateWalkCache();
     }
   }
-  ChargeInvalidation(InvalidationStall(), /*targeted=*/false);
+  const uint64_t cycles = ChargeInvalidation(InvalidationStall(), /*targeted=*/false);
   ++stats_.flushes;
   switch (reason) {
     case FlushReason::kManual:
@@ -496,11 +496,14 @@ void Iommu::DrainShard(size_t shard_index, FlushReason reason) {
       hub_->histogram("iommu.flush_batch").Record(amortized);
     }
   }
+  const std::string close_reason =
+      recorder_ != nullptr ? "flush:" + std::string(FlushReasonName(reason)) : "";
   for (const PendingInvalidation& pending : batch) {
     if (recorder_ != nullptr) {
       // Deferred flush edge: this drain is what finally closes the stale
       // window the queued unmap opened.
-      recorder_->RecordFlush(pending.device, pending.base, pending.pages);
+      recorder_->RecordFlush(pending.device, pending.base, pending.pages, cycles,
+                             close_reason);
     }
     DeviceRef ref = Resolve(pending.device);
     if (ref.domain != nullptr) {

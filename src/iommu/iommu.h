@@ -144,9 +144,9 @@ class Iommu {
   // detaches; a null or disabled tracer costs one branch per operation.
   void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
 
-  // Optional DMA flight recorder (spv::forensics): witnesses every
-  // device-side access chunk, stale-IOTLB hit, translation fault and IOTLB
-  // invalidation edge. nullptr (the default) costs one branch per site.
+  // Optional mapping-life ledger (spv::forensics::FlightRecorder): receives
+  // every device-side access chunk, stale-IOTLB hit, translation fault and
+  // IOTLB invalidation edge. nullptr (the default) costs one branch per site.
   void set_flight_recorder(forensics::FlightRecorder* recorder) {
     recorder_ = recorder;
   }

@@ -94,7 +94,7 @@ enum class EventKind : uint8_t {
   // `span`, the parent id in `addr`, and the span name in `site`.
   kSpanOpen,
   kSpanClose,
-  // Vulnerability windows (trace::WindowTracker). `addr2` is the IOVA page,
+  // Vulnerability windows (forensics::FlightRecorder). `addr2` is the IOVA page,
   // `aux` the open duration in cycles on close.
   kWindowOpen,
   kWindowClose,

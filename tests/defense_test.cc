@@ -102,6 +102,36 @@ TEST_F(BounceFixture, SubPageVulnerabilityEliminated) {
   ASSERT_TRUE(dma().UnmapSingle(kDev, *iova, 512, dma::DmaDirection::kBidirectional).ok());
 }
 
+TEST_F(BounceFixture, ReusedSlotIsScrubbedPastTheNewBuffer) {
+  // A full page of secret goes out through the pool; a 64-byte map then
+  // reuses the same slot. Nothing of the first transfer may survive past the
+  // new buffer's bytes: every map scrubs the whole slot page first.
+  auto secret_pfn = machine_.page_alloc().AllocPages(0, mem::PageOwner::kDriver);
+  auto small_pfn = machine_.page_alloc().AllocPages(0, mem::PageOwner::kDriver);
+  ASSERT_TRUE(secret_pfn.ok() && small_pfn.ok());
+  const Kva secret = machine_.layout().PhysToDirectMapKva(PhysAddr::FromPfn(*secret_pfn));
+  const Kva small = machine_.layout().PhysToDirectMapKva(PhysAddr::FromPfn(*small_pfn));
+  ASSERT_TRUE(machine_.kmem().Fill(secret, kPageSize, 0x5e).ok());
+  ASSERT_TRUE(machine_.kmem().Fill(small, 64, 0x11).ok());
+
+  auto first = dma().MapSingle(kDev, secret, kPageSize, dma::DmaDirection::kToDevice);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(dma().UnmapSingle(kDev, *first, kPageSize, dma::DmaDirection::kToDevice).ok());
+  auto second = dma().MapSingle(kDev, small, 64, dma::DmaDirection::kToDevice);
+  ASSERT_TRUE(second.ok());
+  ASSERT_EQ(second->value, first->value) << "the small map did not reuse the slot";
+
+  std::vector<uint8_t> page(kPageSize);
+  ASSERT_TRUE(machine_.iommu().DeviceRead(kDev, *second, std::span<uint8_t>(page)).ok());
+  for (uint64_t off = 0; off < 64; ++off) {
+    EXPECT_EQ(page[off], 0x11) << "buffer byte " << off;
+  }
+  for (uint64_t off = 64; off < kPageSize; ++off) {
+    ASSERT_EQ(page[off], 0x00) << "previous transfer survives at slot offset " << off;
+  }
+  ASSERT_TRUE(dma().UnmapSingle(kDev, *second, 64, dma::DmaDirection::kToDevice).ok());
+}
+
 TEST_F(BounceFixture, NoStaleWindowOnKernelData) {
   // After unmap the device can still write the (statically mapped) bounce
   // page — but the kernel buffer is untouched: containment, not revocation.

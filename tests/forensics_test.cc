@@ -12,6 +12,7 @@
 //     kThreads churn records TSan-clean, a disabled machine pays one null
 //     branch, and the soak harness embeds a deterministic forensics block.
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -132,7 +133,7 @@ TEST(FlightRecorderUnit, LedgerTracksFullLifecycleAndEvictsOldest) {
   clock.Advance(5);
   recorder.RecordStaleHit(dev, Iova{0x10000}, 0x5000);
   clock.Advance(5);
-  recorder.RecordFlush(dev, Iova{0x10000}, 1);
+  recorder.RecordFlush(dev, Iova{0x10000}, 1, /*cost=*/2, "flush:manual");
 
   std::vector<MappingLife> ledger = recorder.SnapshotLedger(dev);
   ASSERT_EQ(ledger.size(), 1u);
@@ -153,13 +154,175 @@ TEST(FlightRecorderUnit, LedgerTracksFullLifecycleAndEvictsOldest) {
   }
   EXPECT_TRUE(saw_attributed_access);
 
-  // A bounded ledger evicts its oldest life, loudly.
+  // A bounded ledger evicts its oldest retired life, loudly; a mapped life
+  // is never evicted.
   recorder.RecordMap(dev, Iova{0x20000}, Kva{0xffff800000002000}, 64, 0, false,
                      "unit_map2");
   recorder.RecordMap(dev, Iova{0x30000}, Kva{0xffff800000003000}, 64, 0, false,
                      "unit_map3");
-  EXPECT_EQ(recorder.SnapshotLedger(dev).size(), 2u);
+  EXPECT_EQ(recorder.SnapshotLedger(dev).size(), 3u);
+  EXPECT_EQ(recorder.ledger_dropped(), 0u);
+  for (const uint64_t iova : {0x20000u, 0x30000u}) {
+    recorder.RecordUnmap(dev, Iova{iova}, 64, 0, false);
+    recorder.RecordFlush(dev, Iova{iova}, 1, /*cost=*/2, "flush:manual");
+  }
+  ledger = recorder.SnapshotLedger(dev);
+  ASSERT_EQ(ledger.size(), 2u);
+  EXPECT_EQ(ledger[0].generation, 2u);
   EXPECT_EQ(recorder.ledger_dropped(), 1u);
+}
+
+// ---- Ledger: one record per life, fed from the call sites -----------------------
+
+// A strict unmap invalidates before its unmap edge: each life's flush lies in
+// (0, unmap], and the strict unmap of a later mapping that recycled the IOVA
+// leaves the earlier life's flush alone.
+TEST(FlightRecorderLedger, StrictFlushStampsOnlyTheLifeItRevokes) {
+  core::Machine machine{BaseConfig(31, iommu::InvalidationMode::kStrict)};
+  const DeviceId dev{1};
+  machine.iommu().AttachDevice(dev);
+  const Kva buf = *machine.slab().Kmalloc(2048, "strict_buf");
+  constexpr auto kDir = dma::DmaDirection::kFromDevice;
+
+  auto first = machine.dma().MapSingle(dev, buf, 2048, kDir, "life_a");
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(machine.dma().UnmapSingle(dev, *first, 2048, kDir).ok());
+  const std::vector<MappingLife> after_first =
+      machine.flight_recorder()->SnapshotLedger(dev);
+  ASSERT_EQ(after_first.size(), 1u);
+
+  machine.clock().Advance(1000);
+  auto second = machine.dma().MapSingle(dev, buf, 2048, kDir, "life_b");
+  ASSERT_TRUE(second.ok());
+  ASSERT_EQ(second->value, first->value) << "the strict unmap did not recycle the IOVA";
+  ASSERT_TRUE(machine.dma().UnmapSingle(dev, *second, 2048, kDir).ok());
+
+  const std::vector<MappingLife> ledger = machine.flight_recorder()->SnapshotLedger(dev);
+  ASSERT_EQ(ledger.size(), 2u);
+  for (const MappingLife& life : ledger) {
+    EXPECT_GT(life.flush_cycle, 0u) << "gen " << life.generation;
+    EXPECT_LE(life.flush_cycle, life.unmap_cycle) << "gen " << life.generation;
+  }
+  EXPECT_EQ(ledger[0].flush_cycle, after_first[0].flush_cycle);
+  ASSERT_TRUE(machine.slab().Kfree(buf).ok());
+}
+
+// No live life is evicted: with room for two retired lives, three churned
+// mappings leave the first — still mapped — to own the device's later write.
+TEST(FlightRecorderLedger, MappedLifeOutlivesChurnPastCapacity) {
+  core::MachineConfig config = BaseConfig(32, iommu::InvalidationMode::kStrict);
+  config.forensics.ledger_capacity = 2;
+  core::Machine machine{config};
+  const DeviceId dev{1};
+  machine.iommu().AttachDevice(dev);
+  constexpr auto kDir = dma::DmaDirection::kFromDevice;
+
+  const Kva kept_buf = *machine.slab().Kmalloc(2048, "kept_buf");
+  auto kept = machine.dma().MapSingle(dev, kept_buf, 2048, kDir, "kept_rx");
+  ASSERT_TRUE(kept.ok());
+  for (int i = 0; i < 3; ++i) {
+    const Kva buf = *machine.slab().Kmalloc(2048, "churn_buf");
+    auto iova = machine.dma().MapSingle(dev, buf, 2048, kDir, "churn_rx");
+    ASSERT_TRUE(iova.ok());
+    ASSERT_TRUE(machine.dma().UnmapSingle(dev, *iova, 2048, kDir).ok());
+    ASSERT_TRUE(machine.slab().Kfree(buf).ok());
+  }
+  const std::vector<uint8_t> data(8, 0xab);
+  ASSERT_TRUE(machine.iommu().DeviceWrite(dev, *kept, data).ok());
+
+  FlightRecorder* recorder = machine.flight_recorder();
+  const std::vector<FlightRecord> timeline = recorder->SnapshotTimeline(dev);
+  ASSERT_FALSE(timeline.empty());
+  EXPECT_EQ(timeline.back().op, RecordOp::kDeviceWrite);
+  EXPECT_EQ(timeline.back().generation, 1u);
+  const std::vector<MappingLife> ledger = recorder->SnapshotLedger(dev);
+  ASSERT_FALSE(ledger.empty());
+  EXPECT_EQ(ledger[0].generation, 1u);
+  EXPECT_EQ(ledger[0].accesses, 1u);
+  EXPECT_EQ(recorder->ledger_dropped(), 1u);
+
+  ASSERT_TRUE(machine.dma().UnmapSingle(dev, *kept, 2048, kDir).ok());
+  ASSERT_TRUE(machine.slab().Kfree(kept_buf).ok());
+}
+
+// A revocation releases in-flight bounces without an unmap edge. When the
+// pool hands the slot out again, the released life leaves the live index and
+// becomes evictable like any retired life, instead of lingering forever.
+TEST(FlightRecorderLedger, ReleasedBounceLifeRetiresWhenItsSlotIsReused) {
+  core::MachineConfig config = BaseConfig(34, iommu::InvalidationMode::kDeferred);
+  config.forensics.ledger_capacity = 1;
+  config.policy.enabled = true;
+  core::Machine machine{config};
+  const DeviceId dev{5};
+  machine.iommu().AttachDevice(dev);
+  ASSERT_TRUE(
+      machine.policy()->RegisterDevice(dev, policy::DeviceIdentity{"usb-nic", "nic"}).ok());
+  const Kva buf = *machine.slab().Kmalloc(512, "bounce_buf");
+  constexpr auto kDir = dma::DmaDirection::kToDevice;
+
+  auto released = machine.dma().MapSingle(dev, buf, 512, kDir, "released");
+  ASSERT_TRUE(released.ok());
+  ASSERT_TRUE(machine.dma().RevokeDeviceMappings(dev, "revoke").ok());
+  auto reused = machine.dma().MapSingle(dev, buf, 512, kDir, "reused");
+  ASSERT_TRUE(reused.ok());
+  ASSERT_EQ(reused->value, released->value) << "the pool did not reuse the slot";
+  std::vector<uint8_t> read(8);
+  ASSERT_TRUE(machine.iommu().DeviceRead(dev, *reused, std::span<uint8_t>(read)).ok());
+
+  FlightRecorder* recorder = machine.flight_recorder();
+  EXPECT_EQ(recorder->SnapshotTimeline(dev).back().generation, 2u);
+  std::vector<MappingLife> ledger = recorder->SnapshotLedger(dev);
+  ASSERT_EQ(ledger.size(), 2u);
+  EXPECT_EQ(ledger[0].unmap_cycle, 0u);  // released, never unmapped
+  EXPECT_EQ(ledger[1].accesses, 1u);
+
+  // One more retired life overflows the one-life budget: the released life,
+  // the oldest, is the one evicted.
+  ASSERT_TRUE(machine.dma().UnmapSingle(dev, *reused, 512, kDir).ok());
+  ledger = recorder->SnapshotLedger(dev);
+  ASSERT_EQ(ledger.size(), 1u);
+  EXPECT_EQ(ledger[0].generation, 2u);
+  EXPECT_EQ(recorder->ledger_dropped(), 1u);
+}
+
+// Every window an incident embeds is a view of a life in the same incident's
+// ledger: three deferred unmaps before any flush keep their lives, and their
+// windows, past a two-life ledger.
+TEST(FlightRecorderLedger, EveryIncidentWindowNamesALifeInItsLedger) {
+  core::MachineConfig config = BaseConfig(33, iommu::InvalidationMode::kDeferred);
+  config.forensics.ledger_capacity = 2;
+  config.telemetry.enabled = true;
+  config.trace.enabled = true;
+  core::Machine machine{config};
+  const DeviceId dev{1};
+  machine.iommu().AttachDevice(dev);
+  constexpr auto kDir = dma::DmaDirection::kFromDevice;
+  const std::vector<uint8_t> touch(8);
+  for (int i = 0; i < 3; ++i) {
+    const Kva buf = *machine.slab().Kmalloc(2048, "window_buf");
+    auto iova = machine.dma().MapSingle(dev, buf, 2048, kDir, "window_rx");
+    ASSERT_TRUE(iova.ok());
+    ASSERT_TRUE(machine.iommu().DeviceWrite(dev, *iova, touch).ok());
+    ASSERT_TRUE(machine.dma().UnmapSingle(dev, *iova, 2048, kDir).ok());
+    ASSERT_TRUE(machine.slab().Kfree(buf).ok());
+  }
+  machine.incidents()->OpenIncident(dev, "window/ledger cross-check");
+
+  std::optional<json::Value> doc = json::Parse(machine.incidents()->ReportsJson());
+  ASSERT_TRUE(doc.has_value());
+  const json::Value& incident = doc->Find("incidents")->array.at(0);
+  std::vector<uint64_t> generations;
+  for (const json::Value& life : incident.Find("ledger")->array) {
+    generations.push_back(life.U64("generation"));
+  }
+  const std::vector<json::Value>& windows = incident.Find("windows")->array;
+  EXPECT_EQ(windows.size(), 6u);  // a sub-page and a stale window per life
+  for (const json::Value& window : windows) {
+    EXPECT_NE(std::find(generations.begin(), generations.end(), window.U64("generation")),
+              generations.end())
+        << window.Str("kind") << " window at iova page " << window.U64("iova_page");
+  }
+  machine.iommu().FlushNow();
 }
 
 // ---- Classifier: the paper's attack classes from evidence alone ----------------

@@ -842,6 +842,24 @@ TEST_F(StackFixture, DeliveryToLocalSocket) {
   EXPECT_EQ(machine_.stack().stats().rx_delivered, 1u);
 }
 
+TEST_F(StackFixture, OverClaimedPayloadLengthIsDropped) {
+  // The device writes a header claiming 64 payload bytes but completes the
+  // frame 48 bytes short: the stack must drop it, not read past the skb.
+  SetUpStack();
+  ASSERT_TRUE(machine_.stack().CreateSocket(80, false).ok());
+  PacketHeader header{.src_ip = 99, .dst_ip = machine_.stack().config().local_ip,
+                      .src_port = 1234, .dst_port = 80, .proto = kProtoUdp};
+  std::vector<uint8_t> payload(64, 3);
+  auto index = device_->InjectRx(machine_.kmem(), header, payload);
+  ASSERT_TRUE(index.ok());
+  auto skb = rx_driver_->CompleteRx(*index, PacketHeader::kSize + 16);
+  ASSERT_TRUE(skb.ok());
+  ASSERT_TRUE(machine_.stack().NapiGroReceive(std::move(*skb)).ok());
+  EXPECT_EQ(machine_.stack().stats().rx_length_errors, 1u);
+  EXPECT_EQ(machine_.stack().stats().rx_dropped, 1u);
+  EXPECT_EQ(machine_.stack().stats().rx_delivered, 0u);
+}
+
 TEST_F(StackFixture, UnknownPortDropped) {
   SetUpStack();
   PacketHeader header{.dst_ip = machine_.stack().config().local_ip, .dst_port = 4242,

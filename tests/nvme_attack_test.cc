@@ -10,7 +10,7 @@
 //   plus Poisoned Completion (the storage Poisoned TX): complete before
 //   transfer, let the driver unmap + free, then replay the withheld data
 //   phase through the stale IOTLB entry — with the resulting vulnerability
-//   windows and detection latencies measured by trace::WindowTracker, and
+//   windows and detection latencies measured by the flight recorder, and
 //   the hostile controller finally quarantined leak-free by spv::recovery.
 
 #include <cstdint>
@@ -28,7 +28,7 @@
 #include "fault/fault.h"
 #include "nvme/malicious_nvme.h"
 #include "nvme/nvme_driver.h"
-#include "trace/window_tracker.h"
+#include "forensics/flight_recorder.h"
 
 namespace spv::nvme {
 namespace {
@@ -270,7 +270,7 @@ TEST(NvmeAttackD, SlabNeighbourExfiltratedThroughIoBufferMapping) {
 // Deferred invalidation + a warm IOTLB: the forged "transfer done" CQE makes
 // the driver unmap and free the buffer; the withheld data phase then replays
 // through the stale translation into whatever recycled the memory. The
-// WindowTracker measures the stale window, the device hit inside it, and the
+// flight recorder measures the stale window, the device hit inside it, and the
 // D-KASAN detection latency; an IOTLB flush closes the window and the next
 // replay dies at the fence.
 TEST(NvmePoisonedCompletion, StaleReplayLandsInRecycledMemoryUntilFlush) {
@@ -341,7 +341,7 @@ TEST(NvmePoisonedCompletion, StaleReplayLandsInRecycledMemoryUntilFlush) {
   EXPECT_EQ(readback, media_pattern) << "replay did not corrupt recycled memory";
 
   // While the window is still open, a second IO maps the sentinel's page and
-  // D-KASAN fires — the WindowTracker stamps the detection latency.
+  // D-KASAN fires — the flight recorder stamps the detection latency.
   auto buf2 = rig.machine.slab().Kmalloc(512, "second_io_buf");
   ASSERT_TRUE(buf2.ok());
   ASSERT_TRUE(rig.driver.WriteBlocks(0, 1, *buf2).ok());
@@ -353,13 +353,13 @@ TEST(NvmePoisonedCompletion, StaleReplayLandsInRecycledMemoryUntilFlush) {
   ASSERT_EQ(rig.controller.pending_transfers().size(), 1u);
   EXPECT_FALSE(rig.controller.ReplayPendingTransfer().ok());
 
-  // The numbers the paper's Fig. 6 argument needs, from the WindowTracker.
-  trace::WindowTracker* windows = rig.machine.windows();
-  ASSERT_NE(windows, nullptr);
+  // The numbers the paper's Fig. 6 argument needs, from the flight recorder.
+  forensics::FlightRecorder* recorder = rig.machine.flight_recorder();
+  ASSERT_NE(recorder, nullptr);
   bool hit_window = false;
   bool detected_window = false;
-  for (const trace::Window& w : windows->windows()) {
-    if (w.kind != trace::WindowKind::kStaleIotlb || w.open) {
+  for (const forensics::Window& w : recorder->SnapshotWindows(rig.driver.device_id())) {
+    if (w.kind != forensics::WindowKind::kStaleIotlb || w.open) {
       continue;
     }
     if (w.device_hits >= 1 && w.duration() > 0) {
@@ -369,9 +369,9 @@ TEST(NvmePoisonedCompletion, StaleReplayLandsInRecycledMemoryUntilFlush) {
   }
   EXPECT_TRUE(hit_window) << "no closed stale window recorded a device hit";
   EXPECT_TRUE(detected_window) << "no stale window was marked detected";
-  EXPECT_GE(windows->stale_open_summary().count, 2u);
-  EXPECT_GE(windows->stale_open_summary().max, 1u);
-  EXPECT_GE(windows->dkasan_latency_summary().count, 1u);
+  EXPECT_GE(recorder->stale_open_summary().count, 2u);
+  EXPECT_GE(recorder->stale_open_summary().max, 1u);
+  EXPECT_GE(recorder->dkasan_latency_summary().count, 1u);
 
   rig.controller.ClearPendingTransfers();
   ASSERT_TRUE(rig.machine.slab().Kfree(*recycled).ok());

@@ -18,7 +18,7 @@
 #include "nvme/nvme_controller.h"
 #include "nvme/nvme_defs.h"
 #include "nvme/nvme_driver.h"
-#include "trace/window_tracker.h"
+#include "forensics/flight_recorder.h"
 
 namespace spv::nvme {
 namespace {
@@ -288,7 +288,7 @@ TEST(NvmeWindowTest, SubPageAndStaleWindowsUnderBothModes) {
        {iommu::InvalidationMode::kStrict, iommu::InvalidationMode::kDeferred}) {
     core::MachineConfig config = BaseConfig(6, mode);
     config.telemetry.enabled = true;
-    config.trace.enabled = true;  // Machine wires the WindowTracker sink
+    config.trace.enabled = true;  // window events and spans
     Rig rig{config};
     ASSERT_TRUE(rig.driver.Init().ok());
 
@@ -300,23 +300,23 @@ TEST(NvmeWindowTest, SubPageAndStaleWindowsUnderBothModes) {
     ASSERT_TRUE(rig.driver.Shutdown().ok());
     rig.machine.iommu().FlushNow();
 
-    trace::WindowTracker* windows = rig.machine.windows();
-    ASSERT_NE(windows, nullptr);
+    forensics::FlightRecorder* recorder = rig.machine.flight_recorder();
+    ASSERT_NE(recorder, nullptr);
     uint64_t subpage = 0;
     uint64_t stale = 0;
-    for (const trace::Window& window : windows->windows()) {
-      if (window.kind == trace::WindowKind::kSubPage &&
+    for (const forensics::Window& window : recorder->SnapshotWindows(rig.driver.device_id())) {
+      if (window.kind == forensics::WindowKind::kSubPage &&
           window.exposed_bytes >= kPageSize - kLbaSize) {
         ++subpage;
       }
-      if (window.kind == trace::WindowKind::kStaleIotlb && window.duration() > 0) {
+      if (window.kind == forensics::WindowKind::kStaleIotlb && window.duration() > 0) {
         ++stale;
       }
     }
     EXPECT_GE(subpage, 1u) << "mode " << static_cast<int>(mode);
     if (mode == iommu::InvalidationMode::kDeferred) {
       EXPECT_GE(stale, 1u) << "deferred unmaps must leave measurable windows";
-      EXPECT_GT(windows->stale_open_summary().max, 0u);
+      EXPECT_GT(recorder->stale_open_summary().max, 0u);
     }
     EXPECT_TRUE(rig.machine.CheckInvariants().ok());
   }

@@ -9,12 +9,12 @@
 
 #include "core/machine.h"
 #include "dkasan/dkasan.h"
+#include "forensics/flight_recorder.h"
 #include "spade/analyzer.h"
 #include "spade/parser.h"
 #include "telemetry/telemetry.h"
 #include "trace/profile.h"
 #include "trace/tracer.h"
-#include "trace/window_tracker.h"
 
 namespace spv::trace {
 namespace {
@@ -350,6 +350,15 @@ TEST(ProfileTest, Fig6StyleRunAttributesAtLeast95PercentOfCycles) {
 }
 
 // ---- Vulnerability windows --------------------------------------------------
+//
+// Windows are views of the flight recorder's mapping lives.
+
+using forensics::Window;
+using forensics::WindowKind;
+
+std::vector<Window> Windows(core::Machine& machine, DeviceId dev) {
+  return machine.flight_recorder()->SnapshotWindows(dev);
+}
 
 core::MachineConfig WindowConfig(iommu::InvalidationMode mode) {
   core::MachineConfig config;
@@ -377,14 +386,14 @@ TEST(WindowTest, DeferredWindowClosesOnManualFlush) {
   machine.iommu().AttachDevice(dev);
   Kva buf = *machine.slab().Kmalloc(2048, "w_buf");
   OpenStaleWindow(machine, dev, buf);
-  ASSERT_EQ(machine.windows()->open_stale_count(), 1u);
+  ASSERT_EQ(machine.flight_recorder()->open_windows(WindowKind::kStaleIotlb), 1u);
 
   machine.clock().Advance(5000);
   machine.iommu().FlushNow();
 
-  EXPECT_EQ(machine.windows()->open_stale_count(), 0u);
+  EXPECT_EQ(machine.flight_recorder()->open_windows(WindowKind::kStaleIotlb), 0u);
   bool found = false;
-  for (const Window& window : machine.windows()->windows()) {
+  for (const Window& window : Windows(machine, dev)) {
     if (window.kind != WindowKind::kStaleIotlb) {
       continue;
     }
@@ -394,7 +403,7 @@ TEST(WindowTest, DeferredWindowClosesOnManualFlush) {
     EXPECT_GE(window.duration(), 5000u);
   }
   EXPECT_TRUE(found);
-  EXPECT_EQ(machine.windows()->stale_open_summary().count, 1u);
+  EXPECT_EQ(machine.flight_recorder()->stale_open_summary().count, 1u);
 }
 
 TEST(WindowTest, DeferredWindowClosesOnDeadlineDrain) {
@@ -407,9 +416,9 @@ TEST(WindowTest, DeferredWindowClosesOnDeadlineDrain) {
   machine.clock().AdvanceUs(10001);  // past the 10 ms deferred deadline
   machine.iommu().ProcessDeferredTimer();
 
-  EXPECT_EQ(machine.windows()->open_stale_count(), 0u);
+  EXPECT_EQ(machine.flight_recorder()->open_windows(WindowKind::kStaleIotlb), 0u);
   bool found = false;
-  for (const Window& window : machine.windows()->windows()) {
+  for (const Window& window : Windows(machine, dev)) {
     if (window.kind == WindowKind::kStaleIotlb && !window.open) {
       EXPECT_EQ(window.close_reason, "flush:deadline");
       found = true;
@@ -430,7 +439,7 @@ TEST(WindowTest, DeferredWindowClosesOnCapacityDrain) {
   }
 
   bool capacity_close = false;
-  for (const Window& window : machine.windows()->windows()) {
+  for (const Window& window : Windows(machine, dev)) {
     if (window.kind == WindowKind::kStaleIotlb && !window.open &&
         window.close_reason == "flush:capacity") {
       capacity_close = true;
@@ -453,7 +462,7 @@ TEST(WindowTest, QuarantineDrainClosesOnlyTheFencedDevicesWindow) {
   Kva buf = *machine.slab().Kmalloc(2048, "w_buf");
   const Iova fenced_iova = OpenStaleWindow(machine, fenced, buf);
   OpenStaleWindow(machine, other, buf);
-  ASSERT_EQ(machine.windows()->open_stale_count(), 2u);
+  ASSERT_EQ(machine.flight_recorder()->open_windows(WindowKind::kStaleIotlb), 2u);
 
   // One page drained: one page-selective command.
   const uint64_t drain_cycle = machine.clock().now() + iommu::kIotlbInvalidationCycles;
@@ -470,14 +479,18 @@ TEST(WindowTest, QuarantineDrainClosesOnlyTheFencedDevicesWindow) {
     }
   }
   EXPECT_EQ(drain_events, 1u);
-  EXPECT_EQ(machine.windows()->open_stale_count(), 1u);
+  EXPECT_EQ(machine.flight_recorder()->open_windows(WindowKind::kStaleIotlb), 1u);
 
   machine.clock().Advance(5000);
   machine.iommu().FlushNow();
   const uint64_t flush_cycle = machine.clock().now();
-  EXPECT_EQ(machine.windows()->open_stale_count(), 0u);
+  EXPECT_EQ(machine.flight_recorder()->open_windows(WindowKind::kStaleIotlb), 0u);
 
-  for (const Window& window : machine.windows()->windows()) {
+  std::vector<Window> windows = Windows(machine, fenced);
+  for (const Window& window : Windows(machine, other)) {
+    windows.push_back(window);
+  }
+  for (const Window& window : windows) {
     if (window.kind != WindowKind::kStaleIotlb) {
       continue;
     }
@@ -522,9 +535,9 @@ TEST(WindowTest, StrictWindowSpansOnlyTheSynchronousInvalidation) {
   ASSERT_TRUE(
       machine.dma().UnmapSingle(dev, *iova, kBigLen, dma::DmaDirection::kFromDevice).ok());
 
-  EXPECT_EQ(machine.windows()->open_stale_count(), 0u);
+  EXPECT_EQ(machine.flight_recorder()->open_windows(WindowKind::kStaleIotlb), 0u);
   std::vector<uint64_t> pages;
-  for (const Window& window : machine.windows()->windows()) {
+  for (const Window& window : Windows(machine, dev)) {
     if (window.kind != WindowKind::kStaleIotlb) {
       continue;
     }
@@ -554,7 +567,7 @@ TEST(WindowTest, StalledStrictWindowLastsThroughTheStall) {
 
   EXPECT_EQ(machine.iommu().stats().invalidation_cycles, 2000u + kStall);
   size_t stale = 0;
-  for (const Window& window : machine.windows()->windows()) {
+  for (const Window& window : Windows(machine, dev)) {
     if (window.kind == WindowKind::kStaleIotlb) {
       ++stale;
       EXPECT_EQ(window.close_reason, "strict");
@@ -574,13 +587,13 @@ TEST(WindowTest, SubPageWindowOpensOnWritableMapAndClosesOnUnmap) {
   auto iova = machine.dma().MapSingle(dev, buf, 2048, dma::DmaDirection::kFromDevice,
                                       "subpage_map");
   ASSERT_TRUE(iova.ok());
-  EXPECT_EQ(machine.windows()->open_subpage_count(), 1u);
+  EXPECT_EQ(machine.flight_recorder()->open_windows(WindowKind::kSubPage), 1u);
 
   (void)machine.dma().UnmapSingle(dev, *iova, 2048, dma::DmaDirection::kFromDevice);
-  EXPECT_EQ(machine.windows()->open_subpage_count(), 0u);
+  EXPECT_EQ(machine.flight_recorder()->open_windows(WindowKind::kSubPage), 0u);
 
   bool found = false;
-  for (const Window& window : machine.windows()->windows()) {
+  for (const Window& window : Windows(machine, dev)) {
     if (window.kind != WindowKind::kSubPage) {
       continue;
     }
@@ -590,7 +603,7 @@ TEST(WindowTest, SubPageWindowOpensOnWritableMapAndClosesOnUnmap) {
     EXPECT_EQ(window.exposed_bytes, 2048u);
   }
   EXPECT_TRUE(found);
-  EXPECT_EQ(machine.windows()->subpage_open_summary().count, 1u);
+  EXPECT_EQ(machine.flight_recorder()->subpage_open_summary().count, 1u);
 }
 
 TEST(WindowTest, StaleHitsAreAttributedToTheOpenWindow) {
@@ -605,9 +618,9 @@ TEST(WindowTest, StaleHitsAreAttributedToTheOpenWindow) {
   std::vector<uint8_t> touch(8);
   ASSERT_TRUE(machine.iommu().DeviceWrite(dev, iova, touch).ok());
 
-  ASSERT_EQ(machine.windows()->open_stale_count(), 1u);
+  ASSERT_EQ(machine.flight_recorder()->open_windows(WindowKind::kStaleIotlb), 1u);
   bool found = false;
-  for (const Window& window : machine.windows()->windows()) {
+  for (const Window& window : Windows(machine, dev)) {
     if (window.kind == WindowKind::kStaleIotlb && window.open) {
       EXPECT_GE(window.device_hits, 1u);
       EXPECT_GT(window.first_hit_cycle, 0u);
@@ -627,7 +640,7 @@ TEST(WindowTest, DkasanReportClosesTheWindowAndRecordsLatency) {
 
   Kva buf = *machine.slab().Kmalloc(2048, "w_buf");
   OpenStaleWindow(machine, dev, buf);
-  ASSERT_EQ(machine.windows()->open_stale_count(), 1u);
+  ASSERT_EQ(machine.flight_recorder()->open_windows(WindowKind::kStaleIotlb), 1u);
   machine.clock().Advance(3000);
 
   // A CPU access to a still-mapped buffer: D-KASAN reports it, and the report
@@ -638,12 +651,12 @@ TEST(WindowTest, DkasanReportClosesTheWindowAndRecordsLatency) {
   (void)machine.dma().SyncSingleForCpu(dev, *live, 2048, dma::DmaDirection::kFromDevice);
 
   const telemetry::Histogram::Summary latency =
-      machine.windows()->dkasan_latency_summary();
+      machine.flight_recorder()->dkasan_latency_summary();
   ASSERT_GE(latency.count, 1u);
   EXPECT_GE(latency.max, 3000u);
-  EXPECT_EQ(machine.windows()->open_stale_count(), 0u);
+  EXPECT_EQ(machine.flight_recorder()->open_windows(WindowKind::kStaleIotlb), 0u);
   bool detected = false;
-  for (const Window& window : machine.windows()->windows()) {
+  for (const Window& window : Windows(machine, dev)) {
     if (window.kind == WindowKind::kStaleIotlb && window.detected) {
       EXPECT_EQ(window.close_reason, "detected:dkasan");
       detected = true;
@@ -658,7 +671,7 @@ TEST(WindowTest, SpadeFindingRecordsLatencyButLeavesTheWindowOpen) {
   machine.iommu().AttachDevice(dev);
   Kva buf = *machine.slab().Kmalloc(2048, "w_buf");
   OpenStaleWindow(machine, dev, buf);
-  ASSERT_EQ(machine.windows()->open_stale_count(), 1u);
+  ASSERT_EQ(machine.flight_recorder()->open_windows(WindowKind::kStaleIotlb), 1u);
   machine.clock().Advance(5000);
 
   // Static scan while the window is open: a finding measures how quickly the
@@ -685,11 +698,11 @@ TEST(WindowTest, SpadeFindingRecordsLatencyButLeavesTheWindowOpen) {
   ASSERT_FALSE(findings->empty());
 
   const telemetry::Histogram::Summary latency =
-      machine.windows()->spade_latency_summary();
+      machine.flight_recorder()->spade_latency_summary();
   ASSERT_GE(latency.count, 1u);
   EXPECT_GE(latency.max, 5000u);
-  EXPECT_EQ(machine.windows()->open_stale_count(), 1u);  // still open
-  for (const Window& window : machine.windows()->windows()) {
+  EXPECT_EQ(machine.flight_recorder()->open_windows(WindowKind::kStaleIotlb), 1u);  // still open
+  for (const Window& window : Windows(machine, dev)) {
     if (window.kind == WindowKind::kStaleIotlb) {
       EXPECT_TRUE(window.open);
       EXPECT_TRUE(window.detected);

@@ -59,14 +59,12 @@ void PrintLife(const Value& life, const char* indent) {
               life.Str("site", "?").c_str());
   const uint64_t unmap = life.U64("unmap_cycle");
   const uint64_t flush = life.U64("flush_cycle");
-  std::printf("%s  map @%llu  unmap %s  flush %s  |  %llu accesses, "
-              "%llu stale hits, %llu faults\n",
+  std::printf("%s  map @%llu  unmap %s  flush %s  |  %llu accesses, %llu stale hits\n",
               indent, static_cast<unsigned long long>(life.U64("map_cycle")),
               unmap == 0 ? "-- (live)" : ("@" + std::to_string(unmap)).c_str(),
               flush == 0 ? "--" : ("@" + std::to_string(flush)).c_str(),
               static_cast<unsigned long long>(life.U64("accesses")),
-              static_cast<unsigned long long>(life.U64("stale_hits")),
-              static_cast<unsigned long long>(life.U64("faults")));
+              static_cast<unsigned long long>(life.U64("stale_hits")));
 }
 
 void PrintTimeline(const Value& timeline, uint64_t limit) {
@@ -99,9 +97,11 @@ void PrintTimeline(const Value& timeline, uint64_t limit) {
 
 void PrintWindows(const Value& windows) {
   for (const Value& w : windows.array) {
-    std::printf("    %-12s iova page %s  %llu pages  %llu B exposed  "
+    std::printf("    %-12s gen %llu  iova page %s  %llu pages  %llu B exposed  "
                 "open @%llu  close %s  hits %llu%s%s\n",
-                w.Str("kind", "?").c_str(), Hex(w.U64("iova_page")).c_str(),
+                w.Str("kind", "?").c_str(),
+                static_cast<unsigned long long>(w.U64("generation")),
+                Hex(w.U64("iova_page")).c_str(),
                 static_cast<unsigned long long>(w.U64("pages")),
                 static_cast<unsigned long long>(w.U64("exposed_bytes")),
                 static_cast<unsigned long long>(w.U64("open_cycle")),
