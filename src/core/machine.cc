@@ -1,10 +1,8 @@
 #include "core/machine.h"
 
 #include <cassert>
-#include <set>
 #include <string>
 #include <thread>
-#include <unordered_map>
 
 #include "base/json.h"
 
@@ -59,7 +57,7 @@ Machine::Machine(const MachineConfig& config)
   }
   // Reserve the kernel image at the bottom of RAM.
   for (uint64_t pfn = 0; pfn < kKernelImagePages; ++pfn) {
-    page_db_.Get(Pfn{pfn}).owner = mem::PageOwner::kKernelImage;
+    page_db_.set_owner(Pfn{pfn}, mem::PageOwner::kKernelImage);
   }
   page_alloc_ = std::make_unique<mem::PageAllocator>(
       page_db_, Pfn{kKernelImagePages}, config.phys_pages - kKernelImagePages);
@@ -255,75 +253,9 @@ Status Machine::CheckInvariants() const {
   });
   SPV_RETURN_IF_ERROR(failure);
 
-  // (2) Containment: every installed PTE lies inside a live IOVA allocation.
-  // A PTE outside every range is a translation whose IOVA was freed (or never
-  // allocated) — a leaked device window. One-sided on purpose: live ranges
-  // without PTEs are fine (size-class rounding over-reserves).
-  std::set<uint32_t> audited_domains;
-  for (DeviceId device : iommu_->attached_devices()) {
-    if (!audited_domains.insert(iommu_->domain_id(device)).second) {
-      continue;  // one audit per shared translation domain
-    }
-    const iommu::IoPageTable* table = iommu_->page_table(device);
-    const iommu::IovaAllocator* iova_alloc = iommu_->iova_allocator(device);
-    if (table == nullptr || iova_alloc == nullptr) {
-      continue;
-    }
-    const auto ranges = iova_alloc->live_ranges();
-    for (const auto& [iova, pte] : table->AllMappings()) {
-      const uint64_t page = iova.value >> kPageShift;
-      bool contained = false;
-      for (const auto& range : ranges) {
-        if (page >= range.base_page && page < range.base_page + range.pages) {
-          contained = true;
-          break;
-        }
-      }
-      if (!contained) {
-        return Internal("invariant: PTE at iova page " + std::to_string(page) +
-                        " (device " + std::to_string(device.value) +
-                        ") outside every live IOVA range");
-      }
-    }
-  }
-
-  // (3) Every stale IOTLB entry (cached translation with no live PTE) must
-  // be covered by a pending deferred invalidation: that is the legitimate
-  // Fig 6 window. Stale with nothing pending means an invalidation was lost.
-  std::unordered_map<uint32_t, DeviceId> domain_rep;
-  for (DeviceId device : iommu_->attached_devices()) {
-    domain_rep.emplace(iommu_->domain_id(device), device);
-  }
-  const auto pending = iommu_->pending_invalidations();
-  Status stale_failure = OkStatus();
-  iommu_->iotlb().ForEachEntry(
-      [&](DeviceId domain, Iova iova_page, const iommu::PteEntry&) {
-        if (!stale_failure.ok()) {
-          return;
-        }
-        auto rep = domain_rep.find(domain.value);
-        if (rep == domain_rep.end()) {
-          return;
-        }
-        if (iommu_->Peek(rep->second, iova_page).has_value()) {
-          return;  // a live PTE backs this cached translation
-        }
-        for (const auto& range : pending) {
-          if (iommu_->domain_id(range.device) != domain.value) {
-            continue;
-          }
-          const uint64_t begin = range.base.value;
-          const uint64_t end = begin + (range.pages << kPageShift);
-          if (iova_page.value >= begin && iova_page.value < end) {
-            return;  // awaiting the queued flush
-          }
-        }
-        stale_failure = Internal("invariant: stale IOTLB entry at iova " +
-                                 std::to_string(iova_page.value) + " (domain " +
-                                 std::to_string(domain.value) +
-                                 ") with no pending invalidation");
-      });
-  SPV_RETURN_IF_ERROR(stale_failure);
+  // (2) Containment, (3) stale-IOTLB coverage and (5) cross-CPU flush-shard
+  // and magazine state: one pass over the IOMMU's translation domains.
+  SPV_RETURN_IF_ERROR(iommu_->Audit());
 
   // (4) Page accounting: PageDb ownership agrees with the buddy allocator.
   const uint64_t db_free = page_db_.CountOwned(mem::PageOwner::kFree);
@@ -332,9 +264,6 @@ Status Machine::CheckInvariants() const {
                     " free pages but the allocator reports " +
                     std::to_string(page_alloc_->free_pages()));
   }
-
-  // (5) Cross-CPU IOMMU state: flush-shard liveness and magazine ownership.
-  SPV_RETURN_IF_ERROR(iommu_->AuditCrossCpu());
 
   // (6) Per-queue NIC ring accounting against the DMA tracker.
   for (const auto& driver : drivers_) {

@@ -160,12 +160,13 @@ class Machine {
   // entry is covered by a pending deferred invalidation (the legitimate
   // Fig 6 window, as opposed to a lost one), and (4) PageDb ownership agrees
   // with the page allocator's free count. Cross-CPU coverage: (5) the IOMMU's
-  // sharded flush queues and per-CPU magazines are internally consistent
-  // (Iommu::AuditCrossCpu), and (6) every NIC queue's posted RX / busy TX
-  // slots are backed by live DMA mappings (NicDriver::AuditQueues). With the
-  // trust policy enabled, (7) the bounce pool's slot accounting matches its
-  // active runs and its static mappings still translate (BouncePool::Audit).
-  // No-op when the IOMMU is disabled.
+  // sharded flush queues and per-CPU magazines are internally consistent,
+  // and (6) every NIC queue's posted RX / busy TX slots are backed by live
+  // DMA mappings (NicDriver::AuditQueues). With the trust policy enabled,
+  // (7) the bounce pool's slot accounting matches its active runs and its
+  // static mappings still translate (BouncePool::Audit). (2), (3) and (5)
+  // are one pass over the IOMMU (Iommu::Audit). Runs (1), the IOMMU pass,
+  // (4), (6), (7) in that order. No-op when the IOMMU is disabled.
   Status CheckInvariants() const;
 
   const MachineConfig& config() const { return config_; }

@@ -26,6 +26,7 @@ Status IoPageTable::Map(Iova iova, Pfn pfn, AccessRights rights) {
     const uint64_t index = IndexAt(iova, level);
     if (!node->children[index]) {
       node->children[index] = std::make_unique<Node>();
+      node->SetPresent(index);
     }
     node = node->children[index].get();
   }
@@ -34,6 +35,7 @@ Status IoPageTable::Map(Iova iova, Pfn pfn, AccessRights rights) {
     return AlreadyExists("IOVA page already mapped");
   }
   node->entries[index] = PteEntry{pfn, rights};
+  node->SetPresent(index);
   ++mapped_pages_;
   return OkStatus();
 }
@@ -57,6 +59,7 @@ Result<PteEntry> IoPageTable::Unmap(Iova iova) {
   }
   PteEntry entry = *node->entries[index];
   node->entries[index].reset();
+  node->ClearPresent(index);
   --mapped_pages_;
   if (walk_cache_enabled_) {
     const uint64_t region = RegionOf(iova);
@@ -140,65 +143,13 @@ void IoPageTable::InvalidateWalkCache() {
 }
 
 std::vector<Iova> IoPageTable::FindIovasForPfn(Pfn pfn) const {
-  std::lock_guard<MaybeMutex> guard(mu_);
   std::vector<Iova> out;
-  if (root_) {
-    Collect(*root_, kLevels - 1, 0, pfn, out);
-  }
+  ForEachMapping([&](Iova iova, const PteEntry& entry) {
+    if (entry.pfn == pfn) {
+      out.push_back(iova);
+    }
+  });
   return out;
-}
-
-std::vector<std::pair<Iova, PteEntry>> IoPageTable::AllMappings() const {
-  std::lock_guard<MaybeMutex> guard(mu_);
-  std::vector<std::pair<Iova, PteEntry>> out;
-  if (!root_) {
-    return out;
-  }
-  // Depth-first over present children yields ascending IOVA order.
-  struct Frame {
-    const Node* node;
-    int level;
-    uint64_t prefix;
-  };
-  std::vector<Frame> stack{{root_.get(), kLevels - 1, 0}};
-  while (!stack.empty()) {
-    const Frame frame = stack.back();
-    stack.pop_back();
-    if (frame.level == 0) {
-      for (uint64_t i = 0; i < kEntriesPerNode; ++i) {
-        if (frame.node->entries[i].has_value()) {
-          out.emplace_back(Iova{(frame.prefix | i) << kPageShift}, *frame.node->entries[i]);
-        }
-      }
-      continue;
-    }
-    // Push in reverse so the lowest child is processed first.
-    for (uint64_t i = kEntriesPerNode; i > 0; --i) {
-      const uint64_t index = i - 1;
-      if (frame.node->children[index]) {
-        stack.push_back(Frame{frame.node->children[index].get(), frame.level - 1,
-                              (frame.prefix | index) << kBitsPerLevel});
-      }
-    }
-  }
-  return out;
-}
-
-void IoPageTable::Collect(const Node& node, int level, uint64_t prefix, Pfn pfn,
-                          std::vector<Iova>& out) const {
-  if (level == 0) {
-    for (uint64_t i = 0; i < kEntriesPerNode; ++i) {
-      if (node.entries[i].has_value() && node.entries[i]->pfn == pfn) {
-        out.push_back(Iova{(prefix | i) << kPageShift});
-      }
-    }
-    return;
-  }
-  for (uint64_t i = 0; i < kEntriesPerNode; ++i) {
-    if (node.children[i]) {
-      Collect(*node.children[i], level - 1, (prefix | i) << kBitsPerLevel, pfn, out);
-    }
-  }
 }
 
 }  // namespace spv::iommu

@@ -8,11 +8,11 @@
 #define SPV_IOMMU_IO_PAGE_TABLE_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "base/maybe_mutex.h"
@@ -84,22 +84,48 @@ class IoPageTable {
   // All currently mapped IOVA pages translating to `pfn` (type (c) probe).
   std::vector<Iova> FindIovasForPfn(Pfn pfn) const;
 
-  // Every (iova page, entry) pair currently mapped, in ascending IOVA order.
-  // For audits (Machine::CheckInvariants), not the translation path.
-  std::vector<std::pair<Iova, PteEntry>> AllMappings() const;
+  // Calls fn(iova page, entry) for every translation currently mapped, in
+  // ascending IOVA order. The occupancy bitmaps steer the walk to present
+  // slots only, so it costs in proportion to the mapped pages, not to the
+  // 512 slots of every node. For audits and probes, not the translation path.
+  template <typename Fn>
+  void ForEachMapping(Fn&& fn) const {
+    std::lock_guard<MaybeMutex> guard(mu_);
+    if (root_) {
+      Visit(*root_, kLevels - 1, 0, fn);
+    }
+  }
 
  private:
   struct Node {
     std::array<std::unique_ptr<Node>, kEntriesPerNode> children;  // levels 3..1
     std::array<std::optional<PteEntry>, kEntriesPerNode> entries;  // level 0 only
+    // One bit per slot holding a child (levels 3..1) or an entry (level 0).
+    std::array<uint64_t, kEntriesPerNode / 64> present{};
+
+    void SetPresent(uint64_t index) { present[index / 64] |= uint64_t{1} << (index % 64); }
+    void ClearPresent(uint64_t index) { present[index / 64] &= ~(uint64_t{1} << (index % 64)); }
   };
 
   static uint64_t IndexAt(Iova iova, int level) {
     return (iova.value >> (kPageShift + kBitsPerLevel * level)) & (kEntriesPerNode - 1);
   }
 
-  void Collect(const Node& node, int level, uint64_t prefix, Pfn pfn,
-               std::vector<Iova>& out) const;
+  // Depth-first over the present slots of `node`, lowest index first, which
+  // yields ascending IOVA order. `prefix` holds the index bits above `level`.
+  template <typename Fn>
+  static void Visit(const Node& node, int level, uint64_t prefix, Fn& fn) {
+    for (uint64_t word = 0; word < node.present.size(); ++word) {
+      for (uint64_t bits = node.present[word]; bits != 0; bits &= bits - 1) {
+        const uint64_t index = word * 64 + static_cast<uint64_t>(std::countr_zero(bits));
+        if (level == 0) {
+          fn(Iova{(prefix | index) << kPageShift}, *node.entries[index]);
+        } else {
+          Visit(*node.children[index], level - 1, (prefix | index) << kBitsPerLevel, fn);
+        }
+      }
+    }
+  }
 
   // 2 MiB region number of `iova` (the span one leaf node covers).
   static uint64_t RegionOf(Iova iova) {

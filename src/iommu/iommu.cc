@@ -717,11 +717,6 @@ std::vector<DeviceId> Iommu::attached_devices() const {
   return out;
 }
 
-uint32_t Iommu::domain_id(DeviceId device) const {
-  DeviceRef ref = Resolve(device);
-  return ref.domain == nullptr ? 0 : ref.domain->id;
-}
-
 uint64_t Iommu::pending_invalidation_count() const {
   uint64_t total = 0;
   for (const auto& shard : flush_shards_) {
@@ -749,55 +744,142 @@ std::vector<Iommu::PendingRange> Iommu::pending_invalidations() const {
   return out;
 }
 
-Status Iommu::AuditCrossCpu() const {
-  // Shard liveness: a non-empty shard must have an armed deadline (otherwise
-  // its entries can never deadline-drain), and every pending range must still
-  // be parked (live) in its domain's allocator — parked IOVAs are freed only
-  // at drain, so a pending range absent from the live set has leaked or been
-  // handed out while stale. Each domain's live set is copied once per audit
-  // (ascending and disjoint); a pending base page is parked when the live
-  // range with the greatest base at or below it still covers it.
-  std::unordered_map<uint32_t, std::vector<IovaAllocator::LiveRange>> live_by_domain;
+Status Iommu::Audit() const {
+  // One snapshot of the device -> domain map, in ascending device order.
+  // A domain is audited once, under its lowest member id (the device a
+  // containment failure names), and its live set is copied once (ascending
+  // by base) to serve containment, parking and the magazine audit.
+  struct DomainAudit {
+    DeviceId device;  // lowest attached member
+    std::shared_ptr<const Domain> domain;
+    std::vector<IovaAllocator::LiveRange> live;
+  };
+  struct Member {
+    uint32_t device;
+    std::shared_ptr<const Domain> domain;
+    size_t audit = 0;  // index of its domain's record
+  };
+  std::vector<Member> members;
+  {
+    std::shared_lock<MaybeSharedMutex> lock(state_mu_);
+    members.reserve(device_domain_.size());
+    for (const auto& [device, domain] : device_domain_) {
+      members.push_back(Member{device, domain});
+    }
+  }
+  std::sort(members.begin(), members.end(),
+            [](const Member& a, const Member& b) { return a.device < b.device; });
+  std::vector<DomainAudit> domains;
+  for (Member& member : members) {
+    auto seen = std::find_if(domains.begin(), domains.end(), [&](const DomainAudit& audit) {
+      return audit.domain == member.domain;
+    });
+    member.audit = static_cast<size_t>(seen - domains.begin());
+    if (seen == domains.end()) {
+      domains.push_back(DomainAudit{DeviceId{member.device}, member.domain,
+                                    member.domain->iova_alloc.live_ranges()});
+    }
+  }
+
+  // (2) Containment, walking the PTEs (ascending) in step with the live
+  // ranges: ranges ending at or below a page cannot hold it or any later one.
+  for (const DomainAudit& audit : domains) {
+    auto range = audit.live.begin();
+    Status failure = OkStatus();
+    audit.domain->table.ForEachMapping([&](Iova iova, const PteEntry&) {
+      const uint64_t page = iova.value >> kPageShift;
+      while (range != audit.live.end() && range->base_page + range->pages <= page) {
+        ++range;
+      }
+      if (failure.ok() && (range == audit.live.end() || page < range->base_page)) {
+        failure = Internal("invariant: PTE at iova page " + std::to_string(page) + " (device " +
+                           std::to_string(audit.device.value) +
+                           ") outside every live IOVA range");
+      }
+    });
+    SPV_RETURN_IF_ERROR(failure);
+  }
+
+  // Every pending range with its domain, resolved once through the snapshot
+  // (null when the device was detached while pending). Shards are read in
+  // order; the first non-empty shard with an unarmed deadline is noted.
+  struct Pending {
+    const DomainAudit* domain;
+    uint64_t base;  // IOVA
+    uint64_t end;   // IOVA, exclusive
+    size_t shard;
+  };
+  std::vector<Pending> pending;
+  size_t unarmed_shard = flush_shards_.size();
   for (size_t i = 0; i < flush_shards_.size(); ++i) {
     const FlushShard& shard = *flush_shards_[i];
     std::lock_guard<MaybeMutex> lock(shard.mu);
-    if (!shard.queue.empty() && shard.deadline == 0) {
-      return Internal("flush shard " + std::to_string(i) +
-                           " non-empty with unarmed deadline");
+    if (!shard.queue.empty() && shard.deadline == 0 && unarmed_shard == flush_shards_.size()) {
+      unarmed_shard = i;
     }
-    for (const PendingInvalidation& pending : shard.queue) {
-      DeviceRef ref = Resolve(pending.device);
-      if (ref.domain == nullptr) {
-        continue;  // detached while pending: DrainDeviceInvalidations missed it
-      }
-      auto [live, first_use] = live_by_domain.try_emplace(ref.domain->id);
-      if (first_use) {
-        live->second = ref.domain->iova_alloc.live_ranges();
-      }
-      const std::vector<IovaAllocator::LiveRange>& ranges = live->second;
-      const uint64_t base_page = pending.base.value >> kPageShift;
-      auto above = std::upper_bound(ranges.begin(), ranges.end(), base_page,
-                                    [](uint64_t page, const IovaAllocator::LiveRange& range) {
-                                      return page < range.base_page;
-                                    });
-      if (above == ranges.begin() ||
-          base_page >= (above - 1)->base_page + (above - 1)->pages) {
-        return Internal("pending invalidation not parked in live set (shard " +
-                             std::to_string(i) + ")");
-      }
+    for (const PendingInvalidation& entry : shard.queue) {
+      auto member = std::lower_bound(
+          members.begin(), members.end(), entry.device.value,
+          [](const Member& member, uint32_t device) { return member.device < device; });
+      const bool attached = member != members.end() && member->device == entry.device.value;
+      pending.push_back(Pending{attached ? &domains[member->audit] : nullptr, entry.base.value,
+                                entry.base.value + (entry.pages << kPageShift), i});
     }
   }
-  // Magazine ownership: per-domain audit of every CPU magazine and the depot.
-  std::vector<std::shared_ptr<Domain>> domains;
-  {
-    std::shared_lock<MaybeSharedMutex> lock(state_mu_);
-    domains.reserve(device_domain_.size());
-    for (const auto& [id, domain] : device_domain_) {
-      domains.push_back(domain);
+
+  // (3) A cached translation with no live PTE must await a pending
+  // invalidation of its own domain.
+  Status stale_failure = OkStatus();
+  iotlb_.ForEachEntry([&](DeviceId tag, Iova iova_page, const PteEntry&) {
+    if (!stale_failure.ok()) {
+      return;
+    }
+    auto audit = std::find_if(domains.begin(), domains.end(), [&](const DomainAudit& candidate) {
+      return candidate.domain->id == tag.value;
+    });
+    if (audit == domains.end() || audit->domain->table.PeekTranslation(iova_page).has_value()) {
+      return;  // domain gone, or a live PTE backs this cached translation
+    }
+    for (const Pending& range : pending) {
+      if (range.domain == &*audit && iova_page.value >= range.base &&
+          iova_page.value < range.end) {
+        return;  // awaiting the queued flush
+      }
+    }
+    stale_failure = Internal("invariant: stale IOTLB entry at iova " +
+                             std::to_string(iova_page.value) + " (domain " +
+                             std::to_string(tag.value) + ") with no pending invalidation");
+  });
+  SPV_RETURN_IF_ERROR(stale_failure);
+
+  // (5) Shard liveness: a non-empty shard must have an armed deadline
+  // (otherwise its entries can never deadline-drain), and every pending range
+  // must still be parked (live) in its domain's allocator — parked IOVAs are
+  // freed only at drain, so a pending range absent from the live set has
+  // leaked or been handed out while stale. A pending base page is parked when
+  // the live range with the greatest base at or below it still covers it.
+  for (const Pending& range : pending) {
+    if (range.shard == unarmed_shard) {
+      return Internal("flush shard " + std::to_string(range.shard) +
+                      " non-empty with unarmed deadline");
+    }
+    if (range.domain == nullptr) {
+      continue;  // detached while pending: DrainDeviceInvalidations missed it
+    }
+    const std::vector<IovaAllocator::LiveRange>& live = range.domain->live;
+    const uint64_t base_page = range.base >> kPageShift;
+    auto above = std::upper_bound(live.begin(), live.end(), base_page,
+                                  [](uint64_t page, const IovaAllocator::LiveRange& live_range) {
+                                    return page < live_range.base_page;
+                                  });
+    if (above == live.begin() || base_page >= (above - 1)->base_page + (above - 1)->pages) {
+      return Internal("pending invalidation not parked in live set (shard " +
+                      std::to_string(range.shard) + ")");
     }
   }
-  for (const auto& domain : domains) {
-    SPV_RETURN_IF_ERROR(domain->iova_alloc.AuditCaches());
+  // (5) Magazine ownership: every CPU magazine and the depot, per domain.
+  for (const DomainAudit& audit : domains) {
+    SPV_RETURN_IF_ERROR(audit.domain->iova_alloc.AuditCaches(audit.live));
   }
   return OkStatus();
 }

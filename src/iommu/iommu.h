@@ -260,19 +260,23 @@ class Iommu {
   // Pending entries in one CPU's shard (cross-CPU drain tests).
   uint64_t pending_invalidation_count(CpuId cpu) const;
 
-  // Cross-CPU invariants, checked by Machine::CheckInvariants:
-  //  * flush-shard liveness — every non-empty shard carries an armed
-  //    deadline, and every pending range is still a live (parked) IOVA range
-  //    of its domain;
-  //  * magazine ownership — no IOVA range sits both in a magazine/depot and
-  //    in the live set, and no range is cached twice.
-  Status AuditCrossCpu() const;
+  // The IOMMU's share of Machine::CheckInvariants, checked in this order:
+  //  (2) containment — every installed PTE lies inside a live IOVA range of
+  //      its domain (no leaked device window);
+  //  (3) stale coverage — every IOTLB entry with no live PTE behind it is
+  //      covered by a pending invalidation of its domain (the Fig 6 window,
+  //      not a lost invalidation);
+  //  (5) cross-CPU state — every non-empty flush shard carries an armed
+  //      deadline, every pending range is still parked (live) in its
+  //      domain's allocator, and no IOVA range sits both in a magazine/depot
+  //      and in the live set, outside the window, or in two cache slots.
+  // One pass per translation domain, over one snapshot of the device map:
+  // the cost follows the audited state (PTEs, live, pending and cached
+  // ranges), not the page-table geometry. Call at quiescence.
+  Status Audit() const;
 
-  // Attached devices in ascending id order, and the translation-domain id a
-  // device belongs to (0 when unattached). IOTLB entries are tagged by domain
-  // id, so audits need this indirection to relate the two.
+  // Attached devices in ascending id order.
   std::vector<DeviceId> attached_devices() const;
-  uint32_t domain_id(DeviceId device) const;
 
   // Snapshot of the deferred flush queue: IOVA ranges whose PTEs are gone but
   // whose IOTLB entries may still translate (the Fig 6 window).

@@ -3,7 +3,6 @@
 #include <bit>
 #include <cassert>
 #include <string>
-#include <unordered_set>
 
 namespace spv::iommu {
 
@@ -131,38 +130,47 @@ uint64_t IovaAllocator::cached_ranges() const {
   return total;
 }
 
-Status IovaAllocator::AuditCaches() const {
+Status IovaAllocator::AuditCaches(std::span<const LiveRange> live) const {
   std::lock_guard<MaybeMutex> guard(mu_);
-  std::unordered_set<uint64_t> seen;
+  // Every cached base goes into one vector (per-thread scratch, so a warm
+  // audit allocates nothing), checked against the window as it is collected
+  // (the size class bounds the range). Sorted, a range cached twice sits
+  // next to its twin, and one merge walk with `live` (also ascending) finds
+  // a base that is both cached and live.
+  thread_local std::vector<uint64_t> cached;
+  cached.clear();
   for (size_t sc = 0; sc < rcaches_.size(); ++sc) {
     const SizeClassCache& cache = rcaches_[sc];
     const uint64_t size = uint64_t{1} << sc;
-    auto check = [&](uint64_t base_page) -> Status {
-      if (base_page < window_start_ || base_page + size > window_end_) {
-        return Internal("cached IOVA range outside window: page " +
-                        std::to_string(base_page));
-      }
-      if (!seen.insert(base_page).second) {
-        return Internal("IOVA range cached twice: page " + std::to_string(base_page));
-      }
-      if (live_.contains(base_page)) {
-        return Internal("IOVA range both cached and live: page " +
-                        std::to_string(base_page));
+    auto collect = [&](const Magazine& magazine) -> Status {
+      for (uint64_t base_page : magazine) {
+        if (base_page < window_start_ || base_page + size > window_end_) {
+          return Internal("cached IOVA range outside window: page " +
+                          std::to_string(base_page));
+        }
+        cached.push_back(base_page);
       }
       return OkStatus();
     };
     for (const CpuCache& cpu : cache.cpus) {
-      for (uint64_t base_page : cpu.loaded) {
-        SPV_RETURN_IF_ERROR(check(base_page));
-      }
-      for (uint64_t base_page : cpu.prev) {
-        SPV_RETURN_IF_ERROR(check(base_page));
-      }
+      SPV_RETURN_IF_ERROR(collect(cpu.loaded));
+      SPV_RETURN_IF_ERROR(collect(cpu.prev));
     }
     for (const Magazine& magazine : cache.depot) {
-      for (uint64_t base_page : magazine) {
-        SPV_RETURN_IF_ERROR(check(base_page));
-      }
+      SPV_RETURN_IF_ERROR(collect(magazine));
+    }
+  }
+  std::sort(cached.begin(), cached.end());
+  if (auto twin = std::adjacent_find(cached.begin(), cached.end()); twin != cached.end()) {
+    return Internal("IOVA range cached twice: page " + std::to_string(*twin));
+  }
+  auto range = live.begin();
+  for (uint64_t base_page : cached) {
+    while (range != live.end() && range->base_page < base_page) {
+      ++range;
+    }
+    if (range != live.end() && range->base_page == base_page) {
+      return Internal("IOVA range both cached and live: page " + std::to_string(base_page));
     }
   }
   return OkStatus();

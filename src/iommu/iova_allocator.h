@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -93,16 +94,17 @@ class IovaAllocator {
   // Number of IOVA ranges currently parked in magazines + depot.
   uint64_t cached_ranges() const;
 
-  // Magazine-ownership audit (Machine::CheckInvariants, cross-CPU): every
-  // range parked in a magazine or the depot must be absent from the live set
-  // and parked exactly once, and must lie inside the window. Call at
-  // quiescence in kThreads mode (per-CPU magazines are read unlocked).
-  Status AuditCaches() const;
-
   struct LiveRange {
     uint64_t base_page;
     uint64_t pages;  // size-class-rounded (effective) count
   };
+
+  // Magazine-ownership audit (Iommu::Audit, cross-CPU): every range parked
+  // in a magazine or the depot must lie inside the window, be parked exactly
+  // once, and have a base that starts no live range. `live` is this
+  // allocator's live_ranges(), which the caller already holds. Call at
+  // quiescence in kThreads mode (per-CPU magazines are read unlocked).
+  Status AuditCaches(std::span<const LiveRange> live) const;
 
   // Live ranges in ascending base order, sized as the rounded counts Alloc
   // actually reserved. Leak/containment audits (Machine::CheckInvariants)

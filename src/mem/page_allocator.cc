@@ -53,8 +53,8 @@ Result<Pfn> PageAllocator::AllocPages(unsigned order, PageOwner owner) {
 
   const uint64_t count = uint64_t{1} << order;
   for (uint64_t i = 0; i < count; ++i) {
+    page_db_.set_owner(Pfn{head_pfn + i}, owner);
     PageMeta& meta = page_db_.Get(Pfn{head_pfn + i});
-    meta.owner = owner;
     meta.order = static_cast<uint8_t>(order);
     meta.is_head = (i == 0);
     meta.refcount = (i == 0) ? 1 : 0;
@@ -70,14 +70,14 @@ Status PageAllocator::FreePages(Pfn head) {
   }
   std::lock_guard<MaybeMutex> guard(mu_);
   PageMeta& meta = page_db_.Get(head);
-  if (meta.owner == PageOwner::kFree || !meta.is_head) {
+  if (page_db_.owner(head) == PageOwner::kFree || !meta.is_head) {
     return FailedPrecondition("FreePages on a non-head or already-free page");
   }
   const unsigned order = meta.order;
   const uint64_t count = uint64_t{1} << order;
   for (uint64_t i = 0; i < count; ++i) {
+    page_db_.set_owner(Pfn{head.value + i}, PageOwner::kFree);
     PageMeta& m = page_db_.Get(Pfn{head.value + i});
-    m.owner = PageOwner::kFree;
     m.is_head = false;
     m.refcount = 0;
     m.cache_id = 0;

@@ -214,7 +214,7 @@ TEST_F(DamnFixture, TxBuffersComeFromDedicatedRegion) {
   // The page holds no kmalloc objects — nothing to leak.
   auto pfn = machine_.layout().DirectMapKvaToPhys((*skb)->head)->pfn();
   EXPECT_TRUE(machine_.slab().ObjectsOnPage(pfn).empty());
-  EXPECT_EQ(machine_.page_db().Get(pfn).owner, mem::PageOwner::kPageFrag);
+  EXPECT_EQ(machine_.page_db().owner(pfn), mem::PageOwner::kPageFrag);
   ASSERT_TRUE(machine_.skb_alloc().FreeSkb(std::move(*skb), nullptr).ok());
 }
 

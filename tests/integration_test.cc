@@ -175,7 +175,84 @@ TEST(BootCostTest, DefaultMachineDoesNotTouchAllOfItsRam) {
   EXPECT_LT(growth, ram_bytes / 4) << "RSS grew by " << growth << " bytes";
 }
 
-// ---- Invariant (5) through the machine audit ----------------------------------------------
+// ---- Invariants through the machine audit -------------------------------------------------
+
+// Each state below violates exactly one invariant, and the audit names it.
+
+void ExpectAuditFails(core::Machine& machine, const std::string& message) {
+  const Status audit = machine.CheckInvariants();
+  EXPECT_FALSE(audit.ok());
+  EXPECT_NE(audit.message().find(message), std::string::npos) << audit.message();
+}
+
+TEST(InvariantAuditTest, PteOutsideEveryLiveRangeFailsCheckInvariants) {
+  // Strict mode frees an unmapped IOVA at once, so the middle of three
+  // one-page mappings leaves a gap between two live ranges; a translation
+  // installed there behind the allocator's back is a leaked device window.
+  core::MachineConfig config;
+  config.seed = 78;
+  config.iommu.mode = iommu::InvalidationMode::kStrict;
+  core::Machine machine{config};
+  const DeviceId device{1};
+  machine.iommu().AttachDevice(device);
+  std::vector<Iova> iovas;
+  for (int i = 0; i < 3; ++i) {
+    Kva buf = *machine.slab().Kmalloc(512, "audit");
+    auto iova =
+        machine.dma().MapSingle(device, buf, 512, dma::DmaDirection::kBidirectional, "audit");
+    ASSERT_TRUE(iova.ok());
+    iovas.push_back(*iova);
+  }
+  ASSERT_TRUE(
+      machine.dma().UnmapSingle(device, iovas[1], 512, dma::DmaDirection::kBidirectional).ok());
+  Status clean = machine.CheckInvariants();
+  ASSERT_TRUE(clean.ok()) << clean.message();
+
+  auto* table = const_cast<iommu::IoPageTable*>(machine.iommu().page_table(device));
+  ASSERT_TRUE(table->Map(iovas[1].PageBase(), Pfn{2000}, iommu::AccessRights::kRead).ok());
+  ExpectAuditFails(machine, "outside every live IOVA range");
+}
+
+TEST(InvariantAuditTest, StaleIotlbEntryWithNothingPendingFailsCheckInvariants) {
+  // A device read caches both pages of a strict-mode range; one PTE then
+  // vanishes from the page table without an IOTLB invalidation, and strict
+  // mode leaves nothing pending to cover the stale entry.
+  core::MachineConfig config;
+  config.seed = 79;
+  config.iommu.mode = iommu::InvalidationMode::kStrict;
+  core::Machine machine{config};
+  const DeviceId device{1};
+  machine.iommu().AttachDevice(device);
+  const Pfn pfns[] = {Pfn{2000}, Pfn{2001}};
+  auto base = machine.iommu().MapRange(device, pfns, iommu::AccessRights::kBidirectional);
+  ASSERT_TRUE(base.ok());
+  std::vector<uint8_t> buf(2 * kPageSize);
+  ASSERT_TRUE(machine.iommu().DeviceRead(device, *base, buf).ok());
+  Status clean = machine.CheckInvariants();
+  ASSERT_TRUE(clean.ok()) << clean.message();
+
+  auto* table = const_cast<iommu::IoPageTable*>(machine.iommu().page_table(device));
+  ASSERT_TRUE(table->Unmap(*base + kPageSize).ok());
+  ASSERT_EQ(machine.iommu().pending_invalidation_count(), 0u);
+  ExpectAuditFails(machine, "with no pending invalidation");
+}
+
+TEST(InvariantAuditTest, FreePageOwnedBehindTheAllocatorFailsCheckInvariants) {
+  core::MachineConfig config;
+  config.seed = 80;
+  core::Machine machine{config};
+  Status clean = machine.CheckInvariants();
+  ASSERT_TRUE(clean.ok()) << clean.message();
+
+  mem::PageDb& db = machine.page_db();
+  Pfn pfn{db.num_pages() - 1};
+  while (db.owner(pfn) != mem::PageOwner::kFree) {
+    ASSERT_GT(pfn.value, 0u);
+    pfn = Pfn{pfn.value - 1};
+  }
+  db.set_owner(pfn, mem::PageOwner::kAnon);
+  ExpectAuditFails(machine, "free pages but the allocator reports");
+}
 
 TEST(InvariantAuditTest, PendingRangeFreedBehindFlushQueueFailsCheckInvariants) {
   // Two devices in separate domains, deferred mode: each has deferred unmaps

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "base/clock.h"
@@ -103,6 +106,91 @@ TEST(IoPageTableTest, FindIovasForPfnFindsAllAliases) {
     values.insert(iova.value);
   }
   EXPECT_EQ(values, (std::set<uint64_t>{0x10000, 0x20000}));
+}
+
+// ForEachMapping walks only the slots its occupancy bitmaps mark present, so
+// a bit left out of step with the entries would hide a PTE from the
+// containment audit without any error. Seeded Map/Unmap churn over four leaf
+// nodes (two share a level-1 node, one hangs off another level-1 node, one
+// off another top-level slot), checked against a reference map after the
+// churn, after emptying one leaf and after refilling it.
+TEST(IoPageTableTest, ForEachMappingVisitsExactlyTheMappedPagesAfterChurn) {
+  constexpr uint64_t kLeafBases[] = {0, 512, uint64_t{512} * 512 + 1024,
+                                     uint64_t{512} * 512 * 512 + 2048};  // in pages
+  // Bitmap word boundaries plus interior slots; few enough that churn keeps
+  // hitting occupied slots.
+  constexpr uint64_t kSlots[] = {0, 1, 62, 63, 64, 65, 127, 128, 200, 255,
+                                 256, 319, 320, 383, 448, 500, 510, 511};
+  IoPageTable table;
+  std::map<uint64_t, PteEntry> model;  // iova -> entry
+  Xoshiro256 rng{2024};
+  auto iova_at = [&](size_t leaf, uint64_t slot) {
+    return Iova{(kLeafBases[leaf] + slot) << kPageShift};
+  };
+  auto map = [&](Iova iova) {
+    const PteEntry entry{Pfn{rng.NextBelow(1 << 20)},
+                         rng.NextBelow(2) == 0 ? AccessRights::kRead : AccessRights::kWrite};
+    const Status status = table.Map(iova, entry.pfn, entry.rights);
+    if (model.contains(iova.value)) {
+      EXPECT_EQ(status.code(), StatusCode::kAlreadyExists) << iova.value;
+    } else {
+      EXPECT_TRUE(status.ok()) << iova.value;
+      model[iova.value] = entry;
+    }
+  };
+  auto expect_visits_model = [&](const char* when) {
+    SCOPED_TRACE(when);
+    std::vector<std::pair<Iova, PteEntry>> visited;
+    table.ForEachMapping(
+        [&](Iova iova, const PteEntry& entry) { visited.emplace_back(iova, entry); });
+    ASSERT_EQ(visited.size(), model.size());
+    EXPECT_EQ(visited.size(), table.mapped_pages());
+    auto expected = model.begin();
+    for (const auto& [iova, entry] : visited) {
+      EXPECT_EQ(iova.value, expected->first);  // ascending, nothing missed or extra
+      EXPECT_EQ(entry.pfn, expected->second.pfn);
+      EXPECT_EQ(entry.rights, expected->second.rights);
+      const std::optional<PteEntry> peeked = table.PeekTranslation(iova);
+      ASSERT_TRUE(peeked.has_value()) << iova.value;
+      EXPECT_EQ(peeked->pfn, entry.pfn);
+      EXPECT_EQ(peeked->rights, entry.rights);
+      ++expected;
+    }
+  };
+
+  uint64_t rejected_maps = 0;
+  for (int op = 0; op < 4000; ++op) {
+    const Iova iova = iova_at(rng.NextBelow(std::size(kLeafBases)),
+                              kSlots[rng.NextBelow(std::size(kSlots))]);
+    if (rng.NextBelow(2) == 0) {
+      rejected_maps += model.contains(iova.value) ? 1 : 0;
+      map(iova);
+    } else {
+      Result<PteEntry> removed = table.Unmap(iova);
+      auto it = model.find(iova.value);
+      if (it == model.end()) {
+        EXPECT_EQ(removed.status().code(), StatusCode::kNotFound) << iova.value;
+      } else {
+        ASSERT_TRUE(removed.ok()) << iova.value;
+        EXPECT_EQ(removed->pfn, it->second.pfn);
+        model.erase(it);
+      }
+    }
+  }
+  EXPECT_GT(rejected_maps, 0u);
+  expect_visits_model("after churn");
+
+  for (const uint64_t slot : kSlots) {  // empty leaf 1 entirely
+    if (model.erase(iova_at(1, slot).value) != 0) {
+      ASSERT_TRUE(table.Unmap(iova_at(1, slot)).ok());
+    }
+  }
+  expect_visits_model("leaf 1 emptied");
+  for (const uint64_t slot : kSlots) {  // refill it
+    map(iova_at(1, slot));
+  }
+  map(iova_at(1, kSlots[0]));  // a duplicate, rejected with the slot kept
+  expect_visits_model("leaf 1 refilled");
 }
 
 TEST(IoPageTableTest, LookupReportsWalkDepth) {
@@ -480,7 +568,7 @@ TEST_F(IommuTest, FailedUnmapRangeChangesNothing) {
     ASSERT_TRUE(iommu.UnmapRange(kNic, *base, 2).ok());
     iommu.FlushNow();  // deferred: the parked range comes home at the drain
     EXPECT_TRUE(iommu.iova_allocator(kNic)->live_ranges().empty());
-    EXPECT_TRUE(iommu.AuditCrossCpu().ok());
+    EXPECT_TRUE(iommu.Audit().ok());
   }
 }
 
@@ -663,7 +751,7 @@ TEST_F(IommuTest, UnattachedDomainOwnerRejected) {
 // ---- Cross-CPU audit: every pending range is still parked -----------------------
 
 // A deferred unmap keeps its IOVA range live (parked) in the domain's allocator
-// until the flush queue drains. AuditCrossCpu must reject a pending range that
+// until the flush queue drains. Audit must reject a pending range that
 // is missing from its own domain's live set, wherever it sits.
 class ParkedRangeAuditTest : public IommuTest {
  protected:
@@ -724,7 +812,7 @@ TEST_F(ParkedRangeAuditTest, CleanStatePasses) {
   for (const Iommu::PendingRange& range : iommu.pending_invalidations()) {
     EXPECT_TRUE(LiveAt(iommu, range.device, range.base.value >> kPageShift));
   }
-  EXPECT_TRUE(iommu.AuditCrossCpu().ok());
+  EXPECT_TRUE(iommu.Audit().ok());
 }
 
 TEST_F(ParkedRangeAuditTest, FreedFirstMiddleAndLastPendingRangeFail) {
@@ -734,7 +822,7 @@ TEST_F(ParkedRangeAuditTest, FreedFirstMiddleAndLastPendingRangeFail) {
     const std::vector<Iommu::PendingRange> pending = iommu.pending_invalidations();
     ASSERT_EQ(pending.size(), 6u);
     FreeBehindQueue(iommu, pending[index]);
-    ExpectNotParked(iommu.AuditCrossCpu());
+    ExpectNotParked(iommu.Audit());
   }
 }
 
@@ -748,7 +836,7 @@ TEST_F(ParkedRangeAuditTest, FreedRangeAbuttingLowerLiveRangeFails) {
   FreeBehindQueue(iommu, victim);
   EXPECT_TRUE(LiveAt(iommu, kNic, base_page - 1));
   EXPECT_FALSE(LiveAt(iommu, kNic, base_page));
-  ExpectNotParked(iommu.AuditCrossCpu());
+  ExpectNotParked(iommu.Audit());
 }
 
 TEST_F(ParkedRangeAuditTest, FreedRangeStillLiveInOtherDomainFails) {
@@ -762,7 +850,7 @@ TEST_F(ParkedRangeAuditTest, FreedRangeStillLiveInOtherDomainFails) {
     const uint64_t base_page = victim.base.value >> kPageShift;
     FreeBehindQueue(iommu, victim);
     EXPECT_TRUE(LiveAt(iommu, other, base_page));
-    ExpectNotParked(iommu.AuditCrossCpu());
+    ExpectNotParked(iommu.Audit());
   }
 }
 

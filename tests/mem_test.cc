@@ -211,9 +211,9 @@ TEST(KernelLayoutTest, TextSlidePreservesLow21Bits) {
 
 TEST(PageDbTest, CountsOwners) {
   PageDb db{16};
-  db.Get(Pfn{0}).owner = PageOwner::kKernelImage;
-  db.Get(Pfn{1}).owner = PageOwner::kSlab;
-  db.Get(Pfn{2}).owner = PageOwner::kSlab;
+  db.set_owner(Pfn{0}, PageOwner::kKernelImage);
+  db.set_owner(Pfn{1}, PageOwner::kSlab);
+  db.set_owner(Pfn{2}, PageOwner::kSlab);
   EXPECT_EQ(db.CountOwned(PageOwner::kSlab), 2u);
   EXPECT_EQ(db.CountOwned(PageOwner::kKernelImage), 1u);
   EXPECT_EQ(db.CountOwned(PageOwner::kFree), 13u);
@@ -245,12 +245,12 @@ TEST_F(PageAllocatorTest, SetsPageMetadata) {
   auto pfn = alloc_.AllocPages(2, PageOwner::kDriver);
   ASSERT_TRUE(pfn.ok());
   const PageMeta& head = db_.Get(*pfn);
-  EXPECT_EQ(head.owner, PageOwner::kDriver);
+  EXPECT_EQ(db_.owner(*pfn), PageOwner::kDriver);
   EXPECT_EQ(head.order, 2);
   EXPECT_TRUE(head.is_head);
   for (uint64_t i = 1; i < 4; ++i) {
     const PageMeta& tail = db_.Get(Pfn{pfn->value + i});
-    EXPECT_EQ(tail.owner, PageOwner::kDriver);
+    EXPECT_EQ(db_.owner(Pfn{pfn->value + i}), PageOwner::kDriver);
     EXPECT_FALSE(tail.is_head);
   }
 }
@@ -261,7 +261,7 @@ TEST_F(PageAllocatorTest, FreeReturnsPagesToPool) {
   EXPECT_EQ(alloc_.free_pages(), kTestPages - 64 - 8);
   ASSERT_TRUE(alloc_.FreePages(*pfn).ok());
   EXPECT_EQ(alloc_.free_pages(), kTestPages - 64);
-  EXPECT_EQ(db_.Get(*pfn).owner, PageOwner::kFree);
+  EXPECT_EQ(db_.owner(*pfn), PageOwner::kFree);
 }
 
 TEST_F(PageAllocatorTest, DoubleFreeIsRejected) {

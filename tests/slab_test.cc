@@ -174,14 +174,15 @@ TEST_F(SlabFixture, EmptySlabPageReturnsToBuddy) {
   EXPECT_EQ(alloc_.free_pages(), before - 1);
   ASSERT_TRUE(slab_.Kfree(*a).ok());
   EXPECT_EQ(alloc_.free_pages(), before);
-  EXPECT_EQ(db_.Get(layout_.DirectMapKvaToPhys(*a)->pfn()).owner, mem::PageOwner::kFree);
+  EXPECT_EQ(db_.owner(layout_.DirectMapKvaToPhys(*a)->pfn()), mem::PageOwner::kFree);
 }
 
 TEST_F(SlabFixture, SlabPagesTaggedInPageDb) {
   auto a = slab_.Kmalloc(96, "t");
   ASSERT_TRUE(a.ok());
-  const auto& meta = db_.Get(layout_.DirectMapKvaToPhys(*a)->pfn());
-  EXPECT_EQ(meta.owner, mem::PageOwner::kSlab);
+  const Pfn pfn = layout_.DirectMapKvaToPhys(*a)->pfn();
+  const auto& meta = db_.Get(pfn);
+  EXPECT_EQ(db_.owner(pfn), mem::PageOwner::kSlab);
   EXPECT_EQ(kKmallocSizeClasses[meta.cache_id], 96u);
 }
 
@@ -347,7 +348,7 @@ TEST_F(PageFragFixture, FreeUnknownFragRejected) {
 TEST_F(PageFragFixture, PagesTaggedAsPageFrag) {
   auto a = pool_.Alloc(512);
   ASSERT_TRUE(a.ok());
-  EXPECT_EQ(db_.Get(layout_.DirectMapKvaToPhys(*a)->pfn()).owner, mem::PageOwner::kPageFrag);
+  EXPECT_EQ(db_.owner(layout_.DirectMapKvaToPhys(*a)->pfn()), mem::PageOwner::kPageFrag);
 }
 
 TEST_F(PageFragFixture, ZeroSizeRejected) { EXPECT_FALSE(pool_.Alloc(0).ok()); }
