@@ -146,8 +146,11 @@ Status DmaApi::UnmapSingle(DeviceId device, Iova iova, uint64_t len, DmaDirectio
   DmaMapping mapping;
   {
     std::lock_guard<MaybeMutex> guard(mu_);
+    // The index is keyed by IOVA page, but only the exact handle MapSingle
+    // returned names a mapping: a stale handle whose page a later mapping
+    // reuses (at another offset) must not tear that mapping down.
     const DmaMapping* found = index_.Find(device.value, iova_page);
-    if (found == nullptr) {
+    if (found == nullptr || found->iova.value != iova.value) {
       return FailedPrecondition("dma_unmap_single of unmapped IOVA");
     }
     mapping = *found;
@@ -164,9 +167,9 @@ Status DmaApi::UnmapSingle(DeviceId device, Iova iova, uint64_t len, DmaDirectio
   }
   Notify(mapping, /*map=*/false);
   if (recorder_ != nullptr) {
-    // The edge names the mapping the tracker removed: the index matches by
-    // IOVA page, so `iova` may be a stale handle to an earlier mapping there.
-    recorder_->RecordUnmap(device, mapping.iova, len, static_cast<uint8_t>(dir),
+    // `iova` is exactly the removed mapping's handle (a stale one was
+    // rejected above), so the edge closes that mapping's life.
+    recorder_->RecordUnmap(device, iova, len, static_cast<uint8_t>(dir),
                            /*bounced=*/false);
   }
   return OkStatus();

@@ -121,6 +121,29 @@ TEST_F(DmaFixture, UnmapValidatesArguments) {
   EXPECT_FALSE(dma_.UnmapSingle(kNic, *iova, 512, DmaDirection::kFromDevice).ok());
 }
 
+TEST_F(DmaFixture, StaleHandleCannotUnmapTheMappingThatReusedItsPage) {
+  // Strict mode recycles a freed IOVA at once, so a second 64 B mapping with
+  // the same direction, at page offset 0x800, lands on the first one's IOVA
+  // page. The first handle is now stale: unmapping through it must fail and
+  // leave the new mapping translating.
+  auto first = dma_.MapSingle(kNic, KvaOf(Pfn{110}), 64, DmaDirection::kFromDevice);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(dma_.UnmapSingle(kNic, *first, 64, DmaDirection::kFromDevice).ok());
+  auto second = dma_.MapSingle(kNic, KvaOf(Pfn{111}, 0x800), 64, DmaDirection::kFromDevice);
+  ASSERT_TRUE(second.ok());
+  ASSERT_EQ(second->PageBase(), first->PageBase());
+  ASSERT_NE(second->value, first->value);
+
+  EXPECT_EQ(dma_.UnmapSingle(kNic, *first, 64, DmaDirection::kFromDevice).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(dma_.live_mappings(), 1u);
+  std::vector<uint8_t> data(8, 0x5a);
+  EXPECT_TRUE(iommu_.DeviceWrite(kNic, *second, data).ok());
+  EXPECT_EQ(*kmem_.ReadU8(KvaOf(Pfn{111}, 0x800)), 0x5a);
+  EXPECT_TRUE(dma_.UnmapSingle(kNic, *second, 64, DmaDirection::kFromDevice).ok());
+  EXPECT_EQ(dma_.live_mappings(), 0u);
+}
+
 TEST_F(DmaFixture, ZeroLengthRejected) {
   EXPECT_FALSE(dma_.MapSingle(kNic, KvaOf(Pfn{106}), 0, DmaDirection::kToDevice).ok());
 }
