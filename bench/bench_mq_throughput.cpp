@@ -1,30 +1,27 @@
-// Multi-queue scaling: aggregate map/unmap and RX-echo throughput at
-// 1/2/4/8 sim CPUs, in both exec modes.
+// Multi-queue throughput: aggregate map/unmap and RX-echo throughput at
+// 1/2/4/8 sim CPUs.
 //
-// The denominator is SIMULATED time, not wall clock. Per-CPU sim clocks
-// (ExecMode::kThreads) advance only for the work their own CPU performs —
-// host lock waits and scheduler noise advance nothing — so "aggregate ops
-// per million sim cycles" is a machine-independent scaling measure: with N
-// CPUs doing the same per-CPU work, elapsed sim time (the per-CPU maximum)
-// stays flat while total ops grow N-fold. kSequential runs the identical
-// workload against the single shared clock, so its aggregate throughput
-// stays flat with N — the contrast IS the scaling story.
+// The denominator is SIMULATED time, not wall clock: "aggregate ops per
+// million sim cycles". Every sim CPU advances the one shared clock, and
+// Machine::RunOnCpus runs the CPUs one after another, so aggregate
+// throughput is flat with N by construction. It stays flat until the
+// simulator keeps a deterministic clock per CPU and charges shared
+// resources (invalidation queue, IOVA depot) for contention.
 //
 // Workloads:
 //   churn    per-CPU map+unmap pairs on per-CPU driverless devices: the
-//            IOVA-magazine + sharded-flush-queue path, no rings involved.
+//            IOVA-magazine path, no rings involved.
 //   rx_echo  RSS-steered RX inject + CompleteRx + skb free on a NIC with one
 //            queue pair per CPU; each flow lands on the queue (and CPU) the
 //            Toeplitz hash picks, so per-queue load follows real RSS balance.
 //
-// Strict invalidation keeps per-op costs deterministic in kSequential;
-// kThreads numbers drift a little with thread interleaving (shared IOTLB and
-// depot state), which the baseline gate's tolerance absorbs.
+// Strict invalidation keeps deferred flush batches out of the per-op cost.
+// Every case replays byte for byte, so the baseline gate runs at zero
+// tolerance.
 //
-// Emits BENCH_mq_throughput.json for tools/check_bench_baseline.py. The
-// headline keys are the 8-CPU kThreads scaling ratios (vs 1-CPU kThreads)
-// and their parallel efficiency, plus the RSS min-share balance across 8
-// queues (pure hash arithmetic, fully deterministic).
+// Emits BENCH_mq_throughput.json for tools/check_bench_baseline.py: every
+// case plus the RSS min-share balance across 8 queues (pure hash
+// arithmetic).
 //
 // Usage: bench_mq_throughput [--quick] [--out FILE]
 
@@ -33,7 +30,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -51,10 +47,8 @@ namespace {
 constexpr uint32_t kCpuCounts[] = {1, 2, 4, 8};
 constexpr uint32_t kChurnDeviceBase = 800;
 
-// A benign multi-queue device model safe for kThreads: descriptors are kept
-// per queue, and each queue is only ever touched by the host thread driving
-// that queue's CPU (posting happens inside that thread's CompleteRx refill),
-// so the per-queue deques need no locks. DMA goes through the (locked) IOMMU.
+// A benign multi-queue device model: descriptors are kept per queue, and
+// each queue is posted to by its own CPU's CompleteRx refill.
 class BenchNicDevice : public net::NicDeviceModel {
  public:
   BenchNicDevice(iommu::Iommu& iommu, DeviceId id, uint32_t num_queues)
@@ -99,51 +93,26 @@ class BenchNicDevice : public net::NicDeviceModel {
 
 struct CaseResult {
   std::string workload;
-  std::string mode;  // "seq" | "threads"
   uint32_t cpus = 0;
   uint64_t ops = 0;
-  uint64_t elapsed_sim_cycles = 0;  // max over CPUs: the sim wall clock
+  uint64_t elapsed_sim_cycles = 0;
   double ops_per_mcycle = 0;
   double cycles_per_op = 0;
   // rx_echo only: per-queue completed packets (RSS balance in action).
   std::vector<uint64_t> queue_packets;
 };
 
-core::Machine MakeMachine(uint32_t cpus, ExecMode exec) {
+core::Machine MakeMachine(uint32_t cpus) {
   core::MachineConfig mc;
   mc.seed = 9;
   mc.phys_pages = 32768;
-  mc.exec = exec;
   mc.iommu.mode = iommu::InvalidationMode::kStrict;
   mc.iommu.fast_path.num_cpus = cpus;
   return core::Machine{mc};
 }
 
-// Sim-time elapsed for a parallel phase: the per-CPU maximum of the clock
-// deltas (in kSequential every CPU reads the one shared counter, so this
-// degenerates to the plain before/after difference).
-struct SimStopwatch {
-  explicit SimStopwatch(core::Machine& machine, uint32_t cpus) : machine_(machine) {
-    for (uint32_t c = 0; c < cpus; ++c) {
-      before_.push_back(machine.clock().now_cpu(CpuId{c}));
-    }
-  }
-  uint64_t Elapsed() const {
-    uint64_t worst = 0;
-    for (uint32_t c = 0; c < before_.size(); ++c) {
-      const uint64_t delta = machine_.clock().now_cpu(CpuId{c}) - before_[c];
-      if (delta > worst) {
-        worst = delta;
-      }
-    }
-    return worst;
-  }
-  core::Machine& machine_;
-  std::vector<uint64_t> before_;
-};
-
-CaseResult RunChurn(uint32_t cpus, ExecMode exec, uint64_t ops_per_cpu) {
-  core::Machine machine = MakeMachine(cpus, exec);
+CaseResult RunChurn(uint32_t cpus, uint64_t ops_per_cpu) {
+  core::Machine machine = MakeMachine(cpus);
   std::vector<Kva> bufs;
   for (uint32_t c = 0; c < cpus; ++c) {
     machine.iommu().AttachDevice(DeviceId{kChurnDeviceBase + c});
@@ -161,7 +130,7 @@ CaseResult RunChurn(uint32_t cpus, ExecMode exec, uint64_t ops_per_cpu) {
     }
   });
 
-  SimStopwatch watch{machine, cpus};
+  const uint64_t start = machine.clock().now();
   machine.RunOnCpus(cpus, [&](CpuId cpu) {
     const DeviceId dev{kChurnDeviceBase + cpu.value};
     for (uint64_t op = 0; op < ops_per_cpu; ++op) {
@@ -176,15 +145,14 @@ CaseResult RunChurn(uint32_t cpus, ExecMode exec, uint64_t ops_per_cpu) {
 
   CaseResult result;
   result.workload = "churn";
-  result.mode = exec == ExecMode::kThreads ? "threads" : "seq";
   result.cpus = cpus;
   result.ops = ops_per_cpu * cpus;
-  result.elapsed_sim_cycles = watch.Elapsed();
+  result.elapsed_sim_cycles = machine.clock().now() - start;
   return result;
 }
 
-CaseResult RunRxEcho(uint32_t cpus, ExecMode exec, uint32_t rounds) {
-  core::Machine machine = MakeMachine(cpus, exec);
+CaseResult RunRxEcho(uint32_t cpus, uint32_t rounds) {
+  core::Machine machine = MakeMachine(cpus);
   net::NicDriver::Config config;
   config.name = "mqb";
   config.num_queues = cpus;
@@ -211,7 +179,7 @@ CaseResult RunRxEcho(uint32_t cpus, ExecMode exec, uint32_t rounds) {
   const auto wire_len =
       static_cast<uint32_t>(net::PacketHeader::kSize + payload.size());
 
-  SimStopwatch watch{machine, cpus};
+  const uint64_t start = machine.clock().now();
   machine.RunOnCpus(cpus, [&](CpuId cpu) {
     const uint32_t queue = cpu.value;  // 1:1 queue:cpu in this bench
     for (uint32_t r = 0; r < rounds; ++r) {
@@ -227,10 +195,9 @@ CaseResult RunRxEcho(uint32_t cpus, ExecMode exec, uint32_t rounds) {
 
   CaseResult result;
   result.workload = "rx_echo";
-  result.mode = exec == ExecMode::kThreads ? "threads" : "seq";
   result.cpus = cpus;
   result.ops = driver.rx_packets();
-  result.elapsed_sim_cycles = watch.Elapsed();
+  result.elapsed_sim_cycles = machine.clock().now() - start;
   for (uint32_t q = 0; q < cpus; ++q) {
     result.queue_packets.push_back(driver.rx_packets(q));
   }
@@ -248,7 +215,7 @@ void Finish(CaseResult& result) {
 }
 
 void AppendCaseJson(json::Writer& w, const CaseResult& r) {
-  w.BeginObject().Key("workload").String(r.workload).Key("mode").String(r.mode);
+  w.BeginObject().Key("workload").String(r.workload).Key("mode").String("seq");
   w.Key("cpus").Uint(r.cpus).Key("fast_path").Bool(true).Key("ops").Uint(r.ops);
   w.Key("elapsed_sim_cycles").Uint(r.elapsed_sim_cycles);
   w.Key("ops_per_mcycle").Double(r.ops_per_mcycle);
@@ -298,40 +265,23 @@ int main(int argc, char** argv) {
   const uint32_t echo_rounds = quick ? 4 : 30;      // passes over each queue's flows
 
   std::vector<CaseResult> cases;
-  std::map<std::pair<std::string, uint32_t>, double> threads_thr;
   for (const char* workload : {"churn", "rx_echo"}) {
-    for (ExecMode exec : {ExecMode::kSequential, ExecMode::kThreads}) {
-      for (uint32_t cpus : kCpuCounts) {
-        CaseResult result = std::strcmp(workload, "churn") == 0
-                                ? RunChurn(cpus, exec, churn_ops)
-                                : RunRxEcho(cpus, exec, echo_rounds);
-        Finish(result);
-        if (exec == ExecMode::kThreads) {
-          threads_thr[{result.workload, cpus}] = result.ops_per_mcycle;
-        }
-        std::cout << result.workload << " " << result.mode << " cpus=" << cpus << ": "
-                  << result.ops << " ops / " << result.elapsed_sim_cycles
-                  << " sim cycles = " << result.ops_per_mcycle << " ops/Mcycle\n";
-        cases.push_back(std::move(result));
-      }
+    for (uint32_t cpus : kCpuCounts) {
+      CaseResult result = std::strcmp(workload, "churn") == 0 ? RunChurn(cpus, churn_ops)
+                                                              : RunRxEcho(cpus, echo_rounds);
+      Finish(result);
+      std::cout << result.workload << " seq cpus=" << cpus << ": " << result.ops << " ops / "
+                << result.elapsed_sim_cycles << " sim cycles = " << result.ops_per_mcycle
+                << " ops/Mcycle\n";
+      cases.push_back(std::move(result));
     }
   }
 
-  const double churn_scaling =
-      threads_thr[{"churn", 8}] / threads_thr[{"churn", 1}];
-  const double echo_scaling =
-      threads_thr[{"rx_echo", 8}] / threads_thr[{"rx_echo", 1}];
   const double rss_min_share = RssMinShare();
-  std::cout << "8-CPU kThreads scaling: churn " << churn_scaling << "x, rx_echo "
-            << echo_scaling << "x (efficiency " << churn_scaling / 8 << " / "
-            << echo_scaling / 8 << "), rss min share " << rss_min_share << "\n";
+  std::cout << "rss min share " << rss_min_share << "\n";
 
   json::Writer w;
   w.BeginObject().Key("benchmark").String("mq_throughput");
-  w.Key("churn_scaling_8cpu_threads").Double(churn_scaling);
-  w.Key("rx_echo_scaling_8cpu_threads").Double(echo_scaling);
-  w.Key("churn_scaling_efficiency_8cpu").Double(churn_scaling / 8);
-  w.Key("rx_echo_scaling_efficiency_8cpu").Double(echo_scaling / 8);
   w.Key("rss_balance_min_share").Double(rss_min_share).Key("cases").BeginArray();
   for (const CaseResult& r : cases) {
     AppendCaseJson(w, r);

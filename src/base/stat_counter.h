@@ -1,18 +1,15 @@
-// A statistics counter that is safe to bump from concurrent sim CPUs.
+// A statistics counter.
 //
 // Every Stats struct in the simulator (Iommu::Stats, IovaAllocator::Stats,
-// ...) is written on hot paths that kThreads mode runs from several worker
-// threads at once. StatCounter is a relaxed std::atomic<uint64_t> that still
-// reads like a plain integer at every existing call site: implicit
-// conversion on read, ++/+= on write. Relaxed ordering is sufficient —
-// counters are statistics, never synchronization — and costs one locked add,
-// which does not perturb the simulated-cycle cost model (the logical clock
-// only advances where components advance it explicitly).
+// ...) holds StatCounters: a plain uint64_t that starts at zero and reads
+// like an integer at every call site (implicit conversion on read, ++/+= on
+// write). The class exists for the zero start — a bare uint64_t member would
+// leave the Stats structs uninitialised — and so that Hub::Link can name a
+// layer's tally. Counting never advances the simulated clock.
 
 #ifndef SPV_BASE_STAT_COUNTER_H_
 #define SPV_BASE_STAT_COUNTER_H_
 
-#include <atomic>
 #include <cstdint>
 
 namespace spv {
@@ -21,40 +18,31 @@ class StatCounter {
  public:
   StatCounter() = default;
   StatCounter(uint64_t v) : v_(v) {}  // NOLINT(google-explicit-constructor)
-  StatCounter(const StatCounter& other) : v_(other.load()) {}
-  StatCounter& operator=(const StatCounter& other) {
-    v_.store(other.load(), std::memory_order_relaxed);
-    return *this;
-  }
-  StatCounter& operator=(uint64_t v) {
-    v_.store(v, std::memory_order_relaxed);
-    return *this;
-  }
 
-  operator uint64_t() const { return load(); }  // NOLINT(google-explicit-constructor)
-  uint64_t load() const { return v_.load(std::memory_order_relaxed); }
+  operator uint64_t() const { return v_; }  // NOLINT(google-explicit-constructor)
+  uint64_t load() const { return v_; }
 
   StatCounter& operator++() {
-    v_.fetch_add(1, std::memory_order_relaxed);
+    ++v_;
     return *this;
   }
-  uint64_t operator++(int) { return v_.fetch_add(1, std::memory_order_relaxed); }
+  uint64_t operator++(int) { return v_++; }
   StatCounter& operator--() {
-    v_.fetch_sub(1, std::memory_order_relaxed);
+    --v_;
     return *this;
   }
-  uint64_t operator--(int) { return v_.fetch_sub(1, std::memory_order_relaxed); }
+  uint64_t operator--(int) { return v_--; }
   StatCounter& operator+=(uint64_t n) {
-    v_.fetch_add(n, std::memory_order_relaxed);
+    v_ += n;
     return *this;
   }
   StatCounter& operator-=(uint64_t n) {
-    v_.fetch_sub(n, std::memory_order_relaxed);
+    v_ -= n;
     return *this;
   }
 
  private:
-  std::atomic<uint64_t> v_{0};
+  uint64_t v_ = 0;
 };
 
 }  // namespace spv

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <string>
-#include <thread>
 
 #include "base/json.h"
 
@@ -28,15 +27,13 @@ Machine::Machine(const MachineConfig& config)
       layout_(MakeLayout(config, rng_)) {
   assert(kKernelImagePages < config.phys_pages);
   hub_.BindClock(&clock_);
-  // Span tracing keeps a single current-span register, which only makes sense
-  // with one thread of execution; kThreads runs forgo it.
-  if (config.trace.enabled && config.exec != ExecMode::kThreads) {
+  if (config.trace.enabled) {
     tracer_ = std::make_unique<trace::Tracer>(hub_, clock_, config.trace);
   }
   if (tracer_ != nullptr || config.forensics.enabled) {
     // The one ledger of mapping lives: windows for the tracer, evidence for
-    // the incident engine. It shards its flight rings one per sim CPU so
-    // kThreads workers never contend, and never advances the clock (the
+    // the incident engine. It keeps one flight ring per sim CPU per device
+    // (incident documents list them), and never advances the clock (the
     // bench gate depends on that).
     const uint32_t cpus = num_cpus() == 0 ? 1 : num_cpus();
     recorder_ = std::make_unique<forensics::FlightRecorder>(&clock_, config.forensics, cpus,
@@ -82,9 +79,7 @@ Machine::Machine(const MachineConfig& config)
   recovery_->set_tracer(tracer_.get());
   if (config.policy.enabled) {
     // Trust policy: the bounce pool takes its pages from the same allocator
-    // as everything else, and DmaApi consults the engine per map. Routing is
-    // exercised from the sequential workload loop; in kThreads runs only
-    // trusted (non-bounced) devices should map concurrently.
+    // as everything else, and DmaApi consults the engine per map.
     bounce_pool_ = std::make_unique<dma::BouncePool>(*iommu_, layout_, pm_, *page_alloc_,
                                                      clock_, &hub_);
     policy_ = std::make_unique<policy::PolicyEngine>(*iommu_, *bounce_pool_, clock_, hub_,
@@ -123,24 +118,6 @@ Machine::Machine(const MachineConfig& config)
   page_alloc_->set_fault_engine(&fault_);
   iommu_->set_fault_engine(&fault_);
   slab_->set_fault_engine(&fault_);
-
-  if (config.exec == ExecMode::kThreads) {
-    // Bring-up for worker threads, before any of them exists (every engage
-    // is one-way and must precede concurrency). Order: clock first so every
-    // later event stamps from per-CPU counters, then telemetry dispatch, then
-    // the layers from the IOMMU outwards.
-    const uint32_t cpus = num_cpus() == 0 ? 1 : num_cpus();
-    clock_.EnablePerCpu();
-    hub_.EngageLock();
-    iommu_->EngageThreadSafety(cpus);
-    dma_->EngageLock();
-    page_alloc_->EngageLock();
-    slab_->EngageLock();
-    fault_.EngageLock();
-    // Materialize every CPU's page_frag pool now: the lazy path mutates the
-    // pool vector, which must not happen once workers run.
-    frag_pool(CpuId{cpus - 1});
-  }
 }
 
 void Machine::RunOnCpus(uint32_t cpus, const std::function<void(CpuId)>& fn) {
@@ -148,24 +125,9 @@ void Machine::RunOnCpus(uint32_t cpus, const std::function<void(CpuId)>& fn) {
   if (cpus == 0 || cpus > limit) {
     cpus = limit;
   }
-  if (config_.exec == ExecMode::kSequential) {
-    for (uint32_t c = 0; c < cpus; ++c) {
-      SetCurrentCpu(CpuId{c});
-      fn(CpuId{c});
-    }
-    SetCurrentCpu(CpuId{0});
-    return;
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(cpus);
   for (uint32_t c = 0; c < cpus; ++c) {
-    workers.emplace_back([c, &fn] {
-      SetCurrentCpu(CpuId{c});
-      fn(CpuId{c});
-    });
-  }
-  for (std::thread& worker : workers) {
-    worker.join();
+    SetCurrentCpu(CpuId{c});
+    fn(CpuId{c});
   }
   SetCurrentCpu(CpuId{0});
 }
@@ -189,7 +151,8 @@ net::NicDriver& Machine::AddNicDriver(const net::NicDriver::Config& config) {
   drivers_.push_back(std::make_unique<net::NicDriver>(device, *dma_, *kmem_, *skb_alloc_,
                                                       clock_, config));
   net::NicDriver& driver = *drivers_.back();
-  // Multi-queue: every queue's CPU needs its pool before workers run.
+  // Multi-queue: every queue's CPU needs its pool registered now; the
+  // driver's refill path looks it up and never creates one.
   for (uint32_t q = 0; q < driver.num_queues(); ++q) {
     frag_pool(driver.queue_cpu(q));
   }
@@ -253,7 +216,7 @@ Status Machine::CheckInvariants() const {
   });
   SPV_RETURN_IF_ERROR(failure);
 
-  // (2) Containment, (3) stale-IOTLB coverage and (5) cross-CPU flush-shard
+  // (2) Containment, (3) stale-IOTLB coverage and (5) cross-CPU flush-queue
   // and magazine state: one pass over the IOMMU's translation domains.
   SPV_RETURN_IF_ERROR(iommu_->Audit());
 

@@ -44,22 +44,15 @@
 namespace spv::core {
 
 struct MachineConfig {
-  // How the machine executes multi-CPU work (RunOnCpus):
-  //   * kSequential (default) — one host thread, deterministic, byte-identical
-  //     to the historical single-threaded machine;
-  //   * kThreads — one host worker per sim CPU. Bring-up engages every
-  //     layer's locks (the telemetry Hub's dispatch lock included), shards
-  //     the IOMMU flush queue per CPU and switches the clock to per-CPU
-  //     counters.
-  // The CPU count is config.iommu.fast_path.num_cpus in both modes.
-  ExecMode exec = ExecMode::kSequential;
   uint64_t phys_pages = 16384;  // 64 MiB of simulated RAM
   bool kaslr = true;
   // CONFIG_GCC_PLUGIN_RANDSTRUCT-style structure layout randomization
   // (paper footnote 2): shuffles skb_shared_info's destructor_arg slot.
   bool randomize_struct_layout = false;
   uint64_t seed = 1;
-  iommu::Iommu::Config iommu;          // deferred mode by default, like Linux
+  // Deferred mode by default, like Linux. fast_path.num_cpus is the sim CPU
+  // count.
+  iommu::Iommu::Config iommu;
   net::NetworkStack::Config net;
   // Recording is off by default; flip `telemetry.enabled` to collect counters
   // and a trace ring for the whole machine.
@@ -114,11 +107,11 @@ class Machine {
 
   uint32_t num_cpus() const { return config_.iommu.fast_path.num_cpus; }
 
-  // Runs `fn(cpu)` for sim CPUs [0, cpus). In kSequential mode the CPUs run
-  // one after another on the calling thread (deterministic); in kThreads mode
-  // each CPU gets its own host worker thread, and each worker's events reach
-  // the sinks on that worker. Either way the ambient CPU is set for each body
-  // and restored to CPU 0 afterwards. `cpus` is clamped to num_cpus().
+  // Runs `fn(cpu)` for sim CPUs [0, cpus), one after another in CPU order on
+  // the calling thread, so a run replays its seed byte for byte. The ambient
+  // CPU is set for each body and restored to CPU 0 afterwards. `cpus` is
+  // clamped to num_cpus(); 0 means all of them. All CPUs share one SimClock,
+  // so elapsed sim time is the sum of the bodies, not their maximum.
   void RunOnCpus(uint32_t cpus, const std::function<void(CpuId)>& fn);
 
   // ---- Component access ------------------------------------------------------
@@ -160,7 +153,7 @@ class Machine {
   // entry is covered by a pending deferred invalidation (the legitimate
   // Fig 6 window, as opposed to a lost one), and (4) PageDb ownership agrees
   // with the page allocator's free count. Cross-CPU coverage: (5) the IOMMU's
-  // sharded flush queues and per-CPU magazines are internally consistent,
+  // flush queue and per-CPU magazines are internally consistent,
   // and (6) every NIC queue's posted RX / busy TX slots are backed by live
   // DMA mappings (NicDriver::AuditQueues). With the trust policy enabled,
   // (7) the bounce pool's slot accounting matches its active runs and its

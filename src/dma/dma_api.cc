@@ -1,7 +1,6 @@
 #include "dma/dma_api.h"
 
 #include <algorithm>
-#include <mutex>
 #include <tuple>
 
 #include "dma/bounce_pool.h"
@@ -90,10 +89,7 @@ Result<Iova> DmaApi::MapSingle(DeviceId device, Kva kva, uint64_t len, DmaDirect
   }
   const Iova iova = *base + kva.page_offset();
   DmaMapping mapping{device, iova, kva, len, dir, std::string(site)};
-  {
-    std::lock_guard<MaybeMutex> guard(mu_);
-    index_.InsertOrAssign(device.value, base->value >> kPageShift, mapping);
-  }
+  index_.InsertOrAssign(device.value, base->value >> kPageShift, mapping);
   Notify(mapping, /*map=*/true);
   if (recorder_ != nullptr) {
     // After the kDmaMap event, so its window events follow it on the bus.
@@ -143,28 +139,21 @@ Status DmaApi::UnmapSingle(DeviceId device, Iova iova, uint64_t len, DmaDirectio
     return status;
   }
   const uint64_t iova_page = iova.value >> kPageShift;
-  DmaMapping mapping;
-  {
-    std::lock_guard<MaybeMutex> guard(mu_);
-    // The index is keyed by IOVA page, but only the exact handle MapSingle
-    // returned names a mapping: a stale handle whose page a later mapping
-    // reuses (at another offset) must not tear that mapping down.
-    const DmaMapping* found = index_.Find(device.value, iova_page);
-    if (found == nullptr || found->iova.value != iova.value) {
-      return FailedPrecondition("dma_unmap_single of unmapped IOVA");
-    }
-    mapping = *found;
+  // The index is keyed by IOVA page, but only the exact handle MapSingle
+  // returned names a mapping: a stale handle whose page a later mapping
+  // reuses (at another offset) must not tear that mapping down.
+  const DmaMapping* found = index_.Find(device.value, iova_page);
+  if (found == nullptr || found->iova.value != iova.value) {
+    return FailedPrecondition("dma_unmap_single of unmapped IOVA");
   }
+  const DmaMapping mapping = *found;
   if (mapping.len != len || mapping.dir != dir) {
     return InvalidArgument("dma_unmap_single with mismatched length or direction");
   }
   // Unmap in the IOMMU first: if that fails the tracker must still know the
   // mapping, or the IOVA range and its PTEs leak with no record of them.
   SPV_RETURN_IF_ERROR(iommu_.UnmapRange(device, iova.PageBase(), mapping.pages()));
-  {
-    std::lock_guard<MaybeMutex> guard(mu_);
-    index_.Erase(device.value, iova_page);
-  }
+  index_.Erase(device.value, iova_page);
   Notify(mapping, /*map=*/false);
   if (recorder_ != nullptr) {
     // `iova` is exactly the removed mapping's handle (a stale one was
@@ -188,10 +177,7 @@ Result<uint64_t> DmaApi::RevokeDeviceMappings(DeviceId device, std::string_view 
   for (DmaMapping mapping : victims) {
     mapping.site = std::string(site);
     SPV_RETURN_IF_ERROR(iommu_.UnmapRange(device, mapping.iova.PageBase(), mapping.pages()));
-    {
-      std::lock_guard<MaybeMutex> guard(mu_);
-      index_.Erase(device.value, mapping.iova.value >> kPageShift);
-    }
+    index_.Erase(device.value, mapping.iova.value >> kPageShift);
     Notify(mapping, /*map=*/false);
     if (recorder_ != nullptr) {
       recorder_->RecordUnmap(device, mapping.iova, mapping.len,
@@ -306,7 +292,6 @@ std::vector<DmaMapping> DmaApi::MappingsForPfn(Pfn pfn) const {
 }
 
 void DmaApi::ForEachMapping(const std::function<void(const DmaMapping&)>& fn) const {
-  std::lock_guard<MaybeMutex> guard(mu_);
   // The flat table iterates in probe order; sort for a deterministic visit.
   std::vector<DmaMapping> all;
   all.reserve(index_.size());
@@ -320,12 +305,9 @@ void DmaApi::ForEachMapping(const std::function<void(const DmaMapping&)>& fn) co
 }
 
 std::optional<DmaMapping> DmaApi::FindMapping(DeviceId device, Iova iova) const {
-  {
-    std::lock_guard<MaybeMutex> guard(mu_);
-    const DmaMapping* found = index_.Find(device.value, iova.value >> kPageShift);
-    if (found != nullptr) {
-      return *found;
-    }
+  if (const DmaMapping* found = index_.Find(device.value, iova.value >> kPageShift);
+      found != nullptr) {
+    return *found;
   }
   // Bounced buffers live in the pool, not the tracker; synthesize the
   // mapping so FindMapping-based ring audits keep working.

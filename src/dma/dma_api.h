@@ -24,13 +24,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "base/maybe_mutex.h"
 #include "base/status.h"
 #include "base/types.h"
 #include "dma/mapping_index.h"
@@ -151,15 +149,7 @@ class DmaApi {
   // Visits every live mapping in ascending (device, iova) order. For audits
   // (Machine::CheckInvariants).
   void ForEachMapping(const std::function<void(const DmaMapping&)>& fn) const;
-  uint64_t live_mappings() const {
-    std::lock_guard<MaybeMutex> guard(mu_);
-    return index_.size();
-  }
-
-  // Engages the tracker lock for ExecMode::kThreads (one-way, pre-
-  // concurrency). Only the mapping tracker needs it — the IOMMU beneath has
-  // its own engaged locks, and event sinks run under the Hub's dispatch lock.
-  void EngageLock() { mu_.Engage(); }
+  uint64_t live_mappings() const { return index_.size(); }
 
   // The CPU the simulated kernel runs map/unmap calls on; forwarded to the
   // IOMMU so IOVA magazine traffic lands in that CPU's caches.
@@ -203,9 +193,6 @@ class DmaApi {
 
   iommu::Iommu& iommu_;
   const mem::KernelLayout& layout_;
-  // Guards the mapping tracker when engaged; map/unmap hold it only around
-  // tracker ops, never across IOMMU calls.
-  mutable MaybeMutex mu_;
   MappingIndex<DmaMapping> index_;  // the tracker: (device, IOVA page) -> mapping
   telemetry::Hub* hub_;
   std::unique_ptr<telemetry::Hub> owned_hub_;  // fallback when none injected

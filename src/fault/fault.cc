@@ -1,6 +1,5 @@
 #include "fault/fault.h"
 
-#include <mutex>
 #include <string>
 
 #include "base/rng.h"
@@ -127,7 +126,6 @@ bool FaultEngine::ShouldInject(FaultSite site) {
   if (!armed_) {
     return false;
   }
-  std::lock_guard<MaybeMutex> guard(mu_);
   const size_t index = static_cast<size_t>(site);
   const FaultTrigger& trigger = plan_.trigger(site);
   SiteStats& stats = stats_[index];

@@ -32,11 +32,9 @@
 
 #include <array>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string_view>
 
-#include "base/maybe_mutex.h"
 #include "base/stat_counter.h"
 #include "telemetry/telemetry.h"
 
@@ -146,11 +144,6 @@ class FaultEngine {
   // (nullptr detaches).
   void set_telemetry(telemetry::Hub* hub) { hub_ = hub; }
 
-  // Engages the decision lock for ExecMode::kThreads (one-way): every site
-  // draws from a shared per-site RNG stream and arm counter, so concurrent
-  // ShouldInject calls must serialize to stay a pure function of the seed.
-  void EngageLock() { mu_.Engage(); }
-
   const SiteStats& site_stats(FaultSite site) const {
     return stats_[static_cast<size_t>(site)];
   }
@@ -159,7 +152,6 @@ class FaultEngine {
  private:
   bool armed_ = false;
   FaultPlan plan_;
-  mutable MaybeMutex mu_;  // guards rng_ (and arm ordering) when engaged
   std::array<uint64_t, kNumFaultSites> rng_{};  // SplitMix64 state per site
   std::array<SiteStats, kNumFaultSites> stats_{};
   telemetry::Hub* hub_ = nullptr;

@@ -9,20 +9,6 @@ namespace spv::forensics {
 
 namespace {
 
-// Scoped atomic_flag spinlock (the Histogram::Record idiom): ~1 uncontended
-// RMW on the hot path, TSan-visible acquire/release edges.
-class SpinGuard {
- public:
-  explicit SpinGuard(std::atomic_flag& flag) : flag_(flag) {
-    while (flag_.test_and_set(std::memory_order_acquire)) {
-    }
-  }
-  ~SpinGuard() { flag_.clear(std::memory_order_release); }
-
- private:
-  std::atomic_flag& flag_;
-};
-
 constexpr uint64_t PagesFor(uint64_t addr, uint64_t len) {
   return ((addr & kPageMask) + len + kPageSize - 1) >> kPageShift;
 }
@@ -87,7 +73,6 @@ FlightRecorder::FlightRecorder(const SimClock* clock, ForensicsConfig config,
 }
 
 void FlightRecorder::Ring::Push(const FlightRecord& record) {
-  SpinGuard guard(lock);
   const size_t capacity = slots.size();
   if (next_seq >= capacity) {
     // Overwriting the oldest live record: account the drop by what is being
@@ -107,7 +92,6 @@ void FlightRecorder::Ring::Push(const FlightRecord& record) {
 }
 
 std::vector<FlightRecord> FlightRecorder::Ring::Snapshot() const {
-  SpinGuard guard(lock);
   const size_t capacity = slots.size();
   const uint64_t live = next_seq < capacity ? next_seq : capacity;
   std::vector<FlightRecord> out;
@@ -119,22 +103,16 @@ std::vector<FlightRecord> FlightRecorder::Ring::Snapshot() const {
 }
 
 FlightRecorder::Lane& FlightRecorder::LaneFor(DeviceId device) {
-  std::unique_ptr<Lane>& slot = lanes_[device.value];
-  if (slot == nullptr) {
-    slot = std::make_unique<Lane>();
-    if (config_.enabled) {
-      slot->rings.reserve(num_cpus_);
-      for (uint32_t c = 0; c < num_cpus_; ++c) {
-        slot->rings.push_back(std::make_unique<Ring>(config_.ring_capacity));
-      }
-    }
+  auto [it, inserted] = lanes_.try_emplace(device.value);
+  if (inserted && config_.enabled) {
+    it->second.rings.assign(num_cpus_, Ring(config_.ring_capacity));
   }
-  return *slot;
+  return it->second;
 }
 
 const FlightRecorder::Lane* FlightRecorder::FindLane(DeviceId device) const {
   const auto it = lanes_.find(device.value);
-  return it == lanes_.end() ? nullptr : it->second.get();
+  return it == lanes_.end() ? nullptr : &it->second;
 }
 
 FlightRecorder::Life* FlightRecorder::FindLive(Lane& lane, uint64_t iova) {
@@ -195,7 +173,7 @@ void FlightRecorder::Push(Lane& lane, FlightRecord record) {
   }
   record.cycle = clock_->now();
   record.cpu = CurrentCpu().value;
-  lane.rings[CurrentCpu().value % lane.rings.size()]->Push(record);
+  lane.rings[CurrentCpu().value % lane.rings.size()].Push(record);
 }
 
 Window FlightRecorder::SubPageView(const Life& life) {
@@ -251,44 +229,40 @@ void FlightRecorder::RecordMap(DeviceId device, Iova iova, Kva kva, uint64_t len
   FlightRecord record{.device = device.value, .op = RecordOp::kMap, .dir = dir,
                       .bounced = bounced, .iova = iova.value, .gpa = kva.value, .len = len};
   std::vector<Announcement> announcements;
-  Lane* lane = nullptr;
-  {
-    SpinGuard guard(lock_);
-    lane = &LaneFor(device);
-    // A live life still indexed over these bytes lost its mapping without an
-    // unmap edge (a bounce released by revocation): it retires as it is. An
-    // unmapped one cannot overlap: its IOVA stays parked until the
-    // invalidation that takes it out of the index.
-    const uint64_t end = iova.value + len;
-    for (auto it = FirstCandidate(lane->by_iova, iova.value);
-         it != lane->by_iova.end() && it->first < end;) {
-      Life& old = *it->second;
-      if (old.facts.unmap_cycle == 0 && it->first + old.facts.len > iova.value) {
-        it = lane->by_iova.erase(it);
-        Retire(*lane, old);
-      } else {
-        ++it;
-      }
-    }
-    record.generation = lane->next_generation++;
-    Life& life = lane->lives[record.generation];
-    life.facts = MappingLife{.generation = record.generation, .device = device.value,
-                             .iova = iova.value, .kva = kva.value, .len = len, .dir = dir,
-                             .bounced = bounced, .site = std::string(site),
-                             .map_cycle = clock_->now()};
-    lane->by_iova[iova.value] = &life;
-    // Sub-page exposure: the mapping covers whole pages; a device-writable
-    // one (any direction but DMA_TO_DEVICE, raw 0) whose buffer does not fill
-    // them exposes the remainder.
-    if (!bounced && dir != 0 && (PagesFor(iova.value, len) << kPageShift) > len) {
-      life.subpage_seq = next_window_seq_++;
-      ++subpage_windows_open_;
-      if (tracer_ != nullptr) {
-        announcements.push_back(Announcement{SubPageView(life), &life, /*open=*/true});
-      }
+  Lane& lane = LaneFor(device);
+  // A live life still indexed over these bytes lost its mapping without an
+  // unmap edge (a bounce released by revocation): it retires as it is. An
+  // unmapped one cannot overlap: its IOVA stays parked until the
+  // invalidation that takes it out of the index.
+  const uint64_t end = iova.value + len;
+  for (auto it = FirstCandidate(lane.by_iova, iova.value);
+       it != lane.by_iova.end() && it->first < end;) {
+    Life& old = *it->second;
+    if (old.facts.unmap_cycle == 0 && it->first + old.facts.len > iova.value) {
+      it = lane.by_iova.erase(it);
+      Retire(lane, old);
+    } else {
+      ++it;
     }
   }
-  Push(*lane, record);
+  record.generation = lane.next_generation++;
+  Life& life = lane.lives[record.generation];
+  life.facts = MappingLife{.generation = record.generation, .device = device.value,
+                           .iova = iova.value, .kva = kva.value, .len = len, .dir = dir,
+                           .bounced = bounced, .site = std::string(site),
+                           .map_cycle = clock_->now()};
+  lane.by_iova[iova.value] = &life;
+  // Sub-page exposure: the mapping covers whole pages; a device-writable
+  // one (any direction but DMA_TO_DEVICE, raw 0) whose buffer does not fill
+  // them exposes the remainder.
+  if (!bounced && dir != 0 && (PagesFor(iova.value, len) << kPageShift) > len) {
+    life.subpage_seq = next_window_seq_++;
+    ++subpage_windows_open_;
+    if (tracer_ != nullptr) {
+      announcements.push_back(Announcement{SubPageView(life), &life, /*open=*/true});
+    }
+  }
+  Push(lane, record);
   Announce(announcements);
 }
 
@@ -297,57 +271,53 @@ void FlightRecorder::RecordUnmap(DeviceId device, Iova iova, uint64_t len, uint8
   FlightRecord record{.device = device.value, .op = RecordOp::kUnmap, .dir = dir,
                       .bounced = bounced, .iova = iova.value, .len = len};
   std::vector<Announcement> announcements;
-  Lane* lane = nullptr;
-  {
-    SpinGuard guard(lock_);
-    lane = &LaneFor(device);
-    const auto it = lane->by_iova.find(iova.value);
-    if (it != lane->by_iova.end() && it->second->facts.unmap_cycle == 0) {
-      Life& life = *it->second;
-      MappingLife& facts = life.facts;
-      const uint64_t now = clock_->now();
-      facts.unmap_cycle = now;
-      record.generation = facts.generation;
-      record.gpa = facts.kva;
-      if (life.subpage_seq != 0) {
-        --subpage_windows_open_;
-        subpage_open_cycles_.Record(now - facts.map_cycle);
-        if (tracer_ != nullptr) {
-          announcements.push_back(Announcement{SubPageView(life), nullptr, /*open=*/false});
-        }
-      }
-      bool pending = false;
-      if (!facts.bounced && iommu_enabled_) {
-        life.stale_seq = next_window_seq_++;
-        last_stale_device_ = device.value;
-        last_stale_generation_ = facts.generation;
-        if (facts.flush_cycle != 0) {
-          // Invalidated before this edge: the window was the synchronous
-          // invalidation itself and is closed on arrival.
-          life.stale_close = now;
-          stale_open_cycles_.Record(now - life.stale_open);
-          if (tracer_ != nullptr) {
-            announcements.push_back(Announcement{StaleView(life), nullptr, /*open=*/false,
-                                                 /*opened_closed=*/true});
-          }
-        } else {
-          // Its translation may linger until the invalidation of its range.
-          pending = true;
-          life.stale_open = now;
-          LinkOpen(life);
-          if (tracer_ != nullptr) {
-            announcements.push_back(Announcement{StaleView(life), &life, /*open=*/true});
-          }
-        }
-        last_stale_open_ = life.stale_open;
-      }
-      if (!pending) {
-        lane->by_iova.erase(it);
-        Retire(*lane, life);  // last: it may evict `life` itself
+  Lane& lane = LaneFor(device);
+  const auto it = lane.by_iova.find(iova.value);
+  if (it != lane.by_iova.end() && it->second->facts.unmap_cycle == 0) {
+    Life& life = *it->second;
+    MappingLife& facts = life.facts;
+    const uint64_t now = clock_->now();
+    facts.unmap_cycle = now;
+    record.generation = facts.generation;
+    record.gpa = facts.kva;
+    if (life.subpage_seq != 0) {
+      --subpage_windows_open_;
+      subpage_open_cycles_.Record(now - facts.map_cycle);
+      if (tracer_ != nullptr) {
+        announcements.push_back(Announcement{SubPageView(life), nullptr, /*open=*/false});
       }
     }
+    bool pending = false;
+    if (!facts.bounced && iommu_enabled_) {
+      life.stale_seq = next_window_seq_++;
+      last_stale_device_ = device.value;
+      last_stale_generation_ = facts.generation;
+      if (facts.flush_cycle != 0) {
+        // Invalidated before this edge: the window was the synchronous
+        // invalidation itself and is closed on arrival.
+        life.stale_close = now;
+        stale_open_cycles_.Record(now - life.stale_open);
+        if (tracer_ != nullptr) {
+          announcements.push_back(Announcement{StaleView(life), nullptr, /*open=*/false,
+                                               /*opened_closed=*/true});
+        }
+      } else {
+        // Its translation may linger until the invalidation of its range.
+        pending = true;
+        life.stale_open = now;
+        LinkOpen(life);
+        if (tracer_ != nullptr) {
+          announcements.push_back(Announcement{StaleView(life), &life, /*open=*/true});
+        }
+      }
+      last_stale_open_ = life.stale_open;
+    }
+    if (!pending) {
+      lane.by_iova.erase(it);
+      Retire(lane, life);  // last: it may evict `life` itself
+    }
   }
-  Push(*lane, record);
+  Push(lane, record);
   Announce(announcements);
 }
 
@@ -356,40 +326,36 @@ void FlightRecorder::RecordFlush(DeviceId device, Iova page_iova, uint64_t pages
   FlightRecord record{.device = device.value, .op = RecordOp::kFlush,
                       .iova = page_iova.value, .len = pages << kPageShift};
   std::vector<Announcement> announcements;
-  Lane* lane = nullptr;
-  {
-    SpinGuard guard(lock_);
-    lane = &LaneFor(device);
-    const uint64_t now = clock_->now();
-    const uint64_t lo = page_iova.value;
-    const uint64_t hi = lo + (pages << kPageShift);
-    for (auto it = FirstCandidate(lane->by_iova, lo);
-         it != lane->by_iova.end() && it->first < hi;) {
-      Life& life = *it->second;
-      MappingLife& facts = life.facts;
-      if ((facts.iova & ~kPageMask) + (PagesFor(facts.iova, facts.len) << kPageShift) <= lo ||
-          facts.bounced || facts.flush_cycle != 0) {
-        ++it;
-        continue;
-      }
-      facts.flush_cycle = now;
-      if (facts.unmap_cycle == 0) {
-        // Still mapped: the invalidation precedes the unmap edge (a strict
-        // unmap, or a capacity drain inside the unmap call).
-        life.stale_open = now > cost ? now - cost : 0;
-        life.stale_reason.assign(reason);
-        ++it;
-        continue;
-      }
-      // Unmapped: this invalidation revokes its lingering translation.
-      if (life.stale_close == 0) {
-        CloseStale(life, now, reason, announcements);
-      }
-      it = lane->by_iova.erase(it);
-      Retire(*lane, life);
+  Lane& lane = LaneFor(device);
+  const uint64_t now = clock_->now();
+  const uint64_t lo = page_iova.value;
+  const uint64_t hi = lo + (pages << kPageShift);
+  for (auto it = FirstCandidate(lane.by_iova, lo);
+       it != lane.by_iova.end() && it->first < hi;) {
+    Life& life = *it->second;
+    MappingLife& facts = life.facts;
+    if ((facts.iova & ~kPageMask) + (PagesFor(facts.iova, facts.len) << kPageShift) <= lo ||
+        facts.bounced || facts.flush_cycle != 0) {
+      ++it;
+      continue;
     }
+    facts.flush_cycle = now;
+    if (facts.unmap_cycle == 0) {
+      // Still mapped: the invalidation precedes the unmap edge (a strict
+      // unmap, or a capacity drain inside the unmap call).
+      life.stale_open = now > cost ? now - cost : 0;
+      life.stale_reason.assign(reason);
+      ++it;
+      continue;
+    }
+    // Unmapped: this invalidation revokes its lingering translation.
+    if (life.stale_close == 0) {
+      CloseStale(life, now, reason, announcements);
+    }
+    it = lane.by_iova.erase(it);
+    Retire(lane, life);
   }
-  Push(*lane, record);
+  Push(lane, record);
   Announce(announcements);
 }
 
@@ -398,33 +364,25 @@ void FlightRecorder::RecordAccess(DeviceId device, Iova iova, uint64_t gpa, uint
   FlightRecord record{.device = device.value,
                       .op = is_write ? RecordOp::kDeviceWrite : RecordOp::kDeviceRead,
                       .iova = iova.value, .gpa = gpa, .len = len};
-  Lane* lane = nullptr;
-  {
-    SpinGuard guard(lock_);
-    lane = &LaneFor(device);
-    if (Life* life = FindLive(*lane, iova.value); life != nullptr) {
-      ++life->facts.accesses;
-      record.generation = life->facts.generation;
-    }
+  Lane& lane = LaneFor(device);
+  if (Life* life = FindLive(lane, iova.value); life != nullptr) {
+    ++life->facts.accesses;
+    record.generation = life->facts.generation;
   }
-  Push(*lane, record);
+  Push(lane, record);
 }
 
 void FlightRecorder::RecordStaleHit(DeviceId device, Iova page_iova, uint64_t gpa) {
   FlightRecord record{.device = device.value, .op = RecordOp::kStaleHit,
                       .iova = page_iova.value, .gpa = gpa, .len = kPageSize};
-  Lane* lane = nullptr;
-  {
-    SpinGuard guard(lock_);
-    lane = &LaneFor(device);
-    if (Life* life = FindPending(*lane, page_iova.value); life != nullptr) {
-      if (life->facts.stale_hits++ == 0) {
-        life->first_hit_cycle = clock_->now();
-      }
-      record.generation = life->facts.generation;
+  Lane& lane = LaneFor(device);
+  if (Life* life = FindPending(lane, page_iova.value); life != nullptr) {
+    if (life->facts.stale_hits++ == 0) {
+      life->first_hit_cycle = clock_->now();
     }
+    record.generation = life->facts.generation;
   }
-  Push(*lane, record);
+  Push(lane, record);
   if (record.generation != 0 && tracer_ != nullptr && tracer_->hub().enabled()) {
     ++tracer_->hub().counter("window.stale.hits");
   }
@@ -434,12 +392,7 @@ void FlightRecorder::RecordFault(DeviceId device, Iova iova, uint64_t len, bool 
   FlightRecord record{.device = device.value, .op = RecordOp::kFault,
                       .dir = static_cast<uint8_t>(is_write ? 1 : 0), .iova = iova.value,
                       .len = len};
-  Lane* lane = nullptr;
-  {
-    SpinGuard guard(lock_);
-    lane = &LaneFor(device);
-  }
-  Push(*lane, record);
+  Push(LaneFor(device), record);
 }
 
 void FlightRecorder::RecordSync(DeviceId device, Iova iova, uint64_t len, uint8_t dir,
@@ -447,16 +400,12 @@ void FlightRecorder::RecordSync(DeviceId device, Iova iova, uint64_t len, uint8_
   FlightRecord record{.device = device.value,
                       .op = for_cpu ? RecordOp::kSyncCpu : RecordOp::kSyncDevice, .dir = dir,
                       .bounced = bounced, .iova = iova.value, .len = len};
-  Lane* lane = nullptr;
-  {
-    SpinGuard guard(lock_);
-    lane = &LaneFor(device);
-    if (Life* life = FindLive(*lane, iova.value); life != nullptr) {
-      record.generation = life->facts.generation;
-      record.gpa = life->facts.kva;
-    }
+  Lane& lane = LaneFor(device);
+  if (Life* life = FindLive(lane, iova.value); life != nullptr) {
+    record.generation = life->facts.generation;
+    record.gpa = life->facts.kva;
   }
-  Push(*lane, record);
+  Push(lane, record);
 }
 
 void FlightRecorder::OnEvent(const telemetry::Event& event) {
@@ -465,37 +414,33 @@ void FlightRecorder::OnEvent(const telemetry::Event& event) {
     return;
   }
   const bool dkasan = event.kind == telemetry::EventKind::kDkasanReport;
+  // The most recently opened window still open; else the most recent
+  // stale window of any state (the detector may fire right after a flush
+  // closed the window it caught).
+  Life* target = nullptr;
+  uint64_t open_cycle = 0;
+  if (newest_open_ != nullptr) {
+    target = newest_open_;
+    open_cycle = target->stale_open;
+  } else if (last_stale_generation_ != 0) {
+    open_cycle = last_stale_open_;
+    if (const auto lane = lanes_.find(last_stale_device_); lane != lanes_.end()) {
+      const auto life = lane->second.lives.find(last_stale_generation_);
+      target = life == lane->second.lives.end() ? nullptr : &life->second;
+    }
+  } else {
+    return;
+  }
+  const uint64_t latency = event.cycle > open_cycle ? event.cycle - open_cycle : 0;
+  if (target != nullptr) {
+    target->detected = true;
+  }
+  // D-KASAN is a runtime detector: its report ends the exploitable
+  // interval (the kernel now knows). A SPADE finding cannot invalidate a
+  // live translation, so the window stays open.
   std::vector<Announcement> announcements;
-  uint64_t latency = 0;
-  {
-    SpinGuard guard(lock_);
-    // The most recently opened window still open; else the most recent
-    // stale window of any state (the detector may fire right after a flush
-    // closed the window it caught).
-    Life* target = nullptr;
-    uint64_t open_cycle = 0;
-    if (newest_open_ != nullptr) {
-      target = newest_open_;
-      open_cycle = target->stale_open;
-    } else if (last_stale_generation_ != 0) {
-      open_cycle = last_stale_open_;
-      if (const auto lane = lanes_.find(last_stale_device_); lane != lanes_.end()) {
-        const auto life = lane->second->lives.find(last_stale_generation_);
-        target = life == lane->second->lives.end() ? nullptr : &life->second;
-      }
-    } else {
-      return;
-    }
-    latency = event.cycle > open_cycle ? event.cycle - open_cycle : 0;
-    if (target != nullptr) {
-      target->detected = true;
-    }
-    // D-KASAN is a runtime detector: its report ends the exploitable
-    // interval (the kernel now knows). A SPADE finding cannot invalidate a
-    // live translation, so the window stays open.
-    if (dkasan && target != nullptr && target->stale_close == 0) {
-      CloseStale(*target, event.cycle, "detected:dkasan", announcements);
-    }
+  if (dkasan && target != nullptr && target->stale_close == 0) {
+    CloseStale(*target, event.cycle, "detected:dkasan", announcements);
   }
   (dkasan ? detect_latency_dkasan_ : detect_latency_spade_).Record(latency);
   if (tracer_ != nullptr && tracer_->hub().enabled()) {
@@ -516,10 +461,7 @@ void FlightRecorder::Announce(std::vector<Announcement>& announcements) {
     if (a.open) {
       // Spans cannot be backdated, so only windows that open now get one.
       window.span = tracer_->OpenDetached(kind, trace::SpanId{hub.current_span()});
-      {
-        SpinGuard guard(lock_);
-        (stale ? a.life->stale_span : a.life->subpage_span) = window.span;
-      }
+      (stale ? a.life->stale_span : a.life->subpage_span) = window.span;
     }
     if (hub.enabled()) {
       const std::string name(kind);
@@ -562,17 +504,13 @@ void FlightRecorder::PublishWindowEvent(const Window& window, bool open) {
 }
 
 std::vector<FlightRecord> FlightRecorder::SnapshotTimeline(DeviceId device) const {
-  const Lane* lane = nullptr;
-  {
-    SpinGuard guard(lock_);
-    lane = FindLane(device);
-  }
+  const Lane* lane = FindLane(device);
   if (lane == nullptr) {
     return {};
   }
   std::vector<FlightRecord> merged;
-  for (const std::unique_ptr<Ring>& ring : lane->rings) {
-    std::vector<FlightRecord> part = ring->Snapshot();
+  for (const Ring& ring : lane->rings) {
+    std::vector<FlightRecord> part = ring.Snapshot();
     merged.insert(merged.end(), part.begin(), part.end());
   }
   std::stable_sort(merged.begin(), merged.end(),
@@ -589,7 +527,6 @@ std::vector<FlightRecord> FlightRecorder::SnapshotTimeline(DeviceId device) cons
 }
 
 std::vector<MappingLife> FlightRecorder::SnapshotLedger(DeviceId device) const {
-  SpinGuard guard(lock_);
   const Lane* lane = FindLane(device);
   std::vector<MappingLife> out;
   if (lane != nullptr) {
@@ -602,20 +539,17 @@ std::vector<MappingLife> FlightRecorder::SnapshotLedger(DeviceId device) const {
 }
 
 std::vector<Window> FlightRecorder::SnapshotWindows(DeviceId device) const {
+  const Lane* lane = FindLane(device);
+  if (lane == nullptr) {
+    return {};
+  }
   std::vector<std::pair<uint64_t, Window>> ordered;
-  {
-    SpinGuard guard(lock_);
-    const Lane* lane = FindLane(device);
-    if (lane == nullptr) {
-      return {};
+  for (const auto& [generation, life] : lane->lives) {
+    if (life.subpage_seq != 0) {
+      ordered.emplace_back(life.subpage_seq, SubPageView(life));
     }
-    for (const auto& [generation, life] : lane->lives) {
-      if (life.subpage_seq != 0) {
-        ordered.emplace_back(life.subpage_seq, SubPageView(life));
-      }
-      if (life.stale_seq != 0) {
-        ordered.emplace_back(life.stale_seq, StaleView(life));
-      }
+    if (life.stale_seq != 0) {
+      ordered.emplace_back(life.stale_seq, StaleView(life));
     }
   }
   std::sort(ordered.begin(), ordered.end(),
@@ -629,18 +563,15 @@ std::vector<Window> FlightRecorder::SnapshotWindows(DeviceId device) const {
 }
 
 size_t FlightRecorder::open_windows(WindowKind kind) const {
-  SpinGuard guard(lock_);
   return kind == WindowKind::kStaleIotlb ? stale_windows_open_ : subpage_windows_open_;
 }
 
 template <typename Fn>
 uint64_t FlightRecorder::SumRings(Fn per_ring) const {
-  SpinGuard guard(lock_);
   uint64_t total = 0;
   for (const auto& [device, lane] : lanes_) {
-    for (const std::unique_ptr<Ring>& ring : lane->rings) {
-      SpinGuard ring_guard(ring->lock);
-      total += per_ring(*ring);
+    for (const Ring& ring : lane.rings) {
+      total += per_ring(ring);
     }
   }
   return total;
@@ -659,24 +590,21 @@ uint64_t FlightRecorder::total_dropped_critical() const {
 }
 
 uint64_t FlightRecorder::ledger_dropped() const {
-  SpinGuard guard(lock_);
   uint64_t total = 0;
   for (const auto& [device, lane] : lanes_) {
-    total += lane->dropped;
+    total += lane.dropped;
   }
   return total;
 }
 
 std::string FlightRecorder::AccountingJson() const {
-  SpinGuard guard(lock_);
   json::Writer w;
   w.BeginObject().Key("ring_capacity").Uint(config_.ring_capacity);
   w.Key("ledger_capacity").Uint(config_.ledger_capacity).Key("rings").BeginArray();
   // lanes_ is an ordered map, rings are CPU-ordered: deterministic output.
   for (const auto& [device, lane] : lanes_) {
-    for (size_t cpu = 0; cpu < lane->rings.size(); ++cpu) {
-      const Ring& ring = *lane->rings[cpu];
-      SpinGuard ring_guard(ring.lock);
+    for (size_t cpu = 0; cpu < lane.rings.size(); ++cpu) {
+      const Ring& ring = lane.rings[cpu];
       if (ring.next_seq == 0) {
         continue;  // untouched rings stay out of the report
       }
@@ -688,8 +616,8 @@ std::string FlightRecorder::AccountingJson() const {
   }
   w.EndArray().Key("ledgers").BeginArray();
   for (const auto& [device, lane] : lanes_) {
-    w.BeginObject().Key("device").Uint(device).Key("lives").Uint(lane->next_generation - 1);
-    w.Key("retained").Uint(lane->lives.size()).Key("dropped").Uint(lane->dropped);
+    w.BeginObject().Key("device").Uint(device).Key("lives").Uint(lane.next_generation - 1);
+    w.Key("retained").Uint(lane.lives.size()).Key("dropped").Uint(lane.dropped);
     w.EndObject();
   }
   return w.EndArray().EndObject().Take();

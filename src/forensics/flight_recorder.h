@@ -21,8 +21,8 @@
 // Edges arrive once, from the call site that holds all their fields: the
 // DMA API's map, unmap and sync sites, and the IOMMU's device accesses,
 // stale hits, faults and three invalidation sites (strict unmap, per-device
-// drain, shard drain). Device-side edges find their life by lookup in the
-// device's IOVA index, never by a scan. No live life is evicted;
+// drain, flush-queue drain). Device-side edges find their life by lookup in
+// the device's IOVA index, never by a scan. No live life is evicted;
 // retired lives per device stay bounded by `ledger_capacity`, and a life
 // whose translation still awaits invalidation is never evicted.
 //
@@ -34,10 +34,10 @@
 //
 // With a Tracer attached, each window is also a detached span, announced as
 // kWindowOpen/kWindowClose events, and counted in `window.*` hub metrics.
-// The recorder publishes only after releasing its own lock. It joins the Hub
-// as a sink for kDkasanReport and kSpadeFinding only: detection latency is
-// measured from the most recently opened stale window still open (else the
-// most recent stale window of any state).
+// The recorder applies each edge first and announces its windows after. It
+// joins the Hub as a sink for kDkasanReport and kSpadeFinding only:
+// detection latency is measured from the most recently opened stale window
+// still open (else the most recent stale window of any state).
 //
 // Pure observer: recording never advances SimClock. Layering: spv_forensics
 // depends only on spv_base + spv_telemetry + spv_trace, so spv_iommu and
@@ -46,10 +46,8 @@
 #ifndef SPV_FORENSICS_FLIGHT_RECORDER_H_
 #define SPV_FORENSICS_FLIGHT_RECORDER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -226,7 +224,6 @@ class FlightRecorder : public telemetry::EventSink {
     uint64_t next_seq = 0;  // accepted records; next slot = seq % capacity
     uint64_t dropped_info = 0;
     uint64_t dropped_critical = 0;
-    mutable std::atomic_flag lock = ATOMIC_FLAG_INIT;
 
     void Push(const FlightRecord& record);
     std::vector<FlightRecord> Snapshot() const;
@@ -250,7 +247,7 @@ class FlightRecorder : public telemetry::EventSink {
   };
 
   struct Lane {
-    std::vector<std::unique_ptr<Ring>> rings;  // empty with forensics off
+    std::vector<Ring> rings;                   // empty with forensics off
     std::map<uint64_t, Life> lives;            // retained, by generation
     // By IOVA: mapped lives, and unmapped ones whose translation awaits
     // invalidation (their IOVA stays parked until then, so none overlap).
@@ -260,7 +257,7 @@ class FlightRecorder : public telemetry::EventSink {
     uint64_t dropped = 0;
   };
 
-  // A window event to announce once the lock is released (Tracer attached).
+  // A window event to announce once the edge is applied (Tracer attached).
   struct Announcement {
     Window window;
     Life* life = nullptr;  // opens only: where the span id goes
@@ -291,11 +288,7 @@ class FlightRecorder : public telemetry::EventSink {
   bool iommu_enabled_;
   trace::Tracer* tracer_ = nullptr;
 
-  // Guards lanes_ (append-only), every lane's lives and indexes, and the
-  // window state below. Rings have their own locks; nothing is published
-  // while it is held.
-  mutable std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
-  std::map<uint32_t, std::unique_ptr<Lane>> lanes_;
+  std::map<uint32_t, Lane> lanes_;
   Life* newest_open_ = nullptr;  // open stale windows: detection targets
   size_t stale_windows_open_ = 0;
   size_t subpage_windows_open_ = 0;

@@ -12,18 +12,6 @@ constexpr size_t kMaxIncidents = 32;            // hard cap on frozen reports
 constexpr uint64_t kCooldownCycles = 200'000;   // per (device, trigger) rate limit
 constexpr size_t kTimelineLimit = 96;           // records exported per report
 
-class SpinGuard {
- public:
-  explicit SpinGuard(std::atomic_flag& flag) : flag_(flag) {
-    while (flag_.test_and_set(std::memory_order_acquire)) {
-    }
-  }
-  ~SpinGuard() { flag_.clear(std::memory_order_release); }
-
- private:
-  std::atomic_flag& flag_;
-};
-
 bool LifetimesOverlap(const MappingLife& a, const MappingLife& b) {
   const uint64_t a_end = a.unmap_cycle == 0 ? UINT64_MAX : a.unmap_cycle;
   const uint64_t b_end = b.unmap_cycle == 0 ? UINT64_MAX : b.unmap_cycle;
@@ -229,26 +217,22 @@ void IncidentEngine::OpenIncident(DeviceId device, std::string_view reason) {
 void IncidentEngine::Freeze(DeviceId device, std::string_view trigger,
                             std::string_view reason, bool manual) {
   const uint64_t now = clock_->now();
-  Incident incident;
-  {
-    SpinGuard guard(lock_);
-    if (incidents_.size() >= kMaxIncidents) {
+  if (incidents_.size() >= kMaxIncidents) {
+    ++suppressed_;
+    return;
+  }
+  if (!manual) {
+    const auto key = std::make_pair(device.value, std::string(trigger));
+    const auto it = last_trigger_cycle_.find(key);
+    if (it != last_trigger_cycle_.end() && now - it->second < kCooldownCycles) {
       ++suppressed_;
       return;
     }
-    if (!manual) {
-      const auto key = std::make_pair(device.value, std::string(trigger));
-      const auto it = last_trigger_cycle_.find(key);
-      if (it != last_trigger_cycle_.end() &&
-          now - it->second < kCooldownCycles) {
-        ++suppressed_;
-        return;
-      }
-      last_trigger_cycle_[key] = now;
-    }
-    incident.id = next_id_++;
+    last_trigger_cycle_[key] = now;
   }
 
+  Incident incident;
+  incident.id = next_id_++;
   incident.cycle = now;
   incident.device = device.value;
   incident.trigger.assign(trigger);
@@ -270,12 +254,9 @@ void IncidentEngine::Freeze(DeviceId device, std::string_view trigger,
 
   const uint64_t id = incident.id;
   const AttackClass inferred = incident.inferred;
-  {
-    SpinGuard guard(lock_);
-    incidents_.push_back(std::move(incident));
-  }
+  incidents_.push_back(std::move(incident));
 
-  // Announce on the bus, outside the engine lock.
+  // Announce on the bus once the report is stored.
   if (hub_.active()) {
     telemetry::Event open;
     open.kind = telemetry::EventKind::kIncidentOpen;
@@ -315,18 +296,11 @@ std::string IncidentEngine::WindowsJson(DeviceId device, uint64_t from_cycle,
   return out.EndArray().Take();
 }
 
-size_t IncidentEngine::incident_count() const {
-  SpinGuard guard(lock_);
-  return incidents_.size();
-}
+size_t IncidentEngine::incident_count() const { return incidents_.size(); }
 
-uint64_t IncidentEngine::suppressed() const {
-  SpinGuard guard(lock_);
-  return suppressed_;
-}
+uint64_t IncidentEngine::suppressed() const { return suppressed_; }
 
 std::string IncidentEngine::ReportsJson() const {
-  SpinGuard guard(lock_);
   json::Writer w;
   w.BeginObject().Key("count").Uint(incidents_.size()).Key("suppressed").Uint(suppressed_);
   w.Key("incidents").BeginArray();
@@ -357,7 +331,6 @@ std::string IncidentEngine::ReportsJson() const {
 }
 
 std::string IncidentEngine::SummaryJson() const {
-  SpinGuard guard(lock_);
   std::map<std::string, uint64_t> by_trigger;
   std::map<std::string, uint64_t> by_class;
   for (const Incident& incident : incidents_) {

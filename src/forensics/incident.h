@@ -42,7 +42,6 @@
 #ifndef SPV_FORENSICS_INCIDENT_H_
 #define SPV_FORENSICS_INCIDENT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -136,10 +135,6 @@ class IncidentEngine : public telemetry::EventSink {
   StateSnapshotFn trust_;
   StateSnapshotFn recovery_;
 
-  // Guards incidents_/cooldown state: in kThreads, freezes run on whichever
-  // worker publishes the trigger or calls OpenIncident, while another thread
-  // polls counts. Publishes happen outside it.
-  mutable std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
   std::vector<Incident> incidents_;
   std::map<std::pair<uint32_t, std::string>, uint64_t> last_trigger_cycle_;
   uint64_t next_id_ = 1;

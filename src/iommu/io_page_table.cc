@@ -1,7 +1,5 @@
 #include "iommu/io_page_table.h"
 
-#include <mutex>
-
 namespace spv::iommu {
 
 void IoPageTable::set_telemetry(telemetry::Hub* hub) {
@@ -17,49 +15,29 @@ Status IoPageTable::Map(Iova iova, Pfn pfn, AccessRights rights) {
   if (rights == AccessRights::kNone) {
     return InvalidArgument("mapping with no access rights");
   }
-  std::lock_guard<MaybeMutex> guard(mu_);
   if (!root_) {
-    root_ = std::make_unique<Node>();
+    root_ = std::make_unique<Root>();
   }
-  Node* node = root_.get();
-  for (int level = kLevels - 1; level >= 1; --level) {
-    const uint64_t index = IndexAt(iova, level);
-    if (!node->children[index]) {
-      node->children[index] = std::make_unique<Node>();
-      node->SetPresent(index);
-    }
-    node = node->children[index].get();
-  }
+  Leaf& leaf = ChildFor(ChildFor(ChildFor(*root_, IndexAt(iova, 3)), IndexAt(iova, 2)),
+                        IndexAt(iova, 1));
   const uint64_t index = IndexAt(iova, 0);
-  if (node->entries[index].has_value()) {
+  if (leaf.present.Test(index)) {
     return AlreadyExists("IOVA page already mapped");
   }
-  node->entries[index] = PteEntry{pfn, rights};
-  node->SetPresent(index);
+  leaf.entries[index] = PteEntry{pfn, rights};
+  leaf.present.Set(index);
   ++mapped_pages_;
   return OkStatus();
 }
 
 Result<PteEntry> IoPageTable::Unmap(Iova iova) {
-  std::lock_guard<MaybeMutex> guard(mu_);
-  if (!root_) {
-    return NotFound("IOVA page not mapped");
-  }
-  Node* node = root_.get();
-  for (int level = kLevels - 1; level >= 1; --level) {
-    const uint64_t index = IndexAt(iova, level);
-    if (!node->children[index]) {
-      return NotFound("IOVA page not mapped");
-    }
-    node = node->children[index].get();
-  }
+  int levels = 0;
+  Leaf* leaf = WalkToLeaf(iova, &levels);
   const uint64_t index = IndexAt(iova, 0);
-  if (!node->entries[index].has_value()) {
+  if (leaf == nullptr || !leaf->present.Test(index)) {
     return NotFound("IOVA page not mapped");
   }
-  PteEntry entry = *node->entries[index];
-  node->entries[index].reset();
-  node->ClearPresent(index);
+  leaf->present.Clear(index);
   --mapped_pages_;
   if (walk_cache_enabled_) {
     const uint64_t region = RegionOf(iova);
@@ -69,29 +47,33 @@ Result<PteEntry> IoPageTable::Unmap(Iova iova) {
       ++walk_cache_stats_.invalidations;
     }
   }
-  return entry;
+  return leaf->entries[index];
 }
 
-const IoPageTable::Node* IoPageTable::WalkToLeaf(Iova iova, int* levels) const {
+IoPageTable::Leaf* IoPageTable::WalkToLeaf(Iova iova, int* levels) const {
   *levels = 0;
   if (!root_) {
     return nullptr;
   }
-  const Node* node = root_.get();
-  for (int level = kLevels - 1; level >= 1; --level) {
-    ++*levels;
-    const uint64_t index = IndexAt(iova, level);
-    if (!node->children[index]) {
-      return nullptr;
-    }
-    node = node->children[index].get();
+  *levels = 1;
+  const Level2* level2 = root_->children[IndexAt(iova, 3)].get();
+  if (level2 == nullptr) {
+    return nullptr;
   }
-  ++*levels;
-  return node;
+  *levels = 2;
+  const Level1* level1 = level2->children[IndexAt(iova, 2)].get();
+  if (level1 == nullptr) {
+    return nullptr;
+  }
+  *levels = 3;
+  Leaf* leaf = level1->children[IndexAt(iova, 1)].get();
+  if (leaf != nullptr) {
+    *levels = 4;
+  }
+  return leaf;
 }
 
 std::optional<PteEntry> IoPageTable::Lookup(Iova iova, int* walk_levels) const {
-  std::lock_guard<MaybeMutex> guard(mu_);
   if (walk_cache_enabled_) {
     const uint64_t region = RegionOf(iova);
     const WalkCacheEntry& slot = walk_cache_[region % kWalkCacheSlots];
@@ -100,12 +82,12 @@ std::optional<PteEntry> IoPageTable::Lookup(Iova iova, int* walk_levels) const {
       if (walk_levels != nullptr) {
         *walk_levels = 1;
       }
-      return slot.leaf->entries[IndexAt(iova, 0)];
+      return EntryAt(*slot.leaf, iova);
     }
     ++walk_cache_stats_.misses;
   }
   int levels = 0;
-  const Node* leaf = WalkToLeaf(iova, &levels);
+  const Leaf* leaf = WalkToLeaf(iova, &levels);
   if (walk_levels != nullptr) {
     *walk_levels = levels;
   }
@@ -116,24 +98,22 @@ std::optional<PteEntry> IoPageTable::Lookup(Iova iova, int* walk_levels) const {
     const uint64_t region = RegionOf(iova);
     walk_cache_[region % kWalkCacheSlots] = WalkCacheEntry{region, leaf};
   }
-  return leaf->entries[IndexAt(iova, 0)];
+  return EntryAt(*leaf, iova);
 }
 
 std::optional<PteEntry> IoPageTable::PeekTranslation(Iova iova) const {
-  std::lock_guard<MaybeMutex> guard(mu_);
   int levels = 0;
-  const Node* leaf = WalkToLeaf(iova, &levels);
+  const Leaf* leaf = WalkToLeaf(iova, &levels);
   if (leaf == nullptr) {
     return std::nullopt;
   }
-  return leaf->entries[IndexAt(iova, 0)];
+  return EntryAt(*leaf, iova);
 }
 
 void IoPageTable::InvalidateWalkCache() {
   if (!walk_cache_enabled_) {
     return;
   }
-  std::lock_guard<MaybeMutex> guard(mu_);
   for (WalkCacheEntry& slot : walk_cache_) {
     if (slot.leaf != nullptr) {
       ++walk_cache_stats_.invalidations;

@@ -11,11 +11,9 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
-#include "base/maybe_mutex.h"
 #include "base/stat_counter.h"
 #include "base/status.h"
 #include "base/types.h"
@@ -76,11 +74,6 @@ class IoPageTable {
   // Links the walk-cache hit/miss tallies into `hub` (nullptr detaches).
   void set_telemetry(telemetry::Hub* hub);
 
-  // Engages the internal lock for ExecMode::kThreads. Even const Lookup
-  // mutates (walk-cache fill), so every walk takes the lock once engaged;
-  // sequential mode pays a branch. One-way, pre-concurrency.
-  void EngageLock() { mu_.Engage(); }
-
   // All currently mapped IOVA pages translating to `pfn` (type (c) probe).
   std::vector<Iova> FindIovasForPfn(Pfn pfn) const;
 
@@ -90,41 +83,75 @@ class IoPageTable {
   // 512 slots of every node. For audits and probes, not the translation path.
   template <typename Fn>
   void ForEachMapping(Fn&& fn) const {
-    std::lock_guard<MaybeMutex> guard(mu_);
     if (root_) {
-      Visit(*root_, kLevels - 1, 0, fn);
+      Visit(*root_, 0, fn);
     }
   }
 
  private:
-  struct Node {
-    std::array<std::unique_ptr<Node>, kEntriesPerNode> children;  // levels 3..1
-    std::array<std::optional<PteEntry>, kEntriesPerNode> entries;  // level 0 only
-    // One bit per slot holding a child (levels 3..1) or an entry (level 0).
-    std::array<uint64_t, kEntriesPerNode / 64> present{};
+  // One bit per slot of a node: set iff the slot holds a child or an entry.
+  struct Bitmap {
+    std::array<uint64_t, kEntriesPerNode / 64> words{};
 
-    void SetPresent(uint64_t index) { present[index / 64] |= uint64_t{1} << (index % 64); }
-    void ClearPresent(uint64_t index) { present[index / 64] &= ~(uint64_t{1} << (index % 64)); }
+    void Set(uint64_t index) { words[index / 64] |= uint64_t{1} << (index % 64); }
+    void Clear(uint64_t index) { words[index / 64] &= ~(uint64_t{1} << (index % 64)); }
+    bool Test(uint64_t index) const { return (words[index / 64] >> (index % 64)) & 1; }
   };
+
+  // Each node has one role. A leaf (level 0) holds 512 PTE slots, and a slot
+  // translates iff its bit is set; an interior node (levels 3..1) holds 512
+  // child pointers.
+  struct Leaf {
+    std::array<PteEntry, kEntriesPerNode> entries{};
+    Bitmap present;
+  };
+  template <typename Child>
+  struct Interior {
+    std::array<std::unique_ptr<Child>, kEntriesPerNode> children;
+    Bitmap present;
+  };
+  using Level1 = Interior<Leaf>;
+  using Level2 = Interior<Level1>;
+  using Root = Interior<Level2>;  // level kLevels - 1
 
   static uint64_t IndexAt(Iova iova, int level) {
     return (iova.value >> (kPageShift + kBitsPerLevel * level)) & (kEntriesPerNode - 1);
   }
 
-  // Depth-first over the present slots of `node`, lowest index first, which
-  // yields ascending IOVA order. `prefix` holds the index bits above `level`.
+  // Calls fn(index) for every set bit of `present`, lowest index first.
   template <typename Fn>
-  static void Visit(const Node& node, int level, uint64_t prefix, Fn& fn) {
-    for (uint64_t word = 0; word < node.present.size(); ++word) {
-      for (uint64_t bits = node.present[word]; bits != 0; bits &= bits - 1) {
-        const uint64_t index = word * 64 + static_cast<uint64_t>(std::countr_zero(bits));
-        if (level == 0) {
-          fn(Iova{(prefix | index) << kPageShift}, *node.entries[index]);
-        } else {
-          Visit(*node.children[index], level - 1, (prefix | index) << kBitsPerLevel, fn);
-        }
+  static void ForEachPresent(const Bitmap& present, Fn&& fn) {
+    for (uint64_t word = 0; word < present.words.size(); ++word) {
+      for (uint64_t bits = present.words[word]; bits != 0; bits &= bits - 1) {
+        fn(word * 64 + static_cast<uint64_t>(std::countr_zero(bits)));
       }
     }
+  }
+
+  // Depth-first over the present slots, lowest index first, which yields
+  // ascending IOVA order. `prefix` holds the index bits above the node.
+  template <typename Fn>
+  static void Visit(const Leaf& leaf, uint64_t prefix, Fn& fn) {
+    ForEachPresent(leaf.present, [&](uint64_t index) {
+      fn(Iova{(prefix | index) << kPageShift}, leaf.entries[index]);
+    });
+  }
+  template <typename Child, typename Fn>
+  static void Visit(const Interior<Child>& node, uint64_t prefix, Fn& fn) {
+    ForEachPresent(node.present, [&](uint64_t index) {
+      Visit(*node.children[index], (prefix | index) << kBitsPerLevel, fn);
+    });
+  }
+
+  // The child at `index`, created (and marked present) if missing.
+  template <typename Child>
+  static Child& ChildFor(Interior<Child>& node, uint64_t index) {
+    std::unique_ptr<Child>& child = node.children[index];
+    if (!child) {
+      child = std::make_unique<Child>();
+      node.present.Set(index);
+    }
+    return *child;
   }
 
   // 2 MiB region number of `iova` (the span one leaf node covers).
@@ -132,19 +159,24 @@ class IoPageTable {
     return iova.value >> (kPageShift + kBitsPerLevel);
   }
 
-  // Walks to the leaf node covering `iova` without touching the cache;
-  // returns nullptr when an intermediate node is missing. `levels` counts the
-  // nodes visited.
-  const Node* WalkToLeaf(Iova iova, int* levels) const;
+  // Walks to the leaf covering `iova` without touching the cache; returns
+  // nullptr when an intermediate node is missing. `levels` counts the nodes
+  // visited. The leaf is mutable so that Unmap can clear through it.
+  Leaf* WalkToLeaf(Iova iova, int* levels) const;
+
+  // The translation in `leaf`'s slot for `iova`, if its bit is set.
+  static std::optional<PteEntry> EntryAt(const Leaf& leaf, Iova iova) {
+    const uint64_t index = IndexAt(iova, 0);
+    return leaf.present.Test(index) ? std::optional<PteEntry>(leaf.entries[index])
+                                    : std::nullopt;
+  }
 
   struct WalkCacheEntry {
     uint64_t region = UINT64_MAX;
-    const Node* leaf = nullptr;
+    const Leaf* leaf = nullptr;
   };
 
-  std::unique_ptr<Node> root_;
-  // Guards the radix tree and the walk cache when engaged (kThreads).
-  mutable MaybeMutex mu_;
+  std::unique_ptr<Root> root_;
   StatCounter mapped_pages_;
   bool walk_cache_enabled_;
   // Leaf nodes are never destroyed while the table lives (Unmap only clears

@@ -1,9 +1,6 @@
 #include "iommu/iommu.h"
 
 #include <algorithm>
-#include <cassert>
-#include <mutex>
-#include <shared_mutex>
 #include <utility>
 
 #include "fault/fault.h"
@@ -24,30 +21,7 @@ std::string_view FlushReasonName(FlushReason reason) {
 }
 
 Iommu::Iommu(mem::PhysicalMemory& pm, SimClock& clock, Config config)
-    : pm_(pm), clock_(clock), config_(config), iotlb_(config.iotlb_capacity) {
-  // Sequential mode: one shard == the legacy global flush queue.
-  flush_shards_.push_back(std::make_unique<FlushShard>());
-}
-
-void Iommu::EngageThreadSafety(uint32_t num_cpus) {
-  assert(!threaded_);
-  threaded_ = true;
-  const uint32_t shards = std::max<uint32_t>(num_cpus, 1);
-  assert(flush_shards_.size() == 1 && flush_shards_[0]->queue.empty() &&
-         "reshard before any deferred traffic");
-  flush_shards_.clear();
-  for (uint32_t i = 0; i < shards; ++i) {
-    flush_shards_.push_back(std::make_unique<FlushShard>());
-    flush_shards_.back()->mu.Engage();
-  }
-  state_mu_.Engage();
-  faults_mu_.Engage();
-  iotlb_.EngageLock();
-  for (auto& [id, domain] : device_domain_) {
-    domain->table.EngageLock();
-    domain->iova_alloc.EngageLock();
-  }
-}
+    : pm_(pm), clock_(clock), config_(config), iotlb_(config.iotlb_capacity) {}
 
 void Iommu::set_telemetry(telemetry::Hub* hub) {
   // Every Stats tally is a fact the hub reports under one name (the drain
@@ -83,7 +57,6 @@ void Iommu::set_telemetry(telemetry::Hub* hub) {
 }
 
 void Iommu::AttachDevice(DeviceId device) {
-  std::lock_guard<MaybeSharedMutex> lock(state_mu_);
   if (device_domain_.contains(device.value)) {
     return;
   }
@@ -95,15 +68,10 @@ void Iommu::AttachDevice(DeviceId device) {
   domain->id = next_domain_id_++;
   domain->iova_alloc.set_telemetry(hub_);
   domain->table.set_telemetry(hub_);
-  if (threaded_) {
-    domain->table.EngageLock();
-    domain->iova_alloc.EngageLock();
-  }
   device_domain_[device.value] = std::move(domain);
 }
 
 Status Iommu::AttachDeviceToDomainOf(DeviceId device, DeviceId domain_owner) {
-  std::lock_guard<MaybeSharedMutex> lock(state_mu_);
   auto owner_it = device_domain_.find(domain_owner.value);
   if (owner_it == device_domain_.end()) {
     return NotFound("domain owner not attached");
@@ -115,23 +83,13 @@ Status Iommu::AttachDeviceToDomainOf(DeviceId device, DeviceId domain_owner) {
   return OkStatus();
 }
 
-bool Iommu::IsAttached(DeviceId device) const {
-  std::shared_lock<MaybeSharedMutex> lock(state_mu_);
-  return device_domain_.contains(device.value);
-}
+bool Iommu::IsAttached(DeviceId device) const { return device_domain_.contains(device.value); }
 
-bool Iommu::IsFenced(DeviceId device) const {
-  std::shared_lock<MaybeSharedMutex> lock(state_mu_);
-  return fenced_.contains(device.value);
-}
+bool Iommu::IsFenced(DeviceId device) const { return fenced_.contains(device.value); }
 
-bool Iommu::IsRevoked(DeviceId device) const {
-  std::shared_lock<MaybeSharedMutex> lock(state_mu_);
-  return revoked_.contains(device.value);
-}
+bool Iommu::IsRevoked(DeviceId device) const { return revoked_.contains(device.value); }
 
 bool Iommu::SameDomain(DeviceId a, DeviceId b) const {
-  std::shared_lock<MaybeSharedMutex> lock(state_mu_);
   auto ia = device_domain_.find(a.value);
   auto ib = device_domain_.find(b.value);
   return ia != device_domain_.end() && ib != device_domain_.end() &&
@@ -139,11 +97,10 @@ bool Iommu::SameDomain(DeviceId a, DeviceId b) const {
 }
 
 Iommu::DeviceRef Iommu::Resolve(DeviceId device) const {
-  std::shared_lock<MaybeSharedMutex> lock(state_mu_);
   DeviceRef ref;
   auto it = device_domain_.find(device.value);
   if (it != device_domain_.end()) {
-    ref.domain = it->second;
+    ref.domain = it->second.get();
   }
   ref.fenced = fenced_.contains(device.value);
   ref.revoked = revoked_.contains(device.value);
@@ -159,25 +116,20 @@ Status Iommu::FenceDevice(DeviceId device) {
     return OkStatus();  // idempotent: already quarantined
   }
   trace::ScopedSpan span(tracer_, "iommu.fence_device");
-  // Order matters: first retire this device's deferred unmaps in *every*
-  // CPU's shard (their parked IOVAs come home, their stale IOTLB pages die),
-  // then drop every remaining cached translation for the domain so no warm
-  // entry survives the fence.
+  // Order matters: first retire this device's deferred unmaps (their parked
+  // IOVAs come home, their stale IOTLB pages die), then drop every remaining
+  // cached translation for the domain so no warm entry survives the fence.
   DrainDeviceInvalidations(device);
   iotlb_.InvalidateDevice(DeviceId{ref.domain->id});
   ref.domain->table.InvalidateWalkCache();
   ChargeInvalidation(/*stall=*/0, /*targeted=*/false);
-  {
-    std::lock_guard<MaybeSharedMutex> lock(state_mu_);
-    fenced_.insert(device.value);
-    revoked_.insert(device.value);
-  }
+  fenced_.insert(device.value);
+  revoked_.insert(device.value);
   ++stats_.device_fences;
   return OkStatus();
 }
 
 Status Iommu::UnfenceDevice(DeviceId device) {
-  std::lock_guard<MaybeSharedMutex> lock(state_mu_);
   if (!device_domain_.contains(device.value)) {
     return NotFound("device not attached to IOMMU");
   }
@@ -187,76 +139,61 @@ Status Iommu::UnfenceDevice(DeviceId device) {
 }
 
 uint64_t Iommu::DrainDeviceInvalidations(DeviceId device) {
-  DeviceRef ref = Resolve(device);
-  Domain* state = ref.domain.get();
-  uint64_t drained = 0;
-  for (auto& shard_ptr : flush_shards_) {
-    FlushShard& shard = *shard_ptr;
-    std::deque<PendingInvalidation> mine;
-    {
-      std::lock_guard<MaybeMutex> lock(shard.mu);
-      std::deque<PendingInvalidation> keep;
-      for (PendingInvalidation& pending : shard.queue) {
-        (pending.device.value == device.value ? mine : keep).push_back(pending);
-      }
-      shard.queue.swap(keep);
-    }
-    for (const PendingInvalidation& pending : mine) {
-      ++drained;
-      stats_.drained_device_entries += 1;
-      if (state != nullptr) {
-        // Kill the stale IOTLB pages *before* the IOVAs become reusable —
-        // freeing first would let a recycled IOVA translate through the
-        // still-warm stale entry (the exact window quarantine must close).
-        uint64_t cycles = 0;
-        for (uint64_t i = 0; i < pending.pages; ++i) {
-          iotlb_.InvalidateRange(DeviceId{state->id}, pending.base + (i << kPageShift), 1);
-          cycles += ChargeInvalidation(/*stall=*/0, /*targeted=*/true);
-        }
-        if (hub_ != nullptr && hub_->active()) {
-          telemetry::Event event;
-          event.kind = telemetry::EventKind::kIotlbInvalidate;
-          event.severity = telemetry::Severity::kTrace;
-          event.device = device.value;
-          event.addr2 = pending.base.value;
-          event.len = pending.pages << kPageShift;
-          event.aux = cycles;  // what the range's page commands cost
-          event.origin = this;
-          event.site = "drain_device";
-          hub_->Publish(std::move(event));
-        }
-        if (recorder_ != nullptr) {
-          // Quarantine flush edge: the drain closes this range's stale window.
-          recorder_->RecordFlush(device, pending.base, pending.pages, cycles, "flush:device");
-        }
-        (void)state->iova_alloc.Free(pending.base, pending.pages, pending.cpu);
-      }
-    }
+  Domain* state = Resolve(device).domain;
+  std::deque<PendingInvalidation> mine;
+  std::deque<PendingInvalidation> keep;
+  for (PendingInvalidation& pending : flush_queue_) {
+    (pending.device.value == device.value ? mine : keep).push_back(pending);
   }
-  return drained;
+  flush_queue_.swap(keep);
+  for (const PendingInvalidation& pending : mine) {
+    stats_.drained_device_entries += 1;
+    if (state == nullptr) {
+      continue;
+    }
+    // Kill the stale IOTLB pages *before* the IOVAs become reusable —
+    // freeing first would let a recycled IOVA translate through the
+    // still-warm stale entry (the exact window quarantine must close).
+    uint64_t cycles = 0;
+    for (uint64_t i = 0; i < pending.pages; ++i) {
+      iotlb_.InvalidateRange(DeviceId{state->id}, pending.base + (i << kPageShift), 1);
+      cycles += ChargeInvalidation(/*stall=*/0, /*targeted=*/true);
+    }
+    if (hub_ != nullptr && hub_->active()) {
+      telemetry::Event event;
+      event.kind = telemetry::EventKind::kIotlbInvalidate;
+      event.severity = telemetry::Severity::kTrace;
+      event.device = device.value;
+      event.addr2 = pending.base.value;
+      event.len = pending.pages << kPageShift;
+      event.aux = cycles;  // what the range's page commands cost
+      event.origin = this;
+      event.site = "drain_device";
+      hub_->Publish(std::move(event));
+    }
+    if (recorder_ != nullptr) {
+      // Quarantine flush edge: the drain closes this range's stale window.
+      recorder_->RecordFlush(device, pending.base, pending.pages, cycles, "flush:device");
+    }
+    (void)state->iova_alloc.Free(pending.base, pending.pages, pending.cpu);
+  }
+  return mine.size();
 }
 
 Status Iommu::DetachDevice(DeviceId device) {
-  {
-    std::shared_lock<MaybeSharedMutex> lock(state_mu_);
-    if (!device_domain_.contains(device.value)) {
-      // Idempotent for devices we detached earlier; never-attached is an error.
-      return revoked_.contains(device.value)
-                 ? OkStatus()
-                 : NotFound("device not attached to IOMMU");
-    }
+  if (!device_domain_.contains(device.value)) {
+    // Idempotent for devices we detached earlier; never-attached is an error.
+    return revoked_.contains(device.value) ? OkStatus()
+                                           : NotFound("device not attached to IOMMU");
   }
   trace::ScopedSpan span(tracer_, "iommu.detach_device");
   SPV_RETURN_IF_ERROR(FenceDevice(device));
-  {
-    // Drop the device's domain membership. A shared domain survives through
-    // the other members' shared_ptr refs — their PTEs and IOVA ranges are
-    // theirs, not ours to tear down.
-    std::lock_guard<MaybeSharedMutex> lock(state_mu_);
-    device_domain_.erase(device.value);
-    fenced_.erase(device.value);   // no longer attached, nothing left to fence
-    revoked_.insert(device.value);  // but the revocation memory persists
-  }
+  // Drop the device's domain membership. A shared domain survives through
+  // the other members' shared_ptr refs — their PTEs and IOVA ranges are
+  // theirs, not ours to tear down.
+  device_domain_.erase(device.value);
+  fenced_.erase(device.value);    // no longer attached, nothing left to fence
+  revoked_.insert(device.value);  // but the revocation memory persists
   ++stats_.device_detaches;
   return OkStatus();
 }
@@ -284,7 +221,7 @@ Result<Iova> Iommu::MapRange(DeviceId device, std::span<const Pfn> pfns, AccessR
   trace::ScopedSpan span(tracer_, "iommu.map_range");
   ProcessDeferredTimer();
   DeviceRef ref = Resolve(device);
-  Domain* state = ref.domain.get();
+  Domain* state = ref.domain;
   if (state == nullptr) {
     return ref.revoked ? Revoked("device detached: new mappings revoked")
                        : InvalidArgument("device not attached to IOMMU");
@@ -340,7 +277,7 @@ Status Iommu::UnmapRange(DeviceId device, Iova base, uint64_t pages) {
   trace::ScopedSpan span(tracer_, "iommu.unmap_range");
   ProcessDeferredTimer();
   DeviceRef ref = Resolve(device);
-  Domain* state = ref.domain.get();
+  Domain* state = ref.domain;
   if (state == nullptr) {
     // OS-side unmaps on a *fenced* device stay allowed (teardown must make
     // progress), but once detached the translations are gone with the domain.
@@ -353,7 +290,7 @@ Status Iommu::UnmapRange(DeviceId device, Iova base, uint64_t pages) {
   }
   // All or nothing: a hole anywhere in the range re-maps the PTEs already
   // cleared, so a failed unmap leaves no translation uninvalidated and no
-  // IOVA range half torn down. The scratch list is per thread so the success
+  // IOVA range half torn down. The scratch list is reused so the success
   // path allocates nothing once warm.
   thread_local std::vector<PteEntry> cleared;
   cleared.clear();
@@ -403,73 +340,45 @@ Status Iommu::UnmapRange(DeviceId device, Iova base, uint64_t pages) {
 }
 
 void Iommu::EnqueueInvalidation(DeviceId device, Iova base, uint64_t pages) {
-  const size_t shard_index = ShardIndex();
-  FlushShard& shard = *flush_shards_[shard_index];
-  bool capacity_hit = false;
-  {
-    std::lock_guard<MaybeMutex> lock(shard.mu);
-    if (shard.queue.empty()) {
-      shard.deadline = clock_.now() + config_.flush_interval_cycles;
-    }
-    shard.queue.push_back(PendingInvalidation{device, base, pages, CurrentCpu()});
-    capacity_hit = shard.queue.size() >= config_.flush_queue_capacity;
+  if (flush_queue_.empty()) {
+    flush_deadline_ = clock_.now() + config_.flush_interval_cycles;
   }
-  if (capacity_hit) {
-    DrainShard(shard_index, FlushReason::kCapacity);
-  }
-}
-
-void Iommu::FlushNow(FlushReason reason) {
-  for (size_t i = 0; i < flush_shards_.size(); ++i) {
-    DrainShard(i, reason);
+  flush_queue_.push_back(PendingInvalidation{device, base, pages, CurrentCpu()});
+  if (flush_queue_.size() >= config_.flush_queue_capacity) {
+    FlushNow(FlushReason::kCapacity);
   }
 }
 
 Status Iommu::SetDeviceFastPath(DeviceId device, bool enabled) {
-  DeviceRef ref = Resolve(device);
-  if (ref.domain == nullptr) {
+  Domain* domain = Resolve(device).domain;
+  if (domain == nullptr) {
     return NotFound("fast-path gate on unattached device");
   }
-  ref.domain->iova_alloc.set_cache_bypass(!enabled);
+  domain->iova_alloc.set_cache_bypass(!enabled);
   return OkStatus();
 }
 
 bool Iommu::device_fast_path(DeviceId device) const {
-  DeviceRef ref = Resolve(device);
-  return ref.domain == nullptr || !ref.domain->iova_alloc.cache_bypass();
+  const Domain* domain = Resolve(device).domain;
+  return domain == nullptr || !domain->iova_alloc.cache_bypass();
 }
 
-void Iommu::DrainShard(size_t shard_index, FlushReason reason) {
-  FlushShard& shard = *flush_shards_[shard_index];
-  std::deque<PendingInvalidation> batch;
-  {
-    std::lock_guard<MaybeMutex> lock(shard.mu);
-    if (shard.queue.empty()) {
-      return;
-    }
-    batch.swap(shard.queue);
-    shard.deadline = 0;
+void Iommu::FlushNow(FlushReason reason) {
+  if (flush_queue_.empty()) {
+    return;
   }
+  std::deque<PendingInvalidation> batch;
+  batch.swap(flush_queue_);
+  flush_deadline_ = 0;
   trace::ScopedSpan span(tracer_, "iommu.flush_drain");
   // One global invalidation amortizes the whole batch — this is why deferred
   // mode wins on throughput (§5.2.1).
   const uint64_t amortized = batch.size();
   iotlb_.InvalidateAll();
   // A global IOTLB invalidation also drops the intermediate-structure
-  // caches, so the page-table walk caches start cold. Collect the domains
-  // under a brief shared lock, invalidate outside it.
-  {
-    std::vector<std::shared_ptr<Domain>> domains;
-    {
-      std::shared_lock<MaybeSharedMutex> lock(state_mu_);
-      domains.reserve(device_domain_.size());
-      for (auto& [id, domain] : device_domain_) {
-        domains.push_back(domain);
-      }
-    }
-    for (auto& domain : domains) {
-      domain->table.InvalidateWalkCache();
-    }
+  // caches, so the page-table walk caches start cold.
+  for (auto& [id, domain] : device_domain_) {
+    domain->table.InvalidateWalkCache();
   }
   const uint64_t cycles = ChargeInvalidation(InvalidationStall(), /*targeted=*/false);
   ++stats_.flushes;
@@ -505,9 +414,8 @@ void Iommu::DrainShard(size_t shard_index, FlushReason reason) {
       recorder_->RecordFlush(pending.device, pending.base, pending.pages, cycles,
                              close_reason);
     }
-    DeviceRef ref = Resolve(pending.device);
-    if (ref.domain != nullptr) {
-      (void)ref.domain->iova_alloc.Free(pending.base, pending.pages, pending.cpu);
+    if (Domain* domain = Resolve(pending.device).domain; domain != nullptr) {
+      (void)domain->iova_alloc.Free(pending.base, pending.pages, pending.cpu);
     }
   }
 }
@@ -533,15 +441,8 @@ uint64_t Iommu::ChargeInvalidation(uint64_t stall, bool targeted) {
 }
 
 void Iommu::ProcessDeferredTimer() {
-  const size_t shard_index = ShardIndex();
-  FlushShard& shard = *flush_shards_[shard_index];
-  bool expired = false;
-  {
-    std::lock_guard<MaybeMutex> lock(shard.mu);
-    expired = !shard.queue.empty() && clock_.now() >= shard.deadline;
-  }
-  if (expired) {
-    DrainShard(shard_index, FlushReason::kDeadline);
+  if (!flush_queue_.empty() && clock_.now() >= flush_deadline_) {
+    FlushNow(FlushReason::kDeadline);
   }
 }
 
@@ -560,7 +461,7 @@ Status Iommu::Access(DeviceId device, Iova iova, AccessOp op, std::span<uint8_t>
   trace::ScopedSpan span(tracer_, "iommu.device_access");
   ProcessDeferredTimer();
   DeviceRef ref = Resolve(device);
-  Domain* state = ref.domain.get();
+  Domain* state = ref.domain;
   if (state == nullptr) {
     if (ref.revoked) {
       NoteFencedAccess(device, iova, "DMA after detach");
@@ -673,40 +574,38 @@ void Iommu::Fault(DeviceId device, Iova iova, AccessOp op, std::string reason) {
   }
   // Bound the fault log; a scanning attacker can generate millions.
   constexpr size_t kMaxFaults = 4096;
-  std::lock_guard<MaybeMutex> lock(faults_mu_);
   if (faults_.size() < kMaxFaults) {
     faults_.push_back(IommuFault{device, iova, op, clock_.now(), std::move(reason)});
   }
 }
 
 std::vector<Iova> Iommu::IovasForPfn(DeviceId device, Pfn pfn) const {
-  DeviceRef ref = Resolve(device);
-  if (ref.domain == nullptr) {
+  const Domain* domain = Resolve(device).domain;
+  if (domain == nullptr) {
     return {};
   }
-  return ref.domain->table.FindIovasForPfn(pfn);
+  return domain->table.FindIovasForPfn(pfn);
 }
 
 std::optional<PteEntry> Iommu::Peek(DeviceId device, Iova iova) const {
-  DeviceRef ref = Resolve(device);
-  if (ref.domain == nullptr) {
+  const Domain* domain = Resolve(device).domain;
+  if (domain == nullptr) {
     return std::nullopt;
   }
-  return ref.domain->table.PeekTranslation(iova.PageBase());
+  return domain->table.PeekTranslation(iova.PageBase());
 }
 
 const IovaAllocator* Iommu::iova_allocator(DeviceId device) const {
-  DeviceRef ref = Resolve(device);
-  return ref.domain == nullptr ? nullptr : &ref.domain->iova_alloc;
+  const Domain* domain = Resolve(device).domain;
+  return domain == nullptr ? nullptr : &domain->iova_alloc;
 }
 
 const IoPageTable* Iommu::page_table(DeviceId device) const {
-  DeviceRef ref = Resolve(device);
-  return ref.domain == nullptr ? nullptr : &ref.domain->table;
+  const Domain* domain = Resolve(device).domain;
+  return domain == nullptr ? nullptr : &domain->table;
 }
 
 std::vector<DeviceId> Iommu::attached_devices() const {
-  std::shared_lock<MaybeSharedMutex> lock(state_mu_);
   std::vector<DeviceId> out;
   out.reserve(device_domain_.size());
   for (const auto& [id, domain] : device_domain_) {
@@ -717,29 +616,11 @@ std::vector<DeviceId> Iommu::attached_devices() const {
   return out;
 }
 
-uint64_t Iommu::pending_invalidation_count() const {
-  uint64_t total = 0;
-  for (const auto& shard : flush_shards_) {
-    std::lock_guard<MaybeMutex> lock(shard->mu);
-    total += shard->queue.size();
-  }
-  return total;
-}
-
-uint64_t Iommu::pending_invalidation_count(CpuId cpu) const {
-  const FlushShard& shard =
-      *flush_shards_[flush_shards_.size() <= 1 ? 0 : cpu.value % flush_shards_.size()];
-  std::lock_guard<MaybeMutex> lock(shard.mu);
-  return shard.queue.size();
-}
-
 std::vector<Iommu::PendingRange> Iommu::pending_invalidations() const {
   std::vector<PendingRange> out;
-  for (const auto& shard : flush_shards_) {
-    std::lock_guard<MaybeMutex> lock(shard->mu);
-    for (const PendingInvalidation& pending : shard->queue) {
-      out.push_back(PendingRange{pending.device, pending.base, pending.pages});
-    }
+  out.reserve(flush_queue_.size());
+  for (const PendingInvalidation& pending : flush_queue_) {
+    out.push_back(PendingRange{pending.device, pending.base, pending.pages});
   }
   return out;
 }
@@ -751,21 +632,18 @@ Status Iommu::Audit() const {
   // by base) to serve containment, parking and the magazine audit.
   struct DomainAudit {
     DeviceId device;  // lowest attached member
-    std::shared_ptr<const Domain> domain;
+    const Domain* domain;
     std::vector<IovaAllocator::LiveRange> live;
   };
   struct Member {
     uint32_t device;
-    std::shared_ptr<const Domain> domain;
+    const Domain* domain;
     size_t audit = 0;  // index of its domain's record
   };
   std::vector<Member> members;
-  {
-    std::shared_lock<MaybeSharedMutex> lock(state_mu_);
-    members.reserve(device_domain_.size());
-    for (const auto& [device, domain] : device_domain_) {
-      members.push_back(Member{device, domain});
-    }
+  members.reserve(device_domain_.size());
+  for (const auto& [device, domain] : device_domain_) {
+    members.push_back(Member{device, domain.get()});
   }
   std::sort(members.begin(), members.end(),
             [](const Member& a, const Member& b) { return a.device < b.device; });
@@ -801,30 +679,21 @@ Status Iommu::Audit() const {
   }
 
   // Every pending range with its domain, resolved once through the snapshot
-  // (null when the device was detached while pending). Shards are read in
-  // order; the first non-empty shard with an unarmed deadline is noted.
+  // (null when the device was detached while pending).
   struct Pending {
     const DomainAudit* domain;
     uint64_t base;  // IOVA
     uint64_t end;   // IOVA, exclusive
-    size_t shard;
   };
   std::vector<Pending> pending;
-  size_t unarmed_shard = flush_shards_.size();
-  for (size_t i = 0; i < flush_shards_.size(); ++i) {
-    const FlushShard& shard = *flush_shards_[i];
-    std::lock_guard<MaybeMutex> lock(shard.mu);
-    if (!shard.queue.empty() && shard.deadline == 0 && unarmed_shard == flush_shards_.size()) {
-      unarmed_shard = i;
-    }
-    for (const PendingInvalidation& entry : shard.queue) {
-      auto member = std::lower_bound(
-          members.begin(), members.end(), entry.device.value,
-          [](const Member& member, uint32_t device) { return member.device < device; });
-      const bool attached = member != members.end() && member->device == entry.device.value;
-      pending.push_back(Pending{attached ? &domains[member->audit] : nullptr, entry.base.value,
-                                entry.base.value + (entry.pages << kPageShift), i});
-    }
+  pending.reserve(flush_queue_.size());
+  for (const PendingInvalidation& entry : flush_queue_) {
+    auto member = std::lower_bound(
+        members.begin(), members.end(), entry.device.value,
+        [](const Member& member, uint32_t device) { return member.device < device; });
+    const bool attached = member != members.end() && member->device == entry.device.value;
+    pending.push_back(Pending{attached ? &domains[member->audit] : nullptr, entry.base.value,
+                              entry.base.value + (entry.pages << kPageShift)});
   }
 
   // (3) A cached translation with no live PTE must await a pending
@@ -852,17 +721,16 @@ Status Iommu::Audit() const {
   });
   SPV_RETURN_IF_ERROR(stale_failure);
 
-  // (5) Shard liveness: a non-empty shard must have an armed deadline
+  // (5) Queue liveness: a non-empty queue must have an armed deadline
   // (otherwise its entries can never deadline-drain), and every pending range
   // must still be parked (live) in its domain's allocator — parked IOVAs are
   // freed only at drain, so a pending range absent from the live set has
   // leaked or been handed out while stale. A pending base page is parked when
   // the live range with the greatest base at or below it still covers it.
+  if (!flush_queue_.empty() && flush_deadline_ == 0) {
+    return Internal("flush queue non-empty with unarmed deadline");
+  }
   for (const Pending& range : pending) {
-    if (range.shard == unarmed_shard) {
-      return Internal("flush shard " + std::to_string(range.shard) +
-                      " non-empty with unarmed deadline");
-    }
     if (range.domain == nullptr) {
       continue;  // detached while pending: DrainDeviceInvalidations missed it
     }
@@ -873,8 +741,7 @@ Status Iommu::Audit() const {
                                     return page < live_range.base_page;
                                   });
     if (above == live.begin() || base_page >= (above - 1)->base_page + (above - 1)->pages) {
-      return Internal("pending invalidation not parked in live set (shard " +
-                      std::to_string(range.shard) + ")");
+      return Internal("pending invalidation not parked in live set");
     }
   }
   // (5) Magazine ownership: every CPU magazine and the depot, per domain.

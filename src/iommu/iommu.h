@@ -27,7 +27,6 @@
 
 #include "base/clock.h"
 #include "base/exec.h"
-#include "base/maybe_mutex.h"
 #include "base/stat_counter.h"
 #include "base/status.h"
 #include "base/types.h"
@@ -95,8 +94,6 @@ class Iommu {
     FastPathConfig fast_path = {};
   };
 
-  // Relaxed-atomic counters (StatCounter) so concurrent sim CPUs can bump
-  // them in ExecMode::kThreads; they read like plain integers everywhere.
   struct Stats {
     StatCounter maps;
     StatCounter unmaps;
@@ -122,14 +119,6 @@ class Iommu {
 
   Iommu(const Iommu&) = delete;
   Iommu& operator=(const Iommu&) = delete;
-
-  // Prepares for ExecMode::kThreads: shards the deferred flush queue per CPU
-  // (Linux's per-CPU iova flush queues) and engages every internal lock, here
-  // and in the IOTLB / page tables / IOVA allocators of existing domains.
-  // Must run at machine bring-up, before any worker thread issues traffic;
-  // one-way. In the default sequential mode there is exactly one shard and
-  // no lock is ever taken, preserving the legacy semantics bit-for-bit.
-  void EngageThreadSafety(uint32_t num_cpus);
 
   // Routes IOMMU/IOTLB events (flushes, faults, stale hits) through `hub`
   // and links every Stats tally into it, here and in the IOTLB and each
@@ -185,12 +174,11 @@ class Iommu {
   // the never-attached kInvalidArgument one.
   bool IsRevoked(DeviceId device) const;
 
-  // Removes `device`'s entries from *every* CPU's deferred flush shard: their
-  // IOTLB pages are invalidated first, then the parked IOVAs are reclaimed —
-  // the order that prevents a recycled IOVA from translating through a
-  // still-warm stale window. Quarantine relies on the every-shard sweep: a
-  // device's deferred unmaps land on whichever CPU issued them. Returns the
-  // number of queue entries drained.
+  // Removes `device`'s entries from the deferred flush queue, whichever CPU
+  // issued them: their IOTLB pages are invalidated first, then the parked
+  // IOVAs are reclaimed — the order that prevents a recycled IOVA from
+  // translating through a still-warm stale window. Returns the number of
+  // queue entries drained.
   uint64_t DrainDeviceInvalidations(DeviceId device);
 
   // Permanently detaches `device`: fences it, drains its queue entries and
@@ -215,8 +203,10 @@ class Iommu {
   Status UnmapPage(DeviceId device, Iova iova);
   Status UnmapRange(DeviceId device, Iova base, uint64_t pages);
 
-  // Forces every deferred flush shard out now (the 10 ms timer firing, or an
-  // admin `iommu=strict`-style flush).
+  // Drains the deferred flush queue now (the 10 ms timer firing, or an
+  // admin `iommu=strict`-style flush): one global IOTLB invalidation
+  // amortizes the batch, the walk caches drop, then each parked IOVA
+  // returns to its unmapping CPU's magazines.
   void FlushNow(FlushReason reason = FlushReason::kManual);
 
   // Trust-policy gate (spv::policy): while disabled, the device's domain
@@ -229,15 +219,15 @@ class Iommu {
   bool device_fast_path(DeviceId device) const;
 
   // The CPU the simulated kernel is currently executing on; IOVA magazine
-  // allocs/frees and flush-shard selection use it. Ambient (thread-local,
-  // like preemption context) rather than a parameter so device models need
-  // no plumbing — and so each kThreads worker carries its own identity.
+  // allocs/frees use it, and a deferred unmap records it so that the flush
+  // returns the parked IOVA to that CPU's magazines. Ambient (like
+  // preemption context) rather than a parameter so device models need no
+  // plumbing.
   void set_current_cpu(CpuId cpu) { SetCurrentCpu(cpu); }
   CpuId current_cpu() const { return CurrentCpu(); }
 
   // Models timer processing: call after advancing the clock to let an expired
-  // deadline trigger the periodic flush. Checks only the calling CPU's shard
-  // (each CPU services its own flush timer, as in Linux's per-CPU fq timers).
+  // deadline trigger the periodic flush.
   void ProcessDeferredTimer();
 
   // ---- Device side -----------------------------------------------------------
@@ -252,13 +242,10 @@ class Iommu {
   InvalidationMode mode() const { return config_.mode; }
   const FastPathConfig& fast_path() const { return config_.fast_path; }
   const Stats& stats() const { return stats_; }
-  // Quiescent-read introspection: valid while no worker thread is running.
   const std::vector<IommuFault>& faults() const { return faults_; }
   const Iotlb& iotlb() const { return iotlb_; }
-  // Pending entries across all shards.
-  uint64_t pending_invalidation_count() const;
-  // Pending entries in one CPU's shard (cross-CPU drain tests).
-  uint64_t pending_invalidation_count(CpuId cpu) const;
+  // Entries in the deferred flush queue.
+  uint64_t pending_invalidation_count() const { return flush_queue_.size(); }
 
   // The IOMMU's share of Machine::CheckInvariants, checked in this order:
   //  (2) containment — every installed PTE lies inside a live IOVA range of
@@ -266,7 +253,7 @@ class Iommu {
   //  (3) stale coverage — every IOTLB entry with no live PTE behind it is
   //      covered by a pending invalidation of its domain (the Fig 6 window,
   //      not a lost invalidation);
-  //  (5) cross-CPU state — every non-empty flush shard carries an armed
+  //  (5) cross-CPU state — a non-empty flush queue carries an armed
   //      deadline, every pending range is still parked (live) in its
   //      domain's allocator, and no IOVA range sits both in a magazine/depot
   //      and in the live set, outside the window, or in two cache slots.
@@ -322,34 +309,15 @@ class Iommu {
     CpuId cpu{0};
   };
 
-  // One deferred flush queue shard. Sequential mode has exactly one (the
-  // legacy global queue); kThreads mode has one per CPU, so unmap-heavy
-  // workloads never serialize on a global invalidation queue. Each shard
-  // carries its own deadline, armed when the first entry lands.
-  struct FlushShard {
-    mutable MaybeMutex mu;
-    std::deque<PendingInvalidation> queue;
-    uint64_t deadline = 0;  // valid when queue nonempty
-  };
-
-  // Snapshot of a device's attach/fence/revoke state, taken under one brief
-  // shared lock. The shared_ptr keeps the domain alive (RCU-style) even if a
-  // concurrent detach erases it from the map, so callers operate lock-free
-  // on the domain afterwards.
+  // Snapshot of a device's attach/fence/revoke state. `domain` stays owned
+  // by device_domain_: no detach can run while a caller holds it, because
+  // sinks only queue work and never call into a layer (telemetry::EventSink).
   struct DeviceRef {
-    std::shared_ptr<Domain> domain;  // null when not attached
+    Domain* domain = nullptr;  // null when not attached
     bool fenced = false;
     bool revoked = false;
   };
   DeviceRef Resolve(DeviceId device) const;
-
-  size_t ShardIndex() const {
-    return flush_shards_.size() <= 1 ? 0 : CurrentCpu().value % flush_shards_.size();
-  }
-  // Drains one shard: one global IOTLB invalidation amortizing the batch,
-  // walk-cache drop, then the parked IOVAs return to their unmapping CPUs'
-  // magazines. The legacy FlushNow body, scoped to a shard.
-  void DrainShard(size_t shard_index, FlushReason reason);
 
   // The injected wait-descriptor stall of one invalidation command: 0 unless
   // the kIotlbInvalidation fault site fires.
@@ -375,19 +343,16 @@ class Iommu {
   SimClock& clock_;
   Config config_;
   Iotlb iotlb_;
-  // Device/fence/revoke tables, guarded by state_mu_ (reads take a brief
-  // shared lock and copy the domain shared_ptr out; never held across
-  // component calls, so the lock order is always state_mu_ -> {shard, iotlb,
-  // table, iova} with no cycles).
-  mutable MaybeSharedMutex state_mu_;
-  std::unordered_map<uint32_t, std::shared_ptr<Domain>> device_domain_;  // device -> domain
+  // device -> domain; the members of a shared domain hold one Domain.
+  std::unordered_map<uint32_t, std::shared_ptr<Domain>> device_domain_;
   std::unordered_set<uint32_t> fenced_;   // quarantined devices (still attached)
   std::unordered_set<uint32_t> revoked_;  // fenced or detached, not yet restored
   uint32_t next_domain_id_ = 1;
-  bool threaded_ = false;
-  std::vector<std::unique_ptr<FlushShard>> flush_shards_;
+  // The deferred flush queue. Its deadline is armed when the first entry
+  // lands and valid while the queue is non-empty.
+  std::deque<PendingInvalidation> flush_queue_;
+  uint64_t flush_deadline_ = 0;
   Stats stats_;
-  mutable MaybeMutex faults_mu_;
   std::vector<IommuFault> faults_;
   telemetry::Hub* hub_ = nullptr;
   std::vector<telemetry::CounterLink> links_;  // after stats_, which it reads

@@ -1,7 +1,5 @@
 #include "iommu/iotlb.h"
 
-#include <mutex>
-
 namespace spv::iommu {
 
 void Iotlb::set_telemetry(telemetry::Hub* hub) {
@@ -17,7 +15,6 @@ void Iotlb::set_telemetry(telemetry::Hub* hub) {
 }
 
 std::optional<PteEntry> Iotlb::Lookup(DeviceId device, Iova iova_page) {
-  std::lock_guard<MaybeMutex> guard(mu_);
   const Key key{device.value, iova_page.PageBase().value};
   auto it = map_.find(key);
   if (it == map_.end()) {
@@ -30,7 +27,6 @@ std::optional<PteEntry> Iotlb::Lookup(DeviceId device, Iova iova_page) {
 }
 
 void Iotlb::Insert(DeviceId device, Iova iova_page, PteEntry entry) {
-  std::lock_guard<MaybeMutex> guard(mu_);
   const Key key{device.value, iova_page.PageBase().value};
   auto it = map_.find(key);
   if (it != map_.end()) {
@@ -50,7 +46,6 @@ void Iotlb::Insert(DeviceId device, Iova iova_page, PteEntry entry) {
 }
 
 void Iotlb::InvalidateRange(DeviceId device, Iova base, uint64_t pages) {
-  std::lock_guard<MaybeMutex> guard(mu_);
   for (uint64_t i = 0; i < pages; ++i) {
     auto it = map_.find(Key{device.value, (base.PageBase() + (i << kPageShift)).value});
     if (it != map_.end()) {
@@ -62,7 +57,6 @@ void Iotlb::InvalidateRange(DeviceId device, Iova base, uint64_t pages) {
 }
 
 void Iotlb::InvalidateDevice(DeviceId device) {
-  std::lock_guard<MaybeMutex> guard(mu_);
   for (auto it = map_.begin(); it != map_.end();) {
     if (it->first.device == device.value) {
       lru_.erase(it->second.lru_it);
@@ -75,7 +69,6 @@ void Iotlb::InvalidateDevice(DeviceId device) {
 }
 
 void Iotlb::InvalidateAll() {
-  std::lock_guard<MaybeMutex> guard(mu_);
   map_.clear();
   lru_.clear();
   ++invalidations_;

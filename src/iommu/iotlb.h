@@ -9,12 +9,10 @@
 
 #include <cstdint>
 #include <list>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "base/maybe_mutex.h"
 #include "base/stat_counter.h"
 #include "base/types.h"
 #include "iommu/access_rights.h"
@@ -31,12 +29,6 @@ class Iotlb {
   // (pass nullptr to detach). The lookup path only bumps its own tallies.
   void set_telemetry(telemetry::Hub* hub);
 
-  // Engages the internal lock for ExecMode::kThreads. The IOTLB is one
-  // shared structure across all queues/CPUs (as on real hardware); even
-  // Lookup mutates (LRU touch), so every operation takes the lock once
-  // engaged. Sequential mode never takes it (a branch).
-  void EngageLock() { mu_.Engage(); }
-
   std::optional<PteEntry> Lookup(DeviceId device, Iova iova_page);
   void Insert(DeviceId device, Iova iova_page, PteEntry entry);
 
@@ -49,16 +41,12 @@ class Iotlb {
   // Global invalidation (deferred mode periodic flush).
   void InvalidateAll();
 
-  size_t size() const {
-    std::lock_guard<MaybeMutex> guard(mu_);
-    return map_.size();
-  }
+  size_t size() const { return map_.size(); }
 
   // Visits every cached translation as (domain id, iova page base, entry).
   // Unordered; for audits (Machine::CheckInvariants), not the lookup path.
   template <typename Fn>
   void ForEachEntry(Fn&& fn) const {
-    std::lock_guard<MaybeMutex> guard(mu_);
     for (const auto& [key, slot] : map_) {
       fn(DeviceId{key.device}, Iova{key.iova_page}, slot.entry);
     }
@@ -87,7 +75,6 @@ class Iotlb {
   void Touch(const Key& key, Slot& slot);
 
   size_t capacity_;
-  mutable MaybeMutex mu_;  // guards map_ + lru_ when engaged
   std::unordered_map<Key, Slot, KeyHash> map_;
   std::list<Key> lru_;  // front = most recent
   StatCounter hits_;

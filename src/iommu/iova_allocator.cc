@@ -65,13 +65,11 @@ Result<Iova> IovaAllocator::Alloc(uint64_t pages, CpuId cpu) {
   if (fast_path_.enabled && !cache_bypass_ && size_class >= 0 &&
       MagazinePop(size_class, cpu, &base_page)) {
     ++stats_.rcache_hits;
-    std::lock_guard<MaybeMutex> guard(mu_);
     live_.emplace(base_page, effective);
   } else {
     if (fast_path_.enabled && !cache_bypass_ && size_class >= 0) {
       ++stats_.rcache_misses;
     }
-    std::lock_guard<MaybeMutex> guard(mu_);
     Result<uint64_t> range = AllocRange(effective);
     if (!range.ok()) {
       return range.status();
@@ -92,32 +90,27 @@ Status IovaAllocator::Free(Iova base, uint64_t pages, CpuId cpu) {
     return InvalidArgument("IOVA free outside window");
   }
   const uint64_t effective = EffectivePages(pages);
-  {
-    std::lock_guard<MaybeMutex> guard(mu_);
-    auto it = live_.find(base_page);
-    if (it == live_.end()) {
-      return FailedPrecondition("IOVA double free");
-    }
-    if (it->second != effective) {
-      return InvalidArgument("IOVA free with mismatched page count");
-    }
-    live_.erase(it);
+  auto it = live_.find(base_page);
+  if (it == live_.end()) {
+    return FailedPrecondition("IOVA double free");
   }
-  assert(allocated_pages_.load() >= effective);
+  if (it->second != effective) {
+    return InvalidArgument("IOVA free with mismatched page count");
+  }
+  live_.erase(it);
+  assert(allocated_pages_ >= effective);
   allocated_pages_ -= effective;
 
   const int size_class = SizeClassFor(pages);
   if (fast_path_.enabled && !cache_bypass_ && size_class >= 0) {
     MagazinePush(size_class, cpu, base_page);
   } else {
-    std::lock_guard<MaybeMutex> guard(mu_);
     FreeRange(base_page, effective);
   }
   return OkStatus();
 }
 
 uint64_t IovaAllocator::cached_ranges() const {
-  std::lock_guard<MaybeMutex> guard(mu_);
   uint64_t total = 0;
   for (const SizeClassCache& cache : rcaches_) {
     for (const CpuCache& cpu : cache.cpus) {
@@ -131,7 +124,6 @@ uint64_t IovaAllocator::cached_ranges() const {
 }
 
 Status IovaAllocator::AuditCaches(std::span<const LiveRange> live) const {
-  std::lock_guard<MaybeMutex> guard(mu_);
   // Every cached base goes into one vector (per-thread scratch, so a warm
   // audit allocates nothing), checked against the window as it is collected
   // (the size class bounds the range). Sorted, a range cached twice sits
@@ -182,11 +174,9 @@ bool IovaAllocator::MagazinePop(int size_class, CpuId cpu, uint64_t* base_page) 
   if (cpu_cache.loaded.empty()) {
     if (!cpu_cache.prev.empty()) {
       std::swap(cpu_cache.loaded, cpu_cache.prev);
+    } else if (cache.depot.empty()) {
+      return false;
     } else {
-      std::lock_guard<MaybeMutex> guard(mu_);
-      if (cache.depot.empty()) {
-        return false;
-      }
       // The empty loaded magazine is recycled as the next depot slot's
       // backing storage by the swap (its reserved capacity is kept).
       std::swap(cpu_cache.loaded, cache.depot.back());
@@ -205,23 +195,20 @@ void IovaAllocator::MagazinePush(int size_class, CpuId cpu, uint64_t base_page) 
   if (cpu_cache.loaded.size() >= fast_path_.magazine_capacity) {
     if (cpu_cache.prev.size() < fast_path_.magazine_capacity) {
       std::swap(cpu_cache.loaded, cpu_cache.prev);
+    } else if (cache.depot.size() < fast_path_.depot_capacity) {
+      cache.depot.push_back(std::move(cpu_cache.loaded));
+      cpu_cache.loaded = Magazine{};
+      cpu_cache.loaded.reserve(fast_path_.magazine_capacity);
+      ++stats_.depot_spills;
     } else {
-      std::lock_guard<MaybeMutex> guard(mu_);
-      if (cache.depot.size() < fast_path_.depot_capacity) {
-        cache.depot.push_back(std::move(cpu_cache.loaded));
-        cpu_cache.loaded = Magazine{};
-        cpu_cache.loaded.reserve(fast_path_.magazine_capacity);
-        ++stats_.depot_spills;
-      } else {
-        // Depot full: return the whole magazine to the range tree, like
-        // iova_magazine_free_pfns.
-        const uint64_t size = uint64_t{1} << size_class;
-        for (uint64_t cached : cpu_cache.loaded) {
-          FreeRange(cached, size);
-        }
-        cpu_cache.loaded.clear();
-        ++stats_.depot_overflows;
+      // Depot full: return the whole magazine to the range tree, like
+      // iova_magazine_free_pfns.
+      const uint64_t size = uint64_t{1} << size_class;
+      for (uint64_t cached : cpu_cache.loaded) {
+        FreeRange(cached, size);
       }
+      cpu_cache.loaded.clear();
+      ++stats_.depot_overflows;
     }
   }
   cpu_cache.loaded.push_back(base_page);

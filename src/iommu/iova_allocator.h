@@ -22,12 +22,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
-#include "base/maybe_mutex.h"
 #include "base/stat_counter.h"
 #include "base/status.h"
 #include "base/types.h"
@@ -85,12 +83,6 @@ class IovaAllocator {
   void set_cache_bypass(bool bypass) { cache_bypass_ = bypass; }
   bool cache_bypass() const { return cache_bypass_; }
 
-  // Engages the internal lock for ExecMode::kThreads. The lock covers the
-  // shared slow path (free tree, live set, depot); the per-CPU loaded/prev
-  // magazines stay owner-CPU-only and lock-free, exactly like Linux's
-  // per-CPU iova rcaches. Must precede concurrent use; one-way.
-  void EngageLock() { mu_.Engage(); }
-
   // Number of IOVA ranges currently parked in magazines + depot.
   uint64_t cached_ranges() const;
 
@@ -102,15 +94,13 @@ class IovaAllocator {
   // Magazine-ownership audit (Iommu::Audit, cross-CPU): every range parked
   // in a magazine or the depot must lie inside the window, be parked exactly
   // once, and have a base that starts no live range. `live` is this
-  // allocator's live_ranges(), which the caller already holds. Call at
-  // quiescence in kThreads mode (per-CPU magazines are read unlocked).
+  // allocator's live_ranges(), which the caller already holds.
   Status AuditCaches(std::span<const LiveRange> live) const;
 
   // Live ranges in ascending base order, sized as the rounded counts Alloc
   // actually reserved. Leak/containment audits (Machine::CheckInvariants)
   // match mapped IOVA pages against these.
   std::vector<LiveRange> live_ranges() const {
-    std::lock_guard<MaybeMutex> guard(mu_);
     std::vector<LiveRange> out;
     out.reserve(live_.size());
     for (const auto& [base, pages] : live_) {
@@ -146,25 +136,20 @@ class IovaAllocator {
   uint64_t EffectivePages(uint64_t pages) const;
 
   // Slow path over the free tree / virgin space. Returns a base *page*.
-  // Caller holds mu_.
   Result<uint64_t> AllocRange(uint64_t pages);
   void FreeRange(uint64_t base_page, uint64_t pages);
 
-  // Per-CPU fast path; takes mu_ internally only for the shared depot (pop
-  // refill / push spill) and the overflow dump into the free tree.
+  // Per-CPU fast path; the shared depot serves a refill (pop) or takes a
+  // spill (push), and a full depot dumps the magazine into the free tree.
   bool MagazinePop(int size_class, CpuId cpu, uint64_t* base_page);
   void MagazinePush(int size_class, CpuId cpu, uint64_t base_page);
 
   uint64_t window_start_;  // in pages
   uint64_t window_end_;    // in pages
-  uint64_t next_top_;      // grows downward, in pages; guarded by mu_
+  uint64_t next_top_;      // grows downward, in pages
   FastPathConfig fast_path_;
   bool cache_bypass_ = false;  // trust-policy slow-path gate
 
-  // Shared state guarded by mu_ (disengaged — a branch — in sequential
-  // mode): the free tree, the live set and each size class's depot. The
-  // per-CPU loaded/prev magazines are owner-CPU-only by contract.
-  mutable MaybeMutex mu_;
   std::map<uint64_t, uint64_t> free_ranges_;  // base page -> page count
   std::vector<SizeClassCache> rcaches_;       // indexed by size class
 

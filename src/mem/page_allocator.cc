@@ -1,7 +1,6 @@
 #include "mem/page_allocator.h"
 
 #include <cassert>
-#include <mutex>
 
 #include "fault/fault.h"
 
@@ -37,7 +36,6 @@ Result<Pfn> PageAllocator::AllocPages(unsigned order, PageOwner owner) {
   }
   ++alloc_count_;
 
-  std::lock_guard<MaybeMutex> guard(mu_);
   uint64_t head_pfn;
   if (order == 0 && !hot_cache_.empty()) {
     head_pfn = hot_cache_.back();  // LIFO: most recently freed first
@@ -68,7 +66,6 @@ Status PageAllocator::FreePages(Pfn head) {
   if (head.value < first_pfn_ || head.value >= first_pfn_ + num_pages_) {
     return InvalidArgument("FreePages outside the managed range");
   }
-  std::lock_guard<MaybeMutex> guard(mu_);
   PageMeta& meta = page_db_.Get(head);
   if (page_db_.owner(head) == PageOwner::kFree || !meta.is_head) {
     return FailedPrecondition("FreePages on a non-head or already-free page");

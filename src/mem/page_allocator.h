@@ -14,11 +14,9 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <set>
 #include <vector>
 
-#include "base/maybe_mutex.h"
 #include "base/stat_counter.h"
 #include "base/status.h"
 #include "base/types.h"
@@ -54,11 +52,6 @@ class PageAllocator {
   // Optional fault hook (kPageAlloc): nullptr detaches.
   void set_fault_engine(fault::FaultEngine* engine) { fault_ = engine; }
 
-  // Engages the allocator lock for ExecMode::kThreads (one-way). Covers the
-  // buddy lists, the hot cache and the PageDb metadata writes alloc/free
-  // perform; sequential mode pays a branch.
-  void EngageLock() { mu_.Engage(); }
-
   // Statistics for benchmarks.
   uint64_t hot_cache_hits() const { return hot_cache_hits_; }
   uint64_t alloc_count() const { return alloc_count_; }
@@ -80,8 +73,6 @@ class PageAllocator {
   uint64_t first_pfn_;
   uint64_t num_pages_;
   StatCounter free_pages_;
-
-  mutable MaybeMutex mu_;  // guards free_lists_ + hot_cache_ when engaged
 
   // Ordered free sets per order: deterministic lowest-address-first policy.
   std::array<std::set<FreeBlock>, kMaxOrder + 1> free_lists_;

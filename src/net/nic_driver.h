@@ -16,8 +16,8 @@
 // Every ring operation takes a queue index; the historical single-queue API
 // is preserved as a byte-identical delegation to queue 0. The device decides
 // which RX queue a flow lands on through the Toeplitz RSS hash (net/rss.h) —
-// and therefore which CPU's IOVA magazines, flush-queue shard and page_frag
-// pool the buffer travels through.
+// and therefore which CPU's IOVA magazines and page_frag pool the buffer
+// travels through.
 
 #ifndef SPV_NET_NIC_DRIVER_H_
 #define SPV_NET_NIC_DRIVER_H_
@@ -265,10 +265,8 @@ class NicDriver : public recovery::SupervisedDriver {
   };
 
   // One RX/TX queue pair and everything that used to be device-global state.
-  // In kThreads mode each queue is driven only by the thread for `cpu`, so
-  // the plain fields need no lock; the counters are StatCounters because the
-  // aggregate accessors (and the hub, through the driver's links) sum them
-  // from other threads.
+  // Each queue runs on its pinned `cpu`; the aggregate accessors (and the
+  // hub, through the driver's links) sum its StatCounters across queues.
   struct Queue {
     Queue() = default;
     Queue(const Queue&) = delete;

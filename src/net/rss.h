@@ -8,8 +8,7 @@
 // same hash a real NIC computes, a 128-entry table seeded round-robin.
 //
 // Why it matters here: the queue a flow lands on decides *which CPU's* IOVA
-// magazines, flush-queue shard and page_frag pool its buffers travel
-// through. A device-side attacker who can choose the 4-tuple chooses the
+// magazines and page_frag pool its buffers travel through. A device-side attacker who can choose the 4-tuple chooses the
 // victim CPU — the cross-CPU stale-IOTLB scenarios in the soak harness are
 // built on that.
 

@@ -1,7 +1,6 @@
 #include "slab/slab_allocator.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "base/align.h"
 #include "fault/fault.h"
@@ -44,7 +43,6 @@ Result<Kva> SlabAllocator::Kmalloc(uint64_t size, std::string_view site) {
   if (!cls.has_value()) {
     return KmallocLarge(size, site);
   }
-  std::lock_guard<MaybeMutex> guard(mu_);
   Cache& cache = caches_[*cls];
 
   // Find a partial slab page (MRU first, like SLUB's per-cpu active slab).
@@ -97,7 +95,6 @@ Result<Kva> SlabAllocator::Kmalloc(uint64_t size, std::string_view site) {
 }
 
 Result<Kva> SlabAllocator::KmallocLarge(uint64_t size, std::string_view site) {
-  std::lock_guard<MaybeMutex> guard(mu_);
   const unsigned order = Log2Ceil(AlignUp(size, kPageSize) >> kPageShift);
   Result<Pfn> head = page_alloc_.AllocPages(order, mem::PageOwner::kAnon);
   if (!head.ok()) {
@@ -154,8 +151,6 @@ Status SlabAllocator::Kfree(Kva kva) {
     return InvalidArgument("kfree of non-direct-map KVA");
   }
   const Pfn pfn = phys->pfn();
-  std::lock_guard<MaybeMutex> guard(mu_);
-
   // Large allocation?
   if (auto it = large_.find(pfn.value); it != large_.end()) {
     if (phys->page_offset() != 0) {
@@ -212,8 +207,6 @@ std::optional<ObjectInfo> SlabAllocator::Lookup(Kva kva) const {
     return std::nullopt;
   }
   const Pfn pfn = phys->pfn();
-  std::lock_guard<MaybeMutex> guard(mu_);
-
   if (auto it = slab_pages_.find(pfn.value); it != slab_pages_.end()) {
     const SlabPage& page = it->second;
     const uint32_t slot = static_cast<uint32_t>(phys->page_offset() / page.object_size);
@@ -237,7 +230,6 @@ std::optional<ObjectInfo> SlabAllocator::Lookup(Kva kva) const {
 }
 
 std::vector<ObjectInfo> SlabAllocator::ObjectsOnPage(Pfn pfn) const {
-  std::lock_guard<MaybeMutex> guard(mu_);
   std::vector<ObjectInfo> out;
   if (auto it = slab_pages_.find(pfn.value); it != slab_pages_.end()) {
     const SlabPage& page = it->second;

@@ -15,14 +15,12 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "base/maybe_mutex.h"
 #include "base/stat_counter.h"
 #include "base/status.h"
 #include "base/types.h"
@@ -88,11 +86,6 @@ class SlabAllocator {
   // Optional fault hook (kSlabAlloc): nullptr detaches.
   void set_fault_engine(fault::FaultEngine* engine) { fault_ = engine; }
 
-  // Engages the cache lock for ExecMode::kThreads (one-way). Like SLUB's
-  // list_lock it covers every cache and slab page; the kmalloc path in this
-  // simulator is cold enough that one lock beats per-cache locks.
-  void EngageLock() { mu_.Engage(); }
-
  private:
   struct SlabPage {
     Pfn pfn;
@@ -129,7 +122,6 @@ class SlabAllocator {
   mem::PageAllocator& page_alloc_;
   const mem::KernelLayout& layout_;
 
-  mutable MaybeMutex mu_;  // guards caches_/slab_pages_/large_ when engaged
   std::array<Cache, kKmallocSizeClasses.size()> caches_;
   std::unordered_map<uint64_t, SlabPage> slab_pages_;   // pfn -> slab page
   std::unordered_map<uint64_t, LargeAlloc> large_;      // head pfn -> large alloc

@@ -43,8 +43,7 @@ constexpr uint64_t kHarnessSeedSalt = 0x50414b5f534f414bull;  // "PAK_SOAK"
 constexpr uint32_t kChurnDeviceId = 900;
 
 // Per-CPU churn devices for the multi-CPU leg: device 910+c carries CPU c's
-// parallel map/unmap stream so every CPU's IOVA magazines and flush-queue
-// shard see traffic.
+// map/unmap stream so every CPU's IOVA magazines see traffic.
 constexpr uint32_t kPerCpuChurnBase = 910;
 
 // Trust-policy leg: the long-lived hostile device (keeps a bounce mapping
@@ -156,12 +155,10 @@ SoakReport RunSoak(const SoakConfig& config) {
   // and the soak JSON stays byte-identical for a given seed either way.
   machine_config.forensics.enabled = config.forensics;
 
-  // Multi-CPU leg: fast_path.num_cpus sizes the per-CPU magazines and flush
-  // shards; exec decides whether RunOnCpus fans out to real host threads.
+  // Multi-CPU leg: fast_path.num_cpus sizes the per-CPU magazines.
   const uint32_t num_cpus = config.num_cpus == 0 ? 1 : config.num_cpus;
   const bool multi_cpu = num_cpus > 1;
   machine_config.iommu.fast_path.num_cpus = num_cpus;
-  machine_config.exec = config.threads ? ExecMode::kThreads : ExecMode::kSequential;
 
   core::Machine machine{machine_config};
   Xoshiro256 rng{config.seed ^ kHarnessSeedSalt};
@@ -217,8 +214,7 @@ SoakReport RunSoak(const SoakConfig& config) {
   }
 
   // Per-CPU churn devices + per-CPU RNG streams. Each CPU draws only from its
-  // own stream, so kSequential runs are byte-deterministic and kThreads runs
-  // share nothing but the (locked) machine itself.
+  // own stream, so a CPU's churn does not depend on the others'.
   std::vector<Xoshiro256> cpu_rngs;
   std::vector<uint64_t> cpu_churn_ops(num_cpus, 0);
   std::vector<uint64_t> cpu_churn_failures(num_cpus, 0);
@@ -627,8 +623,7 @@ SoakReport RunSoak(const SoakConfig& config) {
     }
 
     // -- Per-CPU churn: every CPU pushes map/unmap pairs through its own
-    // IOVA magazines and flush-queue shard. kSequential visits CPUs in order
-    // on one host thread; kThreads fans out to real workers (the TSan leg).
+    // IOVA magazines; RunOnCpus visits the CPUs in order.
     if (multi_cpu) {
       machine.RunOnCpus(num_cpus, [&](CpuId cpu) {
         Xoshiro256& crng = cpu_rngs[cpu.value];
@@ -656,12 +651,14 @@ SoakReport RunSoak(const SoakConfig& config) {
       });
     }
 
-    // -- Cross-CPU stale-IOTLB race (the Fig 6 window, sharded flush queues):
-    // CPU 0 maps, lets the device warm the translation, then deferred-unmaps
-    // — parking the invalidation in CPU 0's shard. CPU 1 then churns its own
-    // shard (which drains nothing of CPU 0's) and the device replays the
-    // translation. A hit is the breach; the IOMMU's stale-access accounting
-    // must flag it the moment it lands.
+    // -- Cross-CPU stale-IOTLB race (the Fig 6 window): CPU 0 maps, lets the
+    // device warm the translation, then deferred-unmaps — queueing the
+    // invalidation. CPU 1 then maps and unmaps once, which queues one more
+    // entry behind it, and the device replays the translation. CPU 1's unmap
+    // drains nothing unless it fills the queue or finds the deadline past, so
+    // the replay hits because no flush has run since CPU 0's unmap. A hit is
+    // the breach; the IOMMU's stale-access accounting must flag it the moment
+    // it lands.
     if (multi_cpu && epoch % 13 == 5) {
       Result<Kva> race_buf = machine.slab().Kmalloc(2048, "soak_race");
       if (race_buf.ok()) {

@@ -42,17 +42,13 @@ struct SoakConfig {
   // ---- Multi-CPU leg -----------------------------------------------------------
   //
   // num_cpus > 1 turns on the cross-CPU scenarios: a per-CPU churn phase
-  // through every CPU's IOVA magazines and flush-queue shard, RSS-steered
-  // echo flows across nic0's queues (nic_queues > 1), and the two race
-  // probes — a deferred unmap on CPU 0 raced by a stale-IOTLB replay while
-  // service sits on CPU 1's queue, and a quarantine racing an in-flight
-  // completion on a sibling queue. With threads=false everything runs on
-  // one host thread in CPU order: same seed, byte-identical JSON. With
-  // threads=true the per-CPU churn phase runs on real host worker threads
-  // (ExecMode::kThreads — the TSan soak target; not byte-deterministic).
+  // through every CPU's IOVA magazines, RSS-steered echo flows across nic0's
+  // queues (nic_queues > 1), and the two race probes — a deferred unmap on
+  // CPU 0 raced by a stale-IOTLB replay while service sits on CPU 1's queue,
+  // and a quarantine racing an in-flight completion on a sibling queue. The
+  // CPUs run in order on one host thread: same seed, byte-identical JSON.
   uint32_t num_cpus = 1;
   uint32_t nic_queues = 1;    // nic0 RX/TX queue pairs, one per CPU is typical
-  bool threads = false;
 
   // ---- Trust-policy leg --------------------------------------------------------
   //

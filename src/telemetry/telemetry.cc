@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <mutex>
 
 namespace spv::telemetry {
 
@@ -108,14 +107,11 @@ std::optional<EventKind> EventKindFromName(std::string_view name) {
 // ---- Histogram -----------------------------------------------------------------
 
 void Histogram::Record(uint64_t v) {
-  while (record_lock_.test_and_set(std::memory_order_acquire)) {
-  }
   ++buckets_[static_cast<size_t>(std::bit_width(v))];
   ++count_;
   sum_ += v;
   min_ = std::min(min_, v);
   max_ = std::max(max_, v);
-  record_lock_.clear(std::memory_order_release);
 }
 
 double Histogram::Mean() const {
@@ -231,7 +227,6 @@ void Hub::Publish(Event event) {
   if (clock_ != nullptr && event.cycle == 0) {
     event.cycle = clock_->now();
   }
-  std::lock_guard<MaybeRecursiveMutex> guard(dispatch_mu_);
   if (event.span == 0) {
     event.span = current_span_;
   }
@@ -241,11 +236,6 @@ void Hub::Publish(Event event) {
   for (EventSink* sink : sinks_) {
     sink->OnEvent(event);
   }
-}
-
-void Hub::EngageLock() {
-  dispatch_mu_.Engage();
-  registry_mu_.Engage();
 }
 
 void Hub::AddSink(EventSink* sink) {
@@ -264,14 +254,11 @@ namespace detail {
 struct LinkedCount {
   LinkedCount(const StatCounter* counter, uint64_t start) : source(counter), base(start) {}
   // Increments since linking; once unlinked, the increments the link kept.
-  uint64_t value() const {
-    const StatCounter* counter = source.load(std::memory_order_acquire);
-    return counter != nullptr ? counter->load() - base : kept;
-  }
+  uint64_t value() const { return source != nullptr ? source->load() - base : kept; }
 
-  std::atomic<const StatCounter*> source;  // null once unlinked
-  uint64_t base;      // the source's value when linked
-  uint64_t kept = 0;  // written before `source` is cleared
+  const StatCounter* source;  // null once unlinked
+  uint64_t base;              // the source's value when linked
+  uint64_t kept = 0;          // set when `source` is cleared
 };
 
 }  // namespace detail
@@ -280,9 +267,8 @@ void CounterLink::Unlink() {
   if (state_ == nullptr) {
     return;
   }
-  const StatCounter* counter = state_->source.load(std::memory_order_relaxed);
-  state_->kept = counter->load() - state_->base;
-  state_->source.store(nullptr, std::memory_order_release);
+  state_->kept = state_->source->load() - state_->base;
+  state_->source = nullptr;
   state_.reset();
 }
 
@@ -303,7 +289,6 @@ Hub::CounterEntry& Hub::Entry(std::string_view name) {
 }
 
 StatCounter& Hub::counter(std::string_view name) {
-  std::lock_guard<MaybeMutex> guard(registry_mu_);
   return Entry(name).owned;
 }
 
@@ -312,12 +297,11 @@ CounterLink Hub::Link(std::string_view name, const StatCounter& counter) {
     return CounterLink{};
   }
   auto state = std::make_shared<detail::LinkedCount>(&counter, counter.load());
-  std::lock_guard<MaybeMutex> guard(registry_mu_);
   CounterEntry& entry = Entry(name);
   // Fold the links whose handles are gone into the hub-owned count, so
   // re-wiring and device hot-plug churn do not grow the list.
   std::erase_if(entry.links, [&entry](const std::shared_ptr<detail::LinkedCount>& link) {
-    if (link->source.load(std::memory_order_acquire) != nullptr) {
+    if (link->source != nullptr) {
       return false;
     }
     entry.owned += link->kept;
@@ -328,7 +312,6 @@ CounterLink Hub::Link(std::string_view name, const StatCounter& counter) {
 }
 
 Histogram& Hub::histogram(std::string_view name) {
-  std::lock_guard<MaybeMutex> guard(registry_mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_.emplace(std::string(name), Histogram{}).first;
@@ -337,7 +320,6 @@ Histogram& Hub::histogram(std::string_view name) {
 }
 
 uint64_t Hub::counter_value(std::string_view name) const {
-  std::lock_guard<MaybeMutex> guard(registry_mu_);
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second.value();
 }

@@ -8,7 +8,7 @@
 //     registry. A fact a layer already tallies in its own StatCounter is
 //     *linked* (Hub::Link), not counted twice: the Hub reads the layer's
 //     tally, so there is one count per fact;
-//   * a fixed-capacity single-writer trace ring of timestamped Events with
+//   * a fixed-capacity trace ring of timestamped Events with
 //     severity filtering and drop accounting — overwritten slots are counted,
 //     never silently lost;
 //   * deterministic JSON / CSV exporters (sorted names, fixed field order, no
@@ -21,14 +21,12 @@
 // *recording* (ring, hub-owned counters, links) is fixed by `enabled` when
 // the Hub is constructed, so a disabled Hub with no sinks costs one branch
 // per emit site (components guard with `active()` before building an Event).
-// Publish dispatches on the calling thread in both execution modes, so every
-// sink sees each event when it happens.
+// Publish dispatches at once, so every sink sees each event when it happens.
 
 #ifndef SPV_TELEMETRY_TELEMETRY_H_
 #define SPV_TELEMETRY_TELEMETRY_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -38,7 +36,6 @@
 #include <vector>
 
 #include "base/clock.h"
-#include "base/maybe_mutex.h"
 #include "base/stat_counter.h"
 
 namespace spv::telemetry {
@@ -163,14 +160,13 @@ struct Event {
 // Hub's enabled flag — functional consumers (D-KASAN) must not go blind when
 // recording is off.
 //
-// OnEvent runs on the thread that publishes, inside the Hub's dispatch lock
-// (engaged in kThreads). A sink may publish from OnEvent (the lock is
-// recursive) and may use its own state and the Hub's metrics, but it must
-// never call into a layer (IOMMU, DMA API, allocators, drivers, fault
-// engine): SlabAllocator::Kmalloc/Kfree and FaultEngine::ShouldInject publish
-// while holding their own lock, so a sink that took a layer lock could
-// deadlock. Lock order: layer locks, then the dispatch lock, then the Hub's
-// registry lock, the flight recorder's spinlocks and the incident engine's.
+// OnEvent runs inside Publish, in the middle of the publishing layer's
+// operation. A sink may publish from OnEvent and may use its own state and
+// the Hub's metrics, but it must never call into a layer (IOMMU, DMA API,
+// allocators, drivers, fault engine): it only queues work. The layer that
+// published is not done yet, so a sink that mapped, unmapped or detached
+// could change state under it — the IOMMU, for one, holds a plain pointer
+// to a translation domain across the events it publishes.
 class EventSink {
  public:
   virtual ~EventSink() = default;
@@ -243,30 +239,17 @@ class Histogram {
   };
   std::vector<Bucket> NonZeroBuckets() const;
 
-  Histogram() = default;
-  // Copyable for map emplacement; the spinlock is per-instance state, not data.
-  Histogram(const Histogram& other)
-      : buckets_(other.buckets_),
-        count_(other.count_),
-        sum_(other.sum_),
-        min_(other.min_),
-        max_(other.max_) {}
-
  private:
-  // Record is a multi-field update; a spinlock keeps concurrent recorders
-  // (kThreads mode) consistent at ~1 uncontended RMW of cost. Readers run at
-  // quiescence (after workers join), so the read side stays lock-free.
   std::array<uint64_t, kBuckets> buckets_{};
   uint64_t count_ = 0;
   uint64_t sum_ = 0;
   uint64_t min_ = UINT64_MAX;
   uint64_t max_ = 0;
-  std::atomic_flag record_lock_ = ATOMIC_FLAG_INIT;
 };
 
 // ---- Trace ring ----------------------------------------------------------------
 
-// Fixed-capacity single-writer ring. No allocation or rebalancing on the push
+// Fixed-capacity ring. No allocation or rebalancing on the push
 // path (slot index is seq % capacity); the oldest record is overwritten when
 // full and accounted as dropped. A severity floor filters before recording.
 class TraceRing {
@@ -330,16 +313,9 @@ class Hub {
   // with this so a disabled Hub with no sinks costs one branch.
   bool active() const { return enabled_ || !sinks_.empty(); }
 
-  // Stamps the cycle (from the calling sim CPU's clock in kThreads), then,
-  // on the calling thread: stamps the current span, records (when enabled)
-  // and fans out to every sink (always).
+  // Stamps the cycle and the current span, records (when enabled) and fans
+  // out to every sink (always).
   void Publish(Event event);
-
-  // kThreads bring-up, before any worker thread exists: engages the registry
-  // lock and the recursive dispatch lock that serializes Publish, so the
-  // trace ring and every sink stay single-writer. kSequential never calls
-  // it, and its Publish takes no lock.
-  void EngageLock();
 
   // Current-span register (spv::trace::Tracer maintains it). Publish stamps
   // `event.span` from it when the emitter left the field 0, so every event
@@ -347,7 +323,6 @@ class Hub {
   void set_current_span(uint64_t span) { current_span_ = span; }
   uint64_t current_span() const { return current_span_; }
 
-  // Sinks are wired before worker threads start.
   void AddSink(EventSink* sink);
   void RemoveSink(EventSink* sink);
   size_t sink_count() const { return sinks_.size(); }
@@ -365,7 +340,7 @@ class Hub {
   [[nodiscard]] CounterLink Link(std::string_view name, const StatCounter& counter);
 
   // Hub-owned value plus every linked value, or 0 for an unknown name
-  // (read-only lookup). Read at quiescence in kThreads runs.
+  // (read-only lookup).
   uint64_t counter_value(std::string_view name) const;
 
   const std::map<std::string, Histogram, std::less<>>& histograms() const {
@@ -390,22 +365,15 @@ class Hub {
     std::vector<std::shared_ptr<detail::LinkedCount>> links;
     uint64_t value() const;
   };
-  CounterEntry& Entry(std::string_view name);  // caller holds registry_mu_
+  CounterEntry& Entry(std::string_view name);
 
   const bool enabled_;
   const SimClock* clock_ = nullptr;
-  // Engaged in kThreads: serializes Publish, so the ring and every sink see
-  // one event at a time. Recursive: sinks publish from OnEvent.
-  MaybeRecursiveMutex dispatch_mu_;
   uint64_t current_span_ = 0;
   TraceRing ring_;
   std::vector<EventSink*> sinks_;
   std::map<std::string, CounterEntry, std::less<>> counters_;
   std::map<std::string, Histogram, std::less<>> histograms_;
-  // Engaged in kThreads. Guards only the *structure* of the metric maps
-  // (lazy name registration, links); the counters/Histograms themselves are
-  // internally synchronized, so cached references stay lock-free.
-  mutable MaybeMutex registry_mu_;
 };
 
 // CSV-escapes `field` (quotes it when it contains a comma, quote or newline).

@@ -8,8 +8,8 @@
 //     evidence alone: (a)–(d) in strict mode via manual OpenIncident,
 //     Poisoned Completion in deferred mode via the automatic
 //     kStaleIotlbHit trigger;
-//   * system — same-seed kSequential runs freeze byte-identical reports,
-//     kThreads churn records TSan-clean, a disabled machine pays one null
+//   * system — same-seed runs freeze byte-identical reports, multi-CPU
+//     churn records and freezes clean, a disabled machine pays one null
 //     branch, and the soak harness embeds a deterministic forensics block.
 
 #include <algorithm>
@@ -515,7 +515,7 @@ TEST(ForensicsClassify, PoisonedCompletionAutoFreezesIncident) {
   EXPECT_TRUE(rig.driver.Shutdown().ok());
 }
 
-// ---- System: determinism, threads, disabled, soak ------------------------------
+// ---- System: determinism, multi-CPU, disabled, soak ----------------------------
 
 namespace {
 std::string RunClassDScenario(uint64_t seed) {
@@ -544,10 +544,12 @@ TEST(ForensicsDeterminism, SameSeedFreezesByteIdenticalReports) {
   EXPECT_NE(first.find("\"inferred_class\":\"class_d\""), std::string::npos);
 }
 
+// Four rounds of deferred churn on 4 CPUs, with a freeze on CPU 0 in the
+// middle of its churn: every CPU's device keeps a ledger, the invariants
+// hold after every round, and the report document is well formed.
 TEST(ForensicsThreads, ConcurrentChurnRecordsAndFreezesClean) {
   core::MachineConfig config;
   config.seed = 7;
-  config.exec = ExecMode::kThreads;
   config.iommu.mode = iommu::InvalidationMode::kDeferred;
   config.iommu.fast_path.num_cpus = 4;
   config.forensics.enabled = true;
@@ -566,7 +568,7 @@ TEST(ForensicsThreads, ConcurrentChurnRecordsAndFreezesClean) {
         Result<Iova> iova = machine.dma().MapSingle(
             dev, *buf, 1024, dma::DmaDirection::kFromDevice, "forensics_churn");
         if (iova.ok()) {
-          // A worker-side freeze while siblings churn: snapshot vs record.
+          // A freeze between a map and its unmap: snapshot vs record.
           if (cpu.value == 0 && i == 8) {
             machine.incidents()->OpenIncident(dev, "mid-churn freeze");
           }
@@ -591,11 +593,10 @@ TEST(ForensicsThreads, ConcurrentChurnRecordsAndFreezesClean) {
   EXPECT_EQ(machine.dma().live_mappings(), 0u);
 }
 
-// A freeze on a worker announces itself on the bus as it does in kSequential.
+// A freeze opened on a non-zero CPU announces itself on the bus.
 TEST(ForensicsThreads, WorkerOpenIncidentAnnouncesOnTheBus) {
   core::MachineConfig config;
   config.seed = 9;
-  config.exec = ExecMode::kThreads;
   config.phys_pages = 4096;
   config.iommu.fast_path.num_cpus = 2;
   config.forensics.enabled = true;
@@ -605,7 +606,7 @@ TEST(ForensicsThreads, WorkerOpenIncidentAnnouncesOnTheBus) {
   machine.iommu().AttachDevice(dev);
   machine.RunOnCpus(2, [&](CpuId cpu) {
     if (cpu.value == 1) {
-      machine.incidents()->OpenIncident(dev, "worker freeze");
+      machine.incidents()->OpenIncident(dev, "cpu 1 freeze");
     }
   });
   ASSERT_EQ(machine.incidents()->incident_count(), 1u);

@@ -1,9 +1,9 @@
 // Tests for the multi-queue leg: RSS Toeplitz hashing against the published
 // verification vectors, per-queue RX/TX rings and their NAPI poll budgets,
-// Machine exec modes (RunOnCpus in kSequential and kThreads), quarantine
-// fencing across sibling queues, and the soak harness's cross-CPU race
-// scenarios (stale-IOTLB replay steered to another CPU's queue, quarantine
-// racing an in-flight sibling completion).
+// Machine::RunOnCpus over several sim CPUs, quarantine fencing across
+// sibling queues, and the soak harness's cross-CPU race scenarios
+// (stale-IOTLB replay steered to another CPU's queue, quarantine racing an
+// in-flight sibling completion).
 
 #include <gtest/gtest.h>
 
@@ -103,10 +103,9 @@ TEST(RssTest, SameFlowAlwaysSameQueue) {
 
 class MqFixture : public ::testing::Test {
  protected:
-  static core::MachineConfig MakeConfig(uint32_t num_cpus, ExecMode exec) {
+  static core::MachineConfig MakeConfig(uint32_t num_cpus) {
     core::MachineConfig config;
     config.seed = 2026;
-    config.exec = exec;
     config.iommu.mode = iommu::InvalidationMode::kStrict;
     config.iommu.fast_path.num_cpus = num_cpus;
     return config;
@@ -132,7 +131,7 @@ class MqFixture : public ::testing::Test {
 };
 
 TEST_F(MqFixture, FillAllRxRingsPostsEveryQueue) {
-  core::Machine machine{MakeConfig(4, ExecMode::kSequential)};
+  core::Machine machine{MakeConfig(4)};
   NicDriver& driver = MakeDriver(machine, 4);
   ASSERT_TRUE(driver.FillAllRxRings().ok());
   EXPECT_EQ(driver.num_queues(), 4u);
@@ -152,7 +151,7 @@ TEST_F(MqFixture, FillAllRxRingsPostsEveryQueue) {
 }
 
 TEST_F(MqFixture, RssSteeredCompletionLandsOnItsQueue) {
-  core::Machine machine{MakeConfig(4, ExecMode::kSequential)};
+  core::Machine machine{MakeConfig(4)};
   NicDriver& driver = MakeDriver(machine, 4);
   ASSERT_TRUE(driver.FillAllRxRings().ok());
 
@@ -190,7 +189,7 @@ TEST_F(MqFixture, RssSteeredCompletionLandsOnItsQueue) {
 }
 
 TEST_F(MqFixture, LegacySingleQueueApiDelegatesToQueueZero) {
-  core::Machine machine{MakeConfig(1, ExecMode::kSequential)};
+  core::Machine machine{MakeConfig(1)};
   NicDriver& driver = MakeDriver(machine, 1);
   ASSERT_TRUE(driver.FillRxRing().ok());
   EXPECT_EQ(driver.num_queues(), 1u);
@@ -206,7 +205,7 @@ TEST_F(MqFixture, LegacySingleQueueApiDelegatesToQueueZero) {
 // With the old per-device accounting, queue 0 exhausting the budget during a
 // device-wide fill pass left every sibling queue with zero posted slots.
 TEST_F(MqFixture, PollDeadlineIsPerQueueNotPerDevice) {
-  core::Machine machine{MakeConfig(2, ExecMode::kSequential)};
+  core::Machine machine{MakeConfig(2)};
   // A 1-cycle budget: the first slot's map cost alone exceeds it, so each
   // queue can post exactly one slot per fill pass — but only if each queue's
   // budget restarts when its own fill starts.
@@ -222,7 +221,7 @@ TEST_F(MqFixture, PollDeadlineIsPerQueueNotPerDevice) {
 }
 
 TEST_F(MqFixture, QuarantineFencesAllQueues) {
-  core::MachineConfig config = MakeConfig(2, ExecMode::kSequential);
+  core::MachineConfig config = MakeConfig(2);
   config.recovery.enabled = true;
   core::Machine machine{config};
   NicDriver& driver = MakeDriver(machine, 2);
@@ -251,7 +250,7 @@ TEST_F(MqFixture, QuarantineFencesAllQueues) {
   EXPECT_TRUE(machine.CheckInvariants().ok());
 }
 
-// ---- Machine exec modes ----------------------------------------------------------
+// ---- Machine::RunOnCpus ----------------------------------------------------------
 
 TEST(ExecModeTest, RunOnCpusSequentialVisitsCpusInOrder) {
   core::MachineConfig config;
@@ -267,10 +266,12 @@ TEST(ExecModeTest, RunOnCpusSequentialVisitsCpusInOrder) {
   EXPECT_EQ(CurrentCpu().value, 0u);  // restored after the sweep
 }
 
+// Eight rounds of deferred map/unmap churn, 16 pairs per CPU on 4 CPUs, each
+// CPU on its own device: the invariants hold after every round, no call
+// fails, and the final flush leaves no mapping live.
 TEST(ExecModeTest, RunOnCpusThreadsChurnKeepsInvariants) {
   core::MachineConfig config;
   config.seed = 7;
-  config.exec = ExecMode::kThreads;
   config.iommu.mode = iommu::InvalidationMode::kDeferred;
   config.iommu.fast_path.num_cpus = 4;
   core::Machine machine{config};
@@ -310,7 +311,7 @@ TEST(ExecModeTest, RunOnCpusThreadsChurnKeepsInvariants) {
 
 // ---- Soak cross-CPU scenarios ----------------------------------------------------
 
-soak::SoakConfig MqSoakConfig(bool threads) {
+soak::SoakConfig MqSoakConfig() {
   soak::SoakConfig config;
   config.seed = 42;
   config.target_cycles = 4'000'000;
@@ -318,12 +319,11 @@ soak::SoakConfig MqSoakConfig(bool threads) {
   config.storage = false;  // keep the multi-queue runs fast
   config.num_cpus = 2;
   config.nic_queues = 2;
-  config.threads = threads;
   return config;
 }
 
 TEST(MqSoakTest, CrossCpuStaleReplayReproducesAndIsDetected) {
-  const soak::SoakReport report = soak::RunSoak(MqSoakConfig(false));
+  const soak::SoakReport report = soak::RunSoak(MqSoakConfig());
   EXPECT_TRUE(report.ok) << report.failure;
   // The stale-IOTLB race fired, breached (deferred mode leaves the window
   // open), and the IOMMU's stale-access accounting flagged every breach.
@@ -341,7 +341,7 @@ TEST(MqSoakTest, CrossCpuStaleReplayReproducesAndIsDetected) {
 }
 
 TEST(MqSoakTest, StrictModeClosesTheCrossCpuWindow) {
-  soak::SoakConfig config = MqSoakConfig(false);
+  soak::SoakConfig config = MqSoakConfig();
   config.deferred = false;
   const soak::SoakReport report = soak::RunSoak(config);
   EXPECT_TRUE(report.ok) << report.failure;
@@ -353,26 +353,28 @@ TEST(MqSoakTest, StrictModeClosesTheCrossCpuWindow) {
 }
 
 TEST(MqSoakTest, SequentialMultiCpuRunsAreByteIdentical) {
-  const soak::SoakReport report = soak::RunSoak(MqSoakConfig(false));
-  const soak::SoakReport again = soak::RunSoak(MqSoakConfig(false));
+  const soak::SoakReport report = soak::RunSoak(MqSoakConfig());
+  const soak::SoakReport again = soak::RunSoak(MqSoakConfig());
   EXPECT_TRUE(report.ok) << report.failure;
   EXPECT_EQ(report.ToJson(), again.ToJson());
 }
 
-// ---- Degraded-mode sync RX under kThreads (the TSan leg) -------------------------
+// ---- Degraded-mode sync RX on a pinned queue -------------------------------------
 
 // CPU 1 serves sync-mode (bounced, copybreak) RX on its pinned queue while
 // CPU 0 pushes map/unmap churn through an unrelated direct-mapped device:
 // the bounce pool's sync edges and the clamped per-queue ring state must
-// hold up under real threads.
+// stay consistent across both CPUs' work.
 TEST(MqDegradedTest, ThreadsSyncModeRxOnPinnedQueueStaysClean) {
   core::MachineConfig config;
   config.seed = 77;
   config.phys_pages = 4096;
-  config.exec = ExecMode::kThreads;
   config.iommu.fast_path.num_cpus = 2;
   config.telemetry.enabled = true;
   config.policy.enabled = true;
+  // Both queues post their 8 sync slots. A 2368 B buffer straddles a page
+  // boundary at every other frag offset, so the 16 slots take 24 pool pages.
+  config.policy.bounce_pages = 32;
   core::Machine machine{config};
 
   NicDriver::Config nic_config;
@@ -434,8 +436,10 @@ TEST(MqDegradedTest, ThreadsSyncModeRxOnPinnedQueueStaysClean) {
   EXPECT_EQ(machine.bounce_pool()->total_active(), 0u);
 }
 
+// The 4-CPU, 4-queue soak: every cross-CPU scenario at the widest topology
+// any test runs.
 TEST(MqSoakTest, ThreadsModeSoakStaysClean) {
-  soak::SoakConfig config = MqSoakConfig(true);
+  soak::SoakConfig config = MqSoakConfig();
   config.num_cpus = 4;
   config.nic_queues = 4;
   const soak::SoakReport report = soak::RunSoak(config);

@@ -253,53 +253,46 @@ TEST(HubTest, CounterValueIsZeroForUnknownNames) {
   EXPECT_EQ(hub.counter_value("touched"), 3u);
 }
 
-// ---- Dispatch in kThreads -------------------------------------------------------
+// ---- Dispatch across sim CPUs ----------------------------------------------------
 
-core::MachineConfig RecordingMachine(ExecMode exec, uint32_t cpus) {
+core::MachineConfig RecordingMachine(uint32_t cpus) {
   core::MachineConfig config;
-  config.exec = exec;
   config.phys_pages = 4096;
   config.iommu.fast_path.num_cpus = cpus;
   config.telemetry.enabled = true;
   return config;
 }
 
-// A kmalloc, a map and an unmap on the coordinator thread, outside
-// RunOnCpus, reach the sink and the ring before the calls return, as they do
-// in kSequential.
+// A kmalloc, a map and an unmap outside RunOnCpus reach the sink and the
+// ring before the calls return; a later RunOnCpus has nothing left to
+// deliver.
 TEST(HubThreadsTest, CoordinatorEventsReachSinksAtOnce) {
-  for (const ExecMode exec : {ExecMode::kSequential, ExecMode::kThreads}) {
-    SCOPED_TRACE(exec == ExecMode::kThreads ? "kThreads" : "kSequential");
-    RecordingSink sink;
-    core::Machine machine{RecordingMachine(exec, 2)};
-    const DeviceId dev{3};
-    machine.iommu().AttachDevice(dev);
-    Hub& hub = machine.telemetry();
-    const uint64_t recorded = hub.ring().recorded();
-    hub.AddSink(&sink);
-    Kva buf = *machine.slab().Kmalloc(1024, "coordinator_probe");
-    auto iova = machine.dma().MapSingle(dev, buf, 1024, dma::DmaDirection::kFromDevice,
-                                        "coordinator_probe");
-    ASSERT_TRUE(iova.ok());
-    ASSERT_TRUE(
-        machine.dma().UnmapSingle(dev, *iova, 1024, dma::DmaDirection::kFromDevice).ok());
-    EXPECT_EQ(sink.seen.size(), 3u);
-    EXPECT_EQ(hub.ring().recorded() - recorded, 3u);
-    machine.RunOnCpus(2, [](CpuId) {});  // nothing is waiting to be delivered
-    EXPECT_EQ(sink.seen.size(), 3u);
-    EXPECT_EQ(hub.ring().recorded() - recorded, 3u);
-    hub.RemoveSink(&sink);
-    (void)machine.slab().Kfree(buf);
-  }
+  RecordingSink sink;
+  core::Machine machine{RecordingMachine(2)};
+  const DeviceId dev{3};
+  machine.iommu().AttachDevice(dev);
+  Hub& hub = machine.telemetry();
+  const uint64_t recorded = hub.ring().recorded();
+  hub.AddSink(&sink);
+  Kva buf = *machine.slab().Kmalloc(1024, "coordinator_probe");
+  auto iova = machine.dma().MapSingle(dev, buf, 1024, dma::DmaDirection::kFromDevice,
+                                      "coordinator_probe");
+  ASSERT_TRUE(iova.ok());
+  ASSERT_TRUE(machine.dma().UnmapSingle(dev, *iova, 1024, dma::DmaDirection::kFromDevice).ok());
+  EXPECT_EQ(sink.seen.size(), 3u);
+  EXPECT_EQ(hub.ring().recorded() - recorded, 3u);
+  machine.RunOnCpus(2, [](CpuId) {});  // nothing is waiting to be delivered
+  EXPECT_EQ(sink.seen.size(), 3u);
+  EXPECT_EQ(hub.ring().recorded() - recorded, 3u);
+  hub.RemoveSink(&sink);
+  (void)machine.slab().Kfree(buf);
 }
 
 // Sinks publish from OnEvent (D-KASAN reports, incident announcements,
-// window events). With four workers publishing at once, every event and
+// window events). With every one of four CPUs publishing, every event and
 // every follow-up reaches the sink and the ring exactly once.
 TEST(HubThreadsTest, SinkRepublishesFromEveryWorker) {
   constexpr uint64_t kPerWorker = 500;
-  // Plain counts: the Hub's dispatch lock is what keeps concurrent
-  // publishers from racing on them (TSan checks that in CI).
   struct RepublishingSink : EventSink {
     Hub* hub = nullptr;
     uint64_t probes = 0;
@@ -316,7 +309,7 @@ TEST(HubThreadsTest, SinkRepublishesFromEveryWorker) {
     }
   };
   RepublishingSink sink;
-  core::Machine machine{RecordingMachine(ExecMode::kThreads, 4)};
+  core::Machine machine{RecordingMachine(4)};
   Hub& hub = machine.telemetry();
   sink.hub = &hub;
   const uint64_t recorded = hub.ring().recorded();

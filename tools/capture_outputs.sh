@@ -14,8 +14,8 @@
 # Captured (a few seconds on a 4-core host):
 #   * soak: --out, --posture-out (policy runs only; the CLI refuses it
 #     otherwise) and --incident-out of each seed-42 soak configuration CI
-#     runs (the kThreads run is not deterministic and is left out), plus the
-#     seed-4 40M-cycle policy + hot-plug + degraded-drill soak;
+#     runs, plus the seed-4 40M-cycle policy + hot-plug + degraded-drill
+#     soak;
 #   * stdout of every plain-main bench (each spv_add_bench target plus
 #     bench_soak), `trace --demo`, `spade --json` over the corpus and
 #     `dkasan --iterations 400`;
@@ -26,9 +26,7 @@
 # Removed as host wall-clock: bench_dkasan_overhead's workload_wall_ms
 # column, and the JSON keys maps_per_sec, ios_per_sec, speedup,
 # headline_speedup, headline_cell and enabled_wall_overhead_pct (rates or
-# ratios of host time, or picked by one). Removed as not deterministic:
-# bench_mq_throughput's kThreads cases and the scaling figures computed
-# from them (host thread interleaving moves their sim cycles).
+# ratios of host time, or picked by one).
 
 set -euo pipefail
 
@@ -60,29 +58,22 @@ run() {
   fi
 }
 
-# Drops every host wall-clock key and every kThreads case from a bench's JSON
-# document, keeping the compact one-line layout the simulator writes.
+# Drops every host wall-clock key from a bench's JSON document, keeping the
+# compact one-line layout the simulator writes.
 strip_nondeterministic() {
   python3 - "$1" "$2" <<'EOF'
 import json, sys
 
 DROPPED_KEYS = {
-    # host wall-clock
     "maps_per_sec", "ios_per_sec", "speedup", "headline_speedup", "headline_cell",
     "enabled_wall_overhead_pct",
-    # bench_mq_throughput's kThreads scaling
-    "churn_scaling_8cpu_threads", "rx_echo_scaling_8cpu_threads",
-    "churn_scaling_efficiency_8cpu", "rx_echo_scaling_efficiency_8cpu",
 }
-
-def is_threads_case(value):
-    return isinstance(value, dict) and value.get("mode") == "threads"
 
 def strip(value):
     if isinstance(value, dict):
         return {k: strip(v) for k, v in value.items() if k not in DROPPED_KEYS}
     if isinstance(value, list):
-        return [strip(v) for v in value if not is_threads_case(v)]
+        return [strip(v) for v in value]
     return value
 
 with open(sys.argv[1]) as f:

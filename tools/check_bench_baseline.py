@@ -9,7 +9,7 @@ Wall-clock fields (maps_per_sec etc.) are ignored.
 
 Checked metrics:
   * every top-level numeric field present in both files (e.g.
-    steady_p99_sim_cycles, churn_scaling_8cpu_threads, rss_balance_min_share);
+    steady_p99_sim_cycles, rss_balance_min_share);
   * each case's sim_cycles_per_op.mean, keyed by
     (workload, mode, cpus, fast_path).
 

@@ -3,16 +3,16 @@
 // Usage:
 //   soak [--seed N] [--cycles N] [--epochs N] [--mode strict|deferred]
 //        [--no-recovery] [--no-faults] [--no-attacks] [--legacy-path]
-//        [--cpus N] [--queues N] [--threads]
+//        [--cpus N] [--queues N]
 //        [--policy] [--hostile-hotplug] [--posture-out posture.json]
 //        [--degraded-drill] [--degraded-floor F]
 //        [--no-forensics] [--incident-out incidents.json]
 //        [--check-interval N] [--out report.json] [--trace-out trace.csv]
 //
 // --cpus N > 1 turns on the cross-CPU leg (per-CPU churn, RSS-steered echo
-// when --queues > 1, the stale-IOTLB and sibling-quarantine races);
-// --threads runs the per-CPU phase on real host threads (ExecMode::kThreads,
-// the TSan soak target — not byte-deterministic).
+// when --queues > 1, the stale-IOTLB and sibling-quarantine races); the sim
+// CPUs run in order on one host thread, so the report stays byte-identical
+// for a given seed.
 //
 // --policy arms the spv::policy trust engine (nic0/nic1/nvme0 allowlisted,
 // nic1 the demotion subject); --hostile-hotplug adds the never-authorized
@@ -31,7 +31,7 @@
 // document (tools/incident renders it) and needs forensics enabled.
 //
 // Unknown flags and out-of-range values exit 2 with a pointer to --help:
-// --cpus accepts 1..64, --queues 1..--cpus, and --threads needs --cpus > 1.
+// --cpus accepts 1..64 and --queues 1..--cpus.
 //
 // Exit status: 0 when the run ends with clean invariants and zero leaks,
 // 1 otherwise. The JSON report goes to --out (stdout gets a summary either
@@ -117,8 +117,6 @@ int main(int argc, char** argv) {
       config.num_cpus = static_cast<uint32_t>(ParseU64(next(), "--cpus"));
     } else if (arg == "--queues") {
       config.nic_queues = static_cast<uint32_t>(ParseU64(next(), "--queues"));
-    } else if (arg == "--threads") {
-      config.threads = true;
     } else if (arg == "--policy") {
       config.policy = true;
     } else if (arg == "--hostile-hotplug") {
@@ -150,7 +148,7 @@ int main(int argc, char** argv) {
       std::printf(
           "usage: soak [--seed N] [--cycles N] [--epochs N] [--mode strict|deferred]\n"
           "            [--no-recovery] [--no-faults] [--no-attacks] [--no-storage]\n"
-          "            [--legacy-path] [--cpus N] [--queues N] [--threads]\n"
+          "            [--legacy-path] [--cpus N] [--queues N]\n"
           "            [--policy] [--hostile-hotplug] [--posture-out posture.json]\n"
           "            [--degraded-drill] [--degraded-floor F]\n"
           "            [--no-forensics] [--incident-out incidents.json]\n"
@@ -175,10 +173,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "soak: --queues must be 1..--cpus (%u) (got %u); see --help\n",
                  config.num_cpus, config.nic_queues);
-    return 2;
-  }
-  if (config.threads && config.num_cpus < 2) {
-    std::fprintf(stderr, "soak: --threads needs --cpus > 1; see --help\n");
     return 2;
   }
   if (config.hostile_hotplug && !config.policy) {
