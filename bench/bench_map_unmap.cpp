@@ -348,12 +348,14 @@ ForensicsProbe RunForensicsProbe(uint64_t ops) {
 }
 
 // --trace-out: a short tracing-enabled steady_single run; the tracer's
-// Chrome trace-event JSON is the CI bench-smoke artifact.
+// Chrome trace-event JSON is the CI bench-smoke artifact. The tracer exports
+// what the telemetry ring holds, so the ring keeps every event of the run.
 int WriteChromeTrace(const std::string& path) {
   core::MachineConfig mc;
   mc.seed = 2;
   mc.phys_pages = 32768;
   mc.telemetry.enabled = true;
+  mc.telemetry.ring_capacity = 1 << 16;
   mc.trace.enabled = true;
   core::Machine machine{mc};
   const DeviceId dev{1};

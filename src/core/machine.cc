@@ -28,7 +28,7 @@ Machine::Machine(const MachineConfig& config)
   assert(kKernelImagePages < config.phys_pages);
   hub_.BindClock(&clock_);
   if (config.trace.enabled) {
-    tracer_ = std::make_unique<trace::Tracer>(hub_, clock_, config.trace);
+    tracer_ = std::make_unique<trace::Tracer>(hub_, clock_);
   }
   if (tracer_ != nullptr || config.forensics.enabled) {
     // The one ledger of mapping lives: windows for the tracer, evidence for
@@ -66,7 +66,7 @@ Machine::Machine(const MachineConfig& config)
   dma_->set_tracer(tracer_.get());
   dma_->set_flight_recorder(recorder_.get());
   if (config.forensics.enabled) {
-    incidents_ = std::make_unique<forensics::IncidentEngine>(hub_, recorder_.get(), &clock_);
+    incidents_ = std::make_unique<forensics::IncidentEngine>(hub_, *recorder_, &clock_);
     hub_.AddSink(incidents_.get());
   }
   kmem_ = std::make_unique<dma::KernelMemory>(pm_, layout_, *dma_);

@@ -59,7 +59,9 @@ struct MachineConfig {
   telemetry::Hub::Config telemetry;
   // Causal span tracing (spv::trace). Off by default; flip `trace.enabled`
   // to open spans around every multi-step operation and account
-  // vulnerability windows.
+  // vulnerability windows. The tracer keeps only open spans: closed ones
+  // live in the telemetry ring, so without `telemetry.enabled` it keeps no
+  // history and its exports hold no spans.
   trace::TracerConfig trace;
   // Deterministic fault injection: a non-empty plan arms the machine-wide
   // FaultEngine (seeded from `seed`) and every layer's hooks start firing.

@@ -190,7 +190,7 @@ AttackClass ClassifyEvidence(const std::vector<FlightRecord>& timeline,
   return AttackClass::kUnknown;
 }
 
-IncidentEngine::IncidentEngine(telemetry::Hub& hub, FlightRecorder* recorder,
+IncidentEngine::IncidentEngine(telemetry::Hub& hub, FlightRecorder& recorder,
                                const SimClock* clock)
     : hub_(hub), recorder_(recorder), clock_(clock) {}
 
@@ -237,18 +237,16 @@ void IncidentEngine::Freeze(DeviceId device, std::string_view trigger,
   incident.device = device.value;
   incident.trigger.assign(trigger);
   incident.reason.assign(reason);
-  if (recorder_ != nullptr) {
-    std::vector<FlightRecord> full = recorder_->SnapshotTimeline(device);
-    incident.ledger = recorder_->SnapshotLedger(device);
-    incident.inferred = ClassifyEvidence(full, incident.ledger, &incident.implicated);
-    if (full.size() > kTimelineLimit) {
-      full.erase(full.begin(), full.end() - kTimelineLimit);
-    }
-    incident.timeline = std::move(full);
+  std::vector<FlightRecord> full = recorder_.SnapshotTimeline(device);
+  incident.ledger = recorder_.SnapshotLedger(device);
+  incident.inferred = ClassifyEvidence(full, incident.ledger, &incident.implicated);
+  if (full.size() > kTimelineLimit) {
+    full.erase(full.begin(), full.end() - kTimelineLimit);
   }
+  incident.timeline = std::move(full);
   const uint64_t from =
       incident.timeline.empty() ? now : incident.timeline.front().cycle;
-  incident.windows_json = recorder_ != nullptr ? WindowsJson(device, from, now) : "[]";
+  incident.windows_json = WindowsJson(device, from, now);
   incident.trust_json = trust_ ? trust_(device.value) : "";
   incident.recovery_json = recovery_ ? recovery_(device.value) : "";
 
@@ -282,7 +280,7 @@ std::string IncidentEngine::WindowsJson(DeviceId device, uint64_t from_cycle,
                                         uint64_t to_cycle) const {
   json::Writer out;
   out.BeginArray();
-  for (const Window& w : recorder_->SnapshotWindows(device)) {
+  for (const Window& w : recorder_.SnapshotWindows(device)) {
     if (w.open_cycle > to_cycle || (!w.open && w.close_cycle < from_cycle)) {
       continue;
     }
@@ -326,7 +324,7 @@ std::string IncidentEngine::ReportsJson() const {
     w.Key("trust").Raw(incident.trust_json).Key("recovery").Raw(incident.recovery_json);
     w.EndObject();
   }
-  w.EndArray().Key("recorder").Raw(recorder_ != nullptr ? recorder_->AccountingJson() : "");
+  w.EndArray().Key("recorder").Raw(recorder_.AccountingJson());
   return w.EndObject().Take();
 }
 

@@ -97,11 +97,9 @@ class IncidentEngine : public telemetry::EventSink {
   // providing subsystem, or "" (reported as null) when it has none.
   using StateSnapshotFn = std::function<std::string(uint32_t device)>;
 
-  // `recorder` may be null (reports then carry empty evidence); `clock` must
-  // outlive the engine. The engine does not add itself to the hub — the
-  // owner wires AddSink/RemoveSink.
-  IncidentEngine(telemetry::Hub& hub, FlightRecorder* recorder,
-                 const SimClock* clock);
+  // `recorder` and `clock` must outlive the engine. The engine does not add
+  // itself to the hub — the owner wires AddSink/RemoveSink.
+  IncidentEngine(telemetry::Hub& hub, FlightRecorder& recorder, const SimClock* clock);
 
   void set_trust_provider(StateSnapshotFn fn) { trust_ = std::move(fn); }
   void set_recovery_provider(StateSnapshotFn fn) { recovery_ = std::move(fn); }
@@ -130,7 +128,7 @@ class IncidentEngine : public telemetry::EventSink {
                           uint64_t to_cycle) const;
 
   telemetry::Hub& hub_;
-  FlightRecorder* recorder_;
+  FlightRecorder& recorder_;
   const SimClock* clock_;
   StateSnapshotFn trust_;
   StateSnapshotFn recovery_;

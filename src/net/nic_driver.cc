@@ -4,6 +4,7 @@
 #include <string_view>
 #include <utility>
 
+#include "base/align.h"
 #include "dma/bounce_pool.h"
 #include "fault/fault.h"
 
@@ -94,6 +95,18 @@ uint32_t NicDriver::rx_buffer_bytes() const {
                                SkbDataAlign(SharedInfoLayout::kSize));
 }
 
+uint32_t NicDriver::SyncRingLimit() const {
+  // The pool is per device, so the queues share it. A buffer whose first
+  // byte is the last byte of a page spans the most pages; sizing for that
+  // fits any page_frag offset. A pool too small for one buffer still gets
+  // one slot, whose refill then fails loudly.
+  const dma::BouncePool* bounce = dma_.bounce_pool();
+  const uint64_t pool_pages = bounce != nullptr ? bounce->pool_pages(device_id_) : 0;
+  const uint64_t buffer_pages = AlignUp(kPageMask + rx_buffer_bytes(), kPageSize) >> kPageShift;
+  const uint64_t fit = pool_pages / (queues_.size() * buffer_pages);
+  return static_cast<uint32_t>(std::clamp<uint64_t>(fit, 1, kSyncRingLimit));
+}
+
 bool NicDriver::PollDeadlineHit(Queue& q, uint64_t start_cycle, std::string_view loop) {
   if (clock_.now() - start_cycle < EffectivePollDeadline()) {
     return false;
@@ -171,8 +184,7 @@ Status NicDriver::RefillSlot(Queue& q, uint32_t queue, uint32_t index) {
       config_.xdp ? dma::DmaDirection::kBidirectional : dma::DmaDirection::kFromDevice;
   const bool want_sync =
       dma_.service_mode(device_id_) == dma::ServiceMode::kBounceSync;
-  if (want_sync && config_.sync_ring_limit != 0 &&
-      index >= std::min(config_.sync_ring_limit, EffectiveRxRingLimit())) {
+  if (want_sync && index >= std::min(SyncRingLimit(), EffectiveRxRingLimit())) {
     // Live demotion shrank the ring: slots past the sync clamp retire as
     // their completions land instead of being re-armed. Not an error — the
     // slot simply stays empty until a promotion grows the ring back.

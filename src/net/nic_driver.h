@@ -22,6 +22,7 @@
 #ifndef SPV_NET_NIC_DRIVER_H_
 #define SPV_NET_NIC_DRIVER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -81,12 +82,6 @@ class NicDriver : public recovery::SupervisedDriver {
     // instead of dma_unmap — the mapping (and the device's write access)
     // persists for the life of the ring, in ANY IOMMU mode.
     bool sync_only_rx = false;
-    // Degraded service (router says kBounceSync): at most this many RX
-    // descriptors are posted per queue, each on a persistent bounce slot.
-    // The clamp keeps an untrusted NIC's ring inside the bounce pool budget
-    // so it keeps serving instead of starving on ResourceExhausted refills.
-    // 0 = no extra clamp.
-    uint32_t sync_ring_limit = 8;
     uint64_t tx_timeout_cycles = SimClock::MsToCycles(5000);
     // NAPI-style budget for the driver's polling loops (ring fill, refill
     // retry, TX requeue): a loop that has burned this many sim cycles yields,
@@ -97,6 +92,13 @@ class NicDriver : public recovery::SupervisedDriver {
   };
 
   static constexpr uint32_t kLroBufBytes = 64 * 1024;
+  // Degraded service (router says kBounceSync): at most this many RX
+  // descriptors are posted per queue, each on a persistent bounce slot, and
+  // fewer when the device's bounce pool cannot hold that many buffers on
+  // every queue (SyncRingLimit). The clamp keeps an untrusted NIC's rings
+  // inside its pool so it keeps serving instead of starving on
+  // ResourceExhausted refills.
+  static constexpr uint32_t kSyncRingLimit = 8;
 
   NicDriver(DeviceId device_id, dma::DmaApi& dma, dma::KernelMemory& kmem,
             SkbAllocator& skb_alloc, SimClock& clock, Config config);
@@ -320,13 +322,13 @@ class NicDriver : public recovery::SupervisedDriver {
   // so a live demotion shrinks the ring as completed slots retire and a
   // promotion lets FillRxRing grow it back.
   uint32_t EffectiveRxRingLimitNow() const {
-    uint32_t limit = EffectiveRxRingLimit();
-    if (config_.sync_ring_limit != 0 && config_.sync_ring_limit < limit &&
-        dma_.service_mode(device_id_) == dma::ServiceMode::kBounceSync) {
-      limit = config_.sync_ring_limit;
-    }
-    return limit;
+    const uint32_t limit = EffectiveRxRingLimit();
+    return dma_.service_mode(device_id_) == dma::ServiceMode::kBounceSync
+               ? std::min(limit, SyncRingLimit())
+               : limit;
   }
+  // Sync-mode RX slots per queue (see kSyncRingLimit).
+  uint32_t SyncRingLimit() const;
 
   // True once the polling loop that started at `start_cycle` has exhausted
   // this queue's budget; emits kNicPollDeadline (tagged `loop`) on the

@@ -164,11 +164,9 @@ std::vector<Event> ParseTraceCsv(std::string_view csv) {
       continue;  // blank line or header
     }
     const std::vector<std::string> fields = SplitCsvFields(line);
-    // 11 columns is the pre-span format; 12 adds `span` before `site`.
-    if (fields.size() != 11 && fields.size() != 12) {
+    if (fields.size() != 12) {
       continue;
     }
-    const bool has_span = fields.size() == 12;
     Event event;
     uint64_t device = 0;
     uint64_t flag = 0;
@@ -178,17 +176,14 @@ std::vector<Event> ParseTraceCsv(std::string_view csv) {
         !ParseU64(fields[1], &event.cycle) || !ParseU64(fields[4], &device) ||
         !ParseU64(fields[5], &event.addr) || !ParseU64(fields[6], &event.addr2) ||
         !ParseU64(fields[7], &event.len) || !ParseU64(fields[8], &event.aux) ||
-        !ParseU64(fields[9], &flag)) {
-      continue;
-    }
-    if (has_span && !ParseU64(fields[10], &event.span)) {
+        !ParseU64(fields[9], &flag) || !ParseU64(fields[10], &event.span)) {
       continue;
     }
     event.kind = *kind;
     event.severity = *severity;
     event.device = static_cast<uint32_t>(device);
     event.flag = flag != 0;
-    event.site = fields[has_span ? 11 : 10];
+    event.site = fields[11];
     events.push_back(std::move(event));
   }
   return events;

@@ -380,9 +380,9 @@ class Hub {
 std::string CsvEscape(std::string_view field);
 
 // Parses `Hub::ExportTraceCsv` output back into Events (the inverse of the
-// exporter; shared by tools/trace_cli and tests). Accepts both the current
-// 12-column format (with `span`) and the pre-span 11-column format. Rows
-// that do not parse are skipped; a missing/foreign header line is tolerated.
+// exporter; shared by tools/trace_cli and tests). Rows that are not 12
+// columns or do not parse are skipped; a missing/foreign header line is
+// tolerated.
 std::vector<Event> ParseTraceCsv(std::string_view csv);
 
 }  // namespace spv::telemetry

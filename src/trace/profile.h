@@ -1,8 +1,8 @@
 // Cycle-attribution exporters over a span forest.
 //
-// Two producers feed these: a live Tracer (its own SpanRecords) and
-// tools/trace_cli (records rebuilt from a kSpanOpen/kSpanClose event stream
-// with BuildSpanForest). Both render to the same two formats:
+// The forest is always rebuilt from a kSpanOpen/kSpanClose event stream with
+// BuildSpanForest: a live Tracer reads its Hub's ring, tools/trace_cli an
+// exported CSV. Both render to the same two formats:
 //
 //   * Chrome trace-event JSON — Perfetto-loadable. Timebase is **sim
 //     cycles**, emitted directly in the `ts`/`dur` microsecond fields (the

@@ -8,137 +8,99 @@ namespace spv::trace {
 
 namespace {
 
-telemetry::Event SpanEvent(const SpanRecord& record, bool open) {
-  telemetry::Event event;
-  event.kind = open ? telemetry::EventKind::kSpanOpen : telemetry::EventKind::kSpanClose;
-  event.severity = telemetry::Severity::kTrace;
-  event.addr = record.parent.value;
-  event.aux = open ? 0 : record.duration();
-  event.flag = record.detached;
-  event.span = record.id.value;
-  event.site = record.name;
-  return event;
+// The forest of the ring's span events; spans still open are clipped at
+// `now`.
+SpanForest RingForest(const std::vector<telemetry::Event>& events, uint64_t now) {
+  SpanForest forest = BuildSpanForest(events);
+  forest.total_cycles = std::max(forest.total_cycles, now);
+  return forest;
 }
 
 }  // namespace
 
-Tracer::Tracer(telemetry::Hub& hub, const SimClock& clock, TracerConfig config)
-    : hub_(hub), clock_(clock), config_(config) {}
+Tracer::Tracer(telemetry::Hub& hub, const SimClock& clock) : hub_(hub), clock_(clock) {}
 
 Tracer::~Tracer() {
   // Leave the Hub's span register clean for whoever outlives us.
   hub_.set_current_span(0);
 }
 
-SpanRecord* Tracer::Find(SpanId id) {
-  if (!id.valid() || id.value > records_.size()) {
-    return nullptr;
+SpanRecord Tracer::NewSpan(std::string_view name, SpanId parent, bool detached) {
+  SpanRecord span;
+  span.id = SpanId{++spans_opened_};
+  span.parent = parent;
+  span.name = std::string(name);
+  span.open_cycle = clock_.now();
+  span.detached = detached;
+  return span;
+}
+
+void Tracer::Publish(const SpanRecord& span, bool open) {
+  if (!hub_.active()) {
+    return;
   }
-  return &records_[id.value - 1];
+  telemetry::Event event;
+  event.kind = open ? telemetry::EventKind::kSpanOpen : telemetry::EventKind::kSpanClose;
+  event.severity = telemetry::Severity::kTrace;
+  event.addr = span.parent.value;
+  event.aux = open ? 0 : clock_.now() - span.open_cycle;
+  event.flag = span.detached;
+  event.span = span.id.value;
+  event.site = span.name;
+  hub_.Publish(std::move(event));
 }
 
 SpanId Tracer::Open(std::string_view name) {
-  if (!config_.enabled) {
-    return kNoSpan;
-  }
-  if (records_.size() >= config_.max_records) {
-    ++dropped_spans_;
-    return kNoSpan;
-  }
-  SpanRecord record;
-  record.id = SpanId{records_.size() + 1};
-  record.parent = current();
-  record.name = std::string(name);
-  record.open_cycle = clock_.now();
-  records_.push_back(record);
-  stack_.push_back(record.id);
-  hub_.set_current_span(record.id.value);
-  if (hub_.active()) {
-    hub_.Publish(SpanEvent(record, /*open=*/true));
-  }
-  return record.id;
+  stack_.push_back(NewSpan(name, current(), /*detached=*/false));
+  const SpanId id = stack_.back().id;
+  hub_.set_current_span(id.value);
+  Publish(stack_.back(), /*open=*/true);
+  return id;
 }
 
 SpanId Tracer::OpenDetached(std::string_view name, SpanId parent) {
-  if (!config_.enabled) {
-    return kNoSpan;
-  }
-  if (records_.size() >= config_.max_records) {
-    ++dropped_spans_;
-    return kNoSpan;
-  }
-  SpanRecord record;
-  record.id = SpanId{records_.size() + 1};
-  record.parent = parent;
-  record.name = std::string(name);
-  record.open_cycle = clock_.now();
-  record.detached = true;
-  records_.push_back(record);
+  SpanRecord span = NewSpan(name, parent, /*detached=*/true);
+  const SpanId id = span.id;
   // No stack push and no current-span change: a detached span does not
   // adopt the events of whoever happens to run while it is open.
-  if (hub_.active()) {
-    hub_.Publish(SpanEvent(record, /*open=*/true));
-  }
-  return record.id;
-}
-
-void Tracer::CloseRecord(SpanRecord& record) {
-  record.closed = true;
-  record.close_cycle = clock_.now();
-  if (hub_.active()) {
-    hub_.Publish(SpanEvent(record, /*open=*/false));
-  }
+  Publish(detached_.emplace(id.value, std::move(span)).first->second, /*open=*/true);
+  return id;
 }
 
 void Tracer::Close(SpanId id) {
   if (!id.valid()) {
-    return;  // Open() was disabled or full; matching no-op
+    return;
   }
-  SpanRecord* record = Find(id);
-  if (record == nullptr || record->closed) {
+  const auto on_stack = std::find_if(stack_.rbegin(), stack_.rend(),
+                                     [id](const SpanRecord& span) { return span.id == id; });
+  if (on_stack != stack_.rend()) {
+    // Close everything opened above `id` first so the stack discipline holds
+    // even when an inner span leaks its Close.
+    const size_t depth = static_cast<size_t>(stack_.rend() - on_stack) - 1;
+    while (stack_.size() > depth) {
+      const SpanRecord top = std::move(stack_.back());
+      stack_.pop_back();
+      Publish(top, /*open=*/false);
+    }
+    hub_.set_current_span(current().value);
+    return;
+  }
+  auto detached = detached_.extract(id.value);
+  if (detached.empty()) {
     ++orphan_closes_;
     return;
   }
-  if (record->detached) {
-    CloseRecord(*record);
-    return;
-  }
-  if (std::find(stack_.begin(), stack_.end(), id) == stack_.end()) {
-    // A stack span that is neither closed nor on the stack: its subtree was
-    // already unwound past it. Count it, close the record, move on.
-    ++orphan_closes_;
-    CloseRecord(*record);
-    return;
-  }
-  // Close everything opened above `id` first so the stack discipline holds
-  // even when an inner span leaks its Close.
-  while (!stack_.empty()) {
-    const SpanId top = stack_.back();
-    stack_.pop_back();
-    if (SpanRecord* top_record = Find(top); top_record != nullptr && !top_record->closed) {
-      CloseRecord(*top_record);
-    }
-    if (top == id) {
-      break;
-    }
-  }
-  hub_.set_current_span(current().value);
+  Publish(detached.mapped(), /*open=*/false);
 }
 
 std::string Tracer::ChromeTraceJson() const {
-  SpanForest forest;
-  forest.records = records_;
-  forest.total_cycles = clock_.now();
-  return trace::ChromeTraceJson(forest,
-                                CollectInstants(hub_.ring().Snapshot(),
-                                                telemetry::Severity::kWarn));
+  const std::vector<telemetry::Event> events = hub_.ring().Snapshot();
+  return trace::ChromeTraceJson(RingForest(events, clock_.now()),
+                                CollectInstants(events, telemetry::Severity::kWarn));
 }
 
 std::string Tracer::CollapsedStacks() const {
-  SpanForest forest;
-  forest.records = records_;
-  forest.total_cycles = clock_.now();
-  return trace::CollapsedStacks(forest);
+  return trace::CollapsedStacks(RingForest(hub_.ring().Snapshot(), clock_.now()));
 }
 
 }  // namespace spv::trace

@@ -7,21 +7,26 @@
 // causally linked to it via Event::span — no per-site plumbing. Closing
 // publishes kSpanClose with the open duration in `aux`.
 //
+// The Tracer keeps only the spans that are open: the call stack, plus the
+// open detached (window) spans. A closed span lives on only in the Hub's
+// event stream, which is the one span history: BuildSpanForest (profile.h)
+// turns it into a forest, for trace_cli and for this Tracer's own exporters
+// alike, so a live export covers what the Hub's ring holds.
+//
 // Ids are deterministic: the n-th span opened on a Tracer gets id n. Since
 // the whole simulation is seeded and the clock is logical, two identical runs
 // produce identical span trees — the property the regression tests pin.
 //
-// Cost model: emit sites hold a `Tracer*` that is null (or disabled) when
-// tracing is off, so the disabled hot path pays exactly one pointer test —
-// the "zero new hot-path branches" budget of ISSUE 4 (the branch replaces
-// nothing; it is the same guard shape as the existing `hub && hub->active()`
-// telemetry gates).
+// Cost model: emit sites hold a `Tracer*` that is null when tracing is off,
+// so the disabled hot path pays exactly one pointer test — the same guard
+// shape as the existing `hub && hub->active()` telemetry gates.
 
 #ifndef SPV_TRACE_TRACER_H_
 #define SPV_TRACE_TRACER_H_
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "base/clock.h"
@@ -30,8 +35,8 @@
 namespace spv::trace {
 
 // Strongly typed span id. 0 is "no span" (kNoSpan): events outside any span
-// carry it, and a Tracer that is disabled or full hands it out so callers
-// need no error path.
+// carry it, and ScopedSpan hands it out for a null tracer so callers need no
+// error path.
 struct SpanId {
   uint64_t value = 0;
   bool valid() const { return value != 0; }
@@ -41,6 +46,7 @@ struct SpanId {
 
 inline constexpr SpanId kNoSpan{};
 
+// One span of a SpanForest (profile.h); the Tracer uses it for open spans.
 struct SpanRecord {
   SpanId id;
   SpanId parent;        // kNoSpan for roots
@@ -55,25 +61,22 @@ struct SpanRecord {
   uint64_t duration() const { return closed ? close_cycle - open_cycle : 0; }
 };
 
+// MachineConfig's switch: Machine builds a Tracer only when `enabled` is set.
 struct TracerConfig {
-  bool enabled = false;          // spans off by default, like Hub recording
-  size_t max_records = 1 << 20;  // bound on retained SpanRecords
+  bool enabled = false;  // spans off by default, like Hub recording
 };
 
-// Single-owner span registry. Not thread-safe (the simulator is
+// Single-owner registry of open spans. Not thread-safe (the simulator is
 // single-threaded; CpuId is data, not a thread).
 class Tracer {
  public:
-  Tracer(telemetry::Hub& hub, const SimClock& clock, TracerConfig config);
+  Tracer(telemetry::Hub& hub, const SimClock& clock);
   ~Tracer();
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  bool enabled() const { return config_.enabled; }
-
   // Opens a span nested under the currently open one (stack discipline).
-  // Returns kNoSpan when disabled or when max_records is exhausted.
   SpanId Open(std::string_view name);
 
   // Opens a span with an explicit parent, outside the stack — for windows
@@ -82,44 +85,41 @@ class Tracer {
 
   // Closes `id`. Spans still open above it on the stack are closed first
   // (implicit close, same cycle) so the stack discipline self-heals. Closing
-  // kNoSpan is a no-op; closing an unknown or already-closed id is counted
-  // in orphan_closes() and otherwise ignored.
+  // kNoSpan is a no-op; closing a span that is not open (never opened,
+  // already closed, or closed by an outer close) is counted in
+  // orphan_closes() and publishes nothing.
   void Close(SpanId id);
 
   // Stack top, or kNoSpan.
-  SpanId current() const { return stack_.empty() ? kNoSpan : stack_.back(); }
+  SpanId current() const { return stack_.empty() ? kNoSpan : stack_.back().id; }
 
-  const std::vector<SpanRecord>& records() const { return records_; }
   uint64_t orphan_closes() const { return orphan_closes_; }
-  uint64_t dropped_spans() const { return dropped_spans_; }
 
-  // Exporters over this Tracer's own records (see profile.h for the
-  // event-stream variants used by trace_cli).
+  // Exporters over the span forest of the Hub's ring (see profile.h); spans
+  // still open are clipped at the clock's now.
   std::string ChromeTraceJson() const;
   std::string CollapsedStacks() const;
 
   telemetry::Hub& hub() { return hub_; }
 
  private:
-  SpanRecord* Find(SpanId id);
-  void CloseRecord(SpanRecord& record);
+  SpanRecord NewSpan(std::string_view name, SpanId parent, bool detached);
+  void Publish(const SpanRecord& span, bool open);
 
   telemetry::Hub& hub_;
   const SimClock& clock_;
-  TracerConfig config_;
-  std::vector<SpanRecord> records_;  // id n lives at records_[n - 1]
-  std::vector<SpanId> stack_;
+  std::vector<SpanRecord> stack_;                      // open stack spans, outermost first
+  std::unordered_map<uint64_t, SpanRecord> detached_;  // open detached spans by id
+  uint64_t spans_opened_ = 0;                          // the last id handed out
   uint64_t orphan_closes_ = 0;
-  uint64_t dropped_spans_ = 0;
 };
 
 // RAII span. Tolerates a null tracer so emit sites can hold an unconditional
-// ScopedSpan — the null/disabled case costs one branch.
+// ScopedSpan — the null case costs one branch.
 class ScopedSpan {
  public:
   ScopedSpan(Tracer* tracer, std::string_view name)
-      : tracer_(tracer != nullptr && tracer->enabled() ? tracer : nullptr),
-        id_(tracer_ != nullptr ? tracer_->Open(name) : kNoSpan) {}
+      : tracer_(tracer), id_(tracer_ != nullptr ? tracer_->Open(name) : kNoSpan) {}
   ~ScopedSpan() {
     if (tracer_ != nullptr) {
       tracer_->Close(id_);

@@ -467,10 +467,10 @@ TEST(DegradedNic, UntrustedNicServesCopybreakRx) {
   NicRig rig(DegradedConfig(9008, iommu::InvalidationMode::kStrict), nc);
   ASSERT_TRUE(rig.driver.FillRxRing().ok());
 
-  // Sync mode clamps the ring: only sync_ring_limit slots are armed, every
+  // Sync mode clamps the ring: only kSyncRingLimit slots are armed, every
   // one a persistent bounce slot.
   ASSERT_GT(rig.device.rx_posted().size(), 0u);
-  EXPECT_LE(rig.device.rx_posted().size(), nc.sync_ring_limit);
+  EXPECT_LE(rig.device.rx_posted().size(), net::NicDriver::kSyncRingLimit);
   const size_t armed = rig.device.rx_posted().size();
   EXPECT_TRUE(rig.machine.bounce_pool()->Owns(
       rig.driver.device_id(), rig.device.rx_posted().front().iova));
@@ -500,6 +500,40 @@ TEST(DegradedNic, UntrustedNicServesCopybreakRx) {
 
   skb->reset();
   EXPECT_TRUE(rig.machine.CheckInvariants().ok());
+  EXPECT_TRUE(rig.driver.Shutdown().ok());
+  EXPECT_EQ(rig.machine.dma().live_mappings(), 0u);
+  EXPECT_EQ(rig.machine.bounce_pool()->total_active(), 0u);
+}
+
+// The bounce pool is per device, so a multi-queue NIC's sync slots share it:
+// the per-queue clamp shrinks until every queue's buffers fit the default
+// pool, whatever page_frag offset each buffer lands on.
+TEST(DegradedNic, MultiQueueUntrustedNicFitsTheDefaultBouncePool) {
+  net::NicDriver::Config nc;
+  nc.name = "nic0";
+  nc.num_queues = 2;
+  nc.rx_ring_size = 16;
+  core::MachineConfig mc = DegradedConfig(9010, iommu::InvalidationMode::kStrict);
+  mc.iommu.fast_path.num_cpus = 2;
+  NicRig rig(mc, nc);
+  ASSERT_TRUE(rig.driver.FillAllRxRings().ok());
+  ASSERT_EQ(rig.machine.bounce_pool()->pool_pages(rig.driver.device_id()),
+            dma::BouncePool::kDefaultPoolPages);
+
+  std::vector<size_t> armed(nc.num_queues);
+  for (const net::RxPostedDescriptor& posted : rig.device.rx_posted()) {
+    ASSERT_LT(posted.queue, nc.num_queues);
+    ++armed[posted.queue];
+    EXPECT_TRUE(rig.machine.bounce_pool()->Owns(rig.driver.device_id(), posted.iova));
+  }
+  for (uint32_t q = 0; q < nc.num_queues; ++q) {
+    EXPECT_GT(armed[q], 0u) << "queue " << q;
+    EXPECT_LE(armed[q], net::NicDriver::kSyncRingLimit) << "queue " << q;
+  }
+  EXPECT_EQ(rig.machine.bounce_pool()->persistent_bounces(rig.driver.device_id()),
+            rig.device.rx_posted().size());
+  EXPECT_TRUE(rig.machine.CheckInvariants().ok());
+
   EXPECT_TRUE(rig.driver.Shutdown().ok());
   EXPECT_EQ(rig.machine.dma().live_mappings(), 0u);
   EXPECT_EQ(rig.machine.bounce_pool()->total_active(), 0u);
@@ -543,7 +577,7 @@ TEST(DegradedNic, MidTrafficDemotionShrinksRingToSyncSlots) {
   // slots on the shrunken ring.
   EXPECT_GT(delivered, 0u);
   EXPECT_GT(rig.driver.rx_sync_frames(), 0u);
-  EXPECT_LE(rig.device.rx_posted().size(), nc.sync_ring_limit);
+  EXPECT_LE(rig.device.rx_posted().size(), net::NicDriver::kSyncRingLimit);
   EXPECT_GT(rig.device.rx_posted().size(), 0u);
 
   EXPECT_TRUE(rig.machine.CheckInvariants().ok());

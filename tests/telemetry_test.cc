@@ -421,18 +421,20 @@ TEST(ExportTest, ParseTraceCsvRoundTripsAllFields) {
   EXPECT_EQ(parsed[0].site, "quoted, \"site\"");
 }
 
-TEST(ExportTest, ParseTraceCsvAcceptsLegacyElevenFieldRows) {
-  // A pre-span export: no span column. The parser defaults span to 0.
+TEST(ExportTest, ParseTraceCsvSkipsMalformedRows) {
+  // Only 12-column rows parse: a row without the span column is skipped like
+  // any other malformed row.
   const std::string csv =
-      "seq,cycle,kind,severity,device,addr,addr2,len,aux,flag,site\n"
+      "seq,cycle,kind,severity,device,addr,addr2,len,aux,flag,span,site\n"
       "0,100,dma_map,info,1,4096,8192,64,2,0,legacy_site\n"
-      "not,a,valid,row\n";
+      "not,a,valid,row\n"
+      "1,200,dma_unmap,info,1,4096,8192,64,2,0,7,current_site\n";
   const std::vector<Event> parsed = ParseTraceCsv(csv);
   ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].cycle, 100u);
-  EXPECT_EQ(parsed[0].kind, EventKind::kDmaMap);
-  EXPECT_EQ(parsed[0].span, 0u);
-  EXPECT_EQ(parsed[0].site, "legacy_site");
+  EXPECT_EQ(parsed[0].cycle, 200u);
+  EXPECT_EQ(parsed[0].kind, EventKind::kDmaUnmap);
+  EXPECT_EQ(parsed[0].span, 7u);
+  EXPECT_EQ(parsed[0].site, "current_site");
 }
 
 TEST(ExportTest, TraceCsvRoundTripsNames) {

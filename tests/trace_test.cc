@@ -19,18 +19,30 @@
 namespace spv::trace {
 namespace {
 
-TracerConfig EnabledConfig() {
-  TracerConfig config;
-  config.enabled = true;
-  return config;
-}
+// A standalone tracer over a recording Hub stamped from `clock`: the Hub's
+// ring is the span history its exporters and these tests read.
+struct TracerRig {
+  static telemetry::Hub::Config Recording() {
+    telemetry::Hub::Config config;
+    config.enabled = true;
+    return config;
+  }
+
+  TracerRig() { hub.BindClock(&clock); }
+
+  SpanForest Forest() const { return BuildSpanForest(hub.ring().Snapshot()); }
+
+  SimClock clock;
+  telemetry::Hub hub{Recording()};
+  Tracer tracer{hub, clock};
+};
 
 // ---- Span lifecycle ---------------------------------------------------------
 
 TEST(TracerTest, NestingAndSequentialIdsWithDurations) {
-  SimClock clock;
-  telemetry::Hub hub;
-  Tracer tracer{hub, clock, EnabledConfig()};
+  TracerRig rig;
+  SimClock& clock = rig.clock;
+  Tracer& tracer = rig.tracer;
 
   const SpanId a = tracer.Open("rx");
   clock.Advance(10);
@@ -47,10 +59,11 @@ TEST(TracerTest, NestingAndSequentialIdsWithDurations) {
   EXPECT_EQ(a.value, 1u);
   EXPECT_EQ(b.value, 2u);
   EXPECT_EQ(c.value, 3u);
-  ASSERT_EQ(tracer.records().size(), 3u);
-  const SpanRecord& ra = tracer.records()[0];
-  const SpanRecord& rb = tracer.records()[1];
-  const SpanRecord& rc = tracer.records()[2];
+  const SpanForest forest = rig.Forest();
+  ASSERT_EQ(forest.records.size(), 3u);
+  const SpanRecord& ra = forest.records[0];
+  const SpanRecord& rb = forest.records[1];
+  const SpanRecord& rc = forest.records[2];
   EXPECT_EQ(ra.parent, kNoSpan);
   EXPECT_EQ(rb.parent, a);
   EXPECT_EQ(rc.parent, a);
@@ -63,27 +76,27 @@ TEST(TracerTest, NestingAndSequentialIdsWithDurations) {
 }
 
 TEST(TracerTest, ClosingAnOuterSpanImplicitlyClosesInnerOnes) {
-  SimClock clock;
-  telemetry::Hub hub;
-  Tracer tracer{hub, clock, EnabledConfig()};
+  TracerRig rig;
+  Tracer& tracer = rig.tracer;
 
   const SpanId a = tracer.Open("outer");
   tracer.Open("mid");
   tracer.Open("leaf");
-  clock.Advance(100);
+  rig.clock.Advance(100);
   tracer.Close(a);  // stack self-heals: leaf and mid close first
 
   EXPECT_EQ(tracer.current(), kNoSpan);
-  for (const SpanRecord& record : tracer.records()) {
+  const SpanForest forest = rig.Forest();
+  ASSERT_EQ(forest.records.size(), 3u);
+  for (const SpanRecord& record : forest.records) {
     EXPECT_TRUE(record.closed) << record.name;
     EXPECT_EQ(record.close_cycle, 100u) << record.name;
   }
 }
 
 TEST(TracerTest, OrphanClosesAreCountedNotFatal) {
-  SimClock clock;
-  telemetry::Hub hub;
-  Tracer tracer{hub, clock, EnabledConfig()};
+  TracerRig rig;
+  Tracer& tracer = rig.tracer;
 
   tracer.Close(kNoSpan);  // no-op, not an orphan
   EXPECT_EQ(tracer.orphan_closes(), 0u);
@@ -94,56 +107,37 @@ TEST(TracerTest, OrphanClosesAreCountedNotFatal) {
   tracer.Close(a);
   tracer.Close(a);  // double close
   EXPECT_EQ(tracer.orphan_closes(), 2u);
+
+  const SpanId outer = tracer.Open("outer");
+  const SpanId inner = tracer.Open("inner");
+  tracer.Close(outer);
+  tracer.Close(inner);  // already closed by the outer close
+  EXPECT_EQ(tracer.orphan_closes(), 3u);
+
+  // An orphan close publishes nothing: one open and one close per span.
+  EXPECT_EQ(rig.hub.ring().Snapshot().size(), 6u);
 }
 
-TEST(TracerTest, DisabledTracerHandsOutNoSpanAndStaysSilent) {
-  SimClock clock;
-  telemetry::Hub::Config hub_config;
-  hub_config.enabled = true;
-  telemetry::Hub hub{hub_config};
-  Tracer tracer{hub, clock, TracerConfig{}};  // enabled = false
-
-  EXPECT_FALSE(tracer.enabled());
-  EXPECT_EQ(tracer.Open("ignored"), kNoSpan);
-  tracer.Close(kNoSpan);
-  EXPECT_TRUE(tracer.records().empty());
-  // No span events leaked into the ring.
-  const std::vector<telemetry::Event> events =
-      telemetry::ParseTraceCsv(hub.ExportTraceCsv());
-  for (const telemetry::Event& event : events) {
-    EXPECT_NE(event.kind, telemetry::EventKind::kSpanOpen);
-    EXPECT_NE(event.kind, telemetry::EventKind::kSpanClose);
-  }
-}
-
-TEST(TracerTest, ScopedSpanToleratesNullAndDisabledTracers) {
+TEST(TracerTest, ScopedSpanToleratesANullTracer) {
   {
     ScopedSpan span{nullptr, "null"};
     EXPECT_EQ(span.id(), kNoSpan);
   }
   SimClock clock;
   telemetry::Hub hub;
-  Tracer disabled{hub, clock, TracerConfig{}};
+  Tracer live{hub, clock};
   {
-    ScopedSpan span{&disabled, "disabled"};
-    EXPECT_EQ(span.id(), kNoSpan);
-  }
-  Tracer enabled{hub, clock, EnabledConfig()};
-  {
-    ScopedSpan span{&enabled, "live"};
+    ScopedSpan span{&live, "live"};
     EXPECT_TRUE(span.id().valid());
-    EXPECT_EQ(enabled.current(), span.id());
+    EXPECT_EQ(live.current(), span.id());
   }
-  EXPECT_EQ(enabled.current(), kNoSpan);
+  EXPECT_EQ(live.current(), kNoSpan);
 }
 
 TEST(TracerTest, HubStampsCurrentSpanOnEventsPublishedInsideASpan) {
-  SimClock clock;
-  telemetry::Hub::Config hub_config;
-  hub_config.enabled = true;
-  telemetry::Hub hub{hub_config};
-  hub.BindClock(&clock);
-  Tracer tracer{hub, clock, EnabledConfig()};
+  TracerRig rig;
+  telemetry::Hub& hub = rig.hub;
+  Tracer& tracer = rig.tracer;
 
   const SpanId span = tracer.Open("op");
   telemetry::Event inside;
@@ -174,17 +168,22 @@ TEST(TracerTest, HubStampsCurrentSpanOnEventsPublishedInsideASpan) {
   EXPECT_TRUE(saw_outside);
 }
 
-TEST(TracerTest, MaxRecordsExhaustionCountsDroppedSpans) {
+// The tracer forgets a span once it closes, so no count of closed spans
+// bounds it: ids keep running past 1 << 20 and every close still matches.
+TEST(TracerTest, SpanIdsRunPastTheOldRecordCap) {
   SimClock clock;
   telemetry::Hub hub;
-  TracerConfig config = EnabledConfig();
-  config.max_records = 2;
-  Tracer tracer{hub, clock, config};
-
-  EXPECT_TRUE(tracer.Open("a").valid());
-  EXPECT_TRUE(tracer.Open("b").valid());
-  EXPECT_EQ(tracer.Open("c"), kNoSpan);
-  EXPECT_EQ(tracer.dropped_spans(), 1u);
+  Tracer tracer{hub, clock};
+  constexpr uint64_t kSpans = (uint64_t{1} << 20) + 1;
+  SpanId last;
+  for (uint64_t i = 0; i < kSpans; ++i) {
+    last = tracer.Open("op");
+    tracer.Close(last);
+  }
+  EXPECT_TRUE(last.valid());
+  EXPECT_EQ(last.value, kSpans);
+  EXPECT_EQ(tracer.orphan_closes(), 0u);
+  EXPECT_EQ(tracer.current(), kNoSpan);
 }
 
 // ---- Determinism across same-seed runs --------------------------------------
@@ -221,9 +220,9 @@ TEST(TracerTest, SpanTreeIsDeterministicAcrossSameSeedRuns) {
 // ---- Profile exporters ------------------------------------------------------
 
 TEST(ProfileTest, CollapsedStacksAttributeSelfCycles) {
-  SimClock clock;
-  telemetry::Hub hub;
-  Tracer tracer{hub, clock, EnabledConfig()};
+  TracerRig rig;
+  SimClock& clock = rig.clock;
+  Tracer& tracer = rig.tracer;
 
   const SpanId root = tracer.Open("root");
   clock.Advance(60);
@@ -238,9 +237,9 @@ TEST(ProfileTest, CollapsedStacksAttributeSelfCycles) {
 }
 
 TEST(ProfileTest, CollapsedStacksExcludeDetachedSpans) {
-  SimClock clock;
-  telemetry::Hub hub;
-  Tracer tracer{hub, clock, EnabledConfig()};
+  TracerRig rig;
+  SimClock& clock = rig.clock;
+  Tracer& tracer = rig.tracer;
 
   const SpanId root = tracer.Open("root");
   const SpanId window = tracer.OpenDetached("window.stale", root);
@@ -254,9 +253,9 @@ TEST(ProfileTest, CollapsedStacksExcludeDetachedSpans) {
 }
 
 TEST(ProfileTest, ChromeTraceJsonIsStructurallySane) {
-  SimClock clock;
-  telemetry::Hub hub;
-  Tracer tracer{hub, clock, EnabledConfig()};
+  TracerRig rig;
+  SimClock& clock = rig.clock;
+  Tracer& tracer = rig.tracer;
 
   const SpanId root = tracer.Open("iommu.flush");
   const SpanId window = tracer.OpenDetached("window.stale", root);
@@ -274,9 +273,8 @@ TEST(ProfileTest, ChromeTraceJsonIsStructurallySane) {
 }
 
 TEST(ProfileTest, SubtreeMaskSelectsOnlyDescendants) {
-  SimClock clock;
-  telemetry::Hub hub;
-  Tracer tracer{hub, clock, EnabledConfig()};
+  TracerRig rig;
+  Tracer& tracer = rig.tracer;
 
   const SpanId a = tracer.Open("a");        // id 1
   const SpanId a1 = tracer.Open("a.1");     // id 2
@@ -285,9 +283,7 @@ TEST(ProfileTest, SubtreeMaskSelectsOnlyDescendants) {
   const SpanId b = tracer.Open("b");        // id 3
   tracer.Close(b);
 
-  SpanForest forest;
-  forest.records = tracer.records();
-  forest.total_cycles = clock.now();
+  const SpanForest forest = rig.Forest();
   const std::unordered_set<uint64_t> mask = SubtreeMask(forest, a);
   EXPECT_EQ(mask.size(), 2u);
   EXPECT_TRUE(mask.count(a.value));

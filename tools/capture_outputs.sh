@@ -21,7 +21,11 @@
 #     `dkasan --iterations 400`;
 #   * --out of the JSON benches as CI runs them: bench_map_unmap --quick
 #     (plain and --policy-trusted), bench_nvme_io --quick --policy-untrusted
-#     and bench_mq_throughput --quick.
+#     and bench_mq_throughput --quick;
+#   * the live tracer's Chrome trace export, bench_map_unmap --quick
+#     --trace-out (bench_map_unmap.trace.json; sim cycles only). The tracer
+#     exports what the telemetry ring holds, so a ring too small for the run
+#     shows up here as a diff.
 #
 # Removed as host wall-clock: bench_dkasan_overhead's workload_wall_ms
 # column, and the JSON keys maps_per_sec, ios_per_sec, speedup,
@@ -134,7 +138,8 @@ json_bench() {
   strip_nondeterministic "$scratch/$name.json" "$out/$name.json"
 }
 
-json_bench bench_map_unmap "$build/bench/bench_map_unmap" --quick
+json_bench bench_map_unmap "$build/bench/bench_map_unmap" --quick \
+  --trace-out "$out/bench_map_unmap.trace.json"
 json_bench bench_map_unmap_policy "$build/bench/bench_map_unmap" --quick --policy-trusted
 json_bench bench_nvme_io "$build/bench/bench_nvme_io" --quick --policy-untrusted
 json_bench bench_mq_throughput "$build/bench/bench_mq_throughput" --quick

@@ -3,9 +3,8 @@
 //
 // Input is the CSV produced by telemetry::Hub::ExportTraceCsv() (one row per
 // trace-ring event: seq,cycle,kind,severity,device,addr,addr2,len,aux,flag,
-// span,site; the pre-span 11-column format is still accepted). Parsing is
-// shared with the library (telemetry::ParseTraceCsv) so the CLI and any other
-// consumer agree on the format.
+// span,site). Parsing is shared with the library (telemetry::ParseTraceCsv)
+// so the CLI and any other consumer agree on the format.
 //
 // Usage:
 //   trace <trace.csv> [--format timeline|chrome|flame] [--span ID]
