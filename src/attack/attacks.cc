@@ -70,7 +70,7 @@ void EmitStage(core::Machine& machine, std::string_view attack, const std::strin
   event.severity = telemetry::Severity::kWarn;
   event.origin = &machine;
   event.site = std::string(attack) + ": " + text;
-  hub.Publish(std::move(event));
+  hub.Publish(event);
   if (hub.enabled()) {
     ++hub.counter("attack.stages");
   }

@@ -47,6 +47,13 @@ void DKasan::Attach(const void* origin, telemetry::Hub& hub) {
   }
 }
 
+telemetry::KindSet DKasan::kinds() const {
+  using telemetry::EventKind;
+  return {EventKind::kSlabAlloc, EventKind::kFragAlloc, EventKind::kSlabFree,
+          EventKind::kFragFree,  EventKind::kDmaMap,    EventKind::kDmaUnmap,
+          EventKind::kCpuAccess};
+}
+
 void DKasan::OnEvent(const telemetry::Event& event) {
   if (std::find(origins_.begin(), origins_.end(), event.origin) == origins_.end()) {
     return;
@@ -100,7 +107,7 @@ void DKasan::AddReport(Report report) {
     event.aux = static_cast<uint64_t>(report.kind);
     event.origin = this;
     event.site = ReportKindName(report.kind) + ": " + report.site;
-    hub_->Publish(std::move(event));
+    hub_->Publish(event);
     if (hub_->enabled()) {
       ++hub_->counter("dkasan.reports");
       ++hub_->counter("dkasan.reports." + ReportKindName(report.kind));

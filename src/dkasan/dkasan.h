@@ -81,6 +81,8 @@ class DKasan : public telemetry::EventSink {
   void Attach(dma::DmaApi& dma) { Attach(&dma, dma.telemetry()); }
 
   void OnEvent(const telemetry::Event& event) override;
+  // Allocations, frees, maps, unmaps and CPU accesses.
+  telemetry::KindSet kinds() const override;
 
   // ---- Results ------------------------------------------------------------------
 

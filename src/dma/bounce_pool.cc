@@ -179,11 +179,10 @@ void BouncePool::PublishEvent(telemetry::EventKind kind, DeviceId device,
   event.aux = cycles_spent;
   event.origin = this;
   event.site = active.site;
-  hub_->Publish(std::move(event));
+  hub_->Publish(event);
   if (hub_->enabled() && (kind == telemetry::EventKind::kBounceMap ||
                           kind == telemetry::EventKind::kBounceUnmap)) {
-    ++hub_->counter(kind == telemetry::EventKind::kBounceMap ? "bounce.maps"
-                                                             : "bounce.unmaps");
+    ++(kind == telemetry::EventKind::kBounceMap ? maps_ : unmaps_).in(*hub_);
   }
 }
 

@@ -187,6 +187,9 @@ class BouncePool {
   StatCounter syncs_for_cpu_;
   StatCounter syncs_for_device_;
   std::vector<telemetry::CounterLink> links_;  // after the tallies it reads
+  // The hub-owned metrics bumped per event.
+  telemetry::CachedCounter maps_{"bounce.maps"};
+  telemetry::CachedCounter unmaps_{"bounce.unmaps"};
 };
 
 }  // namespace spv::dma

@@ -219,9 +219,9 @@ Status DmaApi::SyncSingleForCpu(DeviceId device, Iova iova, uint64_t len, DmaDir
     event.len = len;
     event.origin = this;
     event.site = "dma_sync_single_for_cpu";
-    hub.Publish(std::move(event));
+    hub.Publish(event);
     if (hub.enabled()) {
-      ++hub.counter("dma.syncs");
+      ++syncs_.in(hub);
     }
   }
   NotifyCpuAccess(kva, len, /*is_write=*/false);
@@ -329,9 +329,9 @@ void DmaApi::NotifyCpuAccess(Kva kva, uint64_t len, bool is_write) {
   event.len = len;
   event.flag = is_write;
   event.origin = this;
-  hub.Publish(std::move(event));
+  hub.Publish(event);
   if (hub.enabled()) {
-    ++hub.counter("dma.cpu_accesses");
+    ++cpu_accesses_.in(hub);
   }
 }
 
@@ -350,16 +350,20 @@ void DmaApi::Notify(const DmaMapping& mapping, bool map) {
   event.aux = static_cast<uint64_t>(RightsFor(mapping.dir));
   event.origin = this;
   event.site = mapping.site;
-  hub.Publish(std::move(event));
+  hub.Publish(event);
   if (hub.enabled()) {
-    ++hub.counter(map ? "dma.maps" : "dma.unmaps");
+    ++(map ? maps_ : unmaps_).in(hub);
     // Per-device map/unmap accounting (Table-1 style breakdowns).
-    std::string per_device = map ? "dma.maps.dev" : "dma.unmaps.dev";
-    per_device += std::to_string(mapping.device.value);
-    ++hub.counter(per_device);
+    DeviceCounters& device = device_counters_[mapping.device.value];
+    StatCounter*& per_device = map ? device.maps : device.unmaps;
+    if (per_device == nullptr) {
+      per_device = &hub.counter((map ? "dma.maps.dev" : "dma.unmaps.dev") +
+                                std::to_string(mapping.device.value));
+    }
+    ++*per_device;
     if (map) {
-      hub.histogram("dma.map_bytes").Record(mapping.len);
-      hub.histogram("dma.exposed_bytes").Record(mapping.exposed_bytes());
+      map_bytes_.in(hub).Record(mapping.len);
+      exposed_bytes_.in(hub).Record(mapping.exposed_bytes());
     }
   }
 }

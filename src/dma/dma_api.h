@@ -27,6 +27,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "base/status.h"
@@ -189,6 +190,13 @@ class DmaApi {
   iommu::Iommu& iommu() { return iommu_; }
 
  private:
+  // A device's dma.maps.dev<N> / dma.unmaps.dev<N>, each resolved on its
+  // first bump.
+  struct DeviceCounters {
+    StatCounter* maps = nullptr;
+    StatCounter* unmaps = nullptr;
+  };
+
   void Notify(const DmaMapping& mapping, bool map);
 
   iommu::Iommu& iommu_;
@@ -200,6 +208,14 @@ class DmaApi {
   forensics::FlightRecorder* recorder_ = nullptr;
   DmaRouter* router_ = nullptr;       // trust policy's per-map verdict
   BouncePool* bounce_pool_ = nullptr; // where untrusted transfers divert
+  // The hub-owned metrics bumped per event.
+  telemetry::CachedCounter cpu_accesses_{"dma.cpu_accesses"};
+  telemetry::CachedCounter syncs_{"dma.syncs"};
+  telemetry::CachedCounter maps_{"dma.maps"};
+  telemetry::CachedCounter unmaps_{"dma.unmaps"};
+  telemetry::CachedHistogram map_bytes_{"dma.map_bytes"};
+  telemetry::CachedHistogram exposed_bytes_{"dma.exposed_bytes"};
+  std::unordered_map<uint32_t, DeviceCounters> device_counters_;
 };
 
 }  // namespace spv::dma

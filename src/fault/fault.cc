@@ -159,7 +159,7 @@ bool FaultEngine::ShouldInject(FaultSite site) {
     event.len = trigger.magnitude;
     event.origin = this;
     event.site = std::string("fault:") + std::string(FaultSiteName(site));
-    hub_->Publish(std::move(event));
+    hub_->Publish(event);
     if (hub_->enabled()) {
       ++hub_->counter(std::string("fault.injected.") + std::string(FaultSiteName(site)));
     }

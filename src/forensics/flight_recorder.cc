@@ -384,7 +384,7 @@ void FlightRecorder::RecordStaleHit(DeviceId device, Iova page_iova, uint64_t gp
   }
   Push(lane, record);
   if (record.generation != 0 && tracer_ != nullptr && tracer_->hub().enabled()) {
-    ++tracer_->hub().counter("window.stale.hits");
+    ++metrics_.stale_hits.in(tracer_->hub());
   }
 }
 
@@ -409,10 +409,6 @@ void FlightRecorder::RecordSync(DeviceId device, Iova iova, uint64_t len, uint8_
 }
 
 void FlightRecorder::OnEvent(const telemetry::Event& event) {
-  if (event.kind != telemetry::EventKind::kDkasanReport &&
-      event.kind != telemetry::EventKind::kSpadeFinding) {
-    return;
-  }
   const bool dkasan = event.kind == telemetry::EventKind::kDkasanReport;
   // The most recently opened window still open; else the most recent
   // stale window of any state (the detector may fire right after a flush
@@ -445,9 +441,10 @@ void FlightRecorder::OnEvent(const telemetry::Event& event) {
   (dkasan ? detect_latency_dkasan_ : detect_latency_spade_).Record(latency);
   if (tracer_ != nullptr && tracer_->hub().enabled()) {
     telemetry::Hub& hub = tracer_->hub();
-    hub.histogram(dkasan ? "window.detect_latency.dkasan" : "window.detect_latency.spade")
+    (dkasan ? metrics_.detect_latency_dkasan : metrics_.detect_latency_spade)
+        .in(hub)
         .Record(latency);
-    ++hub.counter(dkasan ? "window.detected.dkasan" : "window.detected.spade");
+    ++(dkasan ? metrics_.detected_dkasan : metrics_.detected_spade).in(hub);
   }
   Announce(announcements);
 }
@@ -464,13 +461,14 @@ void FlightRecorder::Announce(std::vector<Announcement>& announcements) {
       (stale ? a.life->stale_span : a.life->subpage_span) = window.span;
     }
     if (hub.enabled()) {
-      const std::string name(kind);
       if (a.open || a.opened_closed) {
-        ++hub.counter(name + ".opened");
+        ++(stale ? metrics_.stale_opened : metrics_.subpage_opened).in(hub);
       }
       if (!a.open) {
-        ++hub.counter(name + ".closed");
-        hub.histogram(name + ".open_cycles").Record(window.duration());
+        ++(stale ? metrics_.stale_closed : metrics_.subpage_closed).in(hub);
+        (stale ? metrics_.stale_open_cycles : metrics_.subpage_open_cycles)
+            .in(hub)
+            .Record(window.duration());
       }
     }
     PublishWindowEvent(window, a.open);
@@ -500,7 +498,7 @@ void FlightRecorder::PublishWindowEvent(const Window& window, bool open) {
   if (!open && !window.close_reason.empty()) {
     event.site += ":" + window.close_reason;
   }
-  hub.Publish(std::move(event));
+  hub.Publish(event);
 }
 
 std::vector<FlightRecord> FlightRecorder::SnapshotTimeline(DeviceId device) const {

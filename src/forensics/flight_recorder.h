@@ -156,10 +156,16 @@ class FlightRecorder : public telemetry::EventSink {
                  bool iommu_enabled = true);
 
   // Attaching a Tracer turns on window spans, events and hub metrics.
-  void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
+  void set_tracer(trace::Tracer* tracer) {
+    tracer_ = tracer;
+    metrics_ = {};  // resolved again in the new tracer's Hub
+  }
 
   // kDkasanReport / kSpadeFinding: detection latency against the windows.
   void OnEvent(const telemetry::Event& event) override;
+  telemetry::KindSet kinds() const override {
+    return {telemetry::EventKind::kDkasanReport, telemetry::EventKind::kSpadeFinding};
+  }
 
   // ---- Edges (hot path; callers hold a non-null recorder) -----------------------
 
@@ -257,6 +263,21 @@ class FlightRecorder : public telemetry::EventSink {
     uint64_t dropped = 0;
   };
 
+  // The window.* hub metrics (Tracer attached), resolved on their first bump.
+  struct WindowMetrics {
+    telemetry::CachedCounter stale_hits{"window.stale.hits"};
+    telemetry::CachedCounter stale_opened{"window.stale.opened"};
+    telemetry::CachedCounter stale_closed{"window.stale.closed"};
+    telemetry::CachedHistogram stale_open_cycles{"window.stale.open_cycles"};
+    telemetry::CachedCounter subpage_opened{"window.subpage.opened"};
+    telemetry::CachedCounter subpage_closed{"window.subpage.closed"};
+    telemetry::CachedHistogram subpage_open_cycles{"window.subpage.open_cycles"};
+    telemetry::CachedCounter detected_dkasan{"window.detected.dkasan"};
+    telemetry::CachedCounter detected_spade{"window.detected.spade"};
+    telemetry::CachedHistogram detect_latency_dkasan{"window.detect_latency.dkasan"};
+    telemetry::CachedHistogram detect_latency_spade{"window.detect_latency.spade"};
+  };
+
   // A window event to announce once the edge is applied (Tracer attached).
   struct Announcement {
     Window window;
@@ -287,6 +308,7 @@ class FlightRecorder : public telemetry::EventSink {
   uint32_t num_cpus_;
   bool iommu_enabled_;
   trace::Tracer* tracer_ = nullptr;
+  WindowMetrics metrics_;
 
   std::map<uint32_t, Lane> lanes_;
   Life* newest_open_ = nullptr;  // open stale windows: detection targets

@@ -194,18 +194,13 @@ IncidentEngine::IncidentEngine(telemetry::Hub& hub, FlightRecorder& recorder,
                                const SimClock* clock)
     : hub_(hub), recorder_(recorder), clock_(clock) {}
 
+telemetry::KindSet IncidentEngine::kinds() const {
+  using telemetry::EventKind;
+  return {EventKind::kDkasanReport,  EventKind::kSpadeFinding,      EventKind::kStaleIotlbHit,
+          EventKind::kHealthBreach,  EventKind::kDeviceQuarantined, EventKind::kTrustDemoted};
+}
+
 void IncidentEngine::OnEvent(const telemetry::Event& event) {
-  switch (event.kind) {
-    case telemetry::EventKind::kDkasanReport:
-    case telemetry::EventKind::kSpadeFinding:
-    case telemetry::EventKind::kStaleIotlbHit:
-    case telemetry::EventKind::kHealthBreach:
-    case telemetry::EventKind::kDeviceQuarantined:
-    case telemetry::EventKind::kTrustDemoted:
-      break;
-    default:
-      return;  // includes our own kIncidentOpen/kIncidentReport: no recursion
-  }
   Freeze(DeviceId{event.device}, telemetry::EventKindName(event.kind), event.site,
          /*manual=*/false);
 }
@@ -263,7 +258,7 @@ void IncidentEngine::Freeze(DeviceId device, std::string_view trigger,
     open.aux = id;
     open.flag = manual;
     open.site.assign(trigger);
-    hub_.Publish(std::move(open));
+    hub_.Publish(open);
 
     telemetry::Event sealed;
     sealed.kind = telemetry::EventKind::kIncidentReport;
@@ -272,7 +267,7 @@ void IncidentEngine::Freeze(DeviceId device, std::string_view trigger,
     sealed.aux = static_cast<uint64_t>(inferred);
     sealed.flag = manual;
     sealed.site.assign(AttackClassName(inferred));
-    hub_.Publish(std::move(sealed));
+    hub_.Publish(sealed);
   }
 }
 

@@ -104,7 +104,10 @@ class IncidentEngine : public telemetry::EventSink {
   void set_trust_provider(StateSnapshotFn fn) { trust_ = std::move(fn); }
   void set_recovery_provider(StateSnapshotFn fn) { recovery_ = std::move(fn); }
 
+  // The triggers: detector findings, stale-IOTLB hits, health breaches,
+  // quarantines and demotions (never its own kIncidentOpen/kIncidentReport).
   void OnEvent(const telemetry::Event& event) override;
+  telemetry::KindSet kinds() const override;
 
   // Operator-initiated freeze: same evidence pipeline, trigger "manual".
   // Bypasses the cooldown (an explicit ask is never rate-limited) but not

@@ -169,7 +169,7 @@ uint64_t Iommu::DrainDeviceInvalidations(DeviceId device) {
       event.aux = cycles;  // what the range's page commands cost
       event.origin = this;
       event.site = "drain_device";
-      hub_->Publish(std::move(event));
+      hub_->Publish(event);
     }
     if (recorder_ != nullptr) {
       // Quarantine flush edge: the drain closes this range's stale window.
@@ -208,7 +208,7 @@ void Iommu::NoteFencedAccess(DeviceId device, Iova iova, std::string_view what) 
     event.addr2 = iova.value;
     event.origin = this;
     event.site = std::string(what);
-    hub_->Publish(std::move(event));
+    hub_->Publish(event);
   }
 }
 
@@ -323,7 +323,7 @@ Status Iommu::UnmapRange(DeviceId device, Iova base, uint64_t pages) {
       event.aux = cycles;  // what the command cost, stall included
       event.origin = this;
       event.site = "unmap_strict";
-      hub_->Publish(std::move(event));
+      hub_->Publish(event);
     }
     if (recorder_ != nullptr) {
       // Strict flush edge: the translation dies before the unmap edge, so
@@ -400,7 +400,7 @@ void Iommu::FlushNow(FlushReason reason) {
     event.aux = amortized;  // queued unmaps retired by this one invalidation
     event.origin = this;
     event.site = std::string("flush_now:") + std::string(FlushReasonName(reason));
-    hub_->Publish(std::move(event));
+    hub_->Publish(event);
     if (hub_->enabled()) {
       hub_->histogram("iommu.flush_batch").Record(amortized);
     }
@@ -533,7 +533,7 @@ Result<PteEntry> Iommu::TranslateForDevice(DeviceId device, Domain& state, Iova 
         event.flag = op == AccessOp::kWrite;
         event.origin = this;
         event.site = "stale translation served from IOTLB";
-        hub_->Publish(std::move(event));
+        hub_->Publish(event);
       }
     }
     return *cached;
@@ -567,7 +567,7 @@ void Iommu::Fault(DeviceId device, Iova iova, AccessOp op, std::string reason) {
     event.flag = op == AccessOp::kWrite;
     event.origin = this;
     event.site = reason;
-    hub_->Publish(std::move(event));
+    hub_->Publish(event);
     if (hub_->enabled()) {
       ++hub_->counter("iommu.faults");
     }

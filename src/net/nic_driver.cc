@@ -34,7 +34,7 @@ void EmitNicEvent(telemetry::Hub& hub, telemetry::EventKind kind,
   event.len = len;
   event.origin = origin;
   event.site = std::move(site);
-  hub.Publish(std::move(event));
+  hub.Publish(event);
 }
 
 }  // namespace

@@ -28,7 +28,7 @@ void EmitStackEvent(telemetry::Hub& hub, telemetry::EventKind kind, uint64_t len
   event.len = len;
   event.origin = origin;
   event.site = std::move(site);
-  hub.Publish(std::move(event));
+  hub.Publish(event);
 }
 
 }  // namespace

@@ -34,7 +34,7 @@ void EmitNvmeEvent(telemetry::Hub& hub, telemetry::EventKind kind,
   event.addr = addr;
   event.origin = origin;
   event.site = std::move(site);
-  hub.Publish(std::move(event));
+  hub.Publish(event);
 }
 
 }  // namespace
@@ -605,9 +605,8 @@ bool NvmeDriver::HandleIoCqe(const Cqe& cqe) {
                   telemetry::Severity::kInfo, device_id_, transferred, cqe.cid,
                   this, config_.name + "_complete");
     if (hub.enabled()) {
-      hub.histogram("nvme.io_latency_cycles")
-          .Record(clock_.now() - cmd.submit_cycle);
-      hub.histogram("nvme.transfer_bytes").Record(transferred);
+      io_latency_cycles_.in(hub).Record(clock_.now() - cmd.submit_cycle);
+      transfer_bytes_.in(hub).Record(transferred);
     }
   } else {
     ++io_errors_;

@@ -280,6 +280,9 @@ class NvmeDriver : public recovery::SupervisedDriver {
   StatCounter mode_switches_;
   bool in_mode_switch_ = false;  // re-entrancy guard for RefreshServiceMode
   std::vector<telemetry::CounterLink> links_;  // after the tallies it reads
+  // The hub-owned histograms recorded per completion.
+  telemetry::CachedHistogram io_latency_cycles_{"nvme.io_latency_cycles"};
+  telemetry::CachedHistogram transfer_bytes_{"nvme.transfer_bytes"};
 };
 
 }  // namespace spv::nvme

@@ -28,22 +28,18 @@ std::string_view TrustStateName(TrustState state) {
   return "?";
 }
 
+telemetry::KindSet PolicyEngine::TrustSink::kinds() const {
+  using telemetry::EventKind;
+  return {EventKind::kDeviceQuarantined, EventKind::kHealthBreach, EventKind::kDkasanReport,
+          EventKind::kSpadeFinding, EventKind::kStaleIotlbHit};
+}
+
 void PolicyEngine::TrustSink::OnEvent(const telemetry::Event& event) {
   if (!engine_.config_.enabled || event.device == 0) {
     return;  // unattributed signals cannot indict a device
   }
-  switch (event.kind) {
-    case telemetry::EventKind::kDeviceQuarantined:
-    case telemetry::EventKind::kHealthBreach:
-    case telemetry::EventKind::kDkasanReport:
-    case telemetry::EventKind::kSpadeFinding:
-    case telemetry::EventKind::kStaleIotlbHit:
-      if (engine_.devices_.count(event.device) != 0) {
-        engine_.pending_demotions_.emplace_back(event.device, event.kind);
-      }
-      break;
-    default:
-      break;
+  if (engine_.devices_.count(event.device) != 0) {
+    engine_.pending_demotions_.emplace_back(event.device, event.kind);
   }
 }
 
@@ -121,7 +117,7 @@ void PolicyEngine::Publish(telemetry::EventKind kind, DeviceId device, TrustStat
   event.flag = refused;
   event.origin = this;
   event.site = std::string(reason);
-  hub_.Publish(std::move(event));
+  hub_.Publish(event);
 }
 
 Status PolicyEngine::RegisterDevice(DeviceId device, DeviceIdentity identity,

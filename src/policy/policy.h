@@ -167,6 +167,8 @@ class PolicyEngine : public dma::DmaRouter {
    public:
     explicit TrustSink(PolicyEngine& engine) : engine_(engine) {}
     void OnEvent(const telemetry::Event& event) override;
+    // Quarantines, health breaches, detector findings, stale-IOTLB hits.
+    telemetry::KindSet kinds() const override;
 
    private:
     PolicyEngine& engine_;

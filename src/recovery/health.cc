@@ -62,17 +62,21 @@ void HealthScorer::Track(DeviceId device) { scores_.try_emplace(device.value); }
 
 void HealthScorer::Untrack(DeviceId device) { scores_.erase(device.value); }
 
+telemetry::KindSet HealthScorer::kinds() const {
+  using telemetry::EventKind;
+  return {EventKind::kIommuFault,    EventKind::kNicTxReset,          EventKind::kNvmeQueueReset,
+          EventKind::kStaleIotlbHit, EventKind::kDkasanReport,        EventKind::kSpadeFinding,
+          EventKind::kNicRxError,    EventKind::kNvmeCompletionError, EventKind::kNicPollDeadline,
+          EventKind::kNvmePollDeadline};
+}
+
 void HealthScorer::OnEvent(const telemetry::Event& event) {
   auto it = scores_.find(event.device);
   if (it == scores_.end()) {
     return;  // not a device we supervise
   }
-  const double weight = WeightFor(event);
-  if (weight == 0.0) {
-    return;
-  }
   DeviceScore& entry = it->second;
-  entry.score = Decayed(entry.score, entry.last_cycle, event.cycle) + weight;
+  entry.score = Decayed(entry.score, entry.last_cycle, event.cycle) + WeightFor(event);
   entry.last_cycle = std::max(entry.last_cycle, event.cycle);
   if (!entry.breached && entry.score >= kBreachThreshold) {
     entry.breached = true;

@@ -29,6 +29,8 @@ class HealthScorer : public telemetry::EventSink {
   void Untrack(DeviceId device);
 
   void OnEvent(const telemetry::Event& event) override;
+  // The kinds that carry a weight.
+  telemetry::KindSet kinds() const override;
 
   // Decayed score as of `now` (0 for untracked devices).
   double ScoreAt(DeviceId device, uint64_t now) const;

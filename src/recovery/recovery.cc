@@ -62,7 +62,7 @@ void RecoveryManager::Emit(telemetry::EventKind kind, telemetry::Severity severi
   event.aux = aux;
   event.origin = this;
   event.site = std::move(site);
-  hub_.Publish(std::move(event));
+  hub_.Publish(event);
 }
 
 Status RecoveryManager::Quarantine(DeviceId device, std::string_view reason) {

@@ -177,11 +177,11 @@ void PageFragPool::Notify(bool alloc, Kva kva, uint64_t size, std::string_view s
   event.len = size;
   event.origin = this;
   event.site = std::string(site);
-  hub.Publish(std::move(event));
+  hub.Publish(event);
   if (hub.enabled()) {
-    ++hub.counter(alloc ? "frag.allocs" : "frag.frees");
+    ++(alloc ? allocs_ : frees_).in(hub);
     if (alloc) {
-      hub.histogram("frag.alloc_bytes").Record(size);
+      alloc_bytes_.in(hub).Record(size);
     }
   }
 }

@@ -112,6 +112,10 @@ class PageFragPool {
   StatCounter regions_allocated_;
   fault::FaultEngine* fault_ = nullptr;
   telemetry::CounterLink regions_link_;  // after the tally it reads
+  // The hub-owned metrics bumped per event.
+  telemetry::CachedCounter allocs_{"frag.allocs"};
+  telemetry::CachedCounter frees_{"frag.frees"};
+  telemetry::CachedHistogram alloc_bytes_{"frag.alloc_bytes"};
 };
 
 }  // namespace spv::slab

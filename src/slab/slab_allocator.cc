@@ -88,7 +88,7 @@ Result<Kva> SlabAllocator::Kmalloc(uint64_t size, std::string_view site) {
   if (hub_ != nullptr && hub_->enabled()) {
     // Objects co-resident on this 4 KiB page after the allocation — the raw
     // material of the paper's type (b)/(d) sub-page exposure.
-    hub_->histogram("slab.co_residency").Record(page.used);
+    co_residency_.in(*hub_).Record(page.used);
   }
   Notify(/*alloc=*/true, kva, cache.object_size, site);
   return kva;
@@ -271,11 +271,11 @@ void SlabAllocator::Notify(bool alloc, Kva kva, uint64_t size, std::string_view 
   event.len = size;
   event.origin = this;
   event.site = std::string(site);
-  hub.Publish(std::move(event));
+  hub.Publish(event);
   if (hub.enabled()) {
-    ++hub.counter(alloc ? "slab.allocs" : "slab.frees");
+    ++(alloc ? allocs_ : frees_).in(hub);
     if (alloc) {
-      hub.histogram("slab.alloc_bytes").Record(size);
+      alloc_bytes_.in(hub).Record(size);
     }
   }
 }

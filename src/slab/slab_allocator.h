@@ -129,6 +129,11 @@ class SlabAllocator {
   std::unique_ptr<telemetry::Hub> owned_hub_;  // fallback when none injected
   StatCounter live_objects_;
   fault::FaultEngine* fault_ = nullptr;
+  // The hub-owned metrics bumped per event.
+  telemetry::CachedCounter allocs_{"slab.allocs"};
+  telemetry::CachedCounter frees_{"slab.frees"};
+  telemetry::CachedHistogram alloc_bytes_{"slab.alloc_bytes"};
+  telemetry::CachedHistogram co_residency_{"slab.co_residency"};
 };
 
 }  // namespace spv::slab

@@ -79,7 +79,7 @@ Result<std::vector<SiteFinding>> SpadeAnalyzer::Analyze() {
       event.origin = this;
       event.site = finding.file + ":" + std::to_string(finding.line) + " " +
                    finding.function + " -> " + finding.callee;
-      hub_->Publish(std::move(event));
+      hub_->Publish(event);
       if (hub_->enabled()) {
         ++hub_->counter("spade.vulnerable_sites");
       }

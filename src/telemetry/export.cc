@@ -101,39 +101,41 @@ std::string Hub::ExportTraceCsv() const {
 
 namespace {
 
-// Splits one CSV record into fields, honoring double-quoted fields with ""
-// escapes (the exact dialect CsvEscape emits).
-std::vector<std::string> SplitCsvFields(std::string_view line) {
-  std::vector<std::string> fields;
-  std::string current;
+// Reads the record that starts at `*pos` into `fields` and moves `*pos` past
+// it. Double-quoted fields may hold commas, newlines and "" escapes (the
+// exact dialect CsvEscape emits), so a record ends only at a newline outside
+// quotes. A '\r' outside quotes is dropped.
+void ReadCsvRecord(std::string_view csv, size_t* pos, std::vector<std::string>* fields) {
+  fields->assign(1, std::string());
   bool in_quotes = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
+  size_t i = *pos;
+  for (; i < csv.size(); ++i) {
+    const char c = csv[i];
+    std::string& field = fields->back();
     if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          current.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
+      if (c != '"') {
+        field.push_back(c);
+      } else if (i + 1 < csv.size() && csv[i + 1] == '"') {
+        field.push_back('"');
+        ++i;
       } else {
-        current.push_back(c);
+        in_quotes = false;
       }
     } else if (c == '"') {
       in_quotes = true;
     } else if (c == ',') {
-      fields.push_back(std::move(current));
-      current.clear();
+      fields->emplace_back();
+    } else if (c == '\n') {
+      break;
     } else if (c != '\r') {
-      current.push_back(c);
+      field.push_back(c);
     }
   }
-  fields.push_back(std::move(current));
-  return fields;
+  *pos = i + 1;
 }
 
-bool ParseU64(const std::string& text, uint64_t* out) {
+// Decimal digits only, at most `max`.
+bool ParseU64(const std::string& text, uint64_t* out, uint64_t max = UINT64_MAX) {
   if (text.empty()) {
     return false;
   }
@@ -142,7 +144,11 @@ bool ParseU64(const std::string& text, uint64_t* out) {
     if (c < '0' || c > '9') {
       return false;
     }
-    value = value * 10 + static_cast<uint64_t>(c - '0');
+    const auto digit = static_cast<uint64_t>(c - '0');
+    if (value > (max - digit) / 10) {
+      return false;
+    }
+    value = value * 10 + digit;
   }
   *out = value;
   return true;
@@ -152,20 +158,12 @@ bool ParseU64(const std::string& text, uint64_t* out) {
 
 std::vector<Event> ParseTraceCsv(std::string_view csv) {
   std::vector<Event> events;
+  std::vector<std::string> fields;
   size_t pos = 0;
   while (pos < csv.size()) {
-    size_t end = csv.find('\n', pos);
-    if (end == std::string_view::npos) {
-      end = csv.size();
-    }
-    const std::string_view line = csv.substr(pos, end - pos);
-    pos = end + 1;
-    if (line.empty() || line.substr(0, 4) == "seq,") {
-      continue;  // blank line or header
-    }
-    const std::vector<std::string> fields = SplitCsvFields(line);
+    ReadCsvRecord(csv, &pos, &fields);
     if (fields.size() != 12) {
-      continue;
+      continue;  // blank line, or not a trace row
     }
     Event event;
     uint64_t device = 0;
@@ -173,17 +171,17 @@ std::vector<Event> ParseTraceCsv(std::string_view csv) {
     const std::optional<EventKind> kind = EventKindFromName(fields[2]);
     const std::optional<Severity> severity = SeverityFromName(fields[3]);
     if (!kind.has_value() || !severity.has_value() || !ParseU64(fields[0], &event.seq) ||
-        !ParseU64(fields[1], &event.cycle) || !ParseU64(fields[4], &device) ||
+        !ParseU64(fields[1], &event.cycle) || !ParseU64(fields[4], &device, UINT32_MAX) ||
         !ParseU64(fields[5], &event.addr) || !ParseU64(fields[6], &event.addr2) ||
         !ParseU64(fields[7], &event.len) || !ParseU64(fields[8], &event.aux) ||
         !ParseU64(fields[9], &flag) || !ParseU64(fields[10], &event.span)) {
-      continue;
+      continue;  // the header, or a field that does not parse
     }
     event.kind = *kind;
     event.severity = *severity;
     event.device = static_cast<uint32_t>(device);
     event.flag = flag != 0;
-    event.site = fields[11];
+    event.site = std::move(fields[11]);
     events.push_back(std::move(event));
   }
   return events;

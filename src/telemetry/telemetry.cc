@@ -167,21 +167,20 @@ TraceRing::TraceRing(size_t capacity) : capacity_(std::max<size_t>(capacity, 1))
   slots_.resize(capacity_);
 }
 
-bool TraceRing::Push(Event event) {
+Event* TraceRing::Push(const Event& event) {
   if (event.severity < min_severity_) {
     ++filtered_;
-    return false;
+    return nullptr;
   }
-  event.seq = next_seq_;
   Event& slot = slots_[next_seq_ % capacity_];
   if (next_seq_ >= capacity_) {
     // Overwriting a live record: account the loss under the severity of what
     // is being lost, not of what is being written.
     ++dropped_by_severity_[static_cast<size_t>(slot.severity)];
   }
-  slot = std::move(event);
-  ++next_seq_;
-  return true;
+  slot = event;  // member-wise: the site string is assigned into its buffer
+  slot.seq = next_seq_++;
+  return &slot;
 }
 
 uint64_t TraceRing::dropped() const {
@@ -223,28 +222,45 @@ Hub::Hub(Config config) : enabled_(config.enabled), ring_(config.ring_capacity) 
   ring_.set_min_severity(config.min_severity);
 }
 
-void Hub::Publish(Event event) {
-  if (clock_ != nullptr && event.cycle == 0) {
-    event.cycle = clock_->now();
+void Hub::Publish(const Event& event) {
+  const bool to_sinks = sink_kinds_.contains(event.kind);
+  if (!enabled_ && !to_sinks) {
+    return;
   }
-  if (event.span == 0) {
-    event.span = current_span_;
-  }
+  const uint64_t cycle =
+      clock_ != nullptr && event.cycle == 0 ? clock_->now() : event.cycle;
+  const uint64_t span = event.span == 0 ? current_span_ : event.span;
   if (enabled_) {
-    ring_.Push(event);  // Push copies seq into its slot; sinks see seq 0
+    if (Event* slot = ring_.Push(event); slot != nullptr) {
+      slot->cycle = cycle;
+      slot->span = span;
+    }
   }
-  for (EventSink* sink : sinks_) {
-    sink->OnEvent(event);
+  if (!to_sinks) {
+    return;
+  }
+  Event stamped = event;  // keeps the caller's seq: sinks see seq 0
+  stamped.cycle = cycle;
+  stamped.span = span;
+  for (const Subscriber& subscriber : sinks_) {
+    if (subscriber.kinds.contains(stamped.kind)) {
+      subscriber.sink->OnEvent(stamped);
+    }
   }
 }
 
 void Hub::AddSink(EventSink* sink) {
   assert(sink != nullptr);
-  sinks_.push_back(sink);
+  sinks_.push_back(Subscriber{sink, sink->kinds()});
+  sink_kinds_ |= sinks_.back().kinds;
 }
 
 void Hub::RemoveSink(EventSink* sink) {
-  sinks_.erase(std::remove(sinks_.begin(), sinks_.end(), sink), sinks_.end());
+  std::erase_if(sinks_, [sink](const Subscriber& subscriber) { return subscriber.sink == sink; });
+  sink_kinds_ = KindSet{};
+  for (const Subscriber& subscriber : sinks_) {
+    sink_kinds_ |= subscriber.kinds;
+  }
 }
 
 namespace detail {

@@ -16,23 +16,32 @@
 //     that tools/trace_cli replays as a timeline.
 //
 // The Hub is also the one fan-out path for functional consumers: D-KASAN,
-// the recovery health scorer, the window tracker, the incident engine and the
-// trust policy are all plain EventSinks. Sinks always receive events;
-// *recording* (ring, hub-owned counters, links) is fixed by `enabled` when
-// the Hub is constructed, so a disabled Hub with no sinks costs one branch
-// per emit site (components guard with `active()` before building an Event).
-// Publish dispatches at once, so every sink sees each event when it happens.
+// the recovery health scorer, the flight recorder, the incident engine and
+// the trust policy are all plain EventSinks. Each sink declares the kinds it
+// acts on (EventSink::kinds()) and receives only those, whether or not the
+// Hub records; *recording* (ring, hub-owned counters, links) is fixed by
+// `enabled` when the Hub is constructed, so a disabled Hub with no sinks
+// costs one branch per emit site (components guard with `active()` before
+// building an Event). Publish dispatches at once, so every sink sees each
+// event when it happens.
+//
+// Publishing is cheap enough to leave on: Publish copies the event into its
+// ring slot member by member (a wrapped ring reuses the slot's site buffer),
+// builds one stamped copy only when some sink takes the kind, and layers
+// resolve the hub-owned names they bump per event once (CachedMetric).
 
 #ifndef SPV_TELEMETRY_TELEMETRY_H_
 #define SPV_TELEMETRY_TELEMETRY_H_
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "base/clock.h"
@@ -132,6 +141,39 @@ enum class EventKind : uint8_t {
 std::string_view EventKindName(EventKind kind);
 std::optional<EventKind> EventKindFromName(std::string_view name);
 
+// A set of EventKinds, one bit per kind: what a sink acts on.
+class KindSet {
+ public:
+  constexpr KindSet() = default;
+  constexpr KindSet(std::initializer_list<EventKind> kinds) {
+    for (EventKind kind : kinds) {
+      bits_ |= Bit(kind);
+    }
+  }
+  static constexpr KindSet All() {
+    KindSet all;
+    all.bits_ = ~uint64_t{0};
+    return all;
+  }
+
+  constexpr bool contains(EventKind kind) const { return (bits_ & Bit(kind)) != 0; }
+  constexpr KindSet& operator|=(KindSet other) {
+    bits_ |= other.bits_;
+    return *this;
+  }
+  friend constexpr bool operator==(KindSet a, KindSet b) = default;
+
+ private:
+  static constexpr uint64_t Bit(EventKind kind) {
+    return uint64_t{1} << static_cast<unsigned>(kind);
+  }
+
+  uint64_t bits_ = 0;
+};
+
+static_assert(static_cast<unsigned>(EventKind::kBounceSyncDevice) < 64,
+              "KindSet keeps one bit per EventKind");
+
 // One timestamped record. Field meaning is kind-specific but consistent:
 // `addr` is the primary (kernel-virtual) address, `addr2` the secondary
 // address (usually the IOVA), `aux` carries rights / kinds / counts and
@@ -156,9 +198,9 @@ struct Event {
   std::string site;  // call site or free-form detail
 };
 
-// A consumer on the bus. Sinks see every published Event regardless of the
-// Hub's enabled flag — functional consumers (D-KASAN) must not go blind when
-// recording is off.
+// A consumer on the bus. A sink sees every published Event of the kinds it
+// declares, regardless of the Hub's enabled flag — functional consumers
+// (D-KASAN) must not go blind when recording is off — and no other kind.
 //
 // OnEvent runs inside Publish, in the middle of the publishing layer's
 // operation. A sink may publish from OnEvent and may use its own state and
@@ -171,6 +213,9 @@ class EventSink {
  public:
   virtual ~EventSink() = default;
   virtual void OnEvent(const Event& event) = 0;
+  // The kinds OnEvent acts on; Hub::AddSink reads it once. A sink that
+  // keeps the default sees every kind.
+  virtual KindSet kinds() const { return KindSet::All(); }
 };
 
 // ---- Metrics -------------------------------------------------------------------
@@ -249,9 +294,9 @@ class Histogram {
 
 // ---- Trace ring ----------------------------------------------------------------
 
-// Fixed-capacity ring. No allocation or rebalancing on the push
-// path (slot index is seq % capacity); the oldest record is overwritten when
-// full and accounted as dropped. A severity floor filters before recording.
+// Fixed-capacity ring. No rebalancing on the push path (slot index is
+// seq % capacity); the oldest record is overwritten when full and accounted
+// as dropped. A severity floor filters before recording.
 class TraceRing {
  public:
   explicit TraceRing(size_t capacity);
@@ -259,8 +304,11 @@ class TraceRing {
   void set_min_severity(Severity severity) { min_severity_ = severity; }
   Severity min_severity() const { return min_severity_; }
 
-  // Returns true if the event was recorded (not severity-filtered).
-  bool Push(Event event);
+  // Copies `event` into the next slot, member by member, and stamps its seq.
+  // The slot's site keeps its buffer, so once the ring has wrapped a push
+  // allocates only for a site longer than any the slot held. Returns the
+  // slot written, or nullptr when the event was severity-filtered.
+  Event* Push(const Event& event);
 
   // Live records, oldest first.
   std::vector<Event> Snapshot() const;
@@ -309,13 +357,17 @@ class Hub {
 
   bool enabled() const { return enabled_; }
 
-  // True if Publish would do any work — emit sites guard Event construction
+  // True if Publish may do any work — emit sites guard Event construction
   // with this so a disabled Hub with no sinks costs one branch.
   bool active() const { return enabled_ || !sinks_.empty(); }
 
-  // Stamps the cycle and the current span, records (when enabled) and fans
-  // out to every sink (always).
-  void Publish(Event event);
+  // Records `event` (when enabled) with the cycle and the current span
+  // stamped into its ring slot, then hands one stamped copy to each sink
+  // that declared the kind (always). The ring is written before any sink
+  // runs, so an event a sink publishes lands after the one that triggered
+  // it. Publish reads `event` only before the first sink runs: a caller may
+  // reuse its Event once Publish returns.
+  void Publish(const Event& event);
 
   // Current-span register (spv::trace::Tracer maintains it). Publish stamps
   // `event.span` from it when the emitter left the field 0, so every event
@@ -323,12 +375,16 @@ class Hub {
   void set_current_span(uint64_t span) { current_span_ = span; }
   uint64_t current_span() const { return current_span_; }
 
+  // Subscribes `sink` to the kinds it declares (read once, here).
   void AddSink(EventSink* sink);
   void RemoveSink(EventSink* sink);
   size_t sink_count() const { return sinks_.size(); }
+  // The union of the subscribed sinks' kinds.
+  KindSet sink_kinds() const { return sink_kinds_; }
 
-  // Named metrics. References are stable for the Hub's lifetime. A
-  // hub-owned counter is for a fact no layer tallies itself.
+  // Named metrics. References are stable for the Hub's lifetime, so a layer
+  // may keep one (CachedMetric). A hub-owned counter is for a fact no layer
+  // tallies itself.
   StatCounter& counter(std::string_view name);
   Histogram& histogram(std::string_view name);
 
@@ -367,22 +423,58 @@ class Hub {
   };
   CounterEntry& Entry(std::string_view name);
 
+  struct Subscriber {
+    EventSink* sink;
+    KindSet kinds;
+  };
+
   const bool enabled_;
   const SimClock* clock_ = nullptr;
   uint64_t current_span_ = 0;
   TraceRing ring_;
-  std::vector<EventSink*> sinks_;
+  std::vector<Subscriber> sinks_;
+  KindSet sink_kinds_;
   std::map<std::string, CounterEntry, std::less<>> counters_;
   std::map<std::string, Histogram, std::less<>> histograms_;
 };
+
+// A hub-owned counter or histogram that a layer bumps per event, looked up
+// by name on the first bump and through a pointer after. Looking up on the
+// first bump, not when the layer is wired, keeps the name out of exports
+// until then, exactly as a direct Hub::counter call would. One instance
+// serves one Hub; the layer's Hub never changes after construction.
+template <typename Metric>
+class CachedMetric {
+ public:
+  explicit constexpr CachedMetric(std::string_view name) : name_(name) {}
+
+  Metric& in(Hub& hub) {
+    if (metric_ == nullptr) {
+      if constexpr (std::is_same_v<Metric, StatCounter>) {
+        metric_ = &hub.counter(name_);
+      } else {
+        metric_ = &hub.histogram(name_);
+      }
+    }
+    return *metric_;
+  }
+
+ private:
+  std::string_view name_;  // a literal
+  Metric* metric_ = nullptr;
+};
+
+using CachedCounter = CachedMetric<StatCounter>;
+using CachedHistogram = CachedMetric<Histogram>;
 
 // CSV-escapes `field` (quotes it when it contains a comma, quote or newline).
 std::string CsvEscape(std::string_view field);
 
 // Parses `Hub::ExportTraceCsv` output back into Events (the inverse of the
-// exporter; shared by tools/trace_cli and tests). Rows that are not 12
-// columns or do not parse are skipped; a missing/foreign header line is
-// tolerated.
+// exporter; shared by tools/trace_cli and tests). A quoted field may span
+// lines. Rows that are not 12 columns or do not parse are skipped, as are
+// rows with a number above UINT64_MAX or a device above UINT32_MAX; a
+// missing/foreign header line is tolerated.
 std::vector<Event> ParseTraceCsv(std::string_view csv);
 
 }  // namespace spv::telemetry

@@ -29,6 +29,21 @@
 
 namespace spv::trace {
 
+// One span of a SpanForest.
+struct SpanRecord {
+  SpanId id;
+  SpanId parent;        // kNoSpan for roots
+  std::string name;
+  uint64_t open_cycle = 0;
+  uint64_t close_cycle = 0;
+  bool closed = false;
+  // Detached spans (vulnerability windows) live outside the call stack: they
+  // do not nest under the opener and are excluded from flamegraph self time.
+  bool detached = false;
+
+  uint64_t duration() const { return closed ? close_cycle - open_cycle : 0; }
+};
+
 struct SpanForest {
   std::vector<SpanRecord> records;  // open order; ids need not be dense
   uint64_t total_cycles = 0;        // horizon for still-open spans

@@ -18,36 +18,31 @@ SpanForest RingForest(const std::vector<telemetry::Event>& events, uint64_t now)
 
 }  // namespace
 
-Tracer::Tracer(telemetry::Hub& hub, const SimClock& clock) : hub_(hub), clock_(clock) {}
+Tracer::Tracer(telemetry::Hub& hub, const SimClock& clock) : hub_(hub), clock_(clock) {
+  event_.severity = telemetry::Severity::kTrace;
+}
 
 Tracer::~Tracer() {
   // Leave the Hub's span register clean for whoever outlives us.
   hub_.set_current_span(0);
 }
 
-SpanRecord Tracer::NewSpan(std::string_view name, SpanId parent, bool detached) {
-  SpanRecord span;
-  span.id = SpanId{++spans_opened_};
-  span.parent = parent;
-  span.name = std::string(name);
-  span.open_cycle = clock_.now();
-  span.detached = detached;
-  return span;
+Tracer::OpenSpan Tracer::NewSpan(std::string_view name, SpanId parent, bool detached) {
+  return OpenSpan{SpanId{++spans_opened_}, parent, name, clock_.now(), detached};
 }
 
-void Tracer::Publish(const SpanRecord& span, bool open) {
+void Tracer::Publish(const OpenSpan& span, bool open) {
   if (!hub_.active()) {
     return;
   }
-  telemetry::Event event;
-  event.kind = open ? telemetry::EventKind::kSpanOpen : telemetry::EventKind::kSpanClose;
-  event.severity = telemetry::Severity::kTrace;
-  event.addr = span.parent.value;
-  event.aux = open ? 0 : clock_.now() - span.open_cycle;
-  event.flag = span.detached;
-  event.span = span.id.value;
-  event.site = span.name;
-  hub_.Publish(std::move(event));
+  // Only these fields vary; the Hub stamps the cycle into its ring slot.
+  event_.kind = open ? telemetry::EventKind::kSpanOpen : telemetry::EventKind::kSpanClose;
+  event_.addr = span.parent.value;
+  event_.aux = open ? 0 : clock_.now() - span.open_cycle;
+  event_.flag = span.detached;
+  event_.span = span.id.value;
+  event_.site.assign(span.name);
+  hub_.Publish(event_);
 }
 
 SpanId Tracer::Open(std::string_view name) {
@@ -59,12 +54,12 @@ SpanId Tracer::Open(std::string_view name) {
 }
 
 SpanId Tracer::OpenDetached(std::string_view name, SpanId parent) {
-  SpanRecord span = NewSpan(name, parent, /*detached=*/true);
-  const SpanId id = span.id;
+  const OpenSpan span = NewSpan(name, parent, /*detached=*/true);
   // No stack push and no current-span change: a detached span does not
   // adopt the events of whoever happens to run while it is open.
-  Publish(detached_.emplace(id.value, std::move(span)).first->second, /*open=*/true);
-  return id;
+  detached_.emplace(span.id.value, span);
+  Publish(span, /*open=*/true);
+  return span.id;
 }
 
 void Tracer::Close(SpanId id) {
@@ -72,13 +67,13 @@ void Tracer::Close(SpanId id) {
     return;
   }
   const auto on_stack = std::find_if(stack_.rbegin(), stack_.rend(),
-                                     [id](const SpanRecord& span) { return span.id == id; });
+                                     [id](const OpenSpan& span) { return span.id == id; });
   if (on_stack != stack_.rend()) {
     // Close everything opened above `id` first so the stack discipline holds
     // even when an inner span leaks its Close.
     const size_t depth = static_cast<size_t>(stack_.rend() - on_stack) - 1;
     while (stack_.size() > depth) {
-      const SpanRecord top = std::move(stack_.back());
+      const OpenSpan top = stack_.back();
       stack_.pop_back();
       Publish(top, /*open=*/false);
     }

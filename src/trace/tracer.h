@@ -13,6 +13,11 @@
 // turns it into a forest, for trace_cli and for this Tracer's own exporters
 // alike, so a live export covers what the Hub's ring holds.
 //
+// Span names are views, kept while the span is open and copied only into
+// the event's site: pass a literal (or other string that outlives the span).
+// Opening and closing a span allocates nothing once the stack and the Hub's
+// ring slots have grown to fit.
+//
 // Ids are deterministic: the n-th span opened on a Tracer gets id n. Since
 // the whole simulation is seeded and the clock is logical, two identical runs
 // produce identical span trees — the property the regression tests pin.
@@ -26,6 +31,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -46,21 +52,6 @@ struct SpanId {
 
 inline constexpr SpanId kNoSpan{};
 
-// One span of a SpanForest (profile.h); the Tracer uses it for open spans.
-struct SpanRecord {
-  SpanId id;
-  SpanId parent;        // kNoSpan for roots
-  std::string name;
-  uint64_t open_cycle = 0;
-  uint64_t close_cycle = 0;
-  bool closed = false;
-  // Detached spans (vulnerability windows) live outside the call stack: they
-  // do not nest under the opener and are excluded from flamegraph self time.
-  bool detached = false;
-
-  uint64_t duration() const { return closed ? close_cycle - open_cycle : 0; }
-};
-
 // MachineConfig's switch: Machine builds a Tracer only when `enabled` is set.
 struct TracerConfig {
   bool enabled = false;  // spans off by default, like Hub recording
@@ -77,10 +68,12 @@ class Tracer {
   Tracer& operator=(const Tracer&) = delete;
 
   // Opens a span nested under the currently open one (stack discipline).
+  // `name` is kept as a view until the span closes: pass a literal.
   SpanId Open(std::string_view name);
 
   // Opens a span with an explicit parent, outside the stack — for windows
   // and other operations whose lifetime does not follow call structure.
+  // `name` is kept as a view until the span closes: pass a literal.
   SpanId OpenDetached(std::string_view name, SpanId parent = kNoSpan);
 
   // Closes `id`. Spans still open above it on the stack are closed first
@@ -103,19 +96,29 @@ class Tracer {
   telemetry::Hub& hub() { return hub_; }
 
  private:
-  SpanRecord NewSpan(std::string_view name, SpanId parent, bool detached);
-  void Publish(const SpanRecord& span, bool open);
+  struct OpenSpan {
+    SpanId id;
+    SpanId parent;  // kNoSpan for roots
+    std::string_view name;
+    uint64_t open_cycle = 0;
+    bool detached = false;
+  };
+
+  OpenSpan NewSpan(std::string_view name, SpanId parent, bool detached);
+  void Publish(const OpenSpan& span, bool open);
 
   telemetry::Hub& hub_;
   const SimClock& clock_;
-  std::vector<SpanRecord> stack_;                      // open stack spans, outermost first
-  std::unordered_map<uint64_t, SpanRecord> detached_;  // open detached spans by id
-  uint64_t spans_opened_ = 0;                          // the last id handed out
+  std::vector<OpenSpan> stack_;                      // open stack spans, outermost first
+  std::unordered_map<uint64_t, OpenSpan> detached_;  // open detached spans by id
+  uint64_t spans_opened_ = 0;                        // the last id handed out
   uint64_t orphan_closes_ = 0;
+  telemetry::Event event_;  // every span event is published through this one
 };
 
 // RAII span. Tolerates a null tracer so emit sites can hold an unconditional
-// ScopedSpan — the null case costs one branch.
+// ScopedSpan — the null case costs one branch. `name` is a view, as for
+// Tracer::Open: pass a literal.
 class ScopedSpan {
  public:
   ScopedSpan(Tracer* tracer, std::string_view name)

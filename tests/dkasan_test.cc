@@ -55,6 +55,53 @@ TEST_F(DkasanFixture, CleanAllocationsProduceNoReports) {
   EXPECT_TRUE(dkasan_.reports().empty());
 }
 
+// D-KASAN is subscribed to its seven kinds: each one, published through the
+// Hub with an attached source's origin, changes what it reports.
+TEST_F(DkasanFixture, ActsOnEachOfItsSevenKindsThroughTheHub) {
+  using telemetry::EventKind;
+  slab::PageFragPool& frags = machine_.frag_pool(CpuId{0});
+  dkasan_.Attach(frags);
+  // A page no allocator hands out, so only the events below describe it.
+  Result<Pfn> pfn = machine_.page_alloc().AllocPage(mem::PageOwner::kAnon);
+  ASSERT_TRUE(pfn.ok());
+  const uint64_t page = machine_.layout().PhysToDirectMapKva(PhysAddr::FromPfn(*pfn)).value;
+  auto publish = [this](EventKind kind, const void* origin, uint64_t kva, uint64_t len) {
+    telemetry::Event event;
+    event.kind = kind;
+    event.addr = kva;
+    event.len = len;
+    event.aux = static_cast<uint64_t>(iommu::AccessRights::kWrite);
+    event.origin = origin;
+    event.site = EventKindName(kind);
+    machine_.telemetry().Publish(event);
+  };
+  const void* slab = &machine_.slab();
+  const void* dma = &machine_.dma();
+
+  // kSlabAlloc, then kDmaMap of another buffer on the page: map-after-alloc.
+  publish(EventKind::kSlabAlloc, slab, page, 256);
+  publish(EventKind::kDmaMap, dma, page + 2048, 256);
+  EXPECT_EQ(dkasan_.count(ReportKind::kMapAfterAlloc), 1u);
+  // kCpuAccess on the mapped page: access-after-map.
+  publish(EventKind::kCpuAccess, dma, page + 2048, 8);
+  EXPECT_EQ(dkasan_.count(ReportKind::kAccessAfterMap), 1u);
+  // kFragAlloc on the mapped page: alloc-after-map.
+  publish(EventKind::kFragAlloc, &frags, page + 1024, 64);
+  EXPECT_EQ(dkasan_.count(ReportKind::kAllocAfterMap), 1u);
+  // kDmaUnmap: the page is no longer mapped, so an access reports nothing.
+  publish(EventKind::kDmaUnmap, dma, page + 2048, 256);
+  publish(EventKind::kCpuAccess, dma, page, 8);
+  EXPECT_EQ(dkasan_.count(ReportKind::kAccessAfterMap), 1u);
+  // kSlabFree and kFragFree: no live neighbour is left for a new map to
+  // expose (either one missed would report it).
+  publish(EventKind::kSlabFree, slab, page, 256);
+  publish(EventKind::kFragFree, &frags, page + 1024, 64);
+  publish(EventKind::kDmaMap, dma, page + 2048, 256);
+  EXPECT_EQ(dkasan_.count(ReportKind::kMapAfterAlloc), 1u);
+  EXPECT_EQ(dkasan_.reports().size(), 3u);
+  ASSERT_TRUE(machine_.page_alloc().FreePages(*pfn).ok());
+}
+
 TEST_F(DkasanFixture, MapAfterAllocDetected) {
   // An I/O buffer and an unrelated object share a page; mapping the I/O
   // buffer exposes the object.

@@ -651,7 +651,7 @@ void PublishStaleHit(core::Machine& machine, DeviceId device) {
   event.severity = telemetry::Severity::kCritical;
   event.device = device.value;
   event.site = "rate_limit_probe";
-  machine.telemetry().Publish(std::move(event));
+  machine.telemetry().Publish(event);
 }
 
 TEST(IncidentEngineLimits, OpensAtMost32Incidents) {
@@ -692,6 +692,76 @@ TEST(IncidentEngineLimits, SameTriggerCoolsDownFor200000Cycles) {
   PublishStaleHit(machine, device);
   EXPECT_EQ(incidents->incident_count(), 4u);
   EXPECT_EQ(incidents->suppressed(), 1u);
+}
+
+// ---- Sink subscriptions ---------------------------------------------------------
+
+telemetry::Event EventOfKind(telemetry::EventKind kind, DeviceId device) {
+  telemetry::Event event;
+  event.kind = kind;
+  event.severity = telemetry::Severity::kCritical;
+  event.device = device.value;
+  return event;
+}
+
+// Each of the engine's six triggers, published through the Hub, opens an
+// incident; the engine's own announcements and other kinds open none.
+TEST(IncidentEngineSink, EveryTriggerKindOpensAnIncident) {
+  using telemetry::EventKind;
+  const EventKind kTriggers[] = {EventKind::kDkasanReport,  EventKind::kSpadeFinding,
+                                 EventKind::kStaleIotlbHit, EventKind::kHealthBreach,
+                                 EventKind::kDeviceQuarantined, EventKind::kTrustDemoted};
+  SimClock clock;
+  ForensicsConfig config;
+  config.enabled = true;
+  FlightRecorder recorder(&clock, config);
+  telemetry::Hub hub{telemetry::Hub::Config{.enabled = true}};
+  hub.BindClock(&clock);
+  IncidentEngine engine(hub, recorder, &clock);
+  hub.AddSink(&engine);
+  const DeviceId dev{12};
+  for (const EventKind other : {EventKind::kDmaMap, EventKind::kIncidentOpen,
+                                EventKind::kIncidentReport, EventKind::kIommuFault}) {
+    hub.Publish(EventOfKind(other, dev));
+  }
+  EXPECT_EQ(engine.incident_count(), 0u);
+  size_t opened = 0;
+  for (const EventKind trigger : kTriggers) {
+    hub.Publish(EventOfKind(trigger, dev));  // distinct triggers: no cooldown applies
+    EXPECT_EQ(engine.incident_count(), ++opened) << telemetry::EventKindName(trigger);
+  }
+  EXPECT_EQ(engine.suppressed(), 0u);
+  hub.RemoveSink(&engine);
+}
+
+// The recorder's two detector kinds, published through the Hub, each mark a
+// detection against the open stale window.
+TEST(FlightRecorderSink, DetectorKindsMarkADetection) {
+  SimClock clock;
+  ForensicsConfig config;
+  config.enabled = true;
+  FlightRecorder recorder(&clock, config);
+  telemetry::Hub hub;  // recording off: the recorder still hears its kinds
+  hub.AddSink(&recorder);
+  const DeviceId dev{13};
+  recorder.RecordMap(dev, Iova{0x10000}, Kva{0xffff888000100000}, 512,
+                     /*dir=*/1, /*bounced=*/false, "sink_probe");
+  recorder.RecordUnmap(dev, Iova{0x10000}, 512, /*dir=*/1, /*bounced=*/false);
+  ASSERT_EQ(recorder.open_windows(WindowKind::kStaleIotlb), 1u);
+
+  hub.Publish(EventOfKind(telemetry::EventKind::kIommuFault, dev));
+  hub.Publish(EventOfKind(telemetry::EventKind::kSpadeFinding, dev));
+  EXPECT_EQ(recorder.spade_latency_summary().count, 1u);
+  EXPECT_EQ(recorder.dkasan_latency_summary().count, 0u);
+  hub.Publish(EventOfKind(telemetry::EventKind::kDkasanReport, dev));
+  EXPECT_EQ(recorder.dkasan_latency_summary().count, 1u);
+  // D-KASAN's report ends the window it caught.
+  EXPECT_EQ(recorder.open_windows(WindowKind::kStaleIotlb), 0u);
+  const std::vector<Window> windows = recorder.SnapshotWindows(dev);
+  ASSERT_FALSE(windows.empty());
+  EXPECT_TRUE(windows.back().detected);
+  EXPECT_EQ(windows.back().close_reason, "detected:dkasan");
+  hub.RemoveSink(&recorder);
 }
 
 TEST(ForensicsSoak, SoakEmbedsDeterministicForensicsBlock) {

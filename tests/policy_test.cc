@@ -398,6 +398,45 @@ TEST(PolicyPosture, JsonIsDeterministic) {
   EXPECT_EQ(scanner.U64("promotions_blocked"), 1u);
 }
 
+// The engine's sink is subscribed to its five demotion triggers: each one,
+// published through the Hub, queues a demotion that Poll applies; other
+// kinds queue none.
+TEST(PolicySink, EveryTriggerKindQueuesADemotion) {
+  using telemetry::EventKind;
+  const EventKind kTriggers[] = {EventKind::kDeviceQuarantined, EventKind::kHealthBreach,
+                                 EventKind::kDkasanReport, EventKind::kSpadeFinding,
+                                 EventKind::kStaleIotlbHit};
+  core::MachineConfig config = PolicyConfig();
+  policy::Quirk inbox;
+  inbox.match_class = "probe";
+  inbox.initial_trust = policy::TrustState::kTrusted;
+  config.policy.quirks.push_back(inbox);
+  core::Machine machine{config};
+  policy::PolicyEngine* engine = machine.policy();
+  auto publish = [&machine](EventKind kind, DeviceId dev) {
+    telemetry::Event event;
+    event.kind = kind;
+    event.severity = telemetry::Severity::kWarn;
+    event.device = dev.value;
+    machine.telemetry().Publish(event);
+  };
+
+  const DeviceId bystander = Plug(machine, 90, "probe-dev", "probe");
+  publish(EventKind::kIommuFault, bystander);
+  publish(EventKind::kTrustDemoted, bystander);
+  EXPECT_EQ(engine->Poll(), 0u);
+  EXPECT_EQ(engine->state(bystander), policy::TrustState::kTrusted);
+  uint32_t id = 91;
+  for (const EventKind trigger : kTriggers) {
+    const DeviceId dev = Plug(machine, id++, "probe-dev", "probe");
+    ASSERT_EQ(engine->state(dev), policy::TrustState::kTrusted);
+    publish(trigger, dev);
+    EXPECT_EQ(engine->Poll(), 1u) << telemetry::EventKindName(trigger);
+    EXPECT_EQ(engine->state(dev), policy::TrustState::kUntrusted)
+        << telemetry::EventKindName(trigger);
+  }
+}
+
 TEST(PolicyPosture, DisabledEngineRefusesRegistration) {
   core::MachineConfig config;
   config.seed = 3;

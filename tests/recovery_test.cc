@@ -113,7 +113,7 @@ TEST(RecoveryLifecycle, HealthScoreBreachesAt24PointsAndHalvesEvery50Ms) {
     event.kind = telemetry::EventKind::kIommuFault;
     event.severity = telemetry::Severity::kWarn;
     event.device = nic.device_id().value;
-    machine.telemetry().Publish(std::move(event));
+    machine.telemetry().Publish(event);
   };
 
   // An IOMMU fault weighs one point; 23 of them in one cycle stay below the
@@ -131,6 +131,42 @@ TEST(RecoveryLifecycle, HealthScoreBreachesAt24PointsAndHalvesEvery50Ms) {
   EXPECT_EQ(breaches[0], nic.device_id());
   // The score's half-life is 50 ms of sim time.
   EXPECT_DOUBLE_EQ(scorer.ScoreAt(nic.device_id(), now + SimClock::MsToCycles(50)), 12.0);
+}
+
+// The scorer is subscribed to exactly its weighted kinds: each one, published
+// through the Hub, raises a tracked device's score, and nothing else does.
+TEST(RecoveryLifecycle, EveryWeightedKindRaisesTheScoreThroughTheHub) {
+  using telemetry::EventKind;
+  const struct {
+    EventKind kind;
+    double weight;
+  } kWeighted[] = {
+      {EventKind::kIommuFault, 1.0},          {EventKind::kNicTxReset, 8.0},
+      {EventKind::kNvmeQueueReset, 8.0},      {EventKind::kStaleIotlbHit, 5.0},
+      {EventKind::kDkasanReport, 25.0},       {EventKind::kSpadeFinding, 25.0},
+      {EventKind::kNicRxError, 2.0},          {EventKind::kNvmeCompletionError, 2.0},
+      {EventKind::kNicPollDeadline, 2.0},     {EventKind::kNvmePollDeadline, 2.0},
+  };
+  const DeviceId dev{7};
+  telemetry::Hub hub;  // recording off: the scorer still hears its kinds
+  recovery::HealthScorer scorer;
+  scorer.Track(dev);
+  hub.AddSink(&scorer);
+  double expected = 0.0;
+  for (const auto& [kind, weight] : kWeighted) {
+    telemetry::Event event;
+    event.kind = kind;
+    event.device = dev.value;
+    hub.Publish(event);  // no clock bound: every event lands at cycle 0
+    expected += weight;
+    EXPECT_DOUBLE_EQ(scorer.ScoreAt(dev, 0), expected) << telemetry::EventKindName(kind);
+  }
+  telemetry::Event unweighted;
+  unweighted.kind = EventKind::kDmaMap;
+  unweighted.device = dev.value;
+  hub.Publish(unweighted);
+  EXPECT_DOUBLE_EQ(scorer.ScoreAt(dev, 0), expected);
+  hub.RemoveSink(&scorer);
 }
 
 TEST(RecoveryLifecycle, RetryBudgetExhaustionDetachesPermanently) {

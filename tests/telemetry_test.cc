@@ -119,6 +119,27 @@ TEST(TraceRingTest, ClearResetsSequenceAndFilterCount) {
   EXPECT_TRUE(ring.Snapshot().empty());
 }
 
+// Slots are overwritten in place: a reused slot holds exactly the new site,
+// shorter or longer than the one it replaced.
+TEST(TraceRingTest, ReusedSlotsHoldOnlyTheNewEvent) {
+  TraceRing ring{2};
+  const std::string sites[] = {"a site longer than the small-string buffer", "short",
+                               "x", "another site well past fifteen bytes", ""};
+  for (const std::string& site : sites) {
+    Event event = MakeEvent(EventKind::kAttackStage, Severity::kInfo);
+    event.site = site;
+    event.len = site.size();
+    ring.Push(event);
+  }
+  const std::vector<Event> events = ring.Snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].seq, 3u);
+  EXPECT_EQ(events[0].site, sites[3]);
+  EXPECT_EQ(events[0].len, sites[3].size());
+  EXPECT_EQ(events[1].seq, 4u);
+  EXPECT_EQ(events[1].site, "");
+}
+
 TEST(TraceRingTest, DropsAreAccountedPerOverwrittenSeverity) {
   TraceRing ring{2};
   ring.Push(MakeEvent(EventKind::kStaleIotlbHit, Severity::kCritical));
@@ -253,6 +274,119 @@ TEST(HubTest, CounterValueIsZeroForUnknownNames) {
   EXPECT_EQ(hub.counter_value("touched"), 3u);
 }
 
+// ---- Kind routing ---------------------------------------------------------------
+
+constexpr auto kLastKind = static_cast<unsigned>(EventKind::kBounceSyncDevice);
+
+// Records what it receives, for the kinds it declares.
+struct DeclaringSink : RecordingSink {
+  explicit DeclaringSink(KindSet declared) : declared(declared) {}
+  KindSet kinds() const override { return declared; }
+  KindSet declared;
+};
+
+// Publishes one event of every kind.
+void PublishEveryKind(Hub& hub) {
+  for (unsigned kind = 0; kind <= kLastKind; ++kind) {
+    hub.Publish(MakeEvent(static_cast<EventKind>(kind), Severity::kInfo));
+  }
+}
+
+TEST(HubRoutingTest, SinkSeesOnlyItsDeclaredKinds) {
+  Hub hub{Recording()};
+  DeclaringSink sink{{EventKind::kDmaMap, EventKind::kStaleIotlbHit}};
+  hub.AddSink(&sink);
+  EXPECT_EQ(hub.sink_kinds(), sink.declared);
+  PublishEveryKind(hub);
+  ASSERT_EQ(sink.seen.size(), 2u);
+  EXPECT_EQ(sink.seen[0].kind, EventKind::kDmaMap);
+  EXPECT_EQ(sink.seen[1].kind, EventKind::kStaleIotlbHit);
+  EXPECT_EQ(hub.ring().recorded(), kLastKind + 1);  // the ring still records every kind
+  hub.RemoveSink(&sink);
+}
+
+TEST(HubRoutingTest, RemoveSinkDropsItsKindsFromTheUnion) {
+  Hub hub;
+  DeclaringSink maps{{EventKind::kDmaMap}};
+  DeclaringSink faults{{EventKind::kIommuFault, EventKind::kDmaMap}};
+  hub.AddSink(&maps);
+  hub.AddSink(&faults);
+  EXPECT_TRUE(hub.sink_kinds().contains(EventKind::kIommuFault));
+  hub.RemoveSink(&faults);
+  EXPECT_EQ(hub.sink_kinds(), KindSet{EventKind::kDmaMap});
+  hub.Publish(MakeEvent(EventKind::kIommuFault, Severity::kWarn));
+  hub.Publish(MakeEvent(EventKind::kDmaMap, Severity::kInfo));
+  EXPECT_TRUE(faults.seen.empty());
+  EXPECT_EQ(maps.seen.size(), 1u);
+  hub.RemoveSink(&maps);
+  EXPECT_EQ(hub.sink_kinds(), KindSet{});
+}
+
+TEST(HubRoutingTest, DefaultSinkSeesEveryKind) {
+  Hub hub;  // recording off: only the sink sees the events
+  RecordingSink sink;
+  hub.AddSink(&sink);
+  EXPECT_EQ(hub.sink_kinds(), KindSet::All());
+  PublishEveryKind(hub);
+  ASSERT_EQ(sink.seen.size(), kLastKind + 1);
+  for (unsigned kind = 0; kind <= kLastKind; ++kind) {
+    EXPECT_EQ(sink.seen[kind].kind, static_cast<EventKind>(kind));
+  }
+  hub.RemoveSink(&sink);
+}
+
+// The ring is written before sinks run: an event a sink publishes from
+// OnEvent lands right after the one that triggered it, and every sink sees
+// the trigger stamped but with seq 0.
+TEST(HubRoutingTest, EventPublishedFromOnEventLandsAfterItsTrigger) {
+  struct FollowUpSink : DeclaringSink {
+    FollowUpSink() : DeclaringSink({EventKind::kIommuFault}) {}
+    void OnEvent(const Event& event) override {
+      RecordingSink::OnEvent(event);
+      Event follow_up = MakeEvent(EventKind::kHealthBreach, Severity::kWarn);
+      follow_up.site = "follow_up";
+      hub->Publish(follow_up);
+    }
+    Hub* hub = nullptr;
+  };
+  SimClock clock;
+  clock.AdvanceUs(1);
+  Hub hub{Recording()};
+  hub.BindClock(&clock);
+  FollowUpSink first;
+  first.hub = &hub;
+  RecordingSink second;
+  hub.AddSink(&first);
+  hub.AddSink(&second);
+  hub.set_current_span(5);
+  hub.Publish(MakeEvent(EventKind::kDmaMap, Severity::kInfo));
+  Event trigger = MakeEvent(EventKind::kIommuFault, Severity::kWarn);
+  trigger.site = "trigger";
+  hub.Publish(trigger);
+  const std::vector<Event> events = hub.ring().Snapshot();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[1].seq, 1u);
+  EXPECT_EQ(events[1].site, "trigger");
+  EXPECT_EQ(events[1].cycle, clock.now());
+  EXPECT_EQ(events[1].span, 5u);
+  EXPECT_EQ(events[2].seq, 2u);
+  EXPECT_EQ(events[2].site, "follow_up");
+  // The caller's Event is left as it was; the sinks got a stamped copy.
+  EXPECT_EQ(trigger.cycle, 0u);
+  EXPECT_EQ(trigger.span, 0u);
+  ASSERT_EQ(first.seen.size(), 1u);
+  EXPECT_EQ(first.seen[0].seq, 0u);
+  EXPECT_EQ(first.seen[0].cycle, clock.now());
+  EXPECT_EQ(first.seen[0].span, 5u);
+  // The second sink saw the map, then the follow-up (published while the
+  // first sink ran), then the trigger.
+  ASSERT_EQ(second.seen.size(), 3u);
+  EXPECT_EQ(second.seen[1].site, "follow_up");
+  EXPECT_EQ(second.seen[2].site, "trigger");
+  hub.RemoveSink(&second);
+  hub.RemoveSink(&first);
+}
+
 // ---- Dispatch across sim CPUs ----------------------------------------------------
 
 core::MachineConfig RecordingMachine(uint32_t cpus) {
@@ -305,7 +439,7 @@ TEST(HubThreadsTest, SinkRepublishesFromEveryWorker) {
       ++probes;
       Event follow_up = MakeEvent(EventKind::kAttackStage, Severity::kInfo);
       follow_up.site = "follow_up";
-      hub->Publish(std::move(follow_up));
+      hub->Publish(follow_up);
     }
   };
   RepublishingSink sink;
@@ -318,7 +452,7 @@ TEST(HubThreadsTest, SinkRepublishesFromEveryWorker) {
     for (uint64_t i = 0; i < kPerWorker; ++i) {
       Event event = MakeEvent(EventKind::kAttackStage, Severity::kInfo);
       event.site = "probe";
-      hub.Publish(std::move(event));
+      hub.Publish(event);
     }
   });
   hub.RemoveSink(&sink);
@@ -435,6 +569,43 @@ TEST(ExportTest, ParseTraceCsvSkipsMalformedRows) {
   EXPECT_EQ(parsed[0].kind, EventKind::kDmaUnmap);
   EXPECT_EQ(parsed[0].span, 7u);
   EXPECT_EQ(parsed[0].site, "current_site");
+}
+
+// CsvEscape quotes a site that holds a newline; the parser keeps the whole
+// field, and the rows after it still parse.
+TEST(ExportTest, ParseTraceCsvKeepsQuotedNewlines) {
+  Hub hub{Recording()};
+  Event multi_line = MakeEvent(EventKind::kAttackStage, Severity::kInfo);
+  multi_line.site = "line one\nline two";
+  hub.Publish(multi_line);
+  Event crlf = MakeEvent(EventKind::kAttackStage, Severity::kInfo);
+  crlf.site = "quoted,\r\n\"cr lf\"";
+  hub.Publish(crlf);
+  Event after = MakeEvent(EventKind::kDmaMap, Severity::kInfo);
+  after.site = "after";
+  hub.Publish(after);
+  const std::vector<Event> parsed = ParseTraceCsv(hub.ExportTraceCsv());
+  ASSERT_EQ(parsed.size(), 3u);
+  EXPECT_EQ(parsed[0].site, "line one\nline two");
+  EXPECT_EQ(parsed[1].site, "quoted,\r\n\"cr lf\"");
+  EXPECT_EQ(parsed[2].seq, 2u);
+  EXPECT_EQ(parsed[2].site, "after");
+}
+
+// A number that does not fit its field skips the row instead of wrapping.
+TEST(ExportTest, ParseTraceCsvSkipsOutOfRangeNumbers) {
+  const std::string csv =
+      "seq,cycle,kind,severity,device,addr,addr2,len,aux,flag,span,site\n"
+      "0,100,dma_map,info,4294967297,4096,8192,64,2,0,0,device_too_large\n"
+      "1,100,dma_map,info,1,18446744073709551616,8192,64,2,0,0,addr_too_large\n"
+      "2,100,dma_map,info,1,4096,8192,64,2,0,99999999999999999999,span_too_large\n"
+      "3,100,dma_map,info,4294967295,18446744073709551615,8192,64,2,0,0,largest\n";
+  const std::vector<Event> parsed = ParseTraceCsv(csv);
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].seq, 3u);
+  EXPECT_EQ(parsed[0].device, UINT32_MAX);
+  EXPECT_EQ(parsed[0].addr, UINT64_MAX);
+  EXPECT_EQ(parsed[0].site, "largest");
 }
 
 TEST(ExportTest, TraceCsvRoundTripsNames) {

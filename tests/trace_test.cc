@@ -143,12 +143,12 @@ TEST(TracerTest, HubStampsCurrentSpanOnEventsPublishedInsideASpan) {
   telemetry::Event inside;
   inside.kind = telemetry::EventKind::kDmaMap;
   inside.severity = telemetry::Severity::kInfo;
-  hub.Publish(std::move(inside));
+  hub.Publish(inside);
   tracer.Close(span);
   telemetry::Event outside;
   outside.kind = telemetry::EventKind::kDmaUnmap;
   outside.severity = telemetry::Severity::kInfo;
-  hub.Publish(std::move(outside));
+  hub.Publish(outside);
 
   const std::vector<telemetry::Event> events =
       telemetry::ParseTraceCsv(hub.ExportTraceCsv());

@@ -25,7 +25,11 @@
 #   * the live tracer's Chrome trace export, bench_map_unmap --quick
 #     --trace-out (bench_map_unmap.trace.json; sim cycles only). The tracer
 #     exports what the telemetry ring holds, so a ring too small for the run
-#     shows up here as a diff.
+#     shows up here as a diff;
+#   * the seed-4 drill soak's telemetry ring as CSV, --trace-out
+#     (soak_seed4_drill.trace.csv). Its 16,384-slot ring wraps many times
+#     over, and many rows carry sites longer than 15 bytes, so this file
+#     covers the reuse of ring slots and their site buffers.
 #
 # Removed as host wall-clock: bench_dkasan_overhead's workload_wall_ms
 # column, and the JSON keys maps_per_sec, ios_per_sec, speedup,
@@ -107,7 +111,7 @@ soak storage_3m --seed 42 --cycles 3000000
 soak degraded_drill --seed 42 --cycles 2000000 --policy --degraded-drill --degraded-floor 0.5
 soak forensics_2m --seed 42 --cycles 2000000
 soak seed4_drill --seed 4 --cycles 40000000 --policy --hostile-hotplug --degraded-drill \
-  --degraded-floor 0.5
+  --degraded-floor 0.5 --trace-out "$out/soak_seed4_drill.trace.csv"
 
 # ---- Tool stdout ----------------------------------------------------------------
 
