@@ -1,7 +1,6 @@
 #include "forensics/flight_recorder.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "base/json.h"
 
@@ -13,13 +12,32 @@ constexpr uint64_t PagesFor(uint64_t addr, uint64_t len) {
   return ((addr & kPageMask) + len + kPageSize - 1) >> kPageShift;
 }
 
-// The first entry of `index` (keyed by start address) that may overlap
-// [lo, ...): the last one starting at or below `lo`, else the first above.
+// The first entry of `index` (sorted by start address) starting at or above
+// `key`, and the first starting above it.
 template <typename Index>
-typename Index::iterator FirstCandidate(Index& index, uint64_t lo) {
-  auto it = index.upper_bound(lo);
+auto LowerBound(Index& index, uint64_t key) {
+  return std::lower_bound(index.begin(), index.end(), key,
+                          [](const auto& entry, uint64_t k) { return entry.iova < k; });
+}
+
+template <typename Index>
+auto UpperBound(Index& index, uint64_t key) {
+  return std::upper_bound(index.begin(), index.end(), key,
+                          [](uint64_t k, const auto& entry) { return k < entry.iova; });
+}
+
+// The first entry of `index` that may overlap [lo, ...): the last one
+// starting at or below `lo`, else the first above.
+template <typename Index>
+auto FirstCandidate(Index& index, uint64_t lo) {
+  auto it = UpperBound(index, lo);
   return it == index.begin() ? it : std::prev(it);
 }
+
+// The min-heap order of the retired lives: the oldest generation on top.
+constexpr auto kNewerFirst = [](const auto& a, const auto& b) {
+  return a.generation > b.generation;
+};
 
 }  // namespace
 
@@ -70,44 +88,47 @@ FlightRecorder::FlightRecorder(const SimClock* clock, ForensicsConfig config,
   if (config_.ledger_capacity == 0) {
     config_.ledger_capacity = 1;
   }
+  window_event_.origin = this;
 }
 
-void FlightRecorder::Ring::Push(const FlightRecord& record) {
-  const size_t capacity = slots.size();
-  if (next_seq >= capacity) {
+void FlightRecorder::Ring::Push(const FlightRecord& record, size_t capacity) {
+  FlightRecord* slot;
+  if (slots.size() < capacity) {
+    if (slots.capacity() < capacity) {
+      slots.reserve(capacity);  // the whole ring at once: no regrowth
+    }
+    slot = &slots.emplace_back(record);
+  } else {
+    slot = &slots[next_seq % capacity];
     // Overwriting the oldest live record: account the drop by what is being
     // *lost*, so a ring churning device reads cannot silently swallow a
     // fault or stale hit — the trace-ring `dropped_critical` parity.
-    const FlightRecord& lost = slots[next_seq % capacity];
-    if (RecordOpCritical(lost.op)) {
+    if (RecordOpCritical(slot->op)) {
       ++dropped_critical;
     } else {
       ++dropped_info;
     }
+    *slot = record;
   }
-  FlightRecord stamped = record;
-  stamped.seq = next_seq;
-  slots[next_seq % capacity] = stamped;
-  ++next_seq;
+  slot->seq = next_seq++;
 }
 
-std::vector<FlightRecord> FlightRecorder::Ring::Snapshot() const {
-  const size_t capacity = slots.size();
-  const uint64_t live = next_seq < capacity ? next_seq : capacity;
-  std::vector<FlightRecord> out;
-  out.reserve(live);
-  for (uint64_t i = next_seq - live; i < next_seq; ++i) {
+void FlightRecorder::Ring::AppendTo(std::vector<FlightRecord>& out, size_t capacity) const {
+  for (uint64_t i = next_seq - slots.size(); i < next_seq; ++i) {
     out.push_back(slots[i % capacity]);
   }
-  return out;
 }
 
 FlightRecorder::Lane& FlightRecorder::LaneFor(DeviceId device) {
-  auto [it, inserted] = lanes_.try_emplace(device.value);
-  if (inserted && config_.enabled) {
-    it->second.rings.assign(num_cpus_, Ring(config_.ring_capacity));
+  if (last_lane_ == nullptr || last_device_ != device.value) {
+    auto [it, inserted] = lanes_.try_emplace(device.value);
+    if (inserted && config_.enabled) {
+      it->second.rings.resize(num_cpus_);  // empty rings: storage comes per CPU
+    }
+    last_device_ = device.value;
+    last_lane_ = &it->second;
   }
-  return it->second;
+  return *last_lane_;
 }
 
 const FlightRecorder::Lane* FlightRecorder::FindLane(DeviceId device) const {
@@ -115,38 +136,84 @@ const FlightRecorder::Lane* FlightRecorder::FindLane(DeviceId device) const {
   return it == lanes_.end() ? nullptr : &it->second;
 }
 
+std::vector<std::pair<uint32_t, const FlightRecorder::Lane*>> FlightRecorder::LanesByDevice()
+    const {
+  std::vector<std::pair<uint32_t, const Lane*>> out;
+  out.reserve(lanes_.size());
+  for (const auto& [device, lane] : lanes_) {
+    out.emplace_back(device, &lane);
+  }
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return out;
+}
+
 FlightRecorder::Life* FlightRecorder::FindLive(Lane& lane, uint64_t iova) {
-  auto it = lane.by_iova.upper_bound(iova);
+  const auto it = UpperBound(lane.by_iova, iova);
   if (it == lane.by_iova.begin()) {
     return nullptr;
   }
-  const MappingLife& facts = std::prev(it)->second->facts;
-  return facts.unmap_cycle == 0 && iova < facts.iova + facts.len ? std::prev(it)->second
-                                                                  : nullptr;
+  Life* life = std::prev(it)->life;
+  const MappingLife& facts = life->facts;
+  return facts.unmap_cycle == 0 && iova < facts.iova + facts.len ? life : nullptr;
 }
 
 FlightRecorder::Life* FlightRecorder::FindPending(Lane& lane, uint64_t page) {
   // The life's key may sit a sub-page offset above its first page.
-  auto it = lane.by_iova.upper_bound(page | kPageMask);
+  const auto it = UpperBound(lane.by_iova, page | kPageMask);
   if (it == lane.by_iova.begin()) {
     return nullptr;
   }
-  const MappingLife& facts = std::prev(it)->second->facts;
+  Life* life = std::prev(it)->life;
+  const MappingLife& facts = life->facts;
   return facts.unmap_cycle != 0 &&
                  page < (facts.iova & ~kPageMask) + (PagesFor(facts.iova, facts.len) << kPageShift)
-             ? std::prev(it)->second
+             ? life
              : nullptr;
 }
 
-void FlightRecorder::Retire(Lane& lane, Life& life) {
-  lane.retired.push_back(life.facts.generation);
-  std::push_heap(lane.retired.begin(), lane.retired.end(), std::greater<>());
-  while (lane.retired.size() > config_.ledger_capacity) {
-    std::pop_heap(lane.retired.begin(), lane.retired.end(), std::greater<>());
-    lane.lives.erase(lane.retired.back());
-    lane.retired.pop_back();
-    ++lane.dropped;
+FlightRecorder::Life& FlightRecorder::NewLife(Lane& lane) {
+  ++lane.retained;
+  if (Life* life = lane.free; life != nullptr) {
+    lane.free = life->next_free;
+    life->next_free = nullptr;
+    return *life;
   }
+  return lane.pool.emplace_back();
+}
+
+void FlightRecorder::FreeLife(Lane& lane, Life& life) {
+  // Everything back to its default but the string buffers, which the slot's
+  // next life reuses.
+  std::string site = std::move(life.facts.site);
+  std::string reason = std::move(life.stale_reason);
+  site.clear();
+  reason.clear();
+  life = Life{};
+  life.facts.site = std::move(site);
+  life.stale_reason = std::move(reason);
+  life.next_free = lane.free;
+  lane.free = &life;
+  --lane.retained;
+}
+
+void FlightRecorder::Retire(Lane& lane, Life& life) {
+  const RetiredEntry entry{life.facts.generation, &life};
+  if (lane.retired.size() < config_.ledger_capacity) {
+    lane.retired.push_back(entry);
+    std::push_heap(lane.retired.begin(), lane.retired.end(), kNewerFirst);
+    return;
+  }
+  // Full: the oldest of the retained lives and this one is evicted.
+  ++lane.dropped;
+  if (entry.generation < lane.retired.front().generation) {
+    FreeLife(lane, life);
+    return;
+  }
+  std::pop_heap(lane.retired.begin(), lane.retired.end(), kNewerFirst);
+  FreeLife(lane, *lane.retired.back().life);
+  lane.retired.back() = entry;
+  std::push_heap(lane.retired.begin(), lane.retired.end(), kNewerFirst);
 }
 
 void FlightRecorder::LinkOpen(Life& life) {
@@ -173,7 +240,7 @@ void FlightRecorder::Push(Lane& lane, FlightRecord record) {
   }
   record.cycle = clock_->now();
   record.cpu = CurrentCpu().value;
-  lane.rings[CurrentCpu().value % lane.rings.size()].Push(record);
+  lane.rings[CurrentCpu().value % lane.rings.size()].Push(record, config_.ring_capacity);
 }
 
 Window FlightRecorder::SubPageView(const Life& life) {
@@ -228,7 +295,7 @@ void FlightRecorder::RecordMap(DeviceId device, Iova iova, Kva kva, uint64_t len
                                uint8_t dir, bool bounced, std::string_view site) {
   FlightRecord record{.device = device.value, .op = RecordOp::kMap, .dir = dir,
                       .bounced = bounced, .iova = iova.value, .gpa = kva.value, .len = len};
-  std::vector<Announcement> announcements;
+  std::vector<Announcement> announcements = TakeAnnouncements();
   Lane& lane = LaneFor(device);
   // A live life still indexed over these bytes lost its mapping without an
   // unmap edge (a bounce released by revocation): it retires as it is. An
@@ -236,9 +303,9 @@ void FlightRecorder::RecordMap(DeviceId device, Iova iova, Kva kva, uint64_t len
   // invalidation that takes it out of the index.
   const uint64_t end = iova.value + len;
   for (auto it = FirstCandidate(lane.by_iova, iova.value);
-       it != lane.by_iova.end() && it->first < end;) {
-    Life& old = *it->second;
-    if (old.facts.unmap_cycle == 0 && it->first + old.facts.len > iova.value) {
+       it != lane.by_iova.end() && it->iova < end;) {
+    Life& old = *it->life;
+    if (old.facts.unmap_cycle == 0 && it->iova + old.facts.len > iova.value) {
       it = lane.by_iova.erase(it);
       Retire(lane, old);
     } else {
@@ -246,12 +313,25 @@ void FlightRecorder::RecordMap(DeviceId device, Iova iova, Kva kva, uint64_t len
     }
   }
   record.generation = lane.next_generation++;
-  Life& life = lane.lives[record.generation];
-  life.facts = MappingLife{.generation = record.generation, .device = device.value,
-                           .iova = iova.value, .kva = kva.value, .len = len, .dir = dir,
-                           .bounced = bounced, .site = std::string(site),
-                           .map_cycle = clock_->now()};
-  lane.by_iova[iova.value] = &life;
+  Life& life = NewLife(lane);
+  MappingLife& facts = life.facts;
+  facts.generation = record.generation;
+  facts.device = device.value;
+  facts.iova = iova.value;
+  facts.kva = kva.value;
+  facts.len = len;
+  facts.dir = dir;
+  facts.bounced = bounced;
+  facts.site.assign(site);  // into the slot's buffer
+  facts.map_cycle = clock_->now();
+  // An unmapped life indexed at this very IOVA (the loop above leaves it)
+  // hands its entry to the new one.
+  const auto at = LowerBound(lane.by_iova, iova.value);
+  if (at != lane.by_iova.end() && at->iova == iova.value) {
+    at->life = &life;
+  } else {
+    lane.by_iova.insert(at, IndexEntry{iova.value, &life});
+  }
   // Sub-page exposure: the mapping covers whole pages; a device-writable
   // one (any direction but DMA_TO_DEVICE, raw 0) whose buffer does not fill
   // them exposes the remainder.
@@ -270,11 +350,11 @@ void FlightRecorder::RecordUnmap(DeviceId device, Iova iova, uint64_t len, uint8
                                  bool bounced) {
   FlightRecord record{.device = device.value, .op = RecordOp::kUnmap, .dir = dir,
                       .bounced = bounced, .iova = iova.value, .len = len};
-  std::vector<Announcement> announcements;
+  std::vector<Announcement> announcements = TakeAnnouncements();
   Lane& lane = LaneFor(device);
-  const auto it = lane.by_iova.find(iova.value);
-  if (it != lane.by_iova.end() && it->second->facts.unmap_cycle == 0) {
-    Life& life = *it->second;
+  const auto it = LowerBound(lane.by_iova, iova.value);
+  if (it != lane.by_iova.end() && it->iova == iova.value && it->life->facts.unmap_cycle == 0) {
+    Life& life = *it->life;
     MappingLife& facts = life.facts;
     const uint64_t now = clock_->now();
     facts.unmap_cycle = now;
@@ -290,7 +370,7 @@ void FlightRecorder::RecordUnmap(DeviceId device, Iova iova, uint64_t len, uint8
     bool pending = false;
     if (!facts.bounced && iommu_enabled_) {
       life.stale_seq = next_window_seq_++;
-      last_stale_device_ = device.value;
+      last_stale_ = &life;
       last_stale_generation_ = facts.generation;
       if (facts.flush_cycle != 0) {
         // Invalidated before this edge: the window was the synchronous
@@ -325,14 +405,14 @@ void FlightRecorder::RecordFlush(DeviceId device, Iova page_iova, uint64_t pages
                                  uint64_t cost, std::string_view reason) {
   FlightRecord record{.device = device.value, .op = RecordOp::kFlush,
                       .iova = page_iova.value, .len = pages << kPageShift};
-  std::vector<Announcement> announcements;
+  std::vector<Announcement> announcements = TakeAnnouncements();
   Lane& lane = LaneFor(device);
   const uint64_t now = clock_->now();
   const uint64_t lo = page_iova.value;
   const uint64_t hi = lo + (pages << kPageShift);
   for (auto it = FirstCandidate(lane.by_iova, lo);
-       it != lane.by_iova.end() && it->first < hi;) {
-    Life& life = *it->second;
+       it != lane.by_iova.end() && it->iova < hi;) {
+    Life& life = *it->life;
     MappingLife& facts = life.facts;
     if ((facts.iova & ~kPageMask) + (PagesFor(facts.iova, facts.len) << kPageShift) <= lo ||
         facts.bounced || facts.flush_cycle != 0) {
@@ -420,9 +500,9 @@ void FlightRecorder::OnEvent(const telemetry::Event& event) {
     open_cycle = target->stale_open;
   } else if (last_stale_generation_ != 0) {
     open_cycle = last_stale_open_;
-    if (const auto lane = lanes_.find(last_stale_device_); lane != lanes_.end()) {
-      const auto life = lane->second.lives.find(last_stale_generation_);
-      target = life == lane->second.lives.end() ? nullptr : &life->second;
+    // Generations only grow, so a slot evicted and reused never matches.
+    if (last_stale_->facts.generation == last_stale_generation_) {
+      target = last_stale_;
     }
   } else {
     return;
@@ -434,7 +514,7 @@ void FlightRecorder::OnEvent(const telemetry::Event& event) {
   // D-KASAN is a runtime detector: its report ends the exploitable
   // interval (the kernel now knows). A SPADE finding cannot invalidate a
   // live translation, so the window stays open.
-  std::vector<Announcement> announcements;
+  std::vector<Announcement> announcements = TakeAnnouncements();
   if (dkasan && target != nullptr && target->stale_close == 0) {
     CloseStale(*target, event.cycle, "detected:dkasan", announcements);
   }
@@ -476,6 +556,8 @@ void FlightRecorder::Announce(std::vector<Announcement>& announcements) {
       tracer_->Close(window.span);
     }
   }
+  announcements.clear();
+  announcements_ = std::move(announcements);
 }
 
 void FlightRecorder::PublishWindowEvent(const Window& window, bool open) {
@@ -484,7 +566,9 @@ void FlightRecorder::PublishWindowEvent(const Window& window, bool open) {
     return;
   }
   const bool stale = window.kind == WindowKind::kStaleIotlb;
-  telemetry::Event event;
+  // Every field but seq, cycle and addr (always 0) is set here; the site is
+  // assigned into the Event's own buffer.
+  telemetry::Event& event = window_event_;
   event.kind = open ? telemetry::EventKind::kWindowOpen : telemetry::EventKind::kWindowClose;
   event.severity = stale ? telemetry::Severity::kInfo : telemetry::Severity::kTrace;
   event.device = window.device;
@@ -493,10 +577,10 @@ void FlightRecorder::PublishWindowEvent(const Window& window, bool open) {
   event.aux = open ? window.exposed_bytes : window.duration();
   event.flag = window.detected;
   event.span = window.span.value;  // 0 lets the Hub stamp the current span
-  event.origin = this;
-  event.site = stale ? "window.stale" : "window.subpage";
+  event.site.assign(stale ? "window.stale" : "window.subpage");
   if (!open && !window.close_reason.empty()) {
-    event.site += ":" + window.close_reason;
+    event.site += ':';
+    event.site += window.close_reason;
   }
   hub.Publish(event);
 }
@@ -508,8 +592,7 @@ std::vector<FlightRecord> FlightRecorder::SnapshotTimeline(DeviceId device) cons
   }
   std::vector<FlightRecord> merged;
   for (const Ring& ring : lane->rings) {
-    std::vector<FlightRecord> part = ring.Snapshot();
-    merged.insert(merged.end(), part.begin(), part.end());
+    ring.AppendTo(merged, config_.ring_capacity);
   }
   std::stable_sort(merged.begin(), merged.end(),
                    [](const FlightRecord& a, const FlightRecord& b) {
@@ -528,10 +611,15 @@ std::vector<MappingLife> FlightRecorder::SnapshotLedger(DeviceId device) const {
   const Lane* lane = FindLane(device);
   std::vector<MappingLife> out;
   if (lane != nullptr) {
-    out.reserve(lane->lives.size());
-    for (const auto& [generation, life] : lane->lives) {
-      out.push_back(life.facts);
+    out.reserve(lane->retained);
+    for (const Life& life : lane->pool) {
+      if (life.facts.generation != 0) {
+        out.push_back(life.facts);
+      }
     }
+    std::sort(out.begin(), out.end(), [](const MappingLife& a, const MappingLife& b) {
+      return a.generation < b.generation;
+    });
   }
   return out;
 }
@@ -542,7 +630,7 @@ std::vector<Window> FlightRecorder::SnapshotWindows(DeviceId device) const {
     return {};
   }
   std::vector<std::pair<uint64_t, Window>> ordered;
-  for (const auto& [generation, life] : lane->lives) {
+  for (const Life& life : lane->pool) {
     if (life.subpage_seq != 0) {
       ordered.emplace_back(life.subpage_seq, SubPageView(life));
     }
@@ -599,10 +687,11 @@ std::string FlightRecorder::AccountingJson() const {
   json::Writer w;
   w.BeginObject().Key("ring_capacity").Uint(config_.ring_capacity);
   w.Key("ledger_capacity").Uint(config_.ledger_capacity).Key("rings").BeginArray();
-  // lanes_ is an ordered map, rings are CPU-ordered: deterministic output.
-  for (const auto& [device, lane] : lanes_) {
-    for (size_t cpu = 0; cpu < lane.rings.size(); ++cpu) {
-      const Ring& ring = lane.rings[cpu];
+  // Lanes in device order, rings in CPU order: deterministic output.
+  const std::vector<std::pair<uint32_t, const Lane*>> lanes = LanesByDevice();
+  for (const auto& [device, lane] : lanes) {
+    for (size_t cpu = 0; cpu < lane->rings.size(); ++cpu) {
+      const Ring& ring = lane->rings[cpu];
       if (ring.next_seq == 0) {
         continue;  // untouched rings stay out of the report
       }
@@ -613,9 +702,9 @@ std::string FlightRecorder::AccountingJson() const {
     }
   }
   w.EndArray().Key("ledgers").BeginArray();
-  for (const auto& [device, lane] : lanes_) {
-    w.BeginObject().Key("device").Uint(device).Key("lives").Uint(lane.next_generation - 1);
-    w.Key("retained").Uint(lane.lives.size()).Key("dropped").Uint(lane.dropped);
+  for (const auto& [device, lane] : lanes) {
+    w.BeginObject().Key("device").Uint(device).Key("lives").Uint(lane->next_generation - 1);
+    w.Key("retained").Uint(lane->retained).Key("dropped").Uint(lane->dropped);
     w.EndObject();
   }
   return w.EndArray().EndObject().Take();

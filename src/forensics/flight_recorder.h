@@ -21,16 +21,21 @@
 // Edges arrive once, from the call site that holds all their fields: the
 // DMA API's map, unmap and sync sites, and the IOMMU's device accesses,
 // stale hits, faults and three invalidation sites (strict unmap, per-device
-// drain, flush-queue drain). Device-side edges find their life by lookup in
-// the device's IOVA index, never by a scan. No live life is evicted;
-// retired lives per device stay bounded by `ledger_capacity`, and a life
-// whose translation still awaits invalidation is never evicted.
+// drain, flush-queue drain). Device-side edges find their life by a binary
+// search of the device's IOVA index, a sorted flat vector, never by a scan.
+// No live life is evicted; retired lives per device stay bounded by
+// `ledger_capacity`, and a life whose translation still awaits invalidation
+// is never evicted. Lives sit in a per-device pool: an evicted life's slot,
+// string buffers included, serves the device's next map, so a steady
+// map/unmap/flush churn allocates nothing.
 //
 // With forensics on, every edge is also appended to a bounded per-device,
 // per-CPU ring of FlightRecords — the timeline the incident engine freezes.
-// Rings overwrite the *oldest* record when full and account each loss by the
-// class of the record lost (`dropped_critical` for faults and stale hits,
-// the telemetry trace ring's fail-loud parity).
+// A ring reserves its full capacity at its first record, so a CPU that never
+// records on a device costs no storage. Rings overwrite the *oldest* record
+// when full and account each loss by the class of the record lost
+// (`dropped_critical` for faults and stale hits, the telemetry trace ring's
+// fail-loud parity).
 //
 // With a Tracer attached, each window is also a detached span, announced as
 // kWindowOpen/kWindowClose events, and counted in `window.*` hub metrics.
@@ -47,9 +52,11 @@
 #define SPV_FORENSICS_FLIGHT_RECORDER_H_
 
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "base/clock.h"
@@ -77,7 +84,7 @@ enum class RecordOp : uint8_t {
 std::string_view RecordOpName(RecordOp op);
 bool RecordOpCritical(RecordOp op);
 
-// One device-side transaction or mapping edge, ~56 bytes, trivially
+// One device-side transaction or mapping edge, 64 bytes, trivially
 // copyable. `gpa` is the translated physical address for device ops and the
 // kernel-virtual address for map/unmap edges; `generation` links the record
 // to the MappingLife it went through (0 = no life matched).
@@ -94,6 +101,8 @@ struct FlightRecord {
   uint64_t len = 0;
   uint64_t generation = 0;
 };
+
+static_assert(sizeof(FlightRecord) == 64, "a FlightRecord is one cache line");
 
 // The map→access→unmap→flush lifecycle of one mapping. Generations are
 // per-device monotonic, bumped on every map edge, so a record names exactly
@@ -224,18 +233,21 @@ class FlightRecorder : public telemetry::EventSink {
   std::string AccountingJson() const;
 
  private:
+  // One (device, CPU) ring. Its slots are reserved at its first record and
+  // copy-constructed until it is full; after that a record overwrites the
+  // oldest.
   struct Ring {
-    explicit Ring(size_t capacity) : slots(capacity) {}
     std::vector<FlightRecord> slots;
     uint64_t next_seq = 0;  // accepted records; next slot = seq % capacity
     uint64_t dropped_info = 0;
     uint64_t dropped_critical = 0;
 
-    void Push(const FlightRecord& record);
-    std::vector<FlightRecord> Snapshot() const;
+    void Push(const FlightRecord& record, size_t capacity);
+    void AppendTo(std::vector<FlightRecord>& out, size_t capacity) const;
   };
 
-  // A life plus the bookkeeping its windows are computed from.
+  // A life plus the bookkeeping its windows are computed from. A pool slot
+  // is free while `facts.generation` is 0.
   struct Life {
     MappingLife facts;
     uint64_t subpage_seq = 0;  // window open order; 0 = no such window
@@ -250,15 +262,32 @@ class FlightRecorder : public telemetry::EventSink {
     // Links in the list of open stale windows, oldest first.
     Life* older_open = nullptr;
     Life* newer_open = nullptr;
+    Life* next_free = nullptr;  // the lane's free list, while free
+  };
+
+  struct IndexEntry {
+    uint64_t iova;  // the life's first byte; the sort key
+    Life* life;
+  };
+
+  struct RetiredEntry {
+    uint64_t generation;
+    Life* life;
   };
 
   struct Lane {
-    std::vector<Ring> rings;                   // empty with forensics off
-    std::map<uint64_t, Life> lives;            // retained, by generation
-    // By IOVA: mapped lives, and unmapped ones whose translation awaits
-    // invalidation (their IOVA stays parked until then, so none overlap).
-    std::map<uint64_t, Life*> by_iova;
-    std::vector<uint64_t> retired;             // evictable generations, a min-heap
+    std::vector<Ring> rings;  // one per sim CPU; empty with forensics off
+    // Every retained life, and the slots evicted ones left. A deque keeps
+    // each at one address: the open-window list, the detection fallback and
+    // announcements hold Life*.
+    std::deque<Life> pool;
+    Life* free = nullptr;  // evicted slots, reused by the next map
+    uint64_t retained = 0;  // pool slots in use
+    // By IOVA, ascending: mapped lives, and unmapped ones whose translation
+    // awaits invalidation (their IOVA stays parked until then, so none
+    // overlap).
+    std::vector<IndexEntry> by_iova;
+    std::vector<RetiredEntry> retired;  // evictable lives, a min-heap on generation
     uint64_t next_generation = 1;
     uint64_t dropped = 0;
   };
@@ -288,10 +317,13 @@ class FlightRecorder : public telemetry::EventSink {
 
   template <typename Fn>
   uint64_t SumRings(Fn per_ring) const;
+  std::vector<std::pair<uint32_t, const Lane*>> LanesByDevice() const;
   Lane& LaneFor(DeviceId device);
   const Lane* FindLane(DeviceId device) const;
   static Life* FindLive(Lane& lane, uint64_t iova);
   static Life* FindPending(Lane& lane, uint64_t page);
+  static Life& NewLife(Lane& lane);
+  static void FreeLife(Lane& lane, Life& life);
   void Retire(Lane& lane, Life& life);
   void LinkOpen(Life& life);
   void UnlinkOpen(Life& life);
@@ -300,6 +332,10 @@ class FlightRecorder : public telemetry::EventSink {
   static Window SubPageView(const Life& life);
   static Window StaleView(const Life& life);
   void Push(Lane& lane, FlightRecord record);
+  // The edge's announcement list: the reused one, or a fresh one for an edge
+  // nested inside another's Announce (a sink publishing), so neither
+  // clobbers the other. Announce hands it back for reuse.
+  std::vector<Announcement> TakeAnnouncements() { return std::move(announcements_); }
   void Announce(std::vector<Announcement>& announcements);
   void PublishWindowEvent(const Window& window, bool open);
 
@@ -310,15 +346,20 @@ class FlightRecorder : public telemetry::EventSink {
   trace::Tracer* tracer_ = nullptr;
   WindowMetrics metrics_;
 
-  std::map<uint32_t, Lane> lanes_;
+  std::unordered_map<uint32_t, Lane> lanes_;  // nodes never move
+  uint32_t last_device_ = 0;  // the device of the last edge, and its lane
+  Lane* last_lane_ = nullptr;
   Life* newest_open_ = nullptr;  // open stale windows: detection targets
   size_t stale_windows_open_ = 0;
   size_t subpage_windows_open_ = 0;
   uint64_t next_window_seq_ = 1;
-  // The most recent stale window of any state: the detection fallback.
-  uint32_t last_stale_device_ = 0;
+  // The most recent stale window of any state: the detection fallback. The
+  // life is gone once its slot no longer holds that generation.
+  Life* last_stale_ = nullptr;
   uint64_t last_stale_generation_ = 0;
   uint64_t last_stale_open_ = 0;
+  std::vector<Announcement> announcements_;
+  telemetry::Event window_event_;  // every window event is published through this one
 
   telemetry::Histogram stale_open_cycles_;
   telemetry::Histogram subpage_open_cycles_;

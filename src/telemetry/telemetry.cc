@@ -163,24 +163,30 @@ std::vector<Histogram::Bucket> Histogram::NonZeroBuckets() const {
 
 // ---- TraceRing -----------------------------------------------------------------
 
-TraceRing::TraceRing(size_t capacity) : capacity_(std::max<size_t>(capacity, 1)) {
-  slots_.resize(capacity_);
-}
+TraceRing::TraceRing(size_t capacity) : capacity_(std::max<size_t>(capacity, 1)) {}
 
 Event* TraceRing::Push(const Event& event) {
   if (event.severity < min_severity_) {
     ++filtered_;
     return nullptr;
   }
-  Event& slot = slots_[next_seq_ % capacity_];
-  if (next_seq_ >= capacity_) {
+  Event* slot;
+  if (slots_.size() < capacity_) {
+    // Not yet full: build the next slot. The first one reserves every slot,
+    // so no later push moves the slots.
+    if (slots_.capacity() < capacity_) {
+      slots_.reserve(capacity_);
+    }
+    slot = &slots_.emplace_back(event);
+  } else {
+    slot = &slots_[next_seq_ % capacity_];
     // Overwriting a live record: account the loss under the severity of what
     // is being lost, not of what is being written.
-    ++dropped_by_severity_[static_cast<size_t>(slot.severity)];
+    ++dropped_by_severity_[static_cast<size_t>(slot->severity)];
+    *slot = event;  // member-wise: the site string is assigned into its buffer
   }
-  slot = event;  // member-wise: the site string is assigned into its buffer
-  slot.seq = next_seq_++;
-  return &slot;
+  slot->seq = next_seq_++;
+  return slot;
 }
 
 uint64_t TraceRing::dropped() const {
@@ -206,9 +212,7 @@ std::vector<Event> TraceRing::Snapshot() const {
 }
 
 void TraceRing::Clear() {
-  for (Event& slot : slots_) {
-    slot = Event{};
-  }
+  slots_.clear();  // keeps the reservation
   next_seq_ = 0;
   filtered_ = 0;
   dropped_by_severity_.fill(0);

@@ -296,7 +296,9 @@ class Histogram {
 
 // Fixed-capacity ring. No rebalancing on the push path (slot index is
 // seq % capacity); the oldest record is overwritten when full and accounted
-// as dropped. A severity floor filters before recording.
+// as dropped. A severity floor filters before recording. The slots are
+// built as events arrive: the first accepted event reserves all of them, so
+// a ring nothing writes (a disabled Hub's) costs no storage.
 class TraceRing {
  public:
   explicit TraceRing(size_t capacity);
@@ -304,9 +306,10 @@ class TraceRing {
   void set_min_severity(Severity severity) { min_severity_ = severity; }
   Severity min_severity() const { return min_severity_; }
 
-  // Copies `event` into the next slot, member by member, and stamps its seq.
-  // The slot's site keeps its buffer, so once the ring has wrapped a push
-  // allocates only for a site longer than any the slot held. Returns the
+  // Copies `event` into the next slot and stamps its seq: a copy-constructed
+  // slot until the ring is full, a member-wise overwrite after. An
+  // overwritten slot's site keeps its buffer, so once the ring has wrapped a
+  // push allocates only for a site longer than any the slot held. Returns the
   // slot written, or nullptr when the event was severity-filtered.
   Event* Push(const Event& event);
 
@@ -329,7 +332,7 @@ class TraceRing {
 
  private:
   size_t capacity_;
-  std::vector<Event> slots_;
+  std::vector<Event> slots_;  // grows to capacity_, in one reservation
   uint64_t next_seq_ = 0;  // count of accepted events; next slot = seq % capacity
   uint64_t filtered_ = 0;
   std::array<uint64_t, 4> dropped_by_severity_{};

@@ -8,6 +8,11 @@ namespace spv::trace {
 
 namespace {
 
+// Home slot of span `id` in a detached-span table of `mask + 1` slots.
+size_t DetachedHome(uint64_t id, size_t mask) {
+  return static_cast<size_t>((id * 0x9e3779b97f4a7c15ULL) >> 32) & mask;
+}
+
 // The forest of the ring's span events; spans still open are clipped at
 // `now`.
 SpanForest RingForest(const std::vector<telemetry::Event>& events, uint64_t now) {
@@ -57,9 +62,56 @@ SpanId Tracer::OpenDetached(std::string_view name, SpanId parent) {
   const OpenSpan span = NewSpan(name, parent, /*detached=*/true);
   // No stack push and no current-span change: a detached span does not
   // adopt the events of whoever happens to run while it is open.
-  detached_.emplace(span.id.value, span);
+  InsertDetached(span);
   Publish(span, /*open=*/true);
   return span.id;
+}
+
+void Tracer::InsertDetached(const OpenSpan& span) {
+  if ((detached_open_ + 1) * 2 > detached_.size()) {
+    std::vector<OpenSpan> old = std::move(detached_);
+    detached_.assign(std::max<size_t>(16, old.size() * 2), OpenSpan{});
+    detached_open_ = 0;
+    for (const OpenSpan& entry : old) {
+      if (entry.id.valid()) {
+        InsertDetached(entry);
+      }
+    }
+  }
+  const size_t mask = detached_.size() - 1;
+  size_t slot = DetachedHome(span.id.value, mask);
+  while (detached_[slot].id.valid()) {
+    slot = (slot + 1) & mask;
+  }
+  detached_[slot] = span;
+  ++detached_open_;
+}
+
+bool Tracer::TakeDetached(SpanId id, OpenSpan* out) {
+  if (detached_.empty()) {
+    return false;
+  }
+  const size_t mask = detached_.size() - 1;
+  size_t hole = DetachedHome(id.value, mask);
+  while (detached_[hole].id != id) {
+    if (!detached_[hole].id.valid()) {
+      return false;
+    }
+    hole = (hole + 1) & mask;
+  }
+  *out = detached_[hole];
+  // Backward shift: a later entry of the run moves into the hole unless its
+  // home lies cyclically in (hole, next], where a lookup would stop short.
+  for (size_t next = (hole + 1) & mask; detached_[next].id.valid(); next = (next + 1) & mask) {
+    const size_t home = DetachedHome(detached_[next].id.value, mask);
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      detached_[hole] = detached_[next];
+      hole = next;
+    }
+  }
+  detached_[hole] = OpenSpan{};
+  --detached_open_;
+  return true;
 }
 
 void Tracer::Close(SpanId id) {
@@ -80,12 +132,12 @@ void Tracer::Close(SpanId id) {
     hub_.set_current_span(current().value);
     return;
   }
-  auto detached = detached_.extract(id.value);
-  if (detached.empty()) {
+  OpenSpan detached;
+  if (!TakeDetached(id, &detached)) {
     ++orphan_closes_;
     return;
   }
-  Publish(detached.mapped(), /*open=*/false);
+  Publish(detached, /*open=*/false);
 }
 
 std::string Tracer::ChromeTraceJson() const {

@@ -15,8 +15,8 @@
 //
 // Span names are views, kept while the span is open and copied only into
 // the event's site: pass a literal (or other string that outlives the span).
-// Opening and closing a span allocates nothing once the stack and the Hub's
-// ring slots have grown to fit.
+// Opening and closing a span allocates nothing once the stack, the table of
+// open detached spans and the Hub's ring slots have grown to fit.
 //
 // Ids are deterministic: the n-th span opened on a Tracer gets id n. Since
 // the whole simulation is seeded and the clock is logical, two identical runs
@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "base/clock.h"
@@ -106,12 +105,20 @@ class Tracer {
 
   OpenSpan NewSpan(std::string_view name, SpanId parent, bool detached);
   void Publish(const OpenSpan& span, bool open);
+  void InsertDetached(const OpenSpan& span);
+  // Removes the open detached span `id` into `out`; false if none is open.
+  bool TakeDetached(SpanId id, OpenSpan* out);
 
   telemetry::Hub& hub_;
   const SimClock& clock_;
-  std::vector<OpenSpan> stack_;                      // open stack spans, outermost first
-  std::unordered_map<uint64_t, OpenSpan> detached_;  // open detached spans by id
-  uint64_t spans_opened_ = 0;                        // the last id handed out
+  std::vector<OpenSpan> stack_;  // open stack spans, outermost first
+  // Open detached spans, open-addressed by id: linear probing over a
+  // power-of-two table kept at most half full, kNoSpan marking a free slot.
+  // A removal shifts the rest of its probe run back, so there are no
+  // tombstones and the table allocates only when it grows.
+  std::vector<OpenSpan> detached_;
+  size_t detached_open_ = 0;
+  uint64_t spans_opened_ = 0;  // the last id handed out
   uint64_t orphan_closes_ = 0;
   telemetry::Event event_;  // every span event is published through this one
 };

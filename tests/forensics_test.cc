@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "base/clock.h"
+#include "base/exec.h"
 #include "base/json.h"
 #include "core/machine.h"
 #include "device/device_port.h"
@@ -170,6 +171,256 @@ TEST(FlightRecorderUnit, LedgerTracksFullLifecycleAndEvictsOldest) {
   ASSERT_EQ(ledger.size(), 2u);
   EXPECT_EQ(ledger[0].generation, 2u);
   EXPECT_EQ(recorder.ledger_dropped(), 1u);
+}
+
+// A CPU that never records on a device gets no ring: only CPU 1's ring
+// appears in the timeline and in the accounting.
+TEST(FlightRecorderUnit, OnlyARecordingCpuHasARing) {
+  ForensicsConfig config;
+  config.enabled = true;
+  SimClock clock;
+  FlightRecorder recorder(&clock, config, /*num_cpus=*/2);
+  const DeviceId dev{4};
+
+  SetCurrentCpu(CpuId{1});
+  recorder.RecordMap(dev, Iova{0x10000}, Kva{0xffff800000001000}, 512, 1, false, "cpu1_map");
+  clock.Advance(3);
+  recorder.RecordAccess(dev, Iova{0x10008}, 0x5008, 8, true);
+  SetCurrentCpu(CpuId{0});
+
+  const std::vector<FlightRecord> timeline = recorder.SnapshotTimeline(dev);
+  ASSERT_EQ(timeline.size(), 2u);
+  for (size_t i = 0; i < timeline.size(); ++i) {
+    EXPECT_EQ(timeline[i].cpu, 1u);
+    EXPECT_EQ(timeline[i].seq, i);
+  }
+  EXPECT_EQ(timeline[1].op, RecordOp::kDeviceWrite);
+  EXPECT_EQ(timeline[1].generation, 1u);
+
+  std::optional<json::Value> doc = json::Parse(recorder.AccountingJson());
+  ASSERT_TRUE(doc.has_value());
+  const std::vector<json::Value>& rings = doc->Find("rings")->array;
+  ASSERT_EQ(rings.size(), 1u);
+  EXPECT_EQ(rings[0].U64("device"), 4u);
+  EXPECT_EQ(rings[0].U64("cpu"), 1u);
+  EXPECT_EQ(rings[0].U64("recorded"), 2u);
+  EXPECT_EQ(rings[0].U64("dropped"), 0u);
+}
+
+// Lanes are listed in ascending device order whatever order they appeared in.
+TEST(FlightRecorderUnit, AccountingListsDevicesInAscendingOrder) {
+  ForensicsConfig config;
+  config.enabled = true;
+  SimClock clock;
+  FlightRecorder recorder(&clock, config);
+  for (const uint32_t device : {2005u, 7u, 910u, 1u}) {
+    recorder.RecordFault(DeviceId{device}, Iova{0x1000}, kPageSize, false);
+  }
+  std::optional<json::Value> doc = json::Parse(recorder.AccountingJson());
+  ASSERT_TRUE(doc.has_value());
+  std::vector<uint64_t> ring_devices;
+  for (const json::Value& ring : doc->Find("rings")->array) {
+    ring_devices.push_back(ring.U64("device"));
+  }
+  std::vector<uint64_t> ledger_devices;
+  for (const json::Value& ledger : doc->Find("ledgers")->array) {
+    ledger_devices.push_back(ledger.U64("device"));
+  }
+  const std::vector<uint64_t> ascending = {1, 7, 910, 2005};
+  EXPECT_EQ(ring_devices, ascending);
+  EXPECT_EQ(ledger_devices, ascending);
+}
+
+telemetry::Event DkasanReport(uint64_t cycle) {
+  telemetry::Event event;
+  event.kind = telemetry::EventKind::kDkasanReport;
+  event.cycle = cycle;
+  return event;
+}
+
+// An evicted life's slot serves the next map. The life in it starts clean:
+// none of the old life's site, accesses, stale hits, detection or spans.
+TEST(FlightRecorderUnit, ALifeInAReusedSlotCarriesNothingOfTheEvictedOne) {
+  SimClock clock;
+  telemetry::Hub::Config hub_config;
+  hub_config.enabled = true;
+  telemetry::Hub hub{hub_config};
+  hub.BindClock(&clock);
+  trace::Tracer tracer{hub, clock};
+  ForensicsConfig config;
+  config.enabled = true;
+  config.ledger_capacity = 1;
+  FlightRecorder recorder(&clock, config);
+  recorder.set_tracer(&tracer);
+  const DeviceId dev{6};
+  const Iova iova{0x10000};
+
+  // Life 1: a writable sub-page mapping, touched, unmapped, hit stale,
+  // caught by D-KASAN, then revoked.
+  clock.Advance(10);
+  recorder.RecordMap(dev, iova, Kva{0xffff800000001000}, 256, 1, false,
+                     "the evicted life's long site");
+  recorder.RecordAccess(dev, Iova{0x10010}, 0x5010, 16, true);
+  recorder.RecordAccess(dev, Iova{0x10020}, 0x5020, 16, false);
+  clock.Advance(10);
+  recorder.RecordUnmap(dev, iova, 256, 1, false);
+  clock.Advance(10);
+  recorder.RecordStaleHit(dev, iova, 0x5000);
+  recorder.OnEvent(DkasanReport(clock.now()));
+  clock.Advance(10);
+  recorder.RecordFlush(dev, iova, 1, /*cost=*/2, "flush:manual");
+  const std::vector<Window> old_windows = recorder.SnapshotWindows(dev);
+  ASSERT_EQ(old_windows.size(), 2u);
+  ASSERT_TRUE(old_windows[1].detected);
+  ASSERT_TRUE(old_windows[0].span.valid());
+  ASSERT_TRUE(old_windows[1].span.valid());
+
+  // Life 2 retires and evicts life 1.
+  recorder.RecordMap(dev, Iova{0x20000}, Kva{0xffff800000002000}, 64, 0, false, "second");
+  recorder.RecordUnmap(dev, Iova{0x20000}, 64, 0, false);
+  recorder.RecordFlush(dev, Iova{0x20000}, 1, /*cost=*/2, "flush:manual");
+  ASSERT_EQ(recorder.ledger_dropped(), 1u);
+
+  // Life 3 takes the freed slot: strict order, so its stale window is
+  // closed on arrival and gets no span.
+  clock.Advance(10);
+  recorder.RecordMap(dev, iova, Kva{0xffff800000003000}, 256, 1, false, "third");
+  clock.Advance(10);
+  recorder.RecordFlush(dev, iova, 1, /*cost=*/2, "strict");
+  recorder.RecordUnmap(dev, iova, 256, 1, false);
+
+  const std::vector<MappingLife> ledger = recorder.SnapshotLedger(dev);
+  ASSERT_EQ(ledger.size(), 1u);
+  EXPECT_EQ(ledger[0].generation, 3u);
+  EXPECT_EQ(ledger[0].site, "third");
+  EXPECT_EQ(ledger[0].accesses, 0u);
+  EXPECT_EQ(ledger[0].stale_hits, 0u);
+  const std::vector<Window> windows = recorder.SnapshotWindows(dev);
+  ASSERT_EQ(windows.size(), 2u);
+  EXPECT_EQ(windows[0].kind, WindowKind::kSubPage);
+  EXPECT_TRUE(windows[0].span.valid());
+  EXPECT_NE(windows[0].span, old_windows[0].span);
+  EXPECT_NE(windows[0].span, old_windows[1].span);
+  EXPECT_EQ(windows[1].kind, WindowKind::kStaleIotlb);
+  EXPECT_FALSE(windows[1].span.valid());
+  EXPECT_FALSE(windows[1].detected);
+  EXPECT_EQ(windows[1].device_hits, 0u);
+  EXPECT_EQ(windows[1].first_hit_cycle, 0u);
+  EXPECT_EQ(windows[1].close_reason, "strict");
+  EXPECT_EQ(tracer.orphan_closes(), 0u);
+}
+
+// The detection fallback names the most recent stale window's life. Once that
+// life is evicted it names none, not the life that reused its slot, and the
+// latency is still measured from the window's open.
+TEST(FlightRecorderUnit, DetectionFallbackFindsNoTargetOnceTheLifeIsEvicted) {
+  ForensicsConfig config;
+  config.enabled = true;
+  config.ledger_capacity = 1;
+  SimClock clock;
+  FlightRecorder recorder(&clock, config);
+  const DeviceId dev{8};
+  const Iova iova{0x30000};
+
+  clock.Advance(100);
+  recorder.RecordMap(dev, iova, Kva{0xffff800000004000}, 256, 1, false, "stale_one");
+  clock.Advance(100);
+  recorder.RecordUnmap(dev, iova, 256, 1, false);  // the stale window opens at 200
+  clock.Advance(100);
+  recorder.RecordFlush(dev, iova, 1, /*cost=*/2, "flush:manual");
+  // A bounced life opens no stale window; retiring it evicts the stale one.
+  recorder.RecordMap(dev, Iova{0x40000}, Kva{0xffff800000005000}, 64, 1, true, "bounce");
+  recorder.RecordUnmap(dev, Iova{0x40000}, 64, 1, true);
+  ASSERT_EQ(recorder.ledger_dropped(), 1u);
+  // A new life takes the evicted slot and stays mapped.
+  recorder.RecordMap(dev, iova, Kva{0xffff800000006000}, 256, 1, false, "reuser");
+
+  clock.Advance(700);  // now 1000
+  recorder.OnEvent(DkasanReport(clock.now()));
+  const telemetry::Histogram::Summary latency = recorder.dkasan_latency_summary();
+  EXPECT_EQ(latency.count, 1u);
+  EXPECT_EQ(latency.max, 800u);
+
+  // The reusing life was not taken for the target: unmapped now, its stale
+  // window opens undetected.
+  recorder.RecordUnmap(dev, iova, 256, 1, false);
+  EXPECT_EQ(recorder.open_windows(WindowKind::kStaleIotlb), 1u);
+  const std::vector<Window> windows = recorder.SnapshotWindows(dev);
+  ASSERT_FALSE(windows.empty());
+  for (const Window& window : windows) {
+    EXPECT_FALSE(window.detected) << WindowKindName(window.kind) << " gen " << window.generation;
+  }
+}
+
+// A sink may publish from OnEvent: here a detector that reports on the first
+// stale window it sees open. Its report reaches the recorder in the middle of
+// the recorder's own announcements, and the nested close must neither lose
+// nor repeat any of the outer edge's window events.
+TEST(FlightRecorderUnit, AWindowClosedFromInsideAnnouncementsKeepsTheOuterOnes) {
+  SimClock clock;
+  telemetry::Hub::Config hub_config;
+  hub_config.enabled = true;
+  telemetry::Hub hub{hub_config};
+  hub.BindClock(&clock);
+  trace::Tracer tracer{hub, clock};
+  ForensicsConfig config;
+  config.enabled = true;
+  FlightRecorder recorder(&clock, config);
+  recorder.set_tracer(&tracer);
+  hub.AddSink(&recorder);
+  struct EagerDetector : telemetry::EventSink {
+    explicit EagerDetector(telemetry::Hub& h) : hub(h) {}
+    void OnEvent(const telemetry::Event& event) override {
+      if (event.site == "window.stale" && !reported) {
+        reported = true;
+        telemetry::Event report;
+        report.kind = telemetry::EventKind::kDkasanReport;
+        report.severity = telemetry::Severity::kCritical;
+        hub.Publish(report);
+      }
+    }
+    telemetry::KindSet kinds() const override { return {telemetry::EventKind::kWindowOpen}; }
+    telemetry::Hub& hub;
+    bool reported = false;
+  } detector{hub};
+  hub.AddSink(&detector);
+  const DeviceId dev{2};
+
+  recorder.RecordMap(dev, Iova{0x10000}, Kva{0xffff800000001000}, 256, 1, false, "nested");
+  clock.Advance(10);
+  // One edge, two announcements: the sub-page window closes, the stale one
+  // opens, and the report published on that open closes it again at once.
+  recorder.RecordUnmap(dev, Iova{0x10000}, 256, 1, false);
+  ASSERT_TRUE(detector.reported);
+
+  std::vector<std::string> sequence;
+  for (const telemetry::Event& event : hub.ring().Snapshot()) {
+    sequence.push_back(std::string(telemetry::EventKindName(event.kind)) + " " + event.site);
+  }
+  const std::vector<std::string> expected = {
+      "span_open window.subpage",
+      "window_open window.subpage",
+      "window_close window.subpage:unmap",
+      "span_close window.subpage",
+      "span_open window.stale",
+      "window_open window.stale",
+      "dkasan_report ",
+      "window_close window.stale:detected:dkasan",
+      "span_close window.stale",
+  };
+  EXPECT_EQ(sequence, expected);
+  EXPECT_EQ(recorder.open_windows(WindowKind::kStaleIotlb), 0u);
+  EXPECT_EQ(recorder.open_windows(WindowKind::kSubPage), 0u);
+  EXPECT_EQ(hub.counter_value("window.stale.opened"), 1u);
+  EXPECT_EQ(hub.counter_value("window.stale.closed"), 1u);
+  EXPECT_EQ(hub.counter_value("window.subpage.closed"), 1u);
+  EXPECT_EQ(tracer.orphan_closes(), 0u);
+  const std::vector<Window> windows = recorder.SnapshotWindows(dev);
+  ASSERT_EQ(windows.size(), 2u);
+  EXPECT_TRUE(windows[1].detected);
+  EXPECT_EQ(windows[1].close_reason, "detected:dkasan");
+  hub.RemoveSink(&detector);
+  hub.RemoveSink(&recorder);
 }
 
 // ---- Ledger: one record per life, fed from the call sites -----------------------

@@ -1,52 +1,17 @@
 // Allocation regression for the publish path: once a recording Hub's ring
 // has wrapped, opening and closing spans and publishing a reused Event
 // allocate nothing. This executable replaces the global operator new with
-// one that counts calls, so it holds no other suite.
+// one that counts calls (alloc_counter.h), so it holds no other suite.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <string>
 
+#include "alloc_counter.h"
 #include "base/clock.h"
 #include "telemetry/telemetry.h"
 #include "trace/tracer.h"
-
-namespace {
-
-uint64_t g_allocations = 0;
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-// The nothrow forms too, so every block the plain deletes free came from
-// malloc (sanitizers check that allocation and release functions match).
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  ++g_allocations;
-  return std::malloc(size == 0 ? 1 : size);
-}
-
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace spv::telemetry {
 namespace {
@@ -89,12 +54,12 @@ TEST(PublishAllocTest, ScopedSpansAllocateNothingOnceTheRingHasWrapped) {
   WrapRing(hub);
   { trace::ScopedSpan warm_up{&tracer, "iommu.device_access"}; }  // the tracer's own buffers
 
-  const uint64_t before = g_allocations;
+  const spv_alloc_counter::Allocations allocations;
   for (int i = 0; i < kIterations; ++i) {
     trace::ScopedSpan span{&tracer, "iommu.device_access"};
     clock.Advance(1);
   }
-  EXPECT_EQ(g_allocations - before, 0u);
+  EXPECT_EQ(allocations.calls_since(), 0u);
   EXPECT_EQ(hub.ring().recorded(), kRingCapacity + 2 + 2 * kIterations);
   EXPECT_EQ(hub.ring().Snapshot().back().site, "iommu.device_access");
 }
@@ -104,12 +69,12 @@ TEST(PublishAllocTest, PublishOfAReusedEventAllocatesNothing) {
   WrapRing(hub);
   Event event = SiteEvent();
 
-  const uint64_t before = g_allocations;
+  const spv_alloc_counter::Allocations allocations;
   for (int i = 0; i < kIterations; ++i) {
     event.addr = static_cast<uint64_t>(i);
     hub.Publish(event);
   }
-  EXPECT_EQ(g_allocations - before, 0u);
+  EXPECT_EQ(allocations.calls_since(), 0u);
   EXPECT_EQ(hub.ring().Snapshot().back().addr, static_cast<uint64_t>(kIterations - 1));
 }
 

@@ -95,6 +95,85 @@ TEST(TraceRingTest, WraparoundKeepsNewestAndCountsDrops) {
   }
 }
 
+TEST(TraceRingTest, FewerEventsThanCapacityKeepEveryOneInOrder) {
+  TraceRing ring{8};
+  for (int i = 0; i < 5; ++i) {
+    Event event = MakeEvent(EventKind::kDmaMap, Severity::kInfo);
+    event.len = static_cast<uint64_t>(i);
+    ring.Push(event);
+  }
+  EXPECT_EQ(ring.size(), 5u);
+  EXPECT_EQ(ring.recorded(), 5u);
+  EXPECT_EQ(ring.dropped(), 0u);
+  const std::vector<Event> events = ring.Snapshot();
+  ASSERT_EQ(events.size(), 5u);
+  for (size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].seq, i);
+    EXPECT_EQ(events[i].len, i);
+  }
+}
+
+TEST(TraceRingTest, ExactlyCapacityDropsNothingUntilTheNextEvent) {
+  TraceRing ring{4};
+  for (int i = 0; i < 4; ++i) {
+    Event event = MakeEvent(EventKind::kDmaMap, Severity::kInfo);
+    event.len = static_cast<uint64_t>(i);
+    ring.Push(event);
+  }
+  EXPECT_EQ(ring.size(), 4u);
+  EXPECT_EQ(ring.recorded(), 4u);
+  EXPECT_EQ(ring.dropped(), 0u);
+  std::vector<Event> events = ring.Snapshot();
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events.front().seq, 0u);
+  EXPECT_EQ(events.back().seq, 3u);
+
+  ring.Push(MakeEvent(EventKind::kDmaMap, Severity::kWarn));
+  EXPECT_EQ(ring.size(), 4u);
+  EXPECT_EQ(ring.dropped(Severity::kInfo), 1u);
+  events = ring.Snapshot();
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events.front().seq, 1u);
+  EXPECT_EQ(events.back().seq, 4u);
+  EXPECT_EQ(events.back().severity, Severity::kWarn);
+}
+
+TEST(TraceRingTest, ClearedRingRefillsAndWrapsAgain) {
+  TraceRing ring{3};
+  for (int i = 0; i < 5; ++i) {
+    ring.Push(MakeEvent(EventKind::kCpuAccess, Severity::kTrace));
+  }
+  ring.Clear();
+  for (int i = 0; i < 2; ++i) {
+    Event event = MakeEvent(EventKind::kDmaMap, Severity::kInfo);
+    event.site = "refill " + std::to_string(i) + " past the small-string buffer";
+    ring.Push(event);
+  }
+  std::vector<Event> events = ring.Snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].seq, 0u);
+  EXPECT_EQ(events[0].kind, EventKind::kDmaMap);
+  EXPECT_EQ(events[1].site, "refill 1 past the small-string buffer");
+  EXPECT_EQ(ring.size(), 2u);
+  EXPECT_EQ(ring.dropped(), 0u);
+
+  for (int i = 0; i < 3; ++i) {
+    ring.Push(MakeEvent(EventKind::kIommuFault, Severity::kWarn));
+  }
+  EXPECT_EQ(ring.recorded(), 5u);
+  EXPECT_EQ(ring.dropped(), 2u);
+  EXPECT_EQ(ring.dropped(Severity::kInfo), 2u);
+  EXPECT_EQ(ring.dropped(Severity::kTrace), 0u);
+  events = ring.Snapshot();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].seq, 2u);
+  EXPECT_EQ(events[2].seq, 4u);
+  for (const Event& event : events) {
+    EXPECT_EQ(event.kind, EventKind::kIommuFault);
+    EXPECT_TRUE(event.site.empty());
+  }
+}
+
 TEST(TraceRingTest, SeverityFloorFiltersBeforeRecording) {
   TraceRing ring{8};
   ring.set_min_severity(Severity::kWarn);

@@ -186,6 +186,41 @@ TEST(TracerTest, SpanIdsRunPastTheOldRecordCap) {
   EXPECT_EQ(tracer.current(), kNoSpan);
 }
 
+// Many detached spans open at once (the table grows several times) and
+// closed in a scattered order: every close finds its span and publishes it
+// with its own parent and duration, and a second close is an orphan.
+TEST(TracerTest, ManyOpenDetachedSpansCloseInAnyOrder) {
+  TracerRig rig;
+  constexpr uint64_t kSpans = 1000;
+  const SpanId root = rig.tracer.Open("root");
+  std::vector<SpanId> windows;
+  for (uint64_t i = 0; i < kSpans; ++i) {
+    windows.push_back(rig.tracer.OpenDetached("window.subpage", root));
+    rig.clock.Advance(1);
+  }
+  // 7 is coprime with 1000, so i * 7 mod 1000 visits every span once.
+  for (uint64_t i = 0; i < kSpans; ++i) {
+    rig.tracer.Close(windows[(i * 7) % kSpans]);
+  }
+  EXPECT_EQ(rig.tracer.orphan_closes(), 0u);
+  rig.tracer.Close(windows[3]);
+  EXPECT_EQ(rig.tracer.orphan_closes(), 1u);
+
+  uint64_t closes = 0;
+  for (const telemetry::Event& event : rig.hub.ring().Snapshot()) {
+    if (event.kind != telemetry::EventKind::kSpanClose || event.span == root.value) {
+      continue;
+    }
+    ++closes;
+    EXPECT_EQ(event.addr, root.value);  // the parent
+    EXPECT_TRUE(event.flag);            // detached
+    // Span n + 2 opened n cycles in; every close happens at kSpans.
+    EXPECT_EQ(event.aux, kSpans - (event.span - 2)) << event.span;
+  }
+  EXPECT_EQ(closes, kSpans);
+  rig.tracer.Close(root);
+}
+
 // ---- Determinism across same-seed runs --------------------------------------
 
 std::string TraceOneRun(uint64_t seed) {
